@@ -21,12 +21,6 @@
 //   --ssd-gb=F       per-node SSD capacity in GiB (0 removes the SSD rung;
 //                    default 0.015625 = 16 MiB, 2x the per-node sponge)
 //   --ssd-bw=N       SSD read+write stream rate in MB/s (0 = defaults)
-//   --engine=legacy|seq|par   event-loop driver: the legacy single queue,
-//                    the rack-sharded serial schedule, or the rack-sharded
-//                    threaded schedule (byte-identical to seq; see
-//                    DESIGN.md §13). Replay tasks are homed on their
-//                    rack's lane, so par runs the racks concurrently.
-//   --threads=N      worker threads for --engine=par (default: host cores)
 //   (plus the standard --trace-out= / --metrics-out= observability flags)
 //
 // The default shape (16 racks x 32 nodes, 1200 jobs) satisfies the
@@ -47,7 +41,6 @@
 #include "cluster/topology.h"
 #include "common/random.h"
 #include "obs/json.h"
-#include "sim/parallel.h"
 #include "sponge/failure.h"
 #include "sponge/sponge_file.h"
 #include "workload/trace.h"
@@ -94,8 +87,6 @@ struct Options {
   // --ssd-bw=MB/s overrides both the read and write stream rates (0 keeps
   // the SsdConfig defaults: 2 GiB/s read, 1 GiB/s write).
   double ssd_bw_mbps = 0;
-  std::string engine_mode = "legacy";  // legacy | seq | par
-  unsigned threads = 0;                // 0 = host cores (par only)
   std::string out = "BENCH_datacenter.json";
   std::string sim_out;
 };
@@ -140,18 +131,6 @@ struct RackAgg {
   uint64_t bytes_dfs = 0;
 };
 
-// Job/task progress tallies, striped by lane: a job's tasks are all homed
-// on one rack (hence one lane under the rack-sharded engine), so the
-// per-job arrays are single-lane by construction, but these cluster-wide
-// counters are touched by every lane and must not share cache lines.
-// Legacy engine: one entry, identical to the old shared scalars.
-struct alignas(64) LaneTally {
-  size_t active_jobs = 0;
-  size_t peak_jobs = 0;
-  size_t tasks_done = 0;
-  size_t tasks_failed = 0;
-};
-
 struct ReplayState {
   sim::Engine* engine = nullptr;
   sponge::SpongeEnv* env = nullptr;
@@ -159,18 +138,20 @@ struct ReplayState {
   std::vector<RackAgg>* agg = nullptr;
   std::vector<uint32_t>* job_remaining = nullptr;
   std::vector<uint8_t>* job_started = nullptr;
-  std::vector<LaneTally> tally;  // indexed by lane
+  size_t active_jobs = 0;
+  size_t peak_jobs = 0;
+  size_t tasks_done = 0;
+  size_t tasks_failed = 0;
+  // When the last task finished: the replay's makespan.
+  SimTime last_completion = 0;
 };
 
 sim::Task<> RunReplayTask(ReplayState* state, size_t job, size_t index,
                           size_t node, uint64_t bytes) {
-  // The task never migrates lanes (RPC hops always return home), so its
-  // tally stripe is stable across every await below.
-  LaneTally& tally = state->tally[state->engine->current_lane()];
   if ((*state->job_started)[job] == 0) {
     (*state->job_started)[job] = 1;
-    ++tally.active_jobs;
-    tally.peak_jobs = std::max(tally.peak_jobs, tally.active_jobs);
+    ++state->active_jobs;
+    state->peak_jobs = std::max(state->peak_jobs, state->active_jobs);
   }
   sim::Semaphore* slot = (*state->slots)[node].get();
   co_await slot->Acquire();
@@ -202,13 +183,15 @@ sim::Task<> RunReplayTask(ReplayState* state, size_t job, size_t index,
     agg.bytes_disk += s.bytes_local_disk;
     agg.bytes_dfs += s.bytes_dfs;
   } else {
-    ++tally.tasks_failed;
+    ++state->tasks_failed;
   }
   co_await file.Delete();
   env->EndTask(task);
   slot->Release();
-  if (--(*state->job_remaining)[job] == 0) --tally.active_jobs;
-  ++tally.tasks_done;
+  if (--(*state->job_remaining)[job] == 0) --state->active_jobs;
+  ++state->tasks_done;
+  state->last_completion =
+      std::max(state->last_completion, state->engine->now());
 }
 
 uint64_t TrackerDownCount(size_t rack) {
@@ -224,13 +207,9 @@ struct RunResult {
   size_t tasks_total = 0;
   size_t tasks_done = 0;
   size_t tasks_failed = 0;
-  // Under the sharded engine this is the sum of per-lane peaks (each
-  // rack's tasks stay on one lane): an upper bound on the true cluster
-  // peak, equal to it on the legacy engine. Deterministic either way.
   size_t peak_concurrent_jobs = 0;
   SimTime makespan = 0;
   uint64_t engine_events = 0;
-  std::vector<uint64_t> per_lane_events;  // [global, rack 0, rack 1, ...]
   uint64_t spill_bytes_total = 0;
   std::vector<RackAgg> agg;
   std::vector<uint64_t> tracker_down;    // per rack
@@ -245,10 +224,8 @@ struct RunResult {
   bool outage_isolated = false;
   bool ok = false;
   uint64_t digest = 0;
-  // Wall clock and host facts (not deterministic; kept out of --sim-out —
-  // the seq/par differential gate byte-compares sim snapshots).
+  // Wall clock (not deterministic; kept out of --sim-out).
   double wall_ms = 0;
-  unsigned threads_used = 0;
 };
 
 RunResult RunReplay(const Options& options) {
@@ -268,31 +245,7 @@ RunResult RunReplay(const Options& options) {
   result.num_nodes = topo.num_racks * topo.nodes_per_rack;
 
   sim::Engine engine;
-  cluster::ClusterConfig cc = cluster::MakeClusterConfig(topo);
-  // Sharded drivers: one lane per rack plus the global lane. The
-  // lookahead is the minimum cross-rack message delay — no event on one
-  // rack can affect another sooner than the core's latency, which is what
-  // lets a whole window of each rack's events run without coordination.
-  std::unique_ptr<sim::Sharding> sharding;
-  if (options.engine_mode != "legacy") {
-    std::vector<size_t> rack_of;
-    rack_of.reserve(result.num_nodes);
-    for (size_t i = 0; i < result.num_nodes; ++i) {
-      rack_of.push_back(i / options.nodes_per_rack);
-    }
-    unsigned threads = 0;
-    if (options.engine_mode == "par") {
-      threads = options.threads > 0 ? options.threads : sim::HostCores();
-    }
-    result.threads_used = threads;
-    sharding = std::make_unique<sim::Sharding>(
-        &engine,
-        sim::RackShardPlan(rack_of, options.racks,
-                           cc.network.latency +
-                               cc.network.cross_rack_latency),
-        threads);
-  }
-  cluster::Cluster cluster(&engine, cc);
+  cluster::Cluster cluster(&engine, cluster::MakeClusterConfig(topo));
   cluster::Dfs dfs(&cluster);
   sponge::SpongeConfig sponge_config;
   sponge_config.allow_cross_rack = true;
@@ -353,35 +306,21 @@ RunResult RunReplay(const Options& options) {
   state.agg = &agg;
   state.job_remaining = &job_remaining;
   state.job_started = &job_started;
-  state.tally.resize(engine.lane_count());
 
-  // Home each task on its rack's lane (lane 0 on the legacy engine, where
-  // SpawnOnShard from the driver is exactly SpawnAt).
   for (const TaskPlan& task : plan) {
-    engine.SpawnOnShard(engine.lane_of_node(task.node), task.at,
-                        RunReplayTask(&state, task.job, task.index,
-                                      task.node, task.bytes));
+    engine.SpawnAt(task.at, RunReplayTask(&state, task.job, task.index,
+                                          task.node, task.bytes));
   }
 
-  auto tasks_done = [&state] {
-    size_t n = 0;
-    for (const LaneTally& tally : state.tally) n += tally.tasks_done;
-    return n;
-  };
   const SimTime deadline = Minutes(24 * 60.0);
-  while (tasks_done() < result.tasks_total && engine.now() < deadline) {
+  while (state.tasks_done < result.tasks_total && engine.now() < deadline) {
     engine.RunUntil(engine.now() + Seconds(10));
   }
-  result.makespan = engine.now();
-  result.tasks_done = tasks_done();
-  for (const LaneTally& tally : state.tally) {
-    result.tasks_failed += tally.tasks_failed;
-    result.peak_concurrent_jobs += tally.peak_jobs;
-  }
+  result.makespan = state.last_completion;
+  result.tasks_done = state.tasks_done;
+  result.tasks_failed = state.tasks_failed;
+  result.peak_concurrent_jobs = state.peak_jobs;
   result.engine_events = engine.events_processed();
-  for (uint32_t l = 0; l < engine.lane_count(); ++l) {
-    result.per_lane_events.push_back(engine.lane_events(l));
-  }
 
   result.agg = agg;
   for (size_t r = 0; r < options.racks; ++r) {
@@ -525,10 +464,6 @@ std::string SimJson(const Options& options, const RunResult& r) {
   AppendRackArray(&out, "uplink_bytes", r.uplink_bytes);
   out += ",\n";
   AppendRackArray(&out, "downlink_bytes", r.downlink_bytes);
-  out += ",\n";
-  // Identical between the seq and par drivers (same windowed schedule);
-  // [total] on the legacy engine.
-  AppendRackArray(&out, "per_lane_events", r.per_lane_events);
   out += ",\n  \"uplink_utilization\": [";
   for (size_t i = 0; i < r.uplink_busy.size(); ++i) {
     if (i > 0) out += ", ";
@@ -559,12 +494,10 @@ std::string FullJson(const Options& options, const RunResult& r) {
   std::string sim = SimJson(options, r);
   // Splice the wall-clock section in before the closing brace.
   std::string out = sim.substr(0, sim.rfind("\n}\n"));
-  out += ",\n  \"engine\": \"";
-  out += options.engine_mode;
-  out += "\",\n  \"threads\": ";
-  obs::AppendJsonUint(&out, r.threads_used);
+  out += ",\n  \"build_type\": ";
+  obs::AppendJsonEscaped(&out, SPONGEFILES_BUILD_TYPE);
   out += ",\n  \"host_cores\": ";
-  obs::AppendJsonUint(&out, sim::HostCores());
+  obs::AppendJsonUint(&out, HostCores());
   out += ",\n  \"wall_ms\": ";
   obs::AppendJsonDouble(&out, r.wall_ms);
   double secs = r.wall_ms / 1000.0;
@@ -612,28 +545,17 @@ int main(int argc, char** argv) {
           1024.0 * 1024.0 * 1024.0);
     } else if (arg.rfind("--ssd-bw=", 0) == 0) {
       options.ssd_bw_mbps = std::strtod(arg.c_str() + 9, nullptr);
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      options.engine_mode = arg.substr(9);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = static_cast<unsigned>(std::atoll(arg.c_str() + 10));
     }
   }
   if (options.racks < 2 || options.nodes_per_rack < 1 || options.jobs < 1) {
     std::fprintf(stderr, "need --racks>=2, --nodes-per-rack>=1, --jobs>=1\n");
     return 2;
   }
-  if (options.engine_mode != "legacy" && options.engine_mode != "seq" &&
-      options.engine_mode != "par") {
-    std::fprintf(stderr, "--engine must be legacy, seq, or par\n");
-    return 2;
-  }
 
   std::printf(
-      "datacenter replay: %zu racks x %zu nodes, %zu jobs, seed %llu, "
-      "engine %s\n\n",
+      "datacenter replay: %zu racks x %zu nodes, %zu jobs, seed %llu\n\n",
       options.racks, options.nodes_per_rack, options.jobs,
-      static_cast<unsigned long long>(options.seed),
-      options.engine_mode.c_str());
+      static_cast<unsigned long long>(options.seed));
 
   RunResult r = RunReplay(options);
 

@@ -137,6 +137,8 @@ struct RecoveryState {
   size_t tasks_done = 0;
   size_t tasks_failed = 0;
   uint64_t attempts = 0;
+  // When the last task finished: the scenario's makespan.
+  SimTime last_completion = 0;
   // Wrapping sum of per-task digests: order-independent, so the combined
   // value is comparable even though crashes reorder task completions.
   uint64_t content_digest = 0;
@@ -194,6 +196,8 @@ sim::Task<> RunRecoveryTask(RecoveryState* state, size_t job, size_t node,
   if (!last.ok()) ++state->tasks_failed;
   slot->Release();
   ++state->tasks_done;
+  state->last_completion =
+      std::max(state->last_completion, state->engine->now());
 }
 
 // The rerun/failover/replica counters are process-global; each scenario
@@ -339,7 +343,7 @@ ScenarioResult RunScenario(const Options& options, bool inject_crashes,
   while (state.tasks_done < options.jobs && engine.now() < deadline) {
     engine.RunUntil(engine.now() + Seconds(10));
   }
-  result.makespan = engine.now();
+  result.makespan = state.last_completion;
   result.tasks_done = state.tasks_done;
   result.tasks_failed = state.tasks_failed;
   result.attempts = state.attempts;

@@ -27,12 +27,6 @@
 //   --baseline=PATH a prior --out file; its totals are embedded next to
 //                   ours and the ratio computed (regression tracking
 //                   across commits).
-//   --engine=MODE   legacy (default): the single-queue engine, bit-exact
-//                   old behaviour. seq: the sharded engine (node
-//                   projection) on the serial reference driver. par: the
-//                   same sharded schedule on the thread pool — tools/
-//                   perf.sh byte-compares seq and par --sim-out snapshots.
-//   --threads=N     pool size under --engine=par (default: host cores).
 
 #include <sys/resource.h>
 
@@ -45,7 +39,6 @@
 
 #include "bench_util.h"
 #include "obs/json.h"
-#include "sim/parallel.h"
 #include "sponge/failure.h"
 
 using namespace spongefiles;
@@ -68,13 +61,6 @@ uint64_t PeakRssBytes() {
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
 }
 
-// Engine mode for every scenario (--engine / --threads), set once in main
-// before any scenario runs. The testbeds here are single-rack, so seq/par
-// use the node projection (one worker lane per node) — the rack projection
-// would degenerate to a single worker lane.
-std::string g_engine_mode = "legacy";
-unsigned g_engine_threads = 0;  // --engine=par pool size; 0 = host cores
-
 // --pool=flat runs every scenario on the pre-tiered allocator (one global
 // free list + one global lock); the default is the tiered pool. tools/
 // perf.sh runs fig5_contention both ways and gates on tiered winning.
@@ -96,16 +82,6 @@ bool ScenarioEnabled(const char* name) {
   return false;
 }
 
-workload::ShardProjection Projection() {
-  return g_engine_mode == "legacy" ? workload::ShardProjection::kNone
-                                   : workload::ShardProjection::kNode;
-}
-
-unsigned ShardThreads() {
-  if (g_engine_mode != "par") return 0;
-  return g_engine_threads > 0 ? g_engine_threads : sim::HostCores();
-}
-
 struct ScenarioResult {
   std::string name;
   double wall_ms = 0;
@@ -120,18 +96,7 @@ struct ScenarioResult {
                                // plane moved (spill accounting)
   uint64_t digest = 0;         // deterministic: FNV over scenario outputs
   bool ok = false;             // deterministic
-  // Events per engine lane, summed elementwise over the scenario's engines
-  // ([total] on the legacy engine). Identical between seq and par — the
-  // sharded schedule is the same either way.
-  std::vector<uint64_t> per_lane_events;
 };
-
-void FoldLaneEvents(const std::vector<uint64_t>& lanes, ScenarioResult* r) {
-  if (r->per_lane_events.size() < lanes.size()) {
-    r->per_lane_events.resize(lanes.size(), 0);
-  }
-  for (size_t l = 0; l < lanes.size(); ++l) r->per_lane_events[l] += lanes[l];
-}
 
 // FNV-1a 64 over arbitrary stuff, for the per-scenario output digest.
 struct Digest {
@@ -157,13 +122,6 @@ sim::Task<> StormLane(sim::Engine* engine, uint64_t lane, uint64_t yields,
   }
 }
 
-// Per-storm-lane accumulator: padded to a cache line so the threaded
-// driver's worker lanes never false-share (each engine lane touches only
-// its own entry, so there is no cross-lane data race to begin with).
-struct alignas(64) StormAcc {
-  uint64_t v = 0;
-};
-
 ScenarioResult RunEventStorm() {
   ScenarioResult r;
   r.name = "event_storm";
@@ -171,31 +129,13 @@ ScenarioResult RunEventStorm() {
   constexpr uint64_t kYields = 125000;  // 8 * 125k = 1M events
   double start = WallMs();
   sim::Engine engine;
-  // seq/par: one engine lane per storm lane. The storm lanes never talk to
-  // each other, so any positive lookahead is conservative; one microsecond
-  // matches the smallest timed delay in the mix.
-  std::unique_ptr<sim::Sharding> sharding;
-  if (g_engine_mode != "legacy") {
-    sharding = std::make_unique<sim::Sharding>(
-        &engine, sim::NodeShardPlan(kLanes, Micros(1)), ShardThreads());
-  }
-  std::vector<StormAcc> accs(kLanes);
+  uint64_t acc = 0;
   for (uint64_t lane = 0; lane < kLanes; ++lane) {
-    if (sharding != nullptr) {
-      engine.SpawnOnShard(static_cast<uint32_t>(lane) + 1, 0,
-                          StormLane(&engine, lane, kYields, &accs[lane].v));
-    } else {
-      engine.Spawn(StormLane(&engine, lane, kYields, &accs[lane].v));
-    }
+    engine.Spawn(StormLane(&engine, lane, kYields, &acc));
   }
   engine.Run();
-  uint64_t acc = 0;
-  for (const StormAcc& a : accs) acc += a.v;
   r.engine_events = engine.events_processed();
   r.sim_time = engine.now();
-  for (uint32_t l = 0; l < engine.lane_count(); ++l) {
-    r.per_lane_events.push_back(engine.lane_events(l));
-  }
   r.wall_ms = WallMs() - start;
   Digest d;
   d.U64(acc);
@@ -217,14 +157,11 @@ MacroOptions PinnedOptions() {
   options.median_count = 200001;
   options.web_bytes = MiB(256);
   options.grep_bytes = GiB(1);
-  options.shard_projection = Projection();
-  options.shard_threads = ShardThreads();
   options.pool.flat = g_pool_flat;
   return options;
 }
 
 void FoldRun(const MacroRun& run, ScenarioResult* r, Digest* d) {
-  FoldLaneEvents(run.lane_events, r);
   r->engine_events += run.engine_events;
   r->sim_time += run.sim_now;
   r->job_runtime += run.runtime;
@@ -279,7 +216,6 @@ struct ChaosOutcome {
   SimTime sim_now = 0;
   uint64_t spilled_bytes = 0;
   bool ok = false;
-  std::vector<uint64_t> lane_events;
 };
 
 constexpr SimTime kFaultHorizon = Seconds(90);
@@ -293,8 +229,6 @@ ChaosOutcome RunChaosJob(uint64_t seed, bool inject) {
   bed_config.num_nodes = 8;
   bed_config.sponge_memory = MiB(64);
   bed_config.sponge.rpc.hedge_reads = true;
-  bed_config.shard_projection = Projection();
-  bed_config.shard_threads = ShardThreads();
   bed_config.pool.flat = g_pool_flat;
   workload::Testbed bed(bed_config);
   workload::NumbersDatasetConfig data;
@@ -347,9 +281,6 @@ ChaosOutcome RunChaosJob(uint64_t seed, bool inject) {
   bed.engine().RunUntil(bed.engine().now() + Seconds(10));
   out.engine_events = bed.engine().events_processed();
   out.sim_now = bed.engine().now();
-  for (uint32_t l = 0; l < bed.engine().lane_count(); ++l) {
-    out.lane_events.push_back(bed.engine().lane_events(l));
-  }
   out.ok = swept && out.output.size() == 1 &&
            out.output[0].number == numbers.expected_median();
   return out;
@@ -368,7 +299,6 @@ ScenarioResult RunChaosSweep(int seeds) {
                                        /*inject=*/true);
     r.ok = r.ok && chaotic.ok && chaotic.leaked_chunks == 0 &&
            chaotic.output == baseline.output;
-    FoldLaneEvents(chaotic.lane_events, &r);
     r.engine_events += chaotic.engine_events;
     r.sim_time += chaotic.sim_now;
     r.sim_bytes += chaotic.spilled_bytes;
@@ -377,7 +307,6 @@ ScenarioResult RunChaosSweep(int seeds) {
     d.U64(chaotic.leaked_chunks);
     d.U64(chaotic.engine_events);
   }
-  FoldLaneEvents(baseline.lane_events, &r);
   r.engine_events += baseline.engine_events;
   r.sim_time += baseline.sim_now;
   r.sim_bytes += baseline.spilled_bytes;
@@ -435,7 +364,7 @@ double ExtractNumber(const std::string& json, const std::string& key) {
 }
 
 std::string WallJson(const std::vector<ScenarioResult>& results,
-                     const std::string& baseline_json) {
+                     int chaos_seeds, const std::string& baseline_json) {
   const char* flavor = "fastpath";
   double total_wall = 0;
   uint64_t total_events = 0, total_bytes = 0;
@@ -446,14 +375,14 @@ std::string WallJson(const std::vector<ScenarioResult>& results,
   }
   std::string out = "{\n  \"bench\": \"selfperf\",\n  \"flavor\": \"";
   out += flavor;
-  out += "\",\n  \"engine\": \"";
-  out += g_engine_mode;
   out += "\",\n  \"pool\": \"";
   out += g_pool_flat ? "flat" : "tiered";
-  out += "\",\n  \"threads\": ";
-  obs::AppendJsonUint(&out, ShardThreads());
+  out += "\",\n  \"chaos_seeds\": ";
+  obs::AppendJsonUint(&out, static_cast<uint64_t>(chaos_seeds));
+  out += ",\n  \"build_type\": ";
+  obs::AppendJsonEscaped(&out, SPONGEFILES_BUILD_TYPE);
   out += ",\n  \"host_cores\": ";
-  obs::AppendJsonUint(&out, sim::HostCores());
+  obs::AppendJsonUint(&out, HostCores());
   out += ",\n  \"scenarios\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const ScenarioResult& r = results[i];
@@ -470,12 +399,7 @@ std::string WallJson(const std::vector<ScenarioResult>& results,
     obs::AppendJsonUint(&out, r.sim_bytes);
     out += ", \"sim_bytes_per_sec\": ";
     obs::AppendJsonDouble(&out, secs > 0 ? r.sim_bytes / secs : 0);
-    out += ", \"per_lane_events\": [";
-    for (size_t l = 0; l < r.per_lane_events.size(); ++l) {
-      if (l > 0) out += ", ";
-      obs::AppendJsonUint(&out, r.per_lane_events[l]);
-    }
-    out += "], \"ok\": ";
+    out += ", \"ok\": ";
     out += r.ok ? "true" : "false";
     out += "}";
     if (i + 1 < results.size()) out += ",";
@@ -525,8 +449,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--chaos-seeds=", 0) == 0) {
       chaos_seeds = std::atoi(arg.c_str() + 14);
       if (chaos_seeds < 1) chaos_seeds = 1;
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      g_engine_mode = arg.substr(9);
     } else if (arg.rfind("--pool=", 0) == 0) {
       std::string mode = arg.substr(7);
       if (mode != "flat" && mode != "tiered") {
@@ -537,20 +459,11 @@ int main(int argc, char** argv) {
       g_pool_flat = mode == "flat";
     } else if (arg.rfind("--scenarios=", 0) == 0) {
       g_scenarios = arg.substr(12);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      g_engine_threads =
-          static_cast<unsigned>(std::atoi(arg.c_str() + 10));
     }
   }
-  if (g_engine_mode != "legacy" && g_engine_mode != "seq" &&
-      g_engine_mode != "par") {
-    std::fprintf(stderr, "unknown --engine=%s (legacy|seq|par)\n",
-                 g_engine_mode.c_str());
-    return 2;
-  }
 
-  std::printf("self-perf suite (fast-path data plane, engine=%s, pool=%s)\n\n",
-              g_engine_mode.c_str(), g_pool_flat ? "flat" : "tiered");
+  std::printf("self-perf suite (fast-path data plane, pool=%s)\n\n",
+              g_pool_flat ? "flat" : "tiered");
 
   std::vector<ScenarioResult> results;
   if (ScenarioEnabled("event_storm")) results.push_back(RunEventStorm());
@@ -608,7 +521,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!WriteText(out_path, WallJson(results, baseline_json))) {
+  if (!WriteText(out_path, WallJson(results, chaos_seeds, baseline_json))) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }

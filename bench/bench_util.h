@@ -5,6 +5,8 @@
 // one table or figure from the paper (see DESIGN.md's experiment index)
 // by running the three evaluation jobs on the simulated 30-node testbed.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -76,6 +78,13 @@ inline void WriteObsOutputs(const ObsOptions& options) {
   }
 }
 
+// Online host cores (never 0), reported next to wall-clock numbers so a
+// BENCH_*.json says what hardware it was recorded on.
+inline unsigned HostCores() {
+  long n = sysconf(_SC_NPROCESSORS_ONLN);
+  return n > 0 ? static_cast<unsigned>(n) : 1;
+}
+
 // Full paper scale by default; SPONGE_BENCH_SCALE=N divides dataset sizes
 // by N for quick runs (shapes hold, absolute numbers shrink).
 inline uint64_t ScaleDivisor() {
@@ -116,9 +125,6 @@ struct MacroRun {
   // simulated time are read off the testbed before it is torn down).
   uint64_t engine_events = 0;
   SimTime sim_now = 0;
-  // Events per engine lane ([total] on the legacy single-queue engine).
-  // Identical between the serial and threaded sharded drivers.
-  std::vector<uint64_t> lane_events;
 };
 
 struct MacroOptions {
@@ -135,10 +141,6 @@ struct MacroOptions {
   uint64_t web_bytes = 0;
   uint64_t median_count = 0;
   uint64_t grep_bytes = 0;
-  // Engine sharding for the testbed (the benches' --engine flags; see
-  // workload/testbed.h). kNone keeps the legacy single-queue engine.
-  workload::ShardProjection shard_projection = workload::ShardProjection::kNone;
-  unsigned shard_threads = 0;
   // Sponge pool shape (size classes / flat baseline) and the optional
   // per-node SSD rung (capacity 0 = no SSD).
   sponge::ChunkPoolConfig pool;
@@ -153,8 +155,6 @@ inline MacroRun RunMacro(MacroJob job, mapred::SpillMode mode,
   bed_config.heap_per_slot = options.heap_per_slot;
   bed_config.sponge_memory = options.sponge_memory;
   bed_config.sponge = options.sponge;
-  bed_config.shard_projection = options.shard_projection;
-  bed_config.shard_threads = options.shard_threads;
   bed_config.pool = options.pool;
   bed_config.ssd = options.ssd;
   workload::Testbed bed(bed_config);
@@ -202,9 +202,6 @@ inline MacroRun RunMacro(MacroJob job, mapred::SpillMode mode,
                            &run.background_tasks);
   run.engine_events = bed.engine().events_processed();
   run.sim_now = bed.engine().now();
-  for (uint32_t l = 0; l < bed.engine().lane_count(); ++l) {
-    run.lane_events.push_back(bed.engine().lane_events(l));
-  }
   if (!result.ok()) {
     std::fprintf(stderr, "%s failed: %s\n", MacroJobName(job),
                  result.status().ToString().c_str());

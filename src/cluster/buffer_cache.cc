@@ -4,13 +4,11 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/access.h"
 
 namespace spongefiles::cluster {
 
 namespace {
 
-// lint: shard(value)
 struct CacheCounters {
   obs::Counter* hits;
   obs::Counter* misses;
@@ -36,9 +34,6 @@ BufferCache::Block* BufferCache::Find(const BlockKey& key) {
 sim::Task<> BufferCache::Write(uint64_t file, uint64_t offset,
                                uint64_t bytes) {
   if (bytes == 0) co_return;
-  // Even reads mutate cache state (LRU lists), so both paths record writes.
-  SIM_WRITE(engine_, this, "BufferCache", "pages",
-            sim::AccessRecorder::NodeDomain(disk_->node()));
   if (config_.capacity < config_.block_size) {
     // Effectively no cache: write through to disk synchronously, in small
     // fragments (no coalescing without page-cache batching). Fragments of
@@ -67,8 +62,6 @@ sim::Task<> BufferCache::Write(uint64_t file, uint64_t offset,
 sim::Task<> BufferCache::Read(uint64_t file, uint64_t offset,
                               uint64_t bytes) {
   if (bytes == 0) co_return;
-  SIM_WRITE(engine_, this, "BufferCache", "pages",
-            sim::AccessRecorder::NodeDomain(disk_->node()));
   if (config_.capacity < config_.block_size) {
     // No cache: no readahead; reads reach the disk in small fragments.
     for (uint64_t off = 0; off < bytes; off += config_.uncached_read_unit) {
@@ -198,8 +191,6 @@ sim::Task<> BufferCache::FlushDirtyIfThrottled() {
 }
 
 sim::Task<> BufferCache::Flush(uint64_t file) {
-  SIM_WRITE(engine_, this, "BufferCache", "pages",
-            sim::AccessRecorder::NodeDomain(disk_->node()));
   // Collect this file's dirty blocks, then write them in index order.
   std::vector<uint64_t> dirty;
   // lint: iter-ok(collects dirty block indexes only; sorted before any IO below)
@@ -218,8 +209,6 @@ sim::Task<> BufferCache::Flush(uint64_t file) {
 }
 
 void BufferCache::Drop(uint64_t file) {
-  SIM_WRITE(engine_, this, "BufferCache", "pages",
-            sim::AccessRecorder::NodeDomain(disk_->node()));
   for (auto it = blocks_.begin(); it != blocks_.end();) {
     if (it->first.file == file) {
       if (it->second.dirty) dirty_bytes_ -= config_.block_size;

@@ -28,7 +28,6 @@ namespace spongefiles::cluster {
 //    on first touch and are promoted on a second touch, so a huge one-pass
 //    streaming scan (the 1 TB background grep) cannot evict a spill file
 //    that is written and then read back.
-// lint: shard(value)
 struct BufferCacheConfig {
   uint64_t capacity = 0;              // bytes of cacheable memory
   uint64_t block_size = kMiB;         // cache granularity
@@ -43,7 +42,6 @@ struct BufferCacheConfig {
   uint64_t uncached_write_unit = 128 * 1024;
 };
 
-// lint: shard(node)
 class BufferCache {
  public:
   BufferCache(sim::Engine* engine, Disk* disk, const BufferCacheConfig& config)

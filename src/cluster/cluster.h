@@ -15,7 +15,6 @@ namespace spongefiles::cluster {
 // the paper's setup: the 30-node testbed is a single rack; multi-rack
 // layouts exist so the "spill within the rack only" policy has something
 // to be tested against.
-// lint: shard(value)
 struct ClusterConfig {
   size_t num_nodes = 30;
   size_t nodes_per_rack = 40;
@@ -23,7 +22,6 @@ struct ClusterConfig {
   NetworkConfig network;
 };
 
-// lint: shard(global: topology container handing out per-node components; post-wiring reads are identity lookups)
 class Cluster {
  public:
   Cluster(sim::Engine* engine, const ClusterConfig& config);

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/access.h"
 
 namespace spongefiles::cluster {
 
@@ -16,15 +15,6 @@ obs::Counter* DfsBytesCounter(bool is_write) {
   static obs::Counter* const write = obs::Registry::Default().counter(
       "cluster.dfs.bytes", {{"op", "write"}});
   return is_write ? write : read;
-}
-
-// Namespace metadata (file table, block placement) is the namenode: a
-// single shared structure every writer and reader consults.
-void NoteNamespaceAccess(sim::Engine* engine, const void* dfs, bool write) {
-  SIM_ACCESS(engine, dfs, "Dfs", "namespace", write,
-             sim::AccessRecorder::GlobalDomain(
-                 "central namenode: file table and block placement; the "
-                 "parallel port keeps it a service reached by message"));
 }
 
 uint64_t NameHash(const std::string& name) {
@@ -71,19 +61,6 @@ Status Dfs::CreateFile(const std::string& name, uint64_t size) {
 
 sim::Task<Status> Dfs::AppendBlock(std::string name, size_t writer,
                                    uint64_t bytes) {
-  sim::Engine* engine = cluster_->engine();
-  if (engine->current_lane() != 0) {
-    const uint32_t home = engine->current_lane();
-    co_await engine->HopToLane(0);
-    Status result = co_await AppendBlockBody(std::move(name), writer, bytes);
-    co_await engine->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await AppendBlockBody(std::move(name), writer, bytes);
-}
-
-sim::Task<Status> Dfs::AppendBlockBody(std::string name, size_t writer,
-                                       uint64_t bytes) {
   if (bytes > kBlockSize) {
     co_return InvalidArgument("block larger than DFS block size");
   }
@@ -91,7 +68,6 @@ sim::Task<Status> Dfs::AppendBlockBody(std::string name, size_t writer,
                       "dfs", "dfs.append");
   span.Arg("bytes", bytes);
   DfsBytesCounter(/*is_write=*/true)->Increment(bytes);
-  NoteNamespaceAccess(cluster_->engine(), this, /*write=*/true);
   File& file = files_[name];  // creates on first append
   // Hadoop writes the first replica locally when the writer is a datanode
   // with space; otherwise the namenode picks a node that can hold the
@@ -123,20 +99,6 @@ sim::Task<Status> Dfs::AppendBlockBody(std::string name, size_t writer,
 
 sim::Task<Status> Dfs::Read(std::string name, size_t reader,
                             uint64_t offset, uint64_t bytes) {
-  sim::Engine* engine = cluster_->engine();
-  if (engine->current_lane() != 0) {
-    const uint32_t home = engine->current_lane();
-    co_await engine->HopToLane(0);
-    Status result = co_await ReadBody(std::move(name), reader, offset, bytes);
-    co_await engine->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await ReadBody(std::move(name), reader, offset, bytes);
-}
-
-sim::Task<Status> Dfs::ReadBody(std::string name, size_t reader,
-                                uint64_t offset, uint64_t bytes) {
-  NoteNamespaceAccess(cluster_->engine(), this, /*write=*/false);
   auto it = files_.find(name);
   if (it == files_.end()) co_return NotFound("no DFS file: " + name);
   const File& file = it->second;
@@ -167,16 +129,6 @@ sim::Task<Status> Dfs::ReadBody(std::string name, size_t reader,
 }
 
 Status Dfs::Delete(const std::string& name) {
-  sim::Engine* engine = cluster_->engine();
-  if (engine->current_lane() != 0) {
-    engine->DeferToBarrier([this, name] { (void)DeleteBody(name); });
-    return Status::OK();
-  }
-  return DeleteBody(name);
-}
-
-Status Dfs::DeleteBody(const std::string& name) {
-  NoteNamespaceAccess(cluster_->engine(), this, /*write=*/true);
   auto it = files_.find(name);
   if (it == files_.end()) return NotFound("no DFS file: " + name);
   for (const Block& block : it->second.blocks) {

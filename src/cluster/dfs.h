@@ -19,7 +19,6 @@ namespace spongefiles::cluster {
 //     Hadoop-style locality: a split is read from the local disk when a
 //     replica is local, otherwise fetched over the network), and
 //   * the last-resort spill target in the SpongeFile allocation cascade.
-// lint: shard(global: central namenode and block placement; block data motion already pays Disk and Network time)
 class Dfs {
  public:
   static constexpr uint64_t kBlockSize = 128ull * 1024 * 1024;
@@ -38,11 +37,6 @@ class Dfs {
   // creating the file when needed. Used by the spill path; charges a
   // network transfer when the chosen storage node is remote, plus the
   // storage node's write path.
-  //
-  // Sharded engine: the namenode (and every node's LocalFs it places
-  // blocks on) is global-lane state, so worker-lane appends and reads hop
-  // to the global lane, run there, and hop home — the same quantized
-  // protocol remote sponge operations use (see sponge_server.h).
   sim::Task<Status> AppendBlock(std::string name, size_t writer,
                                 uint64_t bytes);
 
@@ -51,10 +45,7 @@ class Dfs {
   sim::Task<Status> Read(std::string name, size_t reader,
                          uint64_t offset, uint64_t bytes);
 
-  // Deletes the file, releasing space on every owning node. Synchronous,
-  // so a worker lane cannot hop: off-global callers defer the delete to
-  // the next window barrier (it runs on the driver, phase-exclusive) and
-  // get OK back — deletion is best-effort cleanup on every call site.
+  // Deletes the file, releasing space on every owning node.
   Status Delete(const std::string& name);
 
   Result<uint64_t> Size(const std::string& name) const;
@@ -81,14 +72,6 @@ class Dfs {
   // Adds one block of `bytes` on `node`, backed by a local file there.
   Status PlaceBlock(File* file, const std::string& name, size_t node,
                     uint64_t bytes);
-
-  // The real implementations; the public entry points add the cross-lane
-  // hop when called off the global lane and call these directly otherwise.
-  sim::Task<Status> AppendBlockBody(std::string name, size_t writer,
-                                    uint64_t bytes);
-  sim::Task<Status> ReadBody(std::string name, size_t reader,
-                             uint64_t offset, uint64_t bytes);
-  Status DeleteBody(const std::string& name);
 
   Cluster* cluster_;
   std::unordered_map<std::string, File> files_;

@@ -2,7 +2,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/access.h"
 
 namespace spongefiles::cluster {
 
@@ -34,10 +33,6 @@ sim::Task<> Disk::Access(uint64_t stream, uint64_t offset, uint64_t bytes,
   span.Arg("bytes", bytes);
   queue_depth_histogram->Record(queue_depth());
 
-  // Every request mutates spindle state (queue, head position), so this is
-  // a write for conflict purposes regardless of direction.
-  SIM_WRITE(engine_, this, "Disk", "spindle",
-            sim::AccessRecorder::NodeDomain(node_));
   co_await queue_.Acquire();
   ++busy_;
   Duration cost = 0;

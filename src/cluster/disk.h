@@ -13,7 +13,6 @@ namespace spongefiles::cluster {
 // Mechanical-disk timing model (one spindle, one head). Matches the paper's
 // testbed: 7200 RPM SATA drives whose throughput collapses under concurrent
 // streams because every stream switch costs a seek.
-// lint: shard(value)
 struct DiskConfig {
   // Average seek (arm movement) plus controller overhead.
   Duration avg_seek = Micros(8000);
@@ -27,7 +26,6 @@ struct DiskConfig {
 // next sequential offset continues without a seek; anything else pays
 // seek + rotation. Contention between streams therefore degrades the disk
 // into random IO, which is the effect Table 1 and Figures 4-6 hinge on.
-// lint: shard(node)
 class Disk {
  public:
   // `node` is the owning node's id, used only to label trace spans.
@@ -52,7 +50,7 @@ class Disk {
   // Pending + in-service request count (for load-aware callers and tests).
   size_t queue_depth() const { return queue_.waiters() + busy_; }
 
-  // Owning node id (labels trace spans and access-set records).
+  // Owning node id (labels trace spans).
   size_t node() const { return node_; }
 
   // Gray-failure injection: multiplies every request's service time

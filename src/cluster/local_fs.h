@@ -18,7 +18,6 @@ namespace spongefiles::cluster {
 // owners (spill files and sponge chunks carry their own ByteRuns), keeping
 // a single source of truth for data while the filesystem provides timing
 // and space accounting.
-// lint: shard(node)
 class LocalFs {
  public:
   LocalFs(BufferCache* cache, uint64_t capacity)

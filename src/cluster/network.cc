@@ -37,7 +37,6 @@ Network::Network(sim::Engine* engine, size_t num_nodes,
   }
   link_factor_.assign(num_nodes, 1.0);
   link_extra_latency_.assign(num_nodes, 0);
-  bytes_transferred_.assign(engine->lane_count(), 0);
   size_t num_racks =
       1 + *std::max_element(racks_.begin(), racks_.end());
   for (size_t r = 0; r < num_racks; ++r) {
@@ -62,7 +61,7 @@ void Network::NoteRepairTraffic(size_t src, size_t dst, uint64_t bytes) {
 
 sim::Task<> Network::Transfer(size_t src, size_t dst, uint64_t bytes) {
   SPONGE_CHECK(src < tx_.size() && dst < rx_.size());
-  bytes_transferred_[engine_->current_lane()] += bytes;
+  bytes_transferred_ += bytes;
   if (src == dst) {
     // Local socket: copies through the kernel, no NIC involvement.
     NetBytesCounter("ipc")->Increment(bytes);

@@ -19,7 +19,6 @@ namespace spongefiles::cluster {
 // does not touch the NIC; it pays IPC copy bandwidth plus per-message
 // overhead — this is what separates the 7 ms "local sponge server" column
 // of Table 1 from the 1 ms shared-memory column.
-// lint: shard(value)
 struct NetworkConfig {
   double bandwidth = 125.0 * 1024 * 1024;  // 1 Gb Ethernet, bytes/second
   Duration latency = Micros(300);          // one-way message latency
@@ -33,7 +32,6 @@ struct NetworkConfig {
   Duration cross_rack_latency = Micros(200);  // extra hop latency
 };
 
-// lint: shard(channel)
 class Network {
  public:
   // `racks[i]` is node i's rack; empty means everything on one rack.
@@ -64,15 +62,8 @@ class Network {
 
   const NetworkConfig& config() const { return config_; }
 
-  // Total bytes moved, summed over the per-lane tallies (Transfer is the
-  // one network mutation that runs on worker lanes — rack-local traffic
-  // under the rack projection — so its counter is lane-striped; everything
-  // else here is global-lane-only or phase-exclusive).
-  uint64_t bytes_transferred() const {
-    uint64_t total = 0;
-    for (uint64_t lane_bytes : bytes_transferred_) total += lane_bytes;
-    return total;
-  }
+  // Total bytes moved.
+  uint64_t bytes_transferred() const { return bytes_transferred_; }
 
   // Background-repair traffic accounting (re-replication after a sponge
   // server death). The bytes already went through Transfer and paid their
@@ -120,7 +111,7 @@ class Network {
   // Per-node NIC degradation (gray failures); 1.0 / 0 means healthy.
   std::vector<double> link_factor_;
   std::vector<Duration> link_extra_latency_;
-  std::vector<uint64_t> bytes_transferred_;  // indexed by lane
+  uint64_t bytes_transferred_ = 0;
   uint64_t cross_rack_bytes_ = 0;
   uint64_t repair_bytes_ = 0;
   std::vector<uint64_t> repair_uplink_bytes_;  // per source rack

@@ -18,7 +18,6 @@ namespace spongefiles::cluster {
 // pool outside the heaps, and whatever physical memory remains backs the
 // OS buffer cache. The "memory pressure" micro-benchmark pins memory,
 // shrinking the cache.
-// lint: shard(value)
 struct NodeConfig {
   uint64_t physical_memory = 16ull * 1024 * 1024 * 1024;
   int map_slots = 2;
@@ -39,7 +38,6 @@ struct NodeConfig {
 // and bookkeeping for the memory split. The sponge pool object itself
 // lives in src/sponge (it needs the allocator logic); the node only
 // carves out its capacity.
-// lint: shard(node)
 class Node {
  public:
   Node(sim::Engine* engine, size_t id, size_t rack, const NodeConfig& config);

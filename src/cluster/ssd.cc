@@ -2,7 +2,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/access.h"
 
 namespace spongefiles::cluster {
 
@@ -27,16 +26,12 @@ sim::Task<Status> Ssd::Write(uint64_t bytes) {
 }
 
 bool Ssd::TryReserve(uint64_t bytes) {
-  SIM_WRITE(engine_, this, "Ssd", "capacity",
-            sim::AccessRecorder::NodeDomain(node_));
   if (bytes > config_.capacity - used_bytes_) return false;
   used_bytes_ += bytes;
   return true;
 }
 
 void Ssd::Release(uint64_t bytes) {
-  SIM_WRITE(engine_, this, "Ssd", "capacity",
-            sim::AccessRecorder::NodeDomain(node_));
   used_bytes_ = bytes > used_bytes_ ? 0 : used_bytes_ - bytes;
 }
 
@@ -54,10 +49,6 @@ sim::Task<Status> Ssd::Access(uint64_t bytes, bool is_write) {
   span.Arg("bytes", bytes);
   queue_depth_histogram->Record(queue_depth());
 
-  // Every request mutates device state (queue, counters), so this is a
-  // write for conflict purposes regardless of direction.
-  SIM_WRITE(engine_, this, "Ssd", "device",
-            sim::AccessRecorder::NodeDomain(node_));
   co_await queue_.Acquire();
   ++busy_;
   Duration cost;

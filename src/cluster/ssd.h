@@ -18,7 +18,6 @@ namespace spongefiles::cluster {
 // rung the spill cascade inserts between remote memory and local disk
 // (DESIGN.md §14): slower than a network round-trip to a rack peer's
 // memory, an order of magnitude faster than the seek-bound spindle.
-// lint: shard(value)
 struct SsdConfig {
   // Usable capacity reserved for spill chunks. 0 = the node has no SSD
   // (the default — every existing topology is unchanged until a bench or
@@ -43,7 +42,6 @@ struct SsdConfig {
 // after paying their latency, while reads of already-stored data still
 // succeed, so a worn device drains gracefully as the cascade falls
 // through to disk.
-// lint: shard(node)
 class Ssd {
  public:
   // `node` is the owning node's id, used only to label trace spans.

@@ -15,7 +15,6 @@ namespace spongefiles::cluster {
 // bandwidth divided by `oversubscription` — the classic 4:1..10:1 ratios
 // that make cross-rack spilling expensive and motivated the paper's
 // rack-local restriction in the first place.
-// lint: shard(value)
 struct TopologyConfig {
   size_t num_racks = 16;
   size_t nodes_per_rack = 32;

@@ -246,26 +246,6 @@ ByteRuns ByteRuns::SubRange(uint64_t offset, uint64_t n) const {
   return out;
 }
 
-ByteRuns ByteRuns::Detached() const {
-  ByteRuns out;
-  out.runs_.reserve(runs_.size());
-  for (const Run& run : runs_) {
-    Run piece;
-    piece.length = run.length;
-    if (run.is_literal()) {
-      piece.buffer = std::make_shared<Buffer>(run.data(),
-                                              run.data() + run.length);
-      piece.offset = 0;
-      out.physical_size_ += piece.length;
-    }
-    out.runs_.push_back(std::move(piece));
-  }
-  out.size_ = size_;
-  out.checksum_ = checksum_;
-  out.checksum_valid_ = checksum_valid_;
-  return out;
-}
-
 ByteRuns::Run& ByteRuns::MutableRun(size_t i) {
   Run& run = runs_[i];
   assert(run.is_literal());

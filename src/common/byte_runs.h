@@ -75,15 +75,6 @@ class ByteRuns {
   // offset + n <= size().
   ByteRuns SubRange(uint64_t offset, uint64_t n) const;
 
-  // Returns a handle with the same logical content sharing NOTHING with
-  // this one: literal runs are copied into fresh exactly-sized buffers;
-  // zero runs stay unmaterialized. Used where a payload crosses a shard
-  // lane boundary (sharded engine): shared buffers may grow under their
-  // original owner, and the checksum memo is mutable, so cross-lane
-  // aliasing would be a data race. The memoized checksum carries over —
-  // the content is identical.
-  ByteRuns Detached() const;
-
   // Invokes `fn(logical_offset, data, length)` for every literal run,
   // allowing in-place transformation of the real bytes (chunk encryption).
   // Zero runs are not visited; their logical offsets are skipped. Shared

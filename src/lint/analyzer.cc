@@ -18,8 +18,6 @@ const char* CheckId(Check check) {
     case Check::kUncheckedStatus: return "status";
     case Check::kBannedHeader: return "header";
     case Check::kBadWaiver: return "waiver";
-    case Check::kShardCross: return "shard";
-    case Check::kShardAffinity: return "affinity";
     case Check::kOrphanWaiver: return "orphan";
   }
   return "?";
@@ -32,7 +30,6 @@ bool CheckFromId(const std::string& id, Check* out) {
       {"ref", Check::kCoroRef},        {"det", Check::kDeterminism},
       {"iter", Check::kUnorderedIter}, {"lock", Check::kLockAcrossAwait},
       {"status", Check::kUncheckedStatus}, {"header", Check::kBannedHeader},
-      {"shard", Check::kShardCross},   {"affinity", Check::kShardAffinity},
   };
   for (const auto& [name, check] : kIds) {
     if (id == name) {
@@ -59,10 +56,6 @@ void SymbolIndex::Merge(const SymbolIndex& other) {
                          other.unordered_names.end());
   quoted_includes.insert(quoted_includes.end(), other.quoted_includes.begin(),
                          other.quoted_includes.end());
-  class_affinity.insert(other.class_affinity.begin(),
-                        other.class_affinity.end());
-  returns_class.insert(other.returns_class.begin(),
-                       other.returns_class.end());
 }
 
 namespace {
@@ -126,99 +119,6 @@ size_t MatchParenBackward(const Tokens& toks, size_t i) {
   }
 }
 
-// `i` points at `[`; returns the index of the matching `]`.
-size_t MatchBracket(const Tokens& toks, size_t i) {
-  int depth = 0;
-  for (; i < toks.size(); ++i) {
-    if (toks[i].punct("[")) ++depth;
-    if (toks[i].punct("]") && --depth == 0) return i;
-  }
-  return toks.size() - 1;
-}
-
-// ---- shard affinities ----------------------------------------------------
-
-// Where a class's state lives in the planned sharded engine. kValue marks
-// passive data that travels by copy; kChannel marks the sanctioned
-// cross-shard machinery (network messages, RPC plumbing, engine event
-// posting); kGlobal marks shared state whose annotation must carry the
-// reason the sharing is acceptable.
-enum class Affinity { kNone, kNode, kRack, kValue, kChannel, kGlobal };
-
-const char* AffinityName(Affinity a) {
-  switch (a) {
-    case Affinity::kNode: return "node";
-    case Affinity::kRack: return "rack";
-    case Affinity::kValue: return "value";
-    case Affinity::kChannel: return "channel";
-    case Affinity::kGlobal: return "global";
-    case Affinity::kNone: break;
-  }
-  return "none";
-}
-
-struct AffinityInfo {
-  Affinity kind = Affinity::kNone;
-  std::string reason;
-  bool valid = false;
-  std::string error;  // when !valid: what is wrong with the clause
-};
-
-std::string Trimmed(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t");
-  if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t");
-  return s.substr(b, e - b + 1);
-}
-
-// Parses the interior of a `shard(...)` clause.
-AffinityInfo ParseAffinity(const std::string& clause) {
-  AffinityInfo info;
-  std::string text = Trimmed(clause);
-  if (text == "node") {
-    info = {Affinity::kNode, "", true, ""};
-  } else if (text == "rack") {
-    info = {Affinity::kRack, "", true, ""};
-  } else if (text == "value") {
-    info = {Affinity::kValue, "", true, ""};
-  } else if (text == "channel") {
-    info = {Affinity::kChannel, "", true, ""};
-  } else if (text.compare(0, 6, "global") == 0) {
-    std::string rest = Trimmed(text.substr(6));
-    if (!rest.empty() && rest[0] == ':') {
-      info.reason = Trimmed(rest.substr(1));
-    }
-    info.kind = Affinity::kGlobal;
-    if (info.reason.empty()) {
-      info.error = "'global' needs a reason: shard(global: why sharing is ok)";
-    } else {
-      info.valid = true;
-    }
-  } else {
-    info.error = "unknown affinity '" + text +
-                 "'; expected node, rack, value, channel, or global: reason";
-  }
-  return info;
-}
-
-// Comment lines carrying the lint marker followed by a `shard(...)`
-// affinity clause, mapped line -> clause interior. (The clause shares the
-// waiver marker but is not a waiver; ParseWaivers skips it.)
-std::map<int, std::string> AffinityClauseLines(
-    const std::vector<Comment>& comments) {
-  std::map<int, std::string> out;
-  for (const Comment& c : comments) {
-    size_t at = c.text.find("lint:");
-    if (at == std::string::npos) continue;
-    size_t s = c.text.find("shard(", at);
-    if (s == std::string::npos) continue;
-    size_t close = c.text.find(')', s);
-    if (close == std::string::npos) continue;
-    out[c.line] = c.text.substr(s + 6, close - s - 6);
-  }
-  return out;
-}
-
 // Parses `ident (:: ident | . ident | -> ident)*` starting at `i`.
 // Returns the number of tokens consumed (0 if `i` is not an identifier)
 // and fills `last` with the final identifier.
@@ -259,7 +159,6 @@ class Analyzer {
     CheckUnorderedIteration();
     CheckLockAcrossAwait();
     CheckUncheckedStatus();
-    CheckShardAffinity();
     ApplyWaivers();
     ReportOrphanWaivers();
     std::stable_sort(report_.diagnostics.begin(), report_.diagnostics.end(),
@@ -278,13 +177,6 @@ class Analyzer {
 
   bool PathAllowed() const {
     for (const auto& sub : opts_.allowlist) {
-      if (path_.find(sub) != std::string::npos) return true;
-    }
-    return false;
-  }
-
-  bool PathThreadingAllowed() const {
-    for (const auto& sub : opts_.threading_allowlist) {
       if (path_.find(sub) != std::string::npos) return true;
     }
     return false;
@@ -313,18 +205,11 @@ class Analyzer {
         if (tag.empty()) break;
         any = true;
         std::string reason;
-        bool had_paren = false;
         if (pos < c.text.size() && c.text[pos] == '(') {
-          had_paren = true;
           size_t close = c.text.find(')', pos);
           if (close == std::string::npos) close = c.text.size();
           reason = c.text.substr(pos + 1, close - pos - 1);
           pos = std::min(close + 1, c.text.size());
-        }
-        if (tag == "shard" && had_paren) {
-          // A shard affinity clause, not a waiver; the shard pass attaches
-          // and validates it.
-          continue;
         }
         if (tag.size() < 4 || tag.substr(tag.size() - 3) != "-ok") {
           Diag(Check::kBadWaiver, c.line,
@@ -532,15 +417,11 @@ class Analyzer {
 
   void CheckBannedHeaders() {
     if (PathAllowed()) return;
-    const bool threading_ok = PathThreadingAllowed();
     for (const Token& t : toks_) {
       if (t.kind != TokenKind::kPreprocessor) continue;
       std::string header = IncludeTarget(t.text, '<', '>');
       if (header.empty()) continue;
       if (!Contains(opts_.banned_headers, header)) continue;
-      // The threading allowlist exempts only the threading headers: a
-      // <random> or <ctime> in the sharded harness is still an error.
-      if (threading_ok && Contains(opts_.threading_headers, header)) continue;
       Diag(Check::kBannedHeader, t.line,
            "#include <" + header + "> is banned here; the simulator is "
                "single-threaded and deterministic (allowed only under: " +
@@ -753,7 +634,7 @@ class Analyzer {
     }
   }
 
-  // ---- check 7: shard affinities & cross-affinity accesses ---------------
+  // ---- orphan waivers ---------------------------------------------------
 
   void ReportOrphanWaivers() {
     for (const auto& [line, ws] : waivers_) {
@@ -767,281 +648,12 @@ class Analyzer {
     }
   }
 
-  bool InComponentLayer() const {
-    for (const auto& sub : opts_.component_paths) {
-      if (path_.find(sub) != std::string::npos) return true;
-    }
-    return false;
-  }
-
-  // Looks up a class's affinity: this file's clauses first (via
-  // class_lines_), then the merged index (annotation at a definition in
-  // another file of the closure).
-  AffinityInfo ClassAffinity(const std::string& name) const {
-    auto it = index_.class_affinity.find(name);
-    if (it != index_.class_affinity.end()) return ParseAffinity(it->second);
-    return AffinityInfo{};
-  }
-
-  // Harvests `name -> class` bindings for every declaration in this file
-  // whose type mentions an affinity-annotated class: plain variables and
-  // members (`SpongeServer* server`), containers of pointers
-  // (`std::vector<SpongeServer*> members_`), references, and range-for
-  // bindings. Name-based and file-wide, like the rest of the analyzer.
-  void HarvestBindings() {
-    for (size_t i = 0; i + 1 < toks_.size(); ++i) {
-      const Token& t = toks_[i];
-      if (t.kind != TokenKind::kIdentifier) continue;
-      if (index_.class_affinity.find(t.text) == index_.class_affinity.end()) {
-        continue;
-      }
-      size_t j = i + 1;
-      if (j < toks_.size() && toks_[j].punct("<")) j = SkipAngles(toks_, j);
-      while (j < toks_.size() &&
-             (toks_[j].punct("*") || toks_[j].punct("&") ||
-              toks_[j].punct(">") || toks_[j].punct(">>") ||
-              toks_[j].ident("const"))) {
-        ++j;
-      }
-      if (j < toks_.size() && toks_[j].kind == TokenKind::kIdentifier &&
-          !(j + 1 < toks_.size() && toks_[j + 1].punct("("))) {
-        bindings_[toks_[j].text] = t.text;
-      }
-    }
-  }
-
-  struct Scope {
-    std::string name;
-    Affinity aff;
-    int depth;  // brace depth the scope's body lives at
-  };
-
-  void CheckShardAffinity() {
-    HarvestBindings();
-    std::map<int, std::string> clauses = AffinityClauseLines(comments_);
-    std::set<int> used_clauses;
-
-    std::vector<Scope> scopes;
-    int depth = 0;
-    bool pending = false;      // a class head / out-of-line def awaits '{'
-    bool pending_guarded = false;  // attach only to a function-body '{'
-    Scope pend{};
-
-    for (size_t i = 0; i < toks_.size(); ++i) {
-      const Token& t = toks_[i];
-      if (t.punct("{")) {
-        ++depth;
-        if (pending) {
-          bool attach = true;
-          if (pending_guarded && i > 0) {
-            // Out-of-line member definition: only a brace following the
-            // parameter list (or its trailing qualifiers) starts the body;
-            // member-initializer braces are preceded by an identifier.
-            const Token& p = toks_[i - 1];
-            attach = p.punct(")") || p.ident("const") || p.ident("noexcept") ||
-                     p.ident("override") || p.punct(">") || p.punct(">>");
-          }
-          if (attach) {
-            pend.depth = depth;
-            scopes.push_back(pend);
-            pending = false;
-          }
-        }
-        continue;
-      }
-      if (t.punct("}")) {
-        while (!scopes.empty() && scopes.back().depth == depth) {
-          scopes.pop_back();
-        }
-        --depth;
-        continue;
-      }
-      if (t.punct(";")) {
-        pending = false;
-        continue;
-      }
-      if (t.kind != TokenKind::kIdentifier && !t.punct(")") && !t.punct("]")) {
-        continue;
-      }
-
-      // Skip template parameter lists wholesale: `template <class T>` must
-      // not read as a class definition of T.
-      if (t.ident("template") && i + 1 < toks_.size() &&
-          toks_[i + 1].punct("<")) {
-        i = SkipAngles(toks_, i + 1) - 1;
-        continue;
-      }
-
-      // Class / struct definitions.
-      if ((t.ident("class") || t.ident("struct")) &&
-          !(i > 0 && toks_[i - 1].ident("enum"))) {
-        size_t j = i + 1;
-        // Skip attributes: class [[nodiscard]] Task.
-        while (j + 1 < toks_.size() && toks_[j].punct("[") &&
-               toks_[j + 1].punct("[")) {
-          j = MatchBracket(toks_, j);
-          // MatchBracket of the outer '[' lands on the second ']'.
-          ++j;
-        }
-        if (j >= toks_.size() ||
-            toks_[j].kind != TokenKind::kIdentifier) {
-          continue;  // anonymous struct
-        }
-        std::string name = toks_[j].text;
-        size_t k = j + 1;
-        if (k < toks_.size() && toks_[k].punct("<")) {
-          k = SkipAngles(toks_, k);  // template specialization args
-        }
-        bool is_def = false;
-        for (size_t m = k; m < toks_.size(); ++m) {
-          if (toks_[m].punct("{")) {
-            is_def = true;
-            break;
-          }
-          if (toks_[m].punct(";") || toks_[m].punct(")") ||
-              toks_[m].punct("=")) {
-            break;  // forward declaration, parameter, or alias
-          }
-        }
-        if (!is_def) {
-          i = j;
-          continue;
-        }
-        AffinityInfo aff;
-        for (int line : {t.line, t.line - 1}) {
-          auto c = clauses.find(line);
-          if (c == clauses.end()) continue;
-          used_clauses.insert(line);
-          aff = ParseAffinity(c->second);
-          if (!aff.valid) {
-            Diag(Check::kShardAffinity, line,
-                 "bad shard affinity on class '" + name + "': " + aff.error);
-          }
-          break;
-        }
-        if (aff.kind == Affinity::kNone) {
-          // Annotated at another definition in the closure?
-          aff = ClassAffinity(name);
-        }
-        if (aff.kind == Affinity::kNone) {
-          if (!scopes.empty()) {
-            aff.kind = scopes.back().aff;  // nested classes inherit
-            aff.valid = true;
-          } else if (InComponentLayer()) {
-            Diag(Check::kShardAffinity, t.line,
-                 "class '" + name +
-                     "' in the simulated-component layer has no shard "
-                     "affinity; annotate with the lint marker and "
-                     "shard(node|rack|value|channel|global: reason), or "
-                     "waive with // lint: affinity-ok(reason)");
-          }
-        }
-        pending = true;
-        pending_guarded = false;
-        pend = Scope{name, aff.valid ? aff.kind : Affinity::kNone, 0};
-        i = j;
-        continue;
-      }
-
-      // Out-of-line member definitions: `Ret ClassName::Method(...) {`.
-      if (t.kind == TokenKind::kIdentifier && !pending &&
-          scopes.empty() && i + 3 < toks_.size() &&
-          toks_[i + 1].punct("::") &&
-          toks_[i + 2].kind == TokenKind::kIdentifier &&
-          (toks_[i + 3].punct("(") ||
-           (toks_[i + 2].text == "operator"))) {
-        auto it = index_.class_affinity.find(t.text);
-        if (it != index_.class_affinity.end()) {
-          AffinityInfo aff = ParseAffinity(it->second);
-          pending = true;
-          pending_guarded = true;
-          pend = Scope{t.text, aff.valid ? aff.kind : Affinity::kNone, 0};
-        }
-        continue;
-      }
-
-      // Cross-affinity accesses, only inside node/rack scopes.
-      Affinity cur = scopes.empty() ? Affinity::kNone : scopes.back().aff;
-      if (cur != Affinity::kNode && cur != Affinity::kRack) continue;
-
-      if (t.kind == TokenKind::kIdentifier) {
-        if (i > 0 && (toks_[i - 1].punct(".") || toks_[i - 1].punct("->") ||
-                      toks_[i - 1].punct("::"))) {
-          continue;  // middle of a chain; the head was already checked
-        }
-        size_t j = i + 1;
-        if (j < toks_.size() && toks_[j].punct("[")) {
-          j = MatchBracket(toks_, j) + 1;  // members_[i]->alive()
-        }
-        if (j + 1 < toks_.size() &&
-            (toks_[j].punct(".") || toks_[j].punct("->")) &&
-            toks_[j + 1].kind == TokenKind::kIdentifier) {
-          auto b = bindings_.find(t.text);
-          if (b != bindings_.end()) {
-            CheckCrossAccess(scopes.back(), cur, b->second, t.text,
-                             toks_[j + 1]);
-          }
-        }
-        continue;
-      }
-
-      // Accessor chains: `cluster_->node(i).free_slots()` — the `.` after
-      // a call binds through the callee's declared return class.
-      if ((t.punct(")") || t.punct("]")) && i + 2 < toks_.size() &&
-          (toks_[i + 1].punct(".") || toks_[i + 1].punct("->")) &&
-          toks_[i + 2].kind == TokenKind::kIdentifier) {
-        size_t open = t.punct(")") ? MatchParenBackward(toks_, i) : 0;
-        if (open > 0 && toks_[open - 1].kind == TokenKind::kIdentifier) {
-          auto f = index_.returns_class.find(toks_[open - 1].text);
-          if (f != index_.returns_class.end()) {
-            CheckCrossAccess(scopes.back(), cur, f->second,
-                             toks_[open - 1].text + "(...)", toks_[i + 2]);
-          }
-        }
-        continue;
-      }
-    }
-
-    // Affinity clauses that attached to nothing are drift (a deleted or
-    // renamed class) or a typo'd placement.
-    for (const auto& [line, clause] : clauses) {
-      if (used_clauses.count(line) > 0) continue;
-      Diag(Check::kShardAffinity, line,
-           "shard affinity 'shard(" + clause +
-               ")' is not attached to a class definition (put it on the "
-               "class line or the line above)");
-    }
-  }
-
-  void CheckCrossAccess(const Scope& scope, Affinity cur,
-                        const std::string& target_class,
-                        const std::string& expr, const Token& member) {
-    if (Contains(opts_.shard_identity_members, member.text)) return;
-    AffinityInfo target = ClassAffinity(target_class);
-    if (!target.valid) return;  // unannotated or malformed: flagged at decl
-    if (target.kind == cur || target.kind == Affinity::kValue ||
-        target.kind == Affinity::kChannel ||
-        target.kind == Affinity::kGlobal) {
-      return;  // same domain, passive data, sanctioned channel, or
-               // reasoned global
-    }
-    Diag(Check::kShardCross, member.line,
-         "class '" + scope.name + "' (" + AffinityName(cur) + ") touches '" +
-             expr + (expr.back() == ')' ? "." : "->") + member.text +
-             "' of class '" + target_class + "' (" +
-             AffinityName(target.kind) +
-             "): cross-shard state access outside a sanctioned channel — "
-             "move it behind a message, or waive with "
-             "// lint: shard-ok(reason)");
-  }
-
   const std::string& path_;
   const Tokens& toks_;
   const std::vector<Comment>& comments_;
   const SymbolIndex& index_;
   const AnalyzerOptions& opts_;
   std::map<int, std::vector<Waiver>> waivers_;
-  std::map<std::string, std::string> bindings_;  // name -> class
   FileReport report_;
 };
 
@@ -1050,7 +662,6 @@ class Analyzer {
 SymbolIndex IndexSymbols(const LexResult& lex) {
   SymbolIndex out;
   const Tokens& toks = lex.tokens;
-  std::map<int, std::string> affinity_clauses = AffinityClauseLines(lex.comments);
   for (size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
 
@@ -1062,25 +673,6 @@ SymbolIndex IndexSymbols(const LexResult& lex) {
       continue;
     }
 
-    // Shard-affinity-annotated class definitions.
-    if ((t.ident("class") || t.ident("struct")) &&
-        !(i > 0 && toks[i - 1].ident("enum"))) {
-      size_t j = i + 1;
-      while (j + 1 < toks.size() && toks[j].punct("[") &&
-             toks[j + 1].punct("[")) {
-        j = MatchBracket(toks, j) + 1;
-      }
-      if (j < toks.size() && toks[j].kind == TokenKind::kIdentifier) {
-        for (int line : {t.line, t.line - 1}) {
-          auto c = affinity_clauses.find(line);
-          if (c != affinity_clauses.end()) {
-            out.class_affinity[toks[j].text] = c->second;
-            break;
-          }
-        }
-      }
-      continue;
-    }
     if (t.kind == TokenKind::kPreprocessor) {
       // Quoted includes, for include-closure scoping.
       size_t q1 = t.text.find('"');
@@ -1156,22 +748,6 @@ SymbolIndex IndexSymbols(const LexResult& lex) {
       continue;
     }
 
-    // Accessor functions declared to return `Class&` / `Class*` (Class in
-    // PascalCase): `Node& node(int i)` lets the shard pass bind the result
-    // of `cluster->node(i)` to Node. Declarations only — an expression use
-    // of `T&` / `T*` at this token shape is vanishingly rare.
-    if (std::isupper(static_cast<unsigned char>(t.text[0]))) {
-      size_t j = i + 1;
-      if (j < toks.size() && toks[j].punct("<")) j = SkipAngles(toks, j);
-      if (j < toks.size() && (toks[j].punct("&") || toks[j].punct("*"))) {
-        ++j;
-        while (j < toks.size() && toks[j].ident("const")) ++j;
-        if (j + 1 < toks.size() && toks[j].kind == TokenKind::kIdentifier &&
-            toks[j + 1].punct("(")) {
-          out.returns_class[toks[j].text] = t.text;
-        }
-      }
-    }
   }
   return out;
 }

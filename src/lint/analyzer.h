@@ -1,7 +1,6 @@
 #ifndef SPONGEFILES_LINT_ANALYZER_H_
 #define SPONGEFILES_LINT_ANALYZER_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -50,16 +49,6 @@ struct AnalyzerOptions {
   // (the seeded-randomness gateway lives here).
   std::vector<std::string> allowlist = {"common/random"};
 
-  // The subset of banned_headers that exist to keep host threading out of
-  // the simulator. Files matching threading_allowlist may include exactly
-  // these — and remain subject to every other check, including the rest of
-  // banned_headers. The sharded engine's phase-A thread pool is the one
-  // sanctioned user (see DESIGN.md "Parallel engine").
-  std::vector<std::string> threading_headers = {
-      "thread", "mutex", "shared_mutex", "condition_variable", "future",
-  };
-  std::vector<std::string> threading_allowlist = {"src/sim/parallel"};
-
   // Method names that acquire / release a lock for the
   // lock-across-suspension check. Semaphore::Acquire is deliberately NOT
   // listed: holding a simulated resource (disk queue, network link)
@@ -76,29 +65,6 @@ struct AnalyzerOptions {
       "ScheduleHandle", "destroy", "co_await", "Set", "Increment", "Observe",
   };
   std::vector<std::string> sink_puncts = {"<<", "+="};
-
-  // Path substrings naming the simulated-component layer: every top-level
-  // class defined under one of these must carry a shard affinity
-  // annotation (the marker followed by `shard(node|rack|value|channel|`
-  // `global: reason)`), and member accesses from a node/rack class into a
-  // class of a different affinity are flagged unless the target is a
-  // value, a channel, or a reasoned global.
-  std::vector<std::string> component_paths = {"src/cluster/", "src/sponge/",
-                                              "src/mapred/", "src/pig/"};
-
-  // Members that carry immutable identity (ids, shard coordinates, sizes
-  // fixed at construction) plus standard container operations — a
-  // container of Foo* is owned by the class that declares it, so
-  // `members_.front()` is an access to *our* member, not to a Foo. Only
-  // dereferencing an element (`members_[i]->x`) crosses domains.
-  std::vector<std::string> shard_identity_members = {
-      "node_id", "rack", "rack_of", "home_node", "num_racks", "num_nodes",
-      "size", "empty", "name", "id",
-      // container ops
-      "front", "back", "begin", "end", "at", "find", "count", "push_back",
-      "pop_back", "emplace_back", "clear", "erase", "insert", "resize",
-      "assign", "reserve",
-  };
 };
 
 // Names harvested from a first pass over one or more files; the analyzer
@@ -116,14 +82,6 @@ struct SymbolIndex {
   std::set<std::string> unordered_names;
   // Quoted #include targets, for include-closure scoping by the driver.
   std::vector<std::string> quoted_includes;
-  // Class name -> shard affinity clause text ("node", "rack", "value",
-  // "channel", or "global: reason"), harvested from annotated class
-  // definitions. Name-based like everything else in the index.
-  std::map<std::string, std::string> class_affinity;
-  // Function name -> class name, for accessor functions declared to return
-  // `Class&` or `Class*`: `cluster->node(i).free_slots()` binds through
-  // the return type of `node`.
-  std::map<std::string, std::string> returns_class;
 
   void Merge(const SymbolIndex& other);
 };

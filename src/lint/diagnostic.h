@@ -20,13 +20,11 @@ enum class Check {
   kUncheckedStatus, // Status / Result return value discarded
   kBannedHeader,    // <thread>, <mutex>, <random>, ... outside allowlist
   kBadWaiver,       // a waiver with no reason, or for an unknown check
-  kShardCross,      // member access crossing shard-affinity domains
-  kShardAffinity,   // missing or malformed shard affinity annotation
   kOrphanWaiver,    // a waiver that no longer matches any diagnostic
 };
 
 // Stable short id ("ref", "det", "iter", "lock", "status", "header",
-// "waiver", "shard", "affinity", "orphan"); the waiver tag is this id
+// "waiver", "orphan"); the waiver tag is this id
 // plus "-ok". kBadWaiver and kOrphanWaiver are not themselves waivable.
 const char* CheckId(Check check);
 

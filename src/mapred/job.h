@@ -21,7 +21,6 @@ namespace spongefiles::mapred {
 // Batches simulated CPU time so a million-record pass does not cost a
 // million engine events: debt accumulates and is slept off in >= 1 ms
 // slices.
-// lint: shard(value)
 class CpuMeter {
  public:
   explicit CpuMeter(sim::Engine* engine) : engine_(engine) {}
@@ -40,7 +39,6 @@ class CpuMeter {
 // One parallel slice of a job's input. `generate` deterministically
 // synthesizes the split's records (the DFS provides read timing; record
 // payloads come from the workload generators — see DESIGN.md).
-// lint: shard(value)
 struct InputSplit {
   std::string dfs_file;
   uint64_t offset = 0;
@@ -48,7 +46,6 @@ struct InputSplit {
   std::function<std::vector<Record>()> generate;
 };
 
-// lint: shard(value)
 class InputFormat {
  public:
   virtual ~InputFormat() = default;
@@ -61,7 +58,6 @@ using MapFn =
 // Everything a reducer may touch while running: the task's spiller (Pig
 // bags spill through it, so their spills land on whatever medium the
 // experiment selects), CPU meter, memory budget, and the job output sink.
-// lint: shard(value)
 struct ReduceContext {
   sim::Engine* engine = nullptr;
   Spiller* spiller = nullptr;
@@ -74,7 +70,6 @@ struct ReduceContext {
 // Streaming reduce interface: values of one key arrive one at a time
 // between StartKey and FinishKey. Holistic functions (median, quantiles,
 // top-k) buffer internally — through a spillable DataBag in the Pig layer.
-// lint: shard(value)
 class Reducer {
  public:
   virtual ~Reducer() = default;
@@ -100,7 +95,6 @@ class Reducer {
 // progress) and a slot is free on some other node. First attempt to
 // commit wins; the loser is killed and deregistered, so its sponge chunks
 // are reclaimed by the ordinary dead-task GC.
-// lint: shard(value)
 struct SpeculationConfig {
   bool enabled = false;
   Duration check_period = Seconds(1);
@@ -110,7 +104,6 @@ struct SpeculationConfig {
   int max_backups_per_task = 1;
 };
 
-// lint: shard(value)
 struct JobConfig {
   std::string name = "job";
   InputFormat* input = nullptr;
@@ -151,7 +144,6 @@ struct JobConfig {
   std::shared_ptr<bool> cancel;
 };
 
-// lint: shard(value)
 struct TaskStats {
   size_t node = 0;
   Duration runtime = 0;
@@ -164,7 +156,6 @@ struct TaskStats {
   bool speculative = false;  // a backup attempt produced this result
 };
 
-// lint: shard(value)
 struct JobResult {
   Duration runtime = 0;
   std::vector<TaskStats> map_tasks;

@@ -36,7 +36,6 @@ namespace spongefiles::mapred {
 // and the first attempt to commit through the AttemptSet barrier wins —
 // the loser is killed, deregistered, and its sponge chunks fall to the
 // ordinary dead-task GC.
-// lint: shard(global: central job scheduler; owns per-job state, driven only from driver and monitor events)
 class JobTracker {
  public:
   JobTracker(sponge::SpongeEnv* env, cluster::Dfs* dfs);

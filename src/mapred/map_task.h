@@ -16,7 +16,6 @@ namespace spongefiles::mapred {
 // The sorted, partitioned output of one completed map task, left on the
 // map node's local disk for reduce tasks to fetch (stock Hadoop behaviour;
 // the paper's modification is on the reduce side).
-// lint: shard(value)
 struct MapOutput {
   size_t node = 0;
   // One sorted run per reduce partition; null when the partition is empty.
@@ -28,7 +27,6 @@ struct MapOutput {
 
 // Everything one successful map attempt produces; the attempt's driver
 // moves it into the logical task's slot when the attempt commits.
-// lint: shard(value)
 struct MapAttemptResult {
   MapOutput output;
   TaskStats stats;
@@ -41,7 +39,6 @@ struct MapAttemptResult {
 // are attempt-unique, so concurrent attempts never collide), the kill
 // flag checked at operation boundaries, and the progress counters the
 // speculation monitor reads.
-// lint: shard(value)
 class MapTask {
  public:
   MapTask(sponge::SpongeEnv* env, cluster::Dfs* dfs, const JobConfig* config,

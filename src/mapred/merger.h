@@ -12,7 +12,6 @@
 namespace spongefiles::mapred {
 
 // A stream of records in key order.
-// lint: shard(value)
 class RecordSource {
  public:
   virtual ~RecordSource() = default;
@@ -25,7 +24,6 @@ class RecordSource {
 };
 
 // Streams a (sorted) spill file, parsing records chunk by chunk.
-// lint: shard(value)
 class SpillFileSource : public RecordSource {
  public:
   explicit SpillFileSource(std::unique_ptr<SpillFile> file)
@@ -43,7 +41,6 @@ class SpillFileSource : public RecordSource {
 };
 
 // Streams an in-memory vector of records (already sorted by the caller).
-// lint: shard(value)
 class VectorSource : public RecordSource {
  public:
   explicit VectorSource(std::vector<Record> records)
@@ -61,7 +58,6 @@ class VectorSource : public RecordSource {
 // operation whose disk incarnation ruins performance under spilling: k
 // concurrent file streams on one spindle seek on every switch, which is
 // why Hadoop caps k at io.sort.factor and pays multiple rounds instead.
-// lint: shard(value)
 class MergeStream : public RecordSource {
  public:
   struct Head {

@@ -17,7 +17,6 @@ namespace spongefiles::mapred {
 // rows carry kilobytes of metadata the queries never touch, represented
 // here as zero filler so capacities and IO times stay faithful without the
 // RAM cost (see DESIGN.md).
-// lint: shard(value)
 struct Record {
   std::string key;
   double number = 0;
@@ -47,7 +46,6 @@ uint64_t SerializedSize(const Record& record);
 // header bytes are ever copied out (into a reused scratch buffer); the
 // zero filler, which dominates the logical volume, is skipped via a
 // ByteRuns::Cursor and never materialized on the host.
-// lint: shard(value)
 class RecordParser {
  public:
   RecordParser() = default;

@@ -13,7 +13,6 @@
 namespace spongefiles::mapred {
 
 // Everything one successful reduce attempt produces.
-// lint: shard(value)
 struct ReduceAttemptResult {
   std::vector<Record> output;
   TaskStats stats;
@@ -31,7 +30,6 @@ struct ReduceAttemptResult {
 //      spilling reports an unbounded factor, so this loop never runs and
 //      the merge happens in a single round);
 //   4. the final merge streams key groups into the Reducer.
-// lint: shard(value)
 class ReduceTask {
  public:
   ReduceTask(sponge::SpongeEnv* env, const JobConfig* config,

@@ -42,7 +42,6 @@ namespace {
 // provides timing and capacity accounting.
 class DiskSpillFile;
 
-// lint: shard(value)
 class DiskSpillReader : public SpillReader {
  public:
   explicit DiskSpillReader(DiskSpillFile* file) : file_(file) {}
@@ -53,7 +52,6 @@ class DiskSpillReader : public SpillReader {
   uint64_t offset_ = 0;
 };
 
-// lint: shard(value)
 class DiskSpillFile : public SpillFile {
  public:
   DiskSpillFile(cluster::LocalFs* fs, uint64_t file_id, SpillStats* stats)
@@ -129,7 +127,6 @@ sim::Task<Result<ByteRuns>> DiskSpillReader::ReadNext() {
 }
 
 // SpongeFile-backed spill file.
-// lint: shard(value)
 class SpongeSpillFile : public SpillFile {
  public:
   SpongeSpillFile(sponge::SpongeEnv* env, sponge::TaskContext* task,
@@ -235,7 +232,6 @@ Status MemorySpillFile::Rewind() {
   return Status::OK();
 }
 
-// lint: shard(value)
 class MemorySpillFile::Reader : public SpillReader {
  public:
   explicit Reader(MemorySpillFile* file) : file_(file) {}

@@ -21,7 +21,6 @@ namespace spongefiles::mapred {
 // the file's own cursor. Readers borrow the file: the file must outlive
 // them (the JobTracker keeps map outputs alive until every attempt has
 // drained).
-// lint: shard(value)
 class SpillReader {
  public:
   virtual ~SpillReader() = default;
@@ -35,7 +34,6 @@ class SpillReader {
 // and SpongeFiles; a third, memory-backed one holds a reduce task's
 // in-memory shuffle segments so the merge machinery can treat every
 // segment uniformly.
-// lint: shard(value)
 class SpillFile {
  public:
   virtual ~SpillFile() = default;
@@ -65,7 +63,6 @@ class SpillFile {
 enum class SpillMode { kDisk, kSponge };
 
 // Aggregate spill accounting for one task (Table 2's columns).
-// lint: shard(value)
 struct SpillStats {
   uint64_t bytes_spilled = 0;
   uint64_t files_created = 0;
@@ -89,7 +86,6 @@ struct SpillStats {
 };
 
 // Creates spill files for one task and accumulates their statistics.
-// lint: shard(value)
 class Spiller {
  public:
   virtual ~Spiller() = default;
@@ -112,7 +108,6 @@ class Spiller {
 
 // Baseline: spill files on the task node's local filesystem (through the
 // buffer cache, exactly like stock Hadoop/Pig intermediate files).
-// lint: shard(value)
 class DiskSpiller : public Spiller {
  public:
   DiskSpiller(sim::Engine* engine, cluster::LocalFs* fs,
@@ -134,7 +129,6 @@ class DiskSpiller : public Spiller {
 };
 
 // SpongeFile-backed spilling (the paper's contribution).
-// lint: shard(value)
 class SpongeSpiller : public Spiller {
  public:
   SpongeSpiller(sponge::SpongeEnv* env, sponge::TaskContext* task,
@@ -155,7 +149,6 @@ class SpongeSpiller : public Spiller {
 
 // A purely in-memory segment (a reduce task's shuffle buffer contents).
 // Reads cost only heap copy time.
-// lint: shard(value)
 class MemorySpillFile : public SpillFile {
  public:
   MemorySpillFile(sim::Engine* engine, uint64_t read_unit = kMiB,

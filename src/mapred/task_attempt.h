@@ -34,7 +34,6 @@ enum class TaskKind { kMap, kReduce };
 // registered under; it becomes the ChunkOwner of every sponge chunk the
 // attempt spills, so a losing attempt's chunks are reclaimed by the
 // ordinary dead-task GC the moment the attempt deregisters.
-// lint: shard(value)
 struct TaskAttemptId {
   std::string job;
   TaskKind kind = TaskKind::kMap;
@@ -54,7 +53,6 @@ struct TaskAttemptId {
 // operation boundary. Progress counters are written by the running task
 // and read by the JobTracker's speculation monitor; both sides live on the
 // same deterministic engine, so plain fields suffice.
-// lint: shard(global: progress is written by the task coroutine and read by the tracker monitor; becomes a heartbeat message under the parallel engine)
 struct TaskAttempt {
   TaskAttemptId id;
   sponge::TaskContext ctx;
@@ -81,7 +79,6 @@ struct TaskAttempt {
 // launched so far and the first-commit-wins barrier. Owned by the
 // JobTracker's per-task state; attempts have stable addresses for the
 // lifetime of the set.
-// lint: shard(global: first-commit-wins barrier shared by the tracker and all attempts of one task; commit is one engine event today, a tracker message tomorrow)
 class AttemptSet {
  public:
   AttemptSet() = default;

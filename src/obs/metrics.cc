@@ -10,31 +10,6 @@
 
 namespace spongefiles::obs {
 
-MetricSinkFn g_metric_sink = nullptr;
-void (*g_registry_lock)(bool acquire) = nullptr;
-
-void ApplyMetricOp(void* instrument, int op, uint64_t u, int64_t i, double d) {
-  // Runs on the driver, where the installed sink declines — the calls below
-  // fall through to the inline mutation paths.
-  switch (op) {
-    case kMetricCounterInc:
-      static_cast<Counter*>(instrument)->Increment(u);
-      break;
-    case kMetricGaugeSet:
-      static_cast<Gauge*>(instrument)->Set(i);
-      break;
-    case kMetricGaugeAdd:
-      static_cast<Gauge*>(instrument)->Add(i);
-      break;
-    case kMetricHistogramRecord:
-      static_cast<Histogram*>(instrument)->Record(u);
-      break;
-    case kMetricSummaryAdd:
-      static_cast<Summary*>(instrument)->Add(d);
-      break;
-  }
-}
-
 namespace {
 
 constexpr uint32_t kSubBuckets = 1u << Histogram::kLinearBits;
@@ -83,10 +58,6 @@ uint64_t Histogram::BucketLowerBound(uint32_t index) {
 }
 
 void Histogram::Record(uint64_t value) {
-  if (g_metric_sink != nullptr &&
-      g_metric_sink(this, kMetricHistogramRecord, value, 0, 0.0)) {
-    return;
-  }
   uint32_t index = BucketIndex(value);
   if (index >= buckets_.size()) buckets_.resize(index + 1, 0);
   ++buckets_[index];
@@ -128,10 +99,6 @@ std::vector<std::pair<uint64_t, uint64_t>> Histogram::NonEmptyBuckets() const {
 }
 
 void Summary::Add(double x) {
-  if (g_metric_sink != nullptr &&
-      g_metric_sink(this, kMetricSummaryAdd, 0, 0, x)) {
-    return;
-  }
   if (count_ == 0) {
     min_ = max_ = x;
   } else {
@@ -144,16 +111,6 @@ void Summary::Add(double x) {
 
 Registry::Entry* Registry::FindOrCreate(std::string_view name,
                                         const Labels& labels, Kind kind) {
-  // Creation is first-touch-per-site rare; worker threads of a sharded
-  // engine serialize through the hook, everyone else pays a null check.
-  struct LockGuard {
-    LockGuard() {
-      if (g_registry_lock != nullptr) g_registry_lock(true);
-    }
-    ~LockGuard() {
-      if (g_registry_lock != nullptr) g_registry_lock(false);
-    }
-  } guard;
   std::string key = InstrumentKey(name, labels);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -229,9 +186,8 @@ void Registry::ResetValues() {
 }
 
 std::string Registry::ToJson() const {
-  // Sort by (name, labels): creation order is deterministic only on the
-  // unsharded engine, and the snapshot must be byte-identical across the
-  // sequential and threaded sharded drivers.
+  // Sort by (name, labels): the snapshot must not depend on which call
+  // site happened to create an instrument first.
   std::vector<const Entry*> sorted;
   sorted.reserve(entries_.size());
   for (const auto& entry : entries_) sorted.push_back(entry.get());

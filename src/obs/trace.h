@@ -49,21 +49,6 @@ struct TraceArg {
 
 using TraceArgs = std::vector<TraceArg>;
 
-class Tracer;
-
-// Sharded-engine capture hook (mirror of obs::g_metric_sink): when
-// installed, every recording call offers the fully built event — minus its
-// sequence number — to the sink. A worker lane captures it into a per-lane
-// buffer (returns true, consuming *name/*args); the driver replays buffers
-// in lane order at the window barrier via Tracer::EmitCaptured, which is
-// where the global sequence number is assigned. On the driver the sink
-// declines and the event is recorded inline.
-using TraceSinkFn = bool (*)(Tracer* tracer, char phase, int64_t ts,
-                             int64_t dur, uint64_t pid, uint64_t tid,
-                             const char* category, std::string* name,
-                             TraceArgs* args);
-extern TraceSinkFn g_trace_sink;
-
 class Tracer {
  public:
   Tracer() = default;
@@ -87,12 +72,6 @@ class Tracer {
   void InstantEvent(int64_t ts, uint64_t pid, uint64_t tid,
                     const char* category, std::string name,
                     TraceArgs args = {});
-
-  // Records an event previously captured by g_trace_sink, assigning its
-  // sequence number now (barrier replay path; bypasses the sink).
-  void EmitCaptured(char phase, int64_t ts, int64_t dur, uint64_t pid,
-                    uint64_t tid, const char* category, std::string name,
-                    TraceArgs args);
 
   // {"traceEvents":[...]} — the Chrome trace_event array format.
   std::string ToJson() const;

@@ -156,7 +156,6 @@ sim::Task<Status> DataBag::SortedForEach(
   // K-way merge of the sorted runs plus the in-memory run, streaming
   // through `fn`. Note the merge orders by `less` on whole tuples, not by
   // record key, so we merge manually here.
-  // lint: shard(value)
   struct Cursor {
     std::unique_ptr<mapred::SpillFileSource> source;  // null: memory run
     size_t memory_index = 0;

@@ -29,7 +29,6 @@ class MemoryManager;
 // Spill files have SpongeFile semantics (read once), so a multi-pass UDF
 // re-spills the data it reads when it needs another pass — this is why the
 // evaluation's holistic UDFs spill ~3x their input (Table 2).
-// lint: shard(value)
 class DataBag {
  public:
   // `per_tuple_cpu` is charged for every tuple an iteration touches.

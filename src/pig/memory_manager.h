@@ -15,7 +15,6 @@ class DataBag;
 // estimates aggregate usage against the JVM's bag-memory budget, and — on
 // the low-memory upcall — spills the largest bags first until usage drops
 // below the budget.
-// lint: shard(value)
 class MemoryManager {
  public:
   explicit MemoryManager(uint64_t memory_limit_bytes)

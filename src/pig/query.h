@@ -15,7 +15,6 @@ namespace spongefiles::pig {
 // (optionally projecting each tuple down to the needed columns — the spam
 // quantiles query deliberately skips this step), the reduce phase feeds
 // each group's bag to the UDF.
-// lint: shard(value)
 struct GroupByQuery {
   std::string name = "pig-query";
   mapred::InputFormat* input = nullptr;

@@ -12,7 +12,6 @@ namespace {
 // Space-saving heavy-hitter sketch (Metwally et al.) with the stream-
 // summary structure: buckets of equal counts kept in ascending order, so
 // increments and minimum-eviction are both O(1).
-// lint: shard(value)
 class SpaceSaving {
  public:
   explicit SpaceSaving(size_t capacity) : capacity_(capacity) {}

@@ -15,7 +15,6 @@ namespace spongefiles::pig {
 // A holistic user-defined function applied to one group's bag in the
 // reduce phase. UDFs may take multiple passes over the bag (each pass over
 // spilled data re-spills it, since spill files are read-once).
-// lint: shard(value)
 class Udf {
  public:
   virtual ~Udf() = default;
@@ -29,7 +28,6 @@ class Udf {
 // heavy hitters, then an exact counting pass over the candidates picks the
 // true top k. Terms are the tuple's `fields`.
 // Emits one record per top term: key=group, fields={term}, number=count.
-// lint: shard(value)
 class TopKUdf : public Udf {
  public:
   explicit TopKUdf(size_t k, size_t sketch_capacity = 4096)
@@ -49,7 +47,6 @@ class TopKUdf : public Udf {
 // hastily-written-UDF pattern section 4.2.1 describes.
 // Emits one record per quantile: key=group, number=score,
 // fields={"q<percent>"}.
-// lint: shard(value)
 class SpamQuantilesUdf : public Udf {
  public:
   explicit SpamQuantilesUdf(std::vector<double> quantiles = {0.0, 0.25, 0.5,
@@ -66,7 +63,6 @@ class SpamQuantilesUdf : public Udf {
 // The median MapReduce job's reducer: a single reduce task receives every
 // number (one key), accumulates them in a spillable bag, and finds the
 // exact median via sorted traversal. Emits key="median", number=value.
-// lint: shard(value)
 class MedianReducer : public mapred::Reducer {
  public:
   sim::Task<Status> Start(mapred::ReduceContext* ctx) override;
@@ -83,7 +79,6 @@ class MedianReducer : public mapred::Reducer {
 // the UDF. This is what a Pig GROUP BY ... FOREACH ... compiles to.
 // `per_tuple_cpu` is the UDF's processing cost per tuple per pass; Pig's
 // interpreted pipeline typically burns on the order of 100 us per tuple.
-// lint: shard(value)
 class PigReducer : public mapred::Reducer {
  public:
   explicit PigReducer(std::function<std::unique_ptr<Udf>()> udf_factory,

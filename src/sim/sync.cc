@@ -6,8 +6,7 @@ void Event::Set() {
   if (set_) return;
   set_ = true;
   while (!waiters_.empty()) {
-    const LaneWaiter& waiter = waiters_.front();
-    engine_->ScheduleHandleOnLane(engine_->now(), waiter.handle, waiter.lane);
+    engine_->ScheduleHandle(engine_->now(), waiters_.front());
     waiters_.pop_front();
   }
 }
@@ -17,9 +16,7 @@ void Semaphore::Release(int64_t n) {
     if (!waiters_.empty()) {
       // Hand the permit directly to the longest waiter; permits_ stays
       // unchanged so late arrivals cannot barge past it.
-      const LaneWaiter& waiter = waiters_.front();
-      engine_->ScheduleHandleOnLane(engine_->now(), waiter.handle,
-                                    waiter.lane);
+      engine_->ScheduleHandle(engine_->now(), waiters_.front());
       waiters_.pop_front();
     } else {
       ++permits_;

@@ -13,18 +13,6 @@ namespace spongefiles::sim {
 // Synchronization primitives for simulated tasks. All wake-ups go through
 // the engine's event queue at the current simulated time, so resumption
 // order is deterministic (FIFO) and never re-enters the caller's stack.
-//
-// Sharded engines: every waiter records the lane it suspended on, and the
-// wake is scheduled back onto that lane (ScheduleHandleOnLane) — a
-// coroutine never migrates lanes through a sync primitive, only through an
-// explicit Engine::HopToLane. Cross-lane wakes are delivered at the next
-// window barrier, clamped to the window edge.
-
-// A suspended coroutine plus the lane it must resume on.
-struct LaneWaiter {
-  std::coroutine_handle<> handle;
-  uint32_t lane = 0;
-};
 
 // A level-triggered one-shot event. Waiters block until Set() is called;
 // once set, Wait() completes immediately.
@@ -40,8 +28,7 @@ class Event {
       Event* event;
       bool await_ready() const { return event->set_; }
       void await_suspend(std::coroutine_handle<> h) {
-        event->waiters_.push_back(
-            LaneWaiter{h, event->engine_->current_lane()});
+        event->waiters_.push_back(h);
       }
       void await_resume() const {}
     };
@@ -51,7 +38,7 @@ class Event {
  private:
   Engine* engine_;
   bool set_ = false;
-  std::deque<LaneWaiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 // A counting semaphore with FIFO handoff: Release wakes the longest-waiting
@@ -87,7 +74,7 @@ class Semaphore {
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        sem->waiters_.push_back(LaneWaiter{h, sem->engine_->current_lane()});
+        sem->waiters_.push_back(h);
       }
       void await_resume() const {}
     };
@@ -97,7 +84,7 @@ class Semaphore {
  private:
   Engine* engine_;
   int64_t permits_;
-  std::deque<LaneWaiter> waiters_;
+  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 // A FIFO mutex for simulated tasks.
@@ -144,8 +131,7 @@ class Channel {
       PopAwaiter* waiter = waiters_.front();
       waiters_.pop_front();
       waiter->item = std::move(item);
-      engine_->ScheduleHandleOnLane(engine_->now(), waiter->handle,
-                                    waiter->lane);
+      engine_->ScheduleHandle(engine_->now(), waiter->handle);
       return;
     }
     items_.push_back(std::move(item));
@@ -156,8 +142,7 @@ class Channel {
     while (!waiters_.empty()) {
       PopAwaiter* waiter = waiters_.front();
       waiters_.pop_front();
-      engine_->ScheduleHandleOnLane(engine_->now(), waiter->handle,
-                                    waiter->lane);
+      engine_->ScheduleHandle(engine_->now(), waiter->handle);
     }
   }
 
@@ -165,13 +150,12 @@ class Channel {
   size_t size() const { return items_.size(); }
 
   // Awaitable returning std::optional<T>; nullopt means closed-and-empty.
-  auto Pop() { return PopAwaiter{this, {}, 0, {}}; }
+  auto Pop() { return PopAwaiter{this, {}, {}}; }
 
  private:
   struct PopAwaiter {
     Channel* ch;
     std::coroutine_handle<> handle;
-    uint32_t lane;
     std::optional<T> item;
 
     bool await_ready() const {
@@ -179,7 +163,6 @@ class Channel {
     }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
-      lane = ch->engine_->current_lane();
       ch->waiters_.push_back(this);
     }
     std::optional<T> await_resume() {

@@ -9,7 +9,6 @@ namespace spongefiles::sponge {
 
 namespace {
 
-// lint: shard(value)
 struct PoolMetrics {
   obs::Counter* allocs;
   obs::Counter* alloc_failures;

@@ -21,7 +21,6 @@ namespace sponge {
 // Identifies the task that owns a chunk: the analogue of the (process id,
 // IP address) pair the paper stores per chunk slot, used by the garbage
 // collector to detect chunks orphaned by dead tasks.
-// lint: shard(value)
 struct ChunkOwner {
   uint64_t task_id = 0;  // 0 means the slot is free
   size_t node = 0;       // node where the owning task runs
@@ -43,7 +42,6 @@ struct ChunkOwner {
 // rebuild; for small size classes (level >= 1) `segment` names a slab of
 // that level and `index` a slot within the slab. Aggregate-initializing
 // just {segment, index} therefore still denotes a bulk chunk.
-// lint: shard(value)
 struct ChunkHandle {
   uint32_t segment = 0;
   uint32_t index = 0;
@@ -55,7 +53,6 @@ struct ChunkHandle {
   }
 };
 
-// lint: shard(value)
 struct ChunkPoolConfig {
   uint64_t pool_size = 1024ull * 1024 * 1024;  // 1 GB sponge per node
   uint64_t chunk_size = 1024ull * 1024;        // bulk 1 MB chunks
@@ -97,7 +94,6 @@ struct ChunkPoolConfig {
 // allocation incurred is accumulated for the caller to collect via
 // TakeLockWait() and pay as a Delay. Built without an engine (unit tests)
 // the lock model is off.
-// lint: shard(node)
 class ChunkPool {
  public:
   explicit ChunkPool(const ChunkPoolConfig& config,
@@ -250,7 +246,6 @@ class ChunkPool {
 // Hashes for handle/owner keyed containers (replica bookkeeping, tests,
 // leak checks) so call sites stop linear-scanning or re-keying via pairs.
 template <>
-// lint: affinity-ok(std::hash specialization, a stateless value functor)
 struct std::hash<spongefiles::sponge::ChunkHandle> {
   size_t operator()(
       const spongefiles::sponge::ChunkHandle& handle) const noexcept {
@@ -268,7 +263,6 @@ struct std::hash<spongefiles::sponge::ChunkHandle> {
 };
 
 template <>
-// lint: affinity-ok(std::hash specialization, a stateless value functor)
 struct std::hash<spongefiles::sponge::ChunkOwner> {
   size_t operator()(
       const spongefiles::sponge::ChunkOwner& owner) const noexcept {

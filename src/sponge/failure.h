@@ -68,7 +68,6 @@ Result<FaultKind> FaultKindFromName(std::string_view name);
 // One scheduled fault, recorded so tests can assert determinism and logs
 // can explain a run. `severity` is the slowdown factor (kDiskSlowdown),
 // the bandwidth fraction (kLinkDegradation), or unused.
-// lint: shard(value)
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   size_t node = 0;
@@ -85,7 +84,6 @@ struct FaultEvent {
 // Knobs for ScheduleChaos: a randomized fault schedule drawn from the
 // injector's seeded Rng, uniformly over [start, horizon] and over the
 // enabled fault kinds.
-// lint: shard(value)
 struct ChaosOptions {
   SimTime start = 0;
   SimTime horizon = 0;
@@ -119,7 +117,6 @@ struct ChaosOptions {
 // time, never at fire time, so two injectors with the same seed and the
 // same schedule calls produce identical fault timelines regardless of
 // what the workload does in between.
-// lint: shard(global: chaos controller that reaches into components by design; test-only machinery outside the parallel data plane)
 class FailureInjector {
  public:
   FailureInjector(SpongeEnv* env, uint64_t seed)

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/access.h"
 
 namespace spongefiles::sponge {
 
@@ -50,24 +49,17 @@ sim::Task<> TrackerShard::PollOnce() {
   std::vector<FreeSpaceEntry> fresh;
   for (size_t i = 0; i < members_.size(); ++i) {
     SpongeServer* server = members_[i];
-    // The failure detector's view of a remote node, not shared data
-    // state: in a real deployment this is the poll RPC timing out.
-    // lint: shard-ok(liveness observed via poll timeout, not shared data)
     if (!server->alive()) {
       // In real life this poll RPC would time out; the edge (server was
       // alive last round, is not now) is the shard detecting a fail-stop
       // crash. Fires the death listener exactly once per transition.
       if (member_alive_[i] != 0) {
-        SIM_WRITE(engine_, this, "TrackerShard", "membership",
-                  sim::AccessRecorder::RackDomain(rack_));
         member_alive_[i] = 0;
         deaths_counter->Increment();
         if (death_listener_) death_listener_(server->node_id());
       }
       continue;
     }
-    SIM_WRITE(engine_, this, "TrackerShard", "membership",
-              sim::AccessRecorder::RackDomain(rack_));
     member_alive_[i] = 1;
     // The poll is a request hop, the member filling in its free-byte
     // count, and a response hop (the same two Transfers Network::Rpc is
@@ -77,11 +69,7 @@ sim::Task<> TrackerShard::PollOnce() {
       co_await network_->Transfer(home_node_, server->node_id(),
                                   config_->rpc_message_bytes);
     }
-    SIM_READ(engine_, server, "SpongeServer", "pool",
-             sim::AccessRecorder::NodeDomain(server->node_id()));
-    // lint: shard-ok(poll response payload, read at the member between hops)
     uint64_t free = server->free_bytes();
-    // lint: shard-ok(poll response payload, read at the member between hops)
     uint64_t free_bulk = server->free_bulk_bytes();
     if (server->node_id() != home_node_) {
       co_await network_->Transfer(server->node_id(), home_node_,
@@ -91,8 +79,6 @@ sim::Task<> TrackerShard::PollOnce() {
       fresh.push_back({server->node_id(), free, free_bulk, rack_});
     }
   }
-  SIM_WRITE(engine_, this, "TrackerShard", "state",
-            sim::AccessRecorder::RackDomain(rack_));
   SortFreeList(&fresh);
   rack_list_ = std::move(fresh);
   ++polls_completed_;
@@ -112,8 +98,6 @@ sim::Task<> TrackerShard::PollOnce() {
 }
 
 void TrackerShard::MergeDigest(const RackDigest& digest) {
-  SIM_WRITE(engine_, this, "TrackerShard", "state",
-            sim::AccessRecorder::RackDomain(rack_));
   if (digest.rack == rack_) return;  // own rack is always poll-fresh
   RackDigest& held = digests_[digest.rack];
   if (digest.version <= held.version) return;
@@ -200,16 +184,12 @@ sim::Task<> ShardedMemoryTracker::Exchange(TrackerShard* a, TrackerShard* b) {
   // when its message arrives at the destination shard, and the two
   // Transfers are exactly what Network::Rpc was made of, so the timing is
   // unchanged.
-  SIM_READ(engine_, a, "TrackerShard", "state",
-           sim::AccessRecorder::RackDomain(a->rack()));
   uint64_t request = DigestWireBytes(*a);
   std::vector<RackDigest> a_table = a->digests();
   co_await network_->Transfer(a->home_node(), b->home_node(), request);
   for (const RackDigest& digest : a_table) {
     if (digest.version > 0) b->MergeDigest(digest);
   }
-  SIM_READ(engine_, b, "TrackerShard", "state",
-           sim::AccessRecorder::RackDomain(b->rack()));
   uint64_t response = DigestWireBytes(*b);
   std::vector<RackDigest> b_table = b->digests();
   co_await network_->Transfer(b->home_node(), a->home_node(), response);
@@ -247,19 +227,6 @@ sim::Task<> ShardedMemoryTracker::PollOnce() {
 
 sim::Task<Result<std::vector<FreeSpaceEntry>>> ShardedMemoryTracker::Query(
     size_t from_node) {
-  if (engine_->OnForeignLane(shards_[network_->rack_of(from_node)]
-                                 ->home_node())) {
-    const uint32_t home = engine_->current_lane();
-    co_await engine_->HopToLane(0);
-    Result<std::vector<FreeSpaceEntry>> result = co_await QueryBody(from_node);
-    co_await engine_->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await QueryBody(from_node);
-}
-
-sim::Task<Result<std::vector<FreeSpaceEntry>>> ShardedMemoryTracker::QueryBody(
-    size_t from_node) {
   static obs::Counter* const queries_counter =
       obs::Registry::Default().counter("sponge.tracker.queries");
   queries_counter->Increment();
@@ -278,8 +245,6 @@ sim::Task<Result<std::vector<FreeSpaceEntry>>> ShardedMemoryTracker::QueryBody(
     // life a connection refusal / timeout).
     co_return Unavailable("memory tracker shard down");
   }
-  SIM_READ(engine_, &shard, "TrackerShard", "state",
-           sim::AccessRecorder::RackDomain(shard.rack()));
   shard.RecordQuery();
   co_return shard.MergedView(engine_->now());
 }

@@ -17,7 +17,6 @@ namespace spongefiles::sponge {
 
 // Free-space snapshot for one sponge server, as reported by a poll (or, for
 // cross-rack entries, by a gossiped digest).
-// lint: shard(value)
 struct FreeSpaceEntry {
   size_t node = 0;
   uint64_t free_bytes = 0;
@@ -28,7 +27,6 @@ struct FreeSpaceEntry {
   size_t rack = 0;
 };
 
-// lint: shard(value)
 struct MemoryTrackerConfig {
   Duration poll_period = Seconds(1);
   uint64_t rpc_message_bytes = 256;
@@ -53,7 +51,6 @@ struct MemoryTrackerConfig {
 // during anti-entropy gossip. `version` is the owning shard's poll counter;
 // merges keep the higher version, so digests only move forward no matter
 // what order gossip delivers them in.
-// lint: shard(value)
 struct RackDigest {
   size_t rack = 0;
   uint64_t version = 0;
@@ -66,7 +63,6 @@ struct RackDigest {
 // servers, and keeps a digest table for every other rack fed by gossip.
 // The shard home is the rack's lowest-numbered node, so queries from rack
 // members never cross the core.
-// lint: shard(rack)
 class TrackerShard {
  public:
   TrackerShard(sim::Engine* engine, cluster::Network* network,
@@ -163,7 +159,6 @@ class TrackerShard {
 // gracefully through the digest staleness bound instead of failing whole.
 // On a single-rack cluster this degenerates to exactly the old tracker:
 // one shard on node 0, no gossip.
-// lint: shard(global: facade routing queries to rack shards; snapshot and poll aggregation are control-plane only)
 class ShardedMemoryTracker {
  public:
   ShardedMemoryTracker(sim::Engine* engine, cluster::Network* network,
@@ -185,12 +180,6 @@ class ShardedMemoryTracker {
   // shard, answered from the shard's bounded-staleness merged view.
   // UNAVAILABLE while that shard is down — callers degrade to an empty
   // free list (spills fall through to disk) rather than blocking.
-  //
-  // Sharded engine: when the shard's home node lives on a foreign lane
-  // (node projection; never the rack projection, where the rack-local
-  // shard shares the caller's lane), the query hops to the global lane
-  // and back, like every other cross-lane RPC. The reply is a value
-  // vector — nothing shared crosses the boundary.
   sim::Task<Result<std::vector<FreeSpaceEntry>>> Query(size_t from_node);
 
   // Union of all shards' fresh rack lists, without RPC cost (tests and
@@ -230,7 +219,6 @@ class ShardedMemoryTracker {
   }
 
  private:
-  sim::Task<Result<std::vector<FreeSpaceEntry>>> QueryBody(size_t from_node);
   sim::Task<> ShardPollLoop(TrackerShard* shard);
   sim::Task<> GossipLoop();
   // One anti-entropy round: shard i exchanges full digest sets with shard

@@ -11,7 +11,6 @@ namespace spongefiles::sponge {
 
 namespace {
 
-// lint: shard(value)
 struct RepairMetrics {
   obs::Counter* chunks;
   obs::Counter* bytes;

@@ -30,7 +30,6 @@ class SpongeEnv;
 // checksum) immediately before copying, and a repair that loses against a
 // concurrent Delete/commit leaves at worst one orphan replica owned by the
 // (now dead) task — which the ordinary GC sweep reclaims.
-// lint: shard(global: cluster-wide re-replication coordinator with a global bandwidth budget; candidate for its own shard)
 class RepairService {
  public:
   explicit RepairService(SpongeEnv* env) : env_(env) {}

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "sim/access.h"
 
 namespace spongefiles::sponge {
 
@@ -54,21 +53,12 @@ obs::Counter* BreakerCounter(const char* event) {
 
 }  // namespace
 
-void HealthBoard::NoteAccess(bool write) const {
-  SIM_ACCESS(engine_, this, "HealthBoard", "breakers", write,
-             sim::AccessRecorder::GlobalDomain(
-                 "per-server breaker and latency state shared by every "
-                 "client; replicate per node or feed by message under the "
-                 "parallel engine"));
-}
-
 HealthBoard::ServerHealth& HealthBoard::StateFor(size_t node) {
   if (node >= health_.size()) health_.resize(node + 1);
   return health_[node];
 }
 
 bool HealthBoard::AllowRequest(size_t node) {
-  NoteAccess(/*write=*/true);
   ServerHealth& state = StateFor(node);
   if (!state.open) return true;
   if (engine_->now() < state.open_until) return false;
@@ -78,7 +68,6 @@ bool HealthBoard::AllowRequest(size_t node) {
 }
 
 void HealthBoard::RecordSuccess(size_t node) {
-  NoteAccess(/*write=*/true);
   ServerHealth& state = StateFor(node);
   state.consecutive_failures = 0;
   if (state.open) {
@@ -90,7 +79,6 @@ void HealthBoard::RecordSuccess(size_t node) {
 }
 
 void HealthBoard::RecordFailure(size_t node) {
-  NoteAccess(/*write=*/true);
   ServerHealth& state = StateFor(node);
   ++state.consecutive_failures;
   if (state.open) {
@@ -110,7 +98,6 @@ void HealthBoard::RecordFailure(size_t node) {
 }
 
 bool HealthBoard::IsOpen(size_t node) const {
-  NoteAccess(/*write=*/false);
   if (node >= health_.size()) return false;
   return health_[node].open;
 }
@@ -125,13 +112,11 @@ obs::Histogram* HealthBoard::LatencyFor(size_t node) const {
 }
 
 void HealthBoard::RecordReadLatency(size_t node, Duration latency) {
-  NoteAccess(/*write=*/true);
   if (latency < 0) latency = 0;
   LatencyFor(node)->Record(static_cast<uint64_t>(latency));
 }
 
 Duration HealthBoard::HedgeDelay(size_t node) const {
-  NoteAccess(/*write=*/false);
   obs::Histogram* latency = LatencyFor(node);
   Duration delay = policy_->hedge_min_delay;
   if (latency->count() >= policy_->hedge_min_samples) {

@@ -30,7 +30,6 @@ namespace spongefiles::sponge {
 // ejects servers from allocation and reads until a half-open probe
 // succeeds, so SpongeFile falls down the cascade (local pool -> remote ->
 // disk -> DFS) instead of hanging.
-// lint: shard(value)
 struct RpcPolicy {
   // Per-attempt deadline on a remote sponge operation. Generous next to
   // the ~10 ms a healthy chunk write takes, tight next to task runtimes.
@@ -70,7 +69,6 @@ struct RpcPolicy {
 // environment (like a client library's shared channel state). States per
 // server: closed (healthy), open (ejected until cooldown expires), and
 // half-open (one probe in flight).
-// lint: shard(global: per-server breaker and latency state shared by every client in the environment; the parallel engine must replicate it per node or feed it by message)
 class HealthBoard {
  public:
   HealthBoard(sim::Engine* engine, const RpcPolicy* policy)
@@ -118,7 +116,6 @@ class HealthBoard {
 
   ServerHealth& StateFor(size_t node);
   obs::Histogram* LatencyFor(size_t node) const;
-  void NoteAccess(bool write) const;
 
   sim::Engine* engine_;
   const RpcPolicy* policy_;
@@ -149,14 +146,12 @@ template <typename T>
 struct CallTraits;
 
 template <>
-// lint: shard(value)
 struct CallTraits<Status> {
   static Status Timeout() { return Unavailable(kRpcDeadlineMessage); }
   static const Status& StatusOf(const Status& value) { return value; }
 };
 
 template <typename T>
-// lint: shard(value)
 struct CallTraits<Result<T>> {
   static Result<T> Timeout() {
     return Status(StatusCode::kUnavailable, kRpcDeadlineMessage);
@@ -185,7 +180,6 @@ void CountHedgeWon();
 template <typename T>
 sim::Task<T> CallWithDeadline(sim::Engine* engine, Duration deadline,
                               sim::Task<T> op, bool* timed_out = nullptr) {
-  // lint: shard(value)
   struct Shared {
     explicit Shared(sim::Engine* e) : done(e) {}
     sim::Event done;
@@ -285,7 +279,6 @@ sim::Task<T> HardenedCall(sim::Engine* engine, HealthBoard* board,
 template <typename T, typename Factory>
 sim::Task<T> HedgedCall(sim::Engine* engine, HealthBoard* board,
                         RpcPolicy policy, size_t node, Factory make_op) {
-  // lint: shard(value)
   struct Shared {
     explicit Shared(sim::Engine* e) : done(e) {}
     sim::Event done;

@@ -11,23 +11,11 @@ SpongeEnv::SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
                      const ChunkPoolConfig& pool_config,
                      const SpongeServerConfig& server_config,
                      const MemoryTrackerConfig& tracker_config)
-    : cluster_(cluster), dfs_(dfs), config_(config) {
-  registry_.AttachEngine(cluster->engine());
-  // One health board and jitter rng per lane (one of each on the legacy
-  // engine). Requires any ConfigureShards to have happened before the env
-  // is built — Testbed and the benches uphold that. Lane 0 keeps the
-  // configured seed verbatim (bit-exact legacy behaviour on an unsharded
-  // engine); each worker lane mixes in its index for an independent — but
-  // fully deterministic — jitter stream.
-  const uint32_t lanes = cluster->engine()->lane_count();
-  for (uint32_t lane = 0; lane < lanes; ++lane) {
-    health_.push_back(
-        std::make_unique<HealthBoard>(cluster->engine(), &config_.rpc));
-    const uint64_t seed =
-        lane == 0 ? config.rpc_jitter_seed
-                  : config.rpc_jitter_seed ^ (0x9e3779b97f4a7c15ull * lane);
-    rpc_rngs_.push_back(std::make_unique<Rng>(seed));
-  }
+    : cluster_(cluster),
+      dfs_(dfs),
+      config_(config),
+      health_(cluster->engine(), &config_.rpc),
+      rpc_rng_(config.rpc_jitter_seed) {
   servers_.reserve(cluster->size());
   for (size_t i = 0; i < cluster->size(); ++i) {
     ChunkPoolConfig node_pool = pool_config;

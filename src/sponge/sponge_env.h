@@ -24,7 +24,6 @@ class RepairService;
 // holder costs a failover read instead of a task re-run. Off by default —
 // it spends memory and network to buy durability, the opposite trade from
 // the paper's baseline.
-// lint: shard(value)
 struct ReplicationConfig {
   bool enabled = false;
   // Pressure gate: a candidate server qualifies as a replica target only
@@ -47,7 +46,6 @@ struct ReplicationConfig {
 // implementation choices (1 MB chunks, rack-local remote spilling, chunk
 // prefetch on read, asynchronous writes to non-local media, direct
 // shared-memory access for local chunks).
-// lint: shard(value)
 struct SpongeConfig {
   uint64_t chunk_size = 1024ull * 1024;
   // Raw copy rate into the node's mapped shared-memory pool.
@@ -109,7 +107,6 @@ struct SpongeConfig {
 // this task's chunks — the paper's allocation preference that keeps a
 // task's failure footprint small; it is task-wide, shared by all of the
 // task's SpongeFiles.
-// lint: shard(value)
 struct TaskContext {
   uint64_t task_id = 0;
   size_t node = 0;
@@ -121,7 +118,6 @@ struct TaskContext {
 // server per node, the memory tracker, the task registry, and the DFS
 // last-resort target. Owns the sponge services; the cluster substrate is
 // borrowed.
-// lint: shard(global: wiring facade that owns the sponge services; construction and control-plane only)
 class SpongeEnv {
  public:
   SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
@@ -151,12 +147,8 @@ class SpongeEnv {
   const SpongeConfig& config() const { return config_; }
   // Shared per-server circuit-breaker state for every SpongeFile client in
   // this environment, and the seeded Rng their backoff jitter draws from.
-  // Sharded engine: one board and one rng per lane — clients on a worker
-  // lane observe (and record) server health locally, so no lane ever
-  // touches another's breaker state. On the legacy engine (one lane) this
-  // is exactly the old single shared board.
-  HealthBoard& health() { return *health_[engine()->current_lane()]; }
-  Rng& rpc_rng() { return *rpc_rngs_[engine()->current_lane()]; }
+  HealthBoard& health() { return health_; }
+  Rng& rpc_rng() { return rpc_rng_; }
   ReplicaDirectory& replicas() { return registry_.replicas(); }
   RepairService& repair() { return *repair_; }
 
@@ -172,12 +164,12 @@ class SpongeEnv {
   cluster::Cluster* cluster_;
   cluster::Dfs* dfs_;
   SpongeConfig config_;
+  HealthBoard health_;
+  Rng rpc_rng_;
   TaskRegistry registry_;
   std::vector<std::unique_ptr<SpongeServer>> servers_;
   std::vector<SpongeServer*> server_ptrs_;
   std::unique_ptr<MemoryTracker> tracker_;
-  std::vector<std::unique_ptr<HealthBoard>> health_;   // indexed by lane
-  std::vector<std::unique_ptr<Rng>> rpc_rngs_;         // indexed by lane
   std::unique_ptr<RepairService> repair_;
 };
 

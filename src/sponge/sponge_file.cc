@@ -15,7 +15,6 @@ namespace {
 // Per-medium spill accounting. These are the counters the benches check
 // against the SpillStats the tasks report: both are incremented on the same
 // code path, once per stored chunk.
-// lint: shard(value)
 struct MediumMetrics {
   obs::Counter* bytes;
   obs::Counter* chunks;
@@ -87,7 +86,6 @@ const MediumMetrics& RemoteLocalityMetricsFor(bool cross_rack) {
 }
 
 // Replication write-path accounting.
-// lint: shard(value)
 struct ReplicaMetrics {
   obs::Counter* stored;
   obs::Counter* bytes;
@@ -127,7 +125,7 @@ obs::Counter* CorruptionCounter() {
 
 // Records why the allocation cascade moved past (or preferred) a placement:
 // a counter bump (cluster-wide and per-rack) plus, when tracing, an instant
-// event at the task's lane.
+// event on the task's trace track.
 void SpillDecision(SpongeEnv* env, const TaskContext* task,
                    const char* reason) {
   DecisionCounter(reason)->Increment();

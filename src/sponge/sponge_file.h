@@ -38,7 +38,6 @@ const char* ChunkLocationName(ChunkLocation location);
 // Reads prefetch the next non-local-memory chunk and writes to non-local
 // media are asynchronous (one outstanding store), overlapping IO with the
 // spilling task's computation.
-// lint: shard(value)
 class SpongeFile {
  public:
   struct Stats {

@@ -4,20 +4,10 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/access.h"
 
 namespace spongefiles::sponge {
 
 namespace {
-
-// The liveness flag is deliberately shared state: trackers and peers
-// observe it as the stand-in for probe timeouts (see the shard-ok
-// waivers at those sites), and the chaos controller writes it.
-sim::AccessRecorder::Domain AliveDomain() {
-  return sim::AccessRecorder::GlobalDomain(
-      "failure-detector state: remote reads model probe timeouts, writes "
-      "are fault injection");
-}
 
 obs::Counter* RpcCounter(const char* op) {
   static obs::Registry& registry = obs::Registry::Default();
@@ -83,88 +73,9 @@ bool SpongeServer::QuotaAllows(const ChunkOwner& owner) const {
   return pool_->HeldByTask(owner.task_id) < config_.quota_chunks_per_task;
 }
 
-// ---- cross-lane hop wrappers ----------------------------------------------
-//
-// Sharded engine only (OnForeignLane is constant-false otherwise): the
-// operation executes at the global lane, which phase-exclusively may touch
-// this server's pool even though the server's node lives on another worker
-// lane. Payloads are detached at the boundary — a ByteRuns crossing lanes
-// must not share buffers with state the source lane keeps mutating.
-
 sim::Task<Result<ChunkHandle>> SpongeServer::RemoteAllocate(size_t from,
                                                             ChunkOwner owner,
                                                             uint64_t bytes) {
-  if (engine_->OnForeignLane(node_id_)) {
-    const uint32_t home = engine_->current_lane();
-    co_await engine_->HopToLane(0);
-    Result<ChunkHandle> result = co_await AllocateBody(from, owner, bytes);
-    co_await engine_->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await AllocateBody(from, owner, bytes);
-}
-
-sim::Task<Status> SpongeServer::RemoteWrite(size_t from, ChunkHandle handle,
-                                            ChunkOwner owner, ByteRuns data) {
-  if (engine_->OnForeignLane(node_id_)) {
-    const uint32_t home = engine_->current_lane();
-    co_await engine_->HopToLane(0);
-    // Detach on the global lane: phase B is exclusive, so reading the
-    // source lane's buffers here cannot race with their owner.
-    Status result =
-        co_await WriteBody(from, handle, owner, data.Detached());
-    data.Clear();
-    co_await engine_->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await WriteBody(from, handle, owner, std::move(data));
-}
-
-sim::Task<Result<ByteRuns>> SpongeServer::RemoteRead(size_t from,
-                                                     ChunkHandle handle,
-                                                     ChunkOwner owner) {
-  if (engine_->OnForeignLane(node_id_)) {
-    const uint32_t home = engine_->current_lane();
-    co_await engine_->HopToLane(0);
-    Result<ByteRuns> result = co_await ReadBody(from, handle, owner);
-    // Detach before carrying the payload home: the pool slot's buffers
-    // stay with the server's lane.
-    if (result.ok()) result = result.value().Detached();
-    co_await engine_->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await ReadBody(from, handle, owner);
-}
-
-sim::Task<Status> SpongeServer::RemoteFree(size_t from, ChunkHandle handle,
-                                           ChunkOwner owner) {
-  if (engine_->OnForeignLane(node_id_)) {
-    const uint32_t home = engine_->current_lane();
-    co_await engine_->HopToLane(0);
-    Status result = co_await FreeBody(from, handle, owner);
-    co_await engine_->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await FreeBody(from, handle, owner);
-}
-
-sim::Task<bool> SpongeServer::RemoteIsTaskAlive(size_t from,
-                                                uint64_t task_id) {
-  if (engine_->OnForeignLane(node_id_)) {
-    const uint32_t home = engine_->current_lane();
-    co_await engine_->HopToLane(0);
-    bool result = co_await IsTaskAliveBody(from, task_id);
-    co_await engine_->HopToLane(home);
-    co_return result;
-  }
-  co_return co_await IsTaskAliveBody(from, task_id);
-}
-
-// ---- operation bodies ------------------------------------------------------
-
-sim::Task<Result<ChunkHandle>> SpongeServer::AllocateBody(size_t from,
-                                                          ChunkOwner owner,
-                                                          uint64_t bytes) {
   RpcCounter("alloc")->Increment();
   obs::SpanGuard span(&obs::Tracer::Default(), engine_, node_id_,
                       owner.task_id, "rpc", "rpc.alloc");
@@ -175,11 +86,8 @@ sim::Task<Result<ChunkHandle>> SpongeServer::AllocateBody(size_t from,
   // — an error response still pays the return trip.
   co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
   co_await FaultPoint();
-  SIM_READ(engine_, &alive_, "SpongeServer.alive", "flag", AliveDomain());
   Result<ChunkHandle> handle = Unavailable("sponge server down");
   if (alive_) {
-    SIM_WRITE(engine_, this, "SpongeServer", "pool",
-              sim::AccessRecorder::NodeDomain(node_id_));
     if (!QuotaAllows(owner)) {
       ++failed_allocations_;
       handle = ResourceExhausted("task over quota");
@@ -200,8 +108,8 @@ sim::Task<Result<ChunkHandle>> SpongeServer::AllocateBody(size_t from,
   co_return handle;
 }
 
-sim::Task<Status> SpongeServer::WriteBody(size_t from, ChunkHandle handle,
-                                          ChunkOwner owner, ByteRuns data) {
+sim::Task<Status> SpongeServer::RemoteWrite(size_t from, ChunkHandle handle,
+                                            ChunkOwner owner, ByteRuns data) {
   RpcCounter("write")->Increment();
   obs::SpanGuard span(&obs::Tracer::Default(), engine_, node_id_,
                       owner.task_id, "rpc", "rpc.write");
@@ -216,10 +124,7 @@ sim::Task<Status> SpongeServer::WriteBody(size_t from, ChunkHandle handle,
   // slot representation) is gone.
   co_await network_->Transfer(from, node_id_, data.size());
   co_await FaultPoint();
-  SIM_READ(engine_, &alive_, "SpongeServer.alive", "flag", AliveDomain());
   if (!alive_) co_return Unavailable("sponge server down");
-  SIM_WRITE(engine_, this, "SpongeServer", "pool",
-            sim::AccessRecorder::NodeDomain(node_id_));
   auto holder = pool_->OwnerOf(handle);
   if (!holder.ok() || !(*holder == owner)) {
     co_return FailedPrecondition("chunk not owned by caller");
@@ -230,9 +135,9 @@ sim::Task<Status> SpongeServer::WriteBody(size_t from, ChunkHandle handle,
   co_return Status::OK();
 }
 
-sim::Task<Result<ByteRuns>> SpongeServer::ReadBody(size_t from,
-                                                   ChunkHandle handle,
-                                                   ChunkOwner owner) {
+sim::Task<Result<ByteRuns>> SpongeServer::RemoteRead(size_t from,
+                                                     ChunkHandle handle,
+                                                     ChunkOwner owner) {
   RpcCounter("read")->Increment();
   obs::SpanGuard span(&obs::Tracer::Default(), engine_, node_id_,
                       owner.task_id, "rpc", "rpc.read");
@@ -240,10 +145,7 @@ sim::Task<Result<ByteRuns>> SpongeServer::ReadBody(size_t from,
   // Request message to the server.
   co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
   co_await FaultPoint();
-  SIM_READ(engine_, &alive_, "SpongeServer.alive", "flag", AliveDomain());
   if (!alive_) co_return Unavailable("sponge server down");
-  SIM_READ(engine_, this, "SpongeServer", "pool",
-           sim::AccessRecorder::NodeDomain(node_id_));
   auto holder = pool_->OwnerOf(handle);
   if (!holder.ok() || !(*holder == owner)) {
     co_return FailedPrecondition("chunk not owned by caller");
@@ -258,8 +160,8 @@ sim::Task<Result<ByteRuns>> SpongeServer::ReadBody(size_t from,
   co_return copy;
 }
 
-sim::Task<Status> SpongeServer::FreeBody(size_t from, ChunkHandle handle,
-                                         ChunkOwner owner) {
+sim::Task<Status> SpongeServer::RemoteFree(size_t from, ChunkHandle handle,
+                                           ChunkOwner owner) {
   RpcCounter("free")->Increment();
   obs::SpanGuard span(&obs::Tracer::Default(), engine_, node_id_,
                       owner.task_id, "rpc", "rpc.free");
@@ -267,16 +169,14 @@ sim::Task<Status> SpongeServer::FreeBody(size_t from, ChunkHandle handle,
   // Request hop, free at the server, response hop (see RemoteAllocate).
   co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
   co_await FaultPoint();
-  SIM_READ(engine_, &alive_, "SpongeServer.alive", "flag", AliveDomain());
-  SIM_WRITE(engine_, this, "SpongeServer", "pool",
-            sim::AccessRecorder::NodeDomain(node_id_));
   Status result = alive_ ? pool_->Free(handle, owner)
                          : Unavailable("sponge server down");
   co_await network_->Transfer(node_id_, from, config_.rpc_message_bytes);
   co_return result;
 }
 
-sim::Task<bool> SpongeServer::IsTaskAliveBody(size_t from, uint64_t task_id) {
+sim::Task<bool> SpongeServer::RemoteIsTaskAlive(size_t from,
+                                                uint64_t task_id) {
   RpcCounter("liveness")->Increment();
   obs::SpanGuard span(&obs::Tracer::Default(), engine_, node_id_, task_id,
                       "rpc", "rpc.is_task_alive");
@@ -285,7 +185,6 @@ sim::Task<bool> SpongeServer::IsTaskAliveBody(size_t from, uint64_t task_id) {
   // RemoteAllocate).
   co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
   co_await FaultPoint();
-  SIM_READ(engine_, &alive_, "SpongeServer.alive", "flag", AliveDomain());
   bool task_alive = alive_ && registry_->IsAliveOn(task_id, node_id_);
   co_await network_->Transfer(node_id_, from, config_.rpc_message_bytes);
   co_return task_alive;
@@ -317,8 +216,6 @@ sim::Task<uint64_t> SpongeServer::GcSweep() {
   // Cache liveness verdicts per owner so a task holding many chunks costs
   // one probe, not one per chunk.
   std::unordered_map<uint64_t, bool> verdicts;
-  SIM_READ(engine_, this, "SpongeServer", "pool",
-           sim::AccessRecorder::NodeDomain(node_id_));
   for (const auto& [handle, owner] : pool_->AllocatedChunks()) {
     auto it = verdicts.find(owner.task_id);
     bool live;
@@ -342,8 +239,6 @@ sim::Task<uint64_t> SpongeServer::GcSweep() {
     }
     if (!live) {
       // The owner may have freed this chunk while we awaited the probe.
-      SIM_WRITE(engine_, this, "SpongeServer", "pool",
-                sim::AccessRecorder::NodeDomain(node_id_));
       auto still_owned = pool_->OwnerOf(handle);
       if (still_owned.ok() && *still_owned == owner) {
         (void)pool_->ForceFree(handle);
@@ -364,8 +259,6 @@ uint64_t SpongeServer::EnforceQuotas() {
   // will read first).
   std::unordered_map<uint64_t, uint64_t> held;
   uint64_t reclaimed = 0;
-  SIM_WRITE(engine_, this, "SpongeServer", "pool",
-            sim::AccessRecorder::NodeDomain(node_id_));
   for (const auto& [handle, owner] : pool_->AllocatedChunks()) {
     uint64_t count = ++held[owner.task_id];
     if (count > config_.quota_chunks_per_task) {
@@ -378,15 +271,11 @@ uint64_t SpongeServer::EnforceQuotas() {
 }
 
 void SpongeServer::Crash() {
-  SIM_WRITE(engine_, &alive_, "SpongeServer.alive", "flag", AliveDomain());
-  SIM_WRITE(engine_, this, "SpongeServer", "pool",
-            sim::AccessRecorder::NodeDomain(node_id_));
   alive_ = false;
   pool_->Reset();
 }
 
 void SpongeServer::Restart() {
-  SIM_WRITE(engine_, &alive_, "SpongeServer.alive", "flag", AliveDomain());
   alive_ = true;
 }
 

@@ -8,7 +8,6 @@
 #include "common/byte_runs.h"
 #include "common/status.h"
 #include "common/units.h"
-#include "sim/access.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -17,7 +16,6 @@
 
 namespace spongefiles::sponge {
 
-// lint: shard(value)
 struct SpongeServerConfig {
   // Size of control messages (allocate/free/liveness requests and
   // responses) on the wire.
@@ -36,7 +34,6 @@ struct SpongeServerConfig {
 // write / read / free requests from remote tasks, and garbage-collects
 // chunks owned by dead tasks. The server is stateless: all durable state
 // is the pool metadata itself.
-// lint: shard(node)
 class SpongeServer {
  public:
   SpongeServer(sim::Engine* engine, cluster::Network* network,
@@ -63,16 +60,6 @@ class SpongeServer {
   // CallWithDeadline may abandon the operation and destroy its own frame
   // while the op is still parked on this (possibly hung) server, so the
   // op must own every piece of state it touches after resuming.
-  //
-  // Sharded engine: when the caller's lane does not own this server's
-  // node, the operation hops to the global lane (the safe harbor that may
-  // touch any lane's state), executes there, and hops back — each hop
-  // lands at a window barrier, so a cross-lane RPC is quantized to the
-  // lookahead, which is by construction no larger than the network
-  // latency it already pays. Payloads are deep-copied (ByteRuns::Detached)
-  // at the boundary so no buffer is ever shared across lanes. Same-lane
-  // calls (rack-local RPC under the rack projection, everything on the
-  // legacy engine) take the direct zero-copy path.
 
   // Allocates one chunk for `owner`; RESOURCE_EXHAUSTED when full — the
   // caller then tries the next server on its (possibly stale) free list.
@@ -103,15 +90,11 @@ class SpongeServer {
   // as a Delay — the simulated pool-lock convoy (see ChunkPoolConfig).
   Result<ChunkHandle> LocalAllocate(const ChunkOwner& owner,
                                     uint64_t bytes = 0) {
-    SIM_WRITE(engine_, this, "SpongeServer", "pool",
-              sim::AccessRecorder::NodeDomain(node_id_));
     if (!alive_) return Unavailable("sponge server down");
     if (!QuotaAllows(owner)) return ResourceExhausted("task over quota");
     return pool_->Allocate(owner, bytes);
   }
   Status LocalFree(ChunkHandle handle, const ChunkOwner& owner) {
-    SIM_WRITE(engine_, this, "SpongeServer", "pool",
-              sim::AccessRecorder::NodeDomain(node_id_));
     return pool_->Free(handle, owner);
   }
 
@@ -172,19 +155,6 @@ class SpongeServer {
 
  private:
   bool QuotaAllows(const ChunkOwner& owner) const;
-
-  // The real remote-operation implementations; the public RemoteXxx
-  // entry points add the cross-lane hop when needed (sharded engine) and
-  // call these directly otherwise.
-  sim::Task<Result<ChunkHandle>> AllocateBody(size_t from, ChunkOwner owner,
-                                              uint64_t bytes);
-  sim::Task<Status> WriteBody(size_t from, ChunkHandle handle,
-                              ChunkOwner owner, ByteRuns data);
-  sim::Task<Result<ByteRuns>> ReadBody(size_t from, ChunkHandle handle,
-                                       ChunkOwner owner);
-  sim::Task<Status> FreeBody(size_t from, ChunkHandle handle,
-                             ChunkOwner owner);
-  sim::Task<bool> IsTaskAliveBody(size_t from, uint64_t task_id);
 
   // Awaited by every remote operation after its request reaches the
   // server (deliberately after the network hop, so an abandoned request

@@ -4,65 +4,10 @@
 
 namespace spongefiles::sponge {
 
-void ReplicaDirectory::AttachEngine(sim::Engine* engine) {
-  engine_ = engine;
-  parts_.resize(engine == nullptr ? 1 : engine->lane_count());
-}
-
-uint32_t ReplicaDirectory::LaneNow() const {
-  if (engine_ == nullptr) return 0;
-  const uint32_t lane = engine_->current_lane();
-  return lane < parts_.size() ? lane : 0;
-}
-
-const ReplicaDirectory::Part* ReplicaDirectory::PartOf(uint64_t id) const {
-  const uint64_t lane = id >> kLaneShift;
-  return lane < parts_.size() ? &parts_[lane] : nullptr;
-}
-
-void ReplicaDirectory::NoteAccess(uint32_t lane, bool write) const {
-  if (engine_ == nullptr) return;
-  SIM_ACCESS(engine_, &parts_[lane], "ReplicaDirectory", "chunks", write,
-             sim::AccessRecorder::GlobalDomain(
-                 "chunk-to-replica map shared by the write, read-failover, "
-                 "and repair paths; lane-partitioned by minting lane under "
-                 "the sharded engine"));
-}
-
-void TaskRegistry::AttachEngine(sim::Engine* engine) {
-  engine_ = engine;
-  parts_.resize(engine == nullptr ? 1 : engine->lane_count());
-  replicas_.AttachEngine(engine);
-}
-
-uint32_t TaskRegistry::LaneNow() const {
-  if (engine_ == nullptr) return 0;
-  const uint32_t lane = engine_->current_lane();
-  return lane < parts_.size() ? lane : 0;
-}
-
-const TaskRegistry::Part* TaskRegistry::PartOf(uint64_t id) const {
-  const uint64_t lane = id >> kLaneShift;
-  return lane < parts_.size() ? &parts_[lane] : nullptr;
-}
-
-void TaskRegistry::NoteAccess(uint32_t lane, bool write) const {
-  if (engine_ == nullptr) return;
-  SIM_ACCESS(engine_, &parts_[lane], "TaskRegistry", "tasks", write,
-             sim::AccessRecorder::GlobalDomain(
-                 "attempt-liveness oracle consulted by every node's GC "
-                 "sweep; lane-partitioned by minting lane under the "
-                 "sharded engine"));
-}
-
 uint64_t ReplicaDirectory::Register(uint64_t owner_task, uint64_t size,
                                     uint64_t checksum) {
-  const uint32_t lane = LaneNow();
-  NoteAccess(lane, /*write=*/true);
-  Part& part = parts_[lane];
-  uint64_t id = part.next_seq++;
-  if (lane != 0) id |= uint64_t(lane) << kLaneShift;
-  ReplicatedChunk& entry = part.chunks[id];
+  uint64_t id = next_id_++;
+  ReplicatedChunk& entry = chunks_[id];
   entry.chunk_id = id;
   entry.owner_task = owner_task;
   entry.size = size;
@@ -72,11 +17,8 @@ uint64_t ReplicaDirectory::Register(uint64_t owner_task, uint64_t size,
 
 void ReplicaDirectory::AddLocation(uint64_t chunk_id,
                                    const ReplicaLocation& location) {
-  Part* part = PartOf(chunk_id);
-  if (part == nullptr) return;
-  NoteAccess(static_cast<uint32_t>(chunk_id >> kLaneShift), /*write=*/true);
-  auto it = part->chunks.find(chunk_id);
-  if (it == part->chunks.end()) return;
+  auto it = chunks_.find(chunk_id);
+  if (it == chunks_.end()) return;
   for (const ReplicaLocation& held : it->second.locations) {
     if (held.node == location.node && held.handle == location.handle) return;
   }
@@ -84,11 +26,8 @@ void ReplicaDirectory::AddLocation(uint64_t chunk_id,
 }
 
 void ReplicaDirectory::DropLocation(uint64_t chunk_id, size_t node) {
-  Part* part = PartOf(chunk_id);
-  if (part == nullptr) return;
-  NoteAccess(static_cast<uint32_t>(chunk_id >> kLaneShift), /*write=*/true);
-  auto it = part->chunks.find(chunk_id);
-  if (it == part->chunks.end()) return;
+  auto it = chunks_.find(chunk_id);
+  if (it == chunks_.end()) return;
   auto& locations = it->second.locations;
   locations.erase(std::remove_if(locations.begin(), locations.end(),
                                  [node](const ReplicaLocation& location) {
@@ -97,74 +36,42 @@ void ReplicaDirectory::DropLocation(uint64_t chunk_id, size_t node) {
                   locations.end());
 }
 
-void ReplicaDirectory::Forget(uint64_t chunk_id) {
-  Part* part = PartOf(chunk_id);
-  if (part == nullptr) return;
-  NoteAccess(static_cast<uint32_t>(chunk_id >> kLaneShift), /*write=*/true);
-  part->chunks.erase(chunk_id);
-}
+void ReplicaDirectory::Forget(uint64_t chunk_id) { chunks_.erase(chunk_id); }
 
 const ReplicatedChunk* ReplicaDirectory::Find(uint64_t chunk_id) const {
-  const Part* part = PartOf(chunk_id);
-  if (part == nullptr) return nullptr;
-  NoteAccess(static_cast<uint32_t>(chunk_id >> kLaneShift), /*write=*/false);
-  auto it = part->chunks.find(chunk_id);
-  return it == part->chunks.end() ? nullptr : &it->second;
+  auto it = chunks_.find(chunk_id);
+  return it == chunks_.end() ? nullptr : &it->second;
 }
 
 std::vector<uint64_t> ReplicaDirectory::ChunksOn(size_t node) const {
   std::vector<uint64_t> ids;
-  for (size_t lane = 0; lane < parts_.size(); ++lane) {
-    NoteAccess(static_cast<uint32_t>(lane), /*write=*/false);
-    for (const auto& [id, entry] : parts_[lane].chunks) {
-      for (const ReplicaLocation& location : entry.locations) {
-        if (location.node == node) {
-          ids.push_back(id);
-          break;
-        }
+  for (const auto& [id, entry] : chunks_) {
+    for (const ReplicaLocation& location : entry.locations) {
+      if (location.node == node) {
+        ids.push_back(id);
+        break;
       }
     }
   }
   return ids;
 }
 
-size_t ReplicaDirectory::size() const {
-  size_t n = 0;
-  for (const Part& part : parts_) n += part.chunks.size();
-  return n;
-}
-
 uint64_t TaskRegistry::Register(size_t node) {
-  const uint32_t lane = LaneNow();
-  NoteAccess(lane, /*write=*/true);
-  Part& part = parts_[lane];
-  uint64_t id = part.next_seq++;
-  if (lane != 0) id |= uint64_t(lane) << kLaneShift;
-  part.tasks[id] = node;
+  uint64_t id = next_id_++;
+  tasks_[id] = node;
   return id;
 }
 
-void TaskRegistry::Deregister(uint64_t task_id) {
-  Part* part = PartOf(task_id);
-  if (part == nullptr) return;
-  NoteAccess(static_cast<uint32_t>(task_id >> kLaneShift), /*write=*/true);
-  part->tasks.erase(task_id);
-}
+void TaskRegistry::Deregister(uint64_t task_id) { tasks_.erase(task_id); }
 
 bool TaskRegistry::IsAliveOn(uint64_t task_id, size_t node) const {
-  const Part* part = PartOf(task_id);
-  if (part == nullptr) return false;
-  NoteAccess(static_cast<uint32_t>(task_id >> kLaneShift), /*write=*/false);
-  auto it = part->tasks.find(task_id);
-  return it != part->tasks.end() && it->second == node;
+  auto it = tasks_.find(task_id);
+  return it != tasks_.end() && it->second == node;
 }
 
 Result<size_t> TaskRegistry::NodeOf(uint64_t task_id) const {
-  const Part* part = PartOf(task_id);
-  if (part == nullptr) return NotFound("task not alive");
-  NoteAccess(static_cast<uint32_t>(task_id >> kLaneShift), /*write=*/false);
-  auto it = part->tasks.find(task_id);
-  if (it == part->tasks.end()) return NotFound("task not alive");
+  auto it = tasks_.find(task_id);
+  if (it == tasks_.end()) return NotFound("task not alive");
   return it->second;
 }
 

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "sim/access.h"
-#include "sim/engine.h"
 #include "sponge/chunk_pool.h"
 
 namespace spongefiles::sponge {
@@ -17,7 +15,6 @@ namespace spongefiles::sponge {
 // under what slot and owner identity. The owner identity is stored in full
 // (including the replica flag) so reads and frees of the copy pass the
 // server-side ownership check.
-// lint: shard(value)
 struct ReplicaLocation {
   size_t node = 0;
   ChunkHandle handle;
@@ -27,7 +24,6 @@ struct ReplicaLocation {
 // Directory entry for one chunk that has (or had) a second copy. The
 // checksum is the stored representation's — any location whose content no
 // longer hashes to it is corrupt and unusable.
-// lint: shard(value)
 struct ReplicatedChunk {
   uint64_t chunk_id = 0;
   uint64_t owner_task = 0;
@@ -43,22 +39,8 @@ struct ReplicatedChunk {
 // still owned by the chunks' tasks, and the GC sweep (keyed on task
 // liveness) reclaims them with or without a directory entry. A std::map
 // keeps iteration order deterministic.
-//
-// Sharded engine: the directory is partitioned by the minting lane. Each
-// lane registers into (and looks up from) its own partition, so worker
-// lanes never touch each other's maps; only the global lane (repair, the
-// dead-server scan) reads across partitions, and it runs in its own
-// exclusive phase. Ids encode the partition — see Part below.
-// lint: shard(global: chunk-to-replica map shared by the write, read-failover, and repair paths; lane-partitioned by minting lane under the sharded engine)
 class ReplicaDirectory {
  public:
-  ReplicaDirectory() = default;
-
-  // Wires up access-set recording (sim/access.h) and sizes the per-lane id
-  // partitions; optional — the directory works unattached (unit tests
-  // construct it bare and get the single legacy partition).
-  void AttachEngine(sim::Engine* engine);
-
   // Creates an entry and returns its id (never 0; 0 in a chunk record
   // means "not replicated").
   uint64_t Register(uint64_t owner_task, uint64_t size, uint64_t checksum);
@@ -74,70 +56,26 @@ class ReplicaDirectory {
   // else); callers that await between lookup and use must re-Find.
   const ReplicatedChunk* Find(uint64_t chunk_id) const;
 
-  // Ids of every entry with a location on `node` (dead-server repair scan).
-  // Scans every partition in lane order — global-lane callers only.
+  // Ids of every entry with a location on `node` (dead-server repair scan),
+  // in id order.
   std::vector<uint64_t> ChunksOn(size_t node) const;
 
-  size_t size() const;
-  // The global lane's partition — the only one on the legacy engine and in
-  // unit tests. Worker-lane entries live in their own partitions; use
-  // Find / ChunksOn for id-routed access.
+  size_t size() const { return chunks_.size(); }
   const std::map<uint64_t, ReplicatedChunk>& chunks() const {
-    return parts_[0].chunks;
+    return chunks_;
   }
 
  private:
-  // Ids encode the minting lane so partitions can never collide and a
-  // lookup routes to its partition without touching any other lane's map:
-  //   lane 0 (global lane; the whole legacy engine): plain sequence, ids
-  //     stay below 2^40 — bit-identical to the unpartitioned directory;
-  //   worker lane L: (L << 40) | sequence.
-  struct Part {
-    uint64_t next_seq = 1;
-    std::map<uint64_t, ReplicatedChunk> chunks;
-  };
-
-  static constexpr uint32_t kLaneShift = 40;
-
-  // The calling context's partition index (0 when unattached).
-  uint32_t LaneNow() const;
-  // The partition owning `id`; nullptr for ids no partition could have
-  // minted (treated as unknown by every lookup).
-  const Part* PartOf(uint64_t id) const;
-  Part* PartOf(uint64_t id) {
-    return const_cast<Part*>(
-        static_cast<const ReplicaDirectory*>(this)->PartOf(id));
-  }
-  // Access-set recording against the partition object (not the directory):
-  // disjoint partitions must not read as one shared object to the lane
-  // conflict detector.
-  void NoteAccess(uint32_t lane, bool write) const;
-
-  sim::Engine* engine_ = nullptr;
-  std::vector<Part> parts_ = std::vector<Part>(1);
+  uint64_t next_id_ = 1;
+  std::map<uint64_t, ReplicatedChunk> chunks_;
 };
 
 // Tracks which tasks are alive on which node. This stands in for the OS
 // process table each sponge server consults to decide whether a local
 // process still exists; the garbage collector uses it to find chunks
 // owned by dead tasks.
-//
-// Sharded engine: lane-partitioned exactly like ReplicaDirectory above —
-// a task registers on the lane that runs it, ids encode the lane, and
-// liveness lookups route by id. Worker-lane callers only ever look up
-// task ids minted on their own lane (cross-lane RPCs hop to the global
-// lane first); the GC sweep and repair service run on the global lane and
-// may read every partition.
-// lint: shard(global: attempt-liveness oracle consulted by every node's GC sweep; lane-partitioned by minting lane under the sharded engine)
 class TaskRegistry {
  public:
-  TaskRegistry() = default;
-
-  // Wires up access-set recording for the registry and its replica
-  // directory and sizes the per-lane id partitions; optional (unit tests
-  // construct the registry bare).
-  void AttachEngine(sim::Engine* engine);
-
   // Registers a live task running on `node`; returns a fresh task id
   // (never 0; 0 marks a free chunk slot).
   uint64_t Register(size_t node);
@@ -155,16 +93,9 @@ class TaskRegistry {
 
   // Liveness regardless of node (the repair service's view: it only needs
   // to know whether re-replicating for this owner is still worthwhile).
-  bool IsAlive(uint64_t task_id) const {
-    const Part* part = PartOf(task_id);
-    return part != nullptr && part->tasks.find(task_id) != part->tasks.end();
-  }
+  bool IsAlive(uint64_t task_id) const { return tasks_.contains(task_id); }
 
-  size_t live_count() const {
-    size_t n = 0;
-    for (const Part& part : parts_) n += part.tasks.size();
-    return n;
-  }
+  size_t live_count() const { return tasks_.size(); }
 
   // The chunk-replica directory rides on the registry: both are the
   // cluster-wide "who owns what" bookkeeping that every sponge component
@@ -173,24 +104,8 @@ class TaskRegistry {
   const ReplicaDirectory& replicas() const { return replicas_; }
 
  private:
-  // See ReplicaDirectory::Part for the id scheme.
-  struct Part {
-    uint64_t next_seq = 1;
-    std::unordered_map<uint64_t, size_t> tasks;  // id -> node
-  };
-
-  static constexpr uint32_t kLaneShift = 40;
-
-  uint32_t LaneNow() const;
-  const Part* PartOf(uint64_t id) const;
-  Part* PartOf(uint64_t id) {
-    return const_cast<Part*>(
-        static_cast<const TaskRegistry*>(this)->PartOf(id));
-  }
-  void NoteAccess(uint32_t lane, bool write) const;
-
-  sim::Engine* engine_ = nullptr;
-  std::vector<Part> parts_ = std::vector<Part>(1);
+  uint64_t next_id_ = 1;
+  std::unordered_map<uint64_t, size_t> tasks_;  // id -> node
   ReplicaDirectory replicas_;
 };
 

@@ -164,6 +164,9 @@ TEST(DeterminismTest, AllowlistedPathPasses) {
 TEST(BannedHeaderTest, MutexAndThreadAreFlagged) {
   FileReport r = Analyze("#include <mutex>\n#include <thread>\n");
   EXPECT_EQ(Ids(r), (std::vector<std::string>{"header", "header"}));
+  // No directory is exempt from the threading ban, the engine's included.
+  EXPECT_EQ(Ids(Analyze("#include <thread>\n", "src/sim/engine.cc")),
+            (std::vector<std::string>{"header"}));
 }
 
 TEST(BannedHeaderTest, OrdinaryHeadersPass) {
@@ -171,28 +174,11 @@ TEST(BannedHeaderTest, OrdinaryHeadersPass) {
   EXPECT_TRUE(Ids(r).empty());
 }
 
-// The sharded harness is the one sanctioned home for host threading: its
-// path (and only its path) may include the threading headers.
-TEST(BannedHeaderTest, ThreadingAllowlistCoversOnlyTheShardedHarness) {
-  const std::string threading =
-      "#include <thread>\n#include <mutex>\n#include <condition_variable>\n";
-  EXPECT_TRUE(Ids(Analyze(threading, "src/sim/parallel.cc")).empty());
-  EXPECT_TRUE(Ids(Analyze(threading, "src/sim/parallel.h")).empty());
-  // Anywhere else — including the rest of src/sim — still fails.
-  EXPECT_EQ(Ids(Analyze(threading, "src/sim/engine.cc")),
-            (std::vector<std::string>{"header", "header", "header"}));
-  EXPECT_EQ(Ids(Analyze("#include <thread>\n", "src/sponge/sponge_server.cc")),
-            (std::vector<std::string>{"header"}));
-  EXPECT_EQ(Ids(Analyze("#include <future>\n", "src/cluster/network.cc")),
-            (std::vector<std::string>{"header"}));
-}
-
-// The threading allowlist exempts only the threading headers: ambient
-// randomness or time in the sharded harness is still a determinism hole.
+// Random and time headers stay banned in the engine's own directory too.
 TEST(BannedHeaderTest, ThreadingAllowlistDoesNotCoverRandomOrTime) {
-  EXPECT_EQ(Ids(Analyze("#include <random>\n", "src/sim/parallel.cc")),
+  EXPECT_EQ(Ids(Analyze("#include <random>\n", "src/sim/engine.cc")),
             (std::vector<std::string>{"header"}));
-  EXPECT_EQ(Ids(Analyze("#include <ctime>\n", "src/sim/parallel.cc")),
+  EXPECT_EQ(Ids(Analyze("#include <ctime>\n", "src/sim/engine.cc")),
             (std::vector<std::string>{"header"}));
 }
 

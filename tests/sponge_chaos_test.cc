@@ -8,6 +8,11 @@
 // deterministic for a fixed seed, and a hung server must never deadlock
 // the job (the client-side deadlines un-stick it).
 //
+// A second, smaller workload pins the engine's schedule itself: its
+// runtime, output, event count, final clock, spilled bytes and leaked
+// chunks are compared with constants, so any engine change that reorders
+// events fails here rather than only in the benchmarks.
+//
 // The number of chaos seeds defaults low so plain ctest stays fast;
 // tools/check.sh raises it via SPONGE_CHAOS_SEEDS for the sanitizer run.
 
@@ -166,6 +171,106 @@ TEST(SpongeChaosTest, HungServerDoesNotDeadlockJob) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->output.size(), 1u);
   EXPECT_EQ(result->output[0].number, numbers.expected_median());
+}
+
+// Everything deterministic a mini-workload run produces.
+struct MiniSnapshot {
+  Duration runtime = 0;
+  std::vector<mapred::Record> output;
+  uint64_t events = 0;
+  SimTime now = 0;
+  uint64_t spilled = 0;
+  uint64_t leaked = 0;
+};
+
+// The skewed median job on a 4-node testbed with speculation on; a nonzero
+// `chaos_seed` adds a six-fault chaos schedule, then settles the clock and
+// GC-sweeps every server before counting leaked chunks.
+MiniSnapshot RunMiniWorkload(uint64_t chaos_seed) {
+  workload::TestbedConfig bed_config;
+  bed_config.num_nodes = 4;
+  bed_config.sponge_memory = MiB(64);
+  workload::Testbed bed(bed_config);
+  workload::NumbersDatasetConfig data;
+  data.count = 20001;
+  workload::NumbersDataset numbers(&bed.dfs(), "nums", data);
+
+  sponge::FailureInjector injector(&bed.env(), chaos_seed);
+  if (chaos_seed != 0) {
+    sponge::ChaosOptions chaos;
+    chaos.start = Seconds(2);
+    chaos.horizon = Seconds(60);
+    chaos.num_faults = 6;
+    injector.ScheduleChaos(chaos);
+  }
+
+  auto job = workload::MakeMedianJob(&numbers, mapred::SpillMode::kSponge);
+  job.speculation.enabled = true;
+  job.speculation.check_period = Seconds(1);
+  job.speculation.min_attempt_age = Seconds(3);
+  auto result = bed.RunJob(std::move(job));
+
+  MiniSnapshot snap;
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (result.ok()) {
+    snap.runtime = result->runtime;
+    snap.output = result->output;
+    for (const auto& task : result->map_tasks) {
+      snap.spilled += task.spill.bytes_spilled;
+    }
+    for (const auto& task : result->reduce_tasks) {
+      snap.spilled += task.spill.bytes_spilled;
+    }
+  }
+  if (chaos_seed != 0) {
+    bed.engine().RunUntil(std::max(bed.engine().now(), Seconds(60)) +
+                          Seconds(10));
+    bool swept = false;
+    auto sweep = [](workload::Testbed* tb, MiniSnapshot* record,
+                    bool* done) -> sim::Task<> {
+      for (size_t n = 0; n < tb->cluster().size(); ++n) {
+        (void)co_await tb->env().server(n).GcSweep();
+        record->leaked +=
+            tb->env().server(n).pool().AllocatedChunks().size();
+      }
+      *done = true;
+    };
+    bed.engine().Spawn(sweep(&bed, &snap, &swept));
+    bed.engine().RunUntil(bed.engine().now() + Seconds(10));
+    EXPECT_TRUE(swept);
+  }
+  snap.events = bed.engine().events_processed();
+  snap.now = bed.engine().now();
+  return snap;
+}
+
+// The constants were recorded from the single-queue engine; a change to
+// event order, tie-breaking or spawn scheduling moves at least one of them.
+TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
+  struct Expected {
+    uint64_t seed;
+    Duration runtime;
+    uint64_t events;
+    SimTime now;
+  };
+  const Expected kExpected[] = {
+      {0, 6334158, 5567, 10010000},
+      {1, 6334158, 6034, 80000000},
+      {2, 6334043, 6036, 80000000},
+  };
+  mapred::Record median;
+  median.key = "median";
+  median.number = 10000;
+  for (const Expected& want : kExpected) {
+    SCOPED_TRACE("chaos seed " + std::to_string(want.seed));
+    MiniSnapshot got = RunMiniWorkload(want.seed);
+    EXPECT_EQ(got.runtime, want.runtime);
+    EXPECT_EQ(got.output, std::vector<mapred::Record>{median});
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.now, want.now);
+    EXPECT_EQ(got.spilled, 409620480u);
+    EXPECT_EQ(got.leaked, 0u);
+  }
 }
 
 }  // namespace

@@ -1,43 +1,22 @@
 #!/usr/bin/env bash
 # Runs spongelint over the tree, then builds with ASan+UBSan (warnings as
-# errors) and runs the full test suite under it.
-# Usage: tools/check.sh [--perf] [--tsan] [build-dir]   (default: build-san)
+# errors) and runs the full test suite under it, then the sanitized bench
+# smokes and the benchmark package's own test (spongebench/).
+# Usage: tools/check.sh [--perf] [build-dir]   (default: build-san)
 #   --perf  afterwards runs tools/perf.sh: the self-perf suite run twice
 #           on one build, gating on byte-identical metrics/trace/sim
 #           snapshots between the runs.
-#   --tsan  run ONLY the ThreadSanitizer leg: a separate build
-#           (build-dir, default build-tsan) with SPONGEFILES_SANITIZE=thread
-#           running the parallel-engine test shard (ctest -R Parallel).
-#           TSAN cannot combine with ASan, hence its own mode and tree; it
-#           certifies the threaded lane driver's host synchronization (the
-#           simulated-state discipline is covered by the seq-vs-par
-#           byte-identity gates, which need no sanitizer).
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 perf=0
-tsan=0
 build=""
 for arg in "$@"; do
   case "$arg" in
     --perf) perf=1 ;;
-    --tsan) tsan=1 ;;
     *) build="$arg" ;;
   esac
 done
-
-if [ "$tsan" = 1 ]; then
-  build="${build:-$repo/build-tsan}"
-  cmake -B "$build" -S "$repo" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DSPONGEFILES_WERROR=ON \
-    -DSPONGEFILES_SANITIZE=thread
-  cmake --build "$build" -j "$(nproc)" --target sim_parallel_test
-  export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
-  ctest --test-dir "$build" --output-on-failure -j "$(nproc)" -R Parallel
-  echo "tsan check passed"
-  exit 0
-fi
 
 build="${build:-$repo/build-san}"
 
@@ -45,12 +24,6 @@ build="${build:-$repo/build-san}"
 # minutes, and a coroutine-safety or determinism finding invalidates the
 # run anyway.
 "$repo/tools/lint/run.sh" "$build-lint"
-
-# Shard-safety conflict census right after lint (same reasoning: it is
-# sub-second once built, and an unexplained conflict is a design finding
-# that invalidates the parallel-engine roadmap item, not just this run).
-# Reuses the lint build tree; the merged census is published next to it.
-"$repo/tools/shardcheck.sh" "$build-lint" "$build-lint/SHARDCHECK.json"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -113,6 +86,12 @@ fi
 "$build/bench/bench_recovery" --racks=4 --nodes-per-rack=8 --jobs=60 \
   --crashes=3 --out="$build/BENCH_recovery_smoke.json"
 echo "recovery smoke passed"
+
+# The benchmark package's determinism and seed-sensitivity test. ctest does
+# not cover it: it builds spongebench/ in its own tree (an optimized build,
+# not the sanitized one above) and drives tiny shapes of every workload.
+(cd "$repo" && python3 spongebench/test_spongebench.py)
+echo "spongebench test passed"
 
 if [ "$perf" = 1 ]; then
   "$repo/tools/perf.sh"

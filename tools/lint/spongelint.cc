@@ -11,8 +11,8 @@
 //
 // --format=json emits one JSON object on stdout with per-diagnostic
 // records (stable check id, file, line, message, waived, waiver_reason)
-// for CI and tools/shardcheck.sh to consume; the exit status contract is
-// unchanged (non-zero iff any unwaived diagnostic).
+// for CI to consume; the exit status contract is unchanged (non-zero iff
+// any unwaived diagnostic).
 //
 // --compile-commands points at a CMake-exported compile_commands.json;
 // its -I roots are used to resolve quoted #includes so the cross-file

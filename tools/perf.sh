@@ -1,48 +1,42 @@
 #!/usr/bin/env bash
-# Self-performance gate (DESIGN.md "Performance engineering" and §13
-# "Parallel engine"). Four gates on one RelWithDebInfo build:
+# Self-performance gate (DESIGN.md "Performance engineering"). Three gates
+# on one RelWithDebInfo build:
 #
-#   1. Run-to-run determinism: bench_selfperf's fixed suite twice on the
-#      legacy engine; sim summary, metrics snapshot, and trace must be
-#      byte-identical between the runs.
-#   2. Seq-vs-par differential: the suite once on the sharded serial
-#      driver (--engine=seq) and once on the thread pool (--engine=par).
-#      All three simulated snapshots must be byte-identical between the
-#      drivers — the tentpole invariant. The suite includes the seeded
-#      chaos sweep, so gray-failure schedules are covered too.
-#   3. Datacenter differential + speedup: bench_datacenter (16 racks x 32
-#      nodes) under seq and par; --sim-out must match byte for byte, and
-#      the wall-clock ratio is recorded. On multi-core hosts the par run
-#      must be at least 2x the seq run; on a single core the ratio is
-#      recorded honestly (alongside host_cores) but not enforced.
-#   4. Pool gate (DESIGN.md §14): fig5_contention once on the tiered
+#   1. Run-to-run determinism: bench_selfperf's fixed suite twice; sim
+#      summary, metrics snapshot, and trace must be byte-identical between
+#      the runs.
+#   2. Datacenter artifact: bench_datacenter at its default shape (16 racks
+#      x 32 nodes, 1,200 jobs). The committed BENCH_datacenter.json must
+#      have the same shape and build type, and its simulated digest must
+#      equal the fresh run's — a stale or differently-shaped artifact fails
+#      the gate instead of being compared.
+#   3. Pool gate (DESIGN.md §14): fig5_contention once on the tiered
 #      size-classed pool and once on --pool=flat (the pre-tiered global
 #      lock). The tiered pool's summed job runtime — a simulated,
 #      deterministic quantity — must beat the flat baseline; both numbers
 #      land in the report.
 #
-# BENCH_selfperf.json is written by the --engine=par suite run with the
-# seq run as its baseline, so the report's "speedup" field *is* the
-# parallel speedup and the per-scenario per_lane_events are populated; the
-# datacenter numbers are spliced in at the end.
+# The second suite run writes BENCH_selfperf.json with the committed copy
+# of that file as its baseline, so the report's "speedup" field compares
+# this build against the recorded one. The committed file must match the
+# run's shape (chaos seeds, pool, build type); perf.sh refuses to compare
+# otherwise. To re-record at a new shape, delete BENCH_selfperf.json (the
+# second run then uses the first as its baseline) or re-run
+# bench_datacenter for BENCH_datacenter.json. The datacenter and pool
+# numbers are spliced in at the end.
 #
 # Usage: tools/perf.sh [--chaos-seeds=N] [--out=PATH] [--keep-work]
-#                      [--dc-jobs=N] [--threads=N]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 out="$repo/BENCH_selfperf.json"
 seeds=5
 keep_work=0
-dc_jobs=400
-threads=0
 for arg in "$@"; do
   case "$arg" in
     --chaos-seeds=*) seeds="${arg#*=}" ;;
     --out=*) out="${arg#*=}" ;;
     --keep-work) keep_work=1 ;;
-    --dc-jobs=*) dc_jobs="${arg#*=}" ;;
-    --threads=*) threads="${arg#*=}" ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -51,22 +45,52 @@ build="$repo/build-perf"
 work="$(mktemp -d)"
 trap '[ "$keep_work" = 1 ] && echo "work dir kept: $work" || rm -rf "$work"' EXIT
 
-threads_flag=""
-if [ "$threads" != 0 ]; then threads_flag="--threads=$threads"; fi
+# Raw value text of the first `"key": value` in a report (quotes kept for
+# strings), or empty when the key is absent.
+field() { grep -o "\"$2\": [^,}]*" "$1" | head -1 | sed 's/^[^:]*: //'; }
+
+# Refuses (exit 1) unless the committed report `name` (copied to
+# `committed`) and `fresh` agree on every key.
+same_shape() {
+  local name="$1" committed="$2" fresh="$3"
+  shift 3
+  for key in "$@"; do
+    local want got
+    want="$(field "$committed" "$key")"
+    got="$(field "$fresh" "$key")"
+    if [ "$want" != "$got" ]; then
+      echo "  committed $name: $key is ${want:-<missing>}, this run has $got;" \
+           "refusing to compare — re-record it at this shape" >&2
+      exit 1
+    fi
+  done
+}
+
+# Copy the committed reports first: --out may overwrite them.
+committed_sp="$work/committed_selfperf.json"
+committed_dc="$work/committed_datacenter.json"
+[ -f "$repo/BENCH_selfperf.json" ] && cp "$repo/BENCH_selfperf.json" "$committed_sp"
+[ -f "$repo/BENCH_datacenter.json" ] && cp "$repo/BENCH_datacenter.json" "$committed_dc"
 
 echo "== building ($build)"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$build" --target bench_selfperf bench_datacenter -j "$(nproc)"
 
 echo
-echo "== gate 1: run-to-run determinism (legacy engine)"
+echo "== gate 1: run-to-run determinism"
 "$build/bench/bench_selfperf" --chaos-seeds="$seeds" \
   --out="$work/run1.json" --sim-out="$work/run1_sim.json" \
   --metrics-out="$work/run1_metrics.json" \
   --trace-out="$work/run1_trace.json"
+baseline="$work/run1.json"
+if [ -f "$committed_sp" ]; then
+  same_shape BENCH_selfperf.json "$committed_sp" "$work/run1.json" \
+    bench chaos_seeds pool build_type
+  baseline="$committed_sp"
+fi
 echo
 "$build/bench/bench_selfperf" --chaos-seeds="$seeds" \
-  --baseline="$work/run1.json" --out="$work/run2.json" \
+  --baseline="$baseline" --out="$out" \
   --sim-out="$work/run2_sim.json" \
   --metrics-out="$work/run2_metrics.json" \
   --trace-out="$work/run2_trace.json"
@@ -82,54 +106,32 @@ for pair in sim metrics trace; do
 done
 
 echo
-echo "== gate 2: seq-vs-par differential (sharded engine, incl. chaos sweep)"
-"$build/bench/bench_selfperf" --chaos-seeds="$seeds" --engine=seq \
-  --out="$work/seq.json" --sim-out="$work/seq_sim.json" \
-  --metrics-out="$work/seq_metrics.json" \
-  --trace-out="$work/seq_trace.json"
-echo
-"$build/bench/bench_selfperf" --chaos-seeds="$seeds" --engine=par \
-  $threads_flag \
-  --baseline="$work/seq.json" --out="$out" \
-  --sim-out="$work/par_sim.json" \
-  --metrics-out="$work/par_metrics.json" \
-  --trace-out="$work/par_trace.json"
-echo
-for pair in sim metrics trace; do
-  if cmp -s "$work/seq_${pair}.json" "$work/par_${pair}.json"; then
-    echo "  $pair snapshot: seq == par"
+echo "== gate 2: datacenter artifact (default shape)"
+"$build/bench/bench_datacenter" --out="$work/dc.json"
+dc_wall="$(field "$work/dc.json" wall_ms)"
+dc_jobs="$(field "$work/dc.json" jobs)"
+if [ -f "$committed_dc" ]; then
+  same_shape BENCH_datacenter.json "$committed_dc" "$work/dc.json" \
+    bench racks nodes jobs seed ssd_bytes_per_node build_type
+  if [ "$(field "$committed_dc" digest)" = "$(field "$work/dc.json" digest)" ]; then
+    echo "  committed BENCH_datacenter.json matches this build's simulation"
   else
-    echo "  $pair snapshot: seq and par DIFFER — the threaded driver diverged from the reference schedule" >&2
-    diff "$work/seq_${pair}.json" "$work/par_${pair}.json" | head -40 >&2 || true
+    echo "  committed BENCH_datacenter.json is stale: digest" \
+         "$(field "$committed_dc" digest) vs $(field "$work/dc.json" digest)" >&2
     exit 1
   fi
-done
-
-echo
-echo "== gate 3: datacenter differential + parallel speedup (512 nodes / 16 racks)"
-"$build/bench/bench_datacenter" --jobs="$dc_jobs" --engine=seq \
-  --out="$work/dc_seq.json" --sim-out="$work/dc_seq_sim.json"
-"$build/bench/bench_datacenter" --jobs="$dc_jobs" --engine=par \
-  $threads_flag \
-  --out="$work/dc_par.json" --sim-out="$work/dc_par_sim.json"
-if cmp -s "$work/dc_seq_sim.json" "$work/dc_par_sim.json"; then
-  echo "  datacenter sim snapshot: seq == par"
-else
-  echo "  datacenter sim snapshot: seq and par DIFFER" >&2
-  diff "$work/dc_seq_sim.json" "$work/dc_par_sim.json" | head -40 >&2 || true
-  exit 1
+  echo "  wall: committed $(field "$committed_dc" wall_ms) ms" \
+       "($(field "$committed_dc" host_cores) cores), now ${dc_wall} ms"
 fi
 
-extract() { grep -o "\"$2\": [0-9.]*" "$1" | head -1 | awk '{print $2}'; }
-
 echo
-echo "== gate 4: tiered pool vs flat baseline (fig5_contention)"
+echo "== gate 3: tiered pool vs flat baseline (fig5_contention)"
 "$build/bench/bench_selfperf" --scenarios=fig5_contention --pool=flat \
   --out="$work/pool_flat.json" --sim-out="$work/pool_flat_sim.json"
 "$build/bench/bench_selfperf" --scenarios=fig5_contention --pool=tiered \
   --out="$work/pool_tiered.json" --sim-out="$work/pool_tiered_sim.json"
-pool_flat_us="$(extract "$work/pool_flat_sim.json" job_runtime_us)"
-pool_tiered_us="$(extract "$work/pool_tiered_sim.json" job_runtime_us)"
+pool_flat_us="$(field "$work/pool_flat_sim.json" job_runtime_us)"
+pool_tiered_us="$(field "$work/pool_tiered_sim.json" job_runtime_us)"
 echo "  job runtime: flat ${pool_flat_us} us, tiered ${pool_tiered_us} us"
 if awk "BEGIN{exit !($pool_tiered_us < $pool_flat_us)}"; then
   echo "  pool gate: tiered beats the flat global-lock baseline"
@@ -138,22 +140,14 @@ else
   exit 1
 fi
 
-dc_seq_wall="$(extract "$work/dc_seq.json" wall_ms)"
-dc_par_wall="$(extract "$work/dc_par.json" wall_ms)"
-cores="$(extract "$work/dc_par.json" host_cores)"
-dc_speedup="$(awk "BEGIN{printf \"%.3f\", $dc_seq_wall / $dc_par_wall}")"
-echo "  datacenter wall: seq ${dc_seq_wall} ms, par ${dc_par_wall} ms -> ${dc_speedup}x on ${cores} core(s)"
-
-# Splice the datacenter numbers into the report (drop the closing brace,
-# append the extra keys, close again).
+# Splice the datacenter and pool numbers into the report (drop the closing
+# brace, append the extra keys, close again).
 tmp="$(mktemp)"
 sed '$d' "$out" > "$tmp"
 {
   cat "$tmp"
   echo ",
-  \"datacenter_seq_wall_ms\": $dc_seq_wall,
-  \"datacenter_par_wall_ms\": $dc_par_wall,
-  \"datacenter_parallel_speedup\": $dc_speedup,
+  \"datacenter_wall_ms\": $dc_wall,
   \"datacenter_jobs\": $dc_jobs,
   \"pool_flat_job_runtime_us\": $pool_flat_us,
   \"pool_tiered_job_runtime_us\": $pool_tiered_us
@@ -161,18 +155,7 @@ sed '$d' "$out" > "$tmp"
 } > "$out"
 rm -f "$tmp"
 
-if [ "$cores" -gt 1 ]; then
-  if awk "BEGIN{exit !($dc_speedup >= 2.0)}"; then
-    echo "  parallel speedup gate: ${dc_speedup}x >= 2x"
-  else
-    echo "  parallel speedup gate: ${dc_speedup}x < 2x on a ${cores}-core host" >&2
-    exit 1
-  fi
-else
-  echo "  single-core host: speedup recorded, 2x gate not applicable"
-fi
-
 echo
 echo "report: $out"
-grep -E '"(engine|threads|host_cores|total_wall_ms|baseline_total_wall_ms|speedup|datacenter_parallel_speedup|events_per_sec|peak_rss_bytes)"' "$out" || true
+grep -E '"(host_cores|build_type|total_wall_ms|baseline_total_wall_ms|speedup|datacenter_wall_ms|events_per_sec|peak_rss_bytes)"' "$out" || true
 echo "self-perf gate passed"
