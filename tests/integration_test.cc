@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
@@ -81,6 +82,17 @@ struct RoundTripCase {
   uint64_t chunk_size;
   uint64_t sponge_per_node;
 };
+
+// Prints a case by its fields; this also names the discovered ctest cases.
+// gtest would otherwise print the raw struct bytes, padding included, so
+// the names changed from one test listing to the next.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  *os << (c.direct_local ? "Direct" : "Rpc")
+      << (c.prefetch ? "Prefetch" : "NoPrefetch")
+      << (c.async_write ? "Async" : "Sync")
+      << (c.affinity ? "Affinity" : "NoAffinity") << "_"
+      << c.chunk_size / kKiB << "K_" << c.sponge_per_node / kKiB << "K";
+}
 
 class SpongeRoundTripTest
     : public ::testing::TestWithParam<RoundTripCase> {};
