@@ -562,6 +562,10 @@ std::string FullJson(const Options& options, const BenchResult& r) {
   std::string sim = SimJson(options, r);
   // Splice the wall-clock section in before the closing brace.
   std::string out = sim.substr(0, sim.rfind("\n}\n"));
+  out += ",\n  \"build_type\": ";
+  obs::AppendJsonEscaped(&out, SPONGEFILES_BUILD_TYPE);
+  out += ",\n  \"host_cores\": ";
+  obs::AppendJsonUint(&out, HostCores());
   out += ",\n  \"wall_ms\": ";
   obs::AppendJsonDouble(&out, r.wall_ms);
   out += ",\n  \"peak_rss_bytes\": ";

@@ -33,9 +33,15 @@ Status Dfs::PlaceBlock(File* file, const std::string& name, size_t node,
   auto created =
       fs.Create(name + ".blk" + std::to_string(file->blocks.size()));
   if (!created.ok()) return created.status();
-  file->blocks.push_back(Block{node, *created, bytes});
-  file->size += bytes;
+  file->blocks.push_back(Block{node, *created, file->size() + bytes});
   return Status::OK();
+}
+
+size_t Dfs::File::BlockAt(uint64_t offset) const {
+  auto covering = std::upper_bound(
+      blocks.begin(), blocks.end(), offset,
+      [](uint64_t off, const Block& block) { return off < block.end; });
+  return static_cast<size_t>(covering - blocks.begin());
 }
 
 Status Dfs::CreateFile(const std::string& name, uint64_t size) {
@@ -102,28 +108,27 @@ sim::Task<Status> Dfs::Read(std::string name, size_t reader,
   auto it = files_.find(name);
   if (it == files_.end()) co_return NotFound("no DFS file: " + name);
   const File& file = it->second;
-  if (offset + bytes > file.size) co_return OutOfRange("DFS read past EOF");
+  if (offset + bytes > file.size()) co_return OutOfRange("DFS read past EOF");
   obs::SpanGuard span(&obs::Tracer::Default(), cluster_->engine(), reader, 0,
                       "dfs", "dfs.read");
   span.Arg("bytes", bytes);
   DfsBytesCounter(/*is_write=*/false)->Increment(bytes);
 
-  uint64_t pos = 0;
-  for (const Block& block : file.blocks) {
-    uint64_t block_end = pos + block.size;
-    if (block_end > offset && pos < offset + bytes) {
-      uint64_t lo = std::max(pos, offset);
-      uint64_t hi = std::min(block_end, offset + bytes);
-      uint64_t chunk = hi - lo;
-      LocalFs& fs = cluster_->node(block.node).fs();
-      Status read = co_await fs.Read(block.local_file_id, lo - pos, chunk);
-      if (!read.ok()) co_return read;
-      if (block.node != reader) {
-        co_await cluster_->network().Transfer(block.node, reader, chunk);
-      }
+  // Start at the block covering `offset`: every earlier one ends at or
+  // before it.
+  const uint64_t end = offset + bytes;
+  for (size_t i = file.BlockAt(offset); i < file.blocks.size(); ++i) {
+    const Block& block = file.blocks[i];
+    const uint64_t start = file.BlockStart(i);
+    if (start >= end) break;
+    uint64_t lo = std::max(start, offset);
+    uint64_t chunk = std::min(block.end, end) - lo;
+    LocalFs& fs = cluster_->node(block.node).fs();
+    Status read = co_await fs.Read(block.local_file_id, lo - start, chunk);
+    if (!read.ok()) co_return read;
+    if (block.node != reader) {
+      co_await cluster_->network().Transfer(block.node, reader, chunk);
     }
-    pos = block_end;
-    if (pos >= offset + bytes) break;
   }
   co_return Status::OK();
 }
@@ -141,19 +146,17 @@ Status Dfs::Delete(const std::string& name) {
 Result<uint64_t> Dfs::Size(const std::string& name) const {
   auto it = files_.find(name);
   if (it == files_.end()) return NotFound("no DFS file: " + name);
-  return it->second.size;
+  return it->second.size();
 }
 
 Result<size_t> Dfs::BlockLocation(const std::string& name,
                                   uint64_t offset) const {
   auto it = files_.find(name);
   if (it == files_.end()) return NotFound("no DFS file: " + name);
-  uint64_t pos = 0;
-  for (const Block& block : it->second.blocks) {
-    if (offset < pos + block.size) return block.node;
-    pos += block.size;
-  }
-  return OutOfRange("offset past EOF");
+  const File& file = it->second;
+  size_t i = file.BlockAt(offset);
+  if (i == file.blocks.size()) return OutOfRange("offset past EOF");
+  return file.blocks[i].node;
 }
 
 }  // namespace spongefiles::cluster

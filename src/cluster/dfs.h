@@ -62,11 +62,20 @@ class Dfs {
   struct Block {
     size_t node;
     uint64_t local_file_id;
-    uint64_t size;
+    // File offset one past this block's last byte. Ends never decrease
+    // along a file, so the block covering an offset is a binary search.
+    uint64_t end;
   };
   struct File {
     std::vector<Block> blocks;
-    uint64_t size = 0;
+
+    uint64_t size() const { return blocks.empty() ? 0 : blocks.back().end; }
+    // Index of the first block ending past `offset`: the block covering it,
+    // or blocks.size() when offset >= size().
+    size_t BlockAt(uint64_t offset) const;
+    uint64_t BlockStart(size_t i) const {
+      return i == 0 ? 0 : blocks[i - 1].end;
+    }
   };
 
   // Adds one block of `bytes` on `node`, backed by a local file there.

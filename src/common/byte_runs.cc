@@ -221,29 +221,36 @@ void ByteRuns::Cursor::Skip(uint64_t n) {
   }
 }
 
-ByteRuns ByteRuns::SubRange(uint64_t offset, uint64_t n) const {
-  assert(offset + n <= size_);
+ByteRuns ByteRuns::Cursor::Take(uint64_t n) {
+  assert(n <= available());
   ByteRuns out;
-  if (n == 0) return out;
-  uint64_t run_start = 0;
-  for (const Run& run : runs_) {
-    uint64_t run_end = run_start + run.length;
-    if (run_end > offset && run_start < offset + n) {
-      uint64_t lo = std::max(run_start, offset);
-      uint64_t hi = std::min(run_end, offset + n);
-      Run piece = run;
-      piece.length = hi - lo;
-      if (run.is_literal()) {
-        piece.offset = run.offset + (lo - run_start);
-        out.physical_size_ += piece.length;
-      }
-      out.size_ += piece.length;
-      out.runs_.push_back(std::move(piece));
+  position_ += n;
+  while (n > 0) {
+    const Run& run = runs_->runs_[run_index_];
+    Run piece = run;
+    piece.length = std::min<uint64_t>(run.length - run_offset_, n);
+    if (run.is_literal()) {
+      piece.offset = run.offset + run_offset_;
+      out.physical_size_ += piece.length;
     }
-    run_start = run_end;
-    if (run_start >= offset + n) break;
+    out.size_ += piece.length;
+    n -= piece.length;
+    if (run_offset_ + piece.length == run.length) {
+      ++run_index_;
+      run_offset_ = 0;
+    } else {
+      run_offset_ += piece.length;
+    }
+    out.runs_.push_back(std::move(piece));
   }
   return out;
+}
+
+ByteRuns ByteRuns::SubRange(uint64_t offset, uint64_t n) const {
+  assert(offset + n <= size_);
+  Cursor cursor(this);
+  cursor.Skip(offset);
+  return cursor.Take(n);
 }
 
 ByteRuns::Run& ByteRuns::MutableRun(size_t i) {

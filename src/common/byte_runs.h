@@ -72,7 +72,9 @@ class ByteRuns {
 
   // Returns logical bytes [offset, offset + n) as a new ByteRuns sharing
   // this handle's buffers (zero runs stay unmaterialized). Requires
-  // offset + n <= size().
+  // offset + n <= size(). Walks the run list from the start, so it is
+  // O(runs before offset + n); a reader that slices a sequence front to
+  // back should hold a Cursor and call Take() instead.
   ByteRuns SubRange(uint64_t offset, uint64_t n) const;
 
   // Invokes `fn(logical_offset, data, length)` for every literal run,
@@ -137,6 +139,11 @@ class ByteRuns {
 
     // Consumes `n` bytes (n <= available()).
     void Skip(uint64_t n);
+
+    // Consumes `n` bytes (n <= available()) and returns them as a new
+    // ByteRuns sharing the underlying buffers, exactly as SubRange at
+    // position() would, but without rescanning the runs already passed.
+    ByteRuns Take(uint64_t n);
 
    private:
     const ByteRuns* runs_;

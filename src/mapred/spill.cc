@@ -44,18 +44,21 @@ class DiskSpillFile;
 
 class DiskSpillReader : public SpillReader {
  public:
-  explicit DiskSpillReader(DiskSpillFile* file) : file_(file) {}
+  explicit DiskSpillReader(DiskSpillFile* file);
   sim::Task<Result<ByteRuns>> ReadNext() override;
 
  private:
   DiskSpillFile* file_;
-  uint64_t offset_ = 0;
+  ByteRuns::Cursor cursor_;
 };
 
 class DiskSpillFile : public SpillFile {
  public:
   DiskSpillFile(cluster::LocalFs* fs, uint64_t file_id, SpillStats* stats)
       : fs_(fs), file_id_(file_id), stats_(stats) {}
+  // Pinned: the read cursor points into this object's content.
+  DiskSpillFile(const DiskSpillFile&) = delete;
+  DiskSpillFile& operator=(const DiskSpillFile&) = delete;
 
   ~DiskSpillFile() override {
     if (!deleted_) (void)fs_->Delete(file_id_);
@@ -78,13 +81,12 @@ class DiskSpillFile : public SpillFile {
 
   sim::Task<Result<ByteRuns>> ReadNext() override {
     if (!closed_) co_return FailedPrecondition("read before close");
-    if (read_offset_ >= size_) co_return ByteRuns{};
-    uint64_t n = std::min<uint64_t>(kMiB, size_ - read_offset_);
-    Status read = co_await fs_->Read(file_id_, read_offset_, n);
+    const uint64_t offset = cursor_.position();
+    if (offset >= size_) co_return ByteRuns{};
+    uint64_t n = std::min<uint64_t>(kMiB, size_ - offset);
+    Status read = co_await fs_->Read(file_id_, offset, n);
     if (!read.ok()) co_return read;
-    ByteRuns piece = content_.SubRange(read_offset_, n);
-    read_offset_ += n;
-    co_return piece;
+    co_return cursor_.Take(n);
   }
 
   Result<std::unique_ptr<SpillReader>> OpenReader() override {
@@ -111,19 +113,23 @@ class DiskSpillFile : public SpillFile {
   SpillStats* stats_;
   ByteRuns content_;
   uint64_t size_ = 0;
-  uint64_t read_offset_ = 0;
+  // The file's own read position. Appends before Close() only add runs
+  // after it, so a cursor still at the start stays valid.
+  ByteRuns::Cursor cursor_{&content_};
   bool closed_ = false;
   bool deleted_ = false;
 };
 
+DiskSpillReader::DiskSpillReader(DiskSpillFile* file)
+    : file_(file), cursor_(&file->content_) {}
+
 sim::Task<Result<ByteRuns>> DiskSpillReader::ReadNext() {
-  if (offset_ >= file_->size_) co_return ByteRuns{};
-  uint64_t n = std::min<uint64_t>(kMiB, file_->size_ - offset_);
-  Status read = co_await file_->fs_->Read(file_->file_id_, offset_, n);
+  const uint64_t offset = cursor_.position();
+  if (offset >= file_->size_) co_return ByteRuns{};
+  uint64_t n = std::min<uint64_t>(kMiB, file_->size_ - offset);
+  Status read = co_await file_->fs_->Read(file_->file_id_, offset, n);
   if (!read.ok()) co_return read;
-  ByteRuns piece = file_->content_.SubRange(offset_, n);
-  offset_ += n;
-  co_return piece;
+  co_return cursor_.Take(n);
 }
 
 // SpongeFile-backed spill file.
@@ -219,35 +225,34 @@ sim::Task<Status> MemorySpillFile::Close() {
 
 sim::Task<Result<ByteRuns>> MemorySpillFile::ReadNext() {
   if (!closed_) co_return FailedPrecondition("read before close");
-  if (read_offset_ >= size_) co_return ByteRuns{};
-  uint64_t n = std::min<uint64_t>(read_unit_, size_ - read_offset_);
+  const uint64_t offset = cursor_.position();
+  if (offset >= size_) co_return ByteRuns{};
+  uint64_t n = std::min<uint64_t>(read_unit_, size_ - offset);
   co_await engine_->Delay(TransferTime(n, memory_bandwidth_));
-  ByteRuns piece = content_.SubRange(read_offset_, n);
-  read_offset_ += n;
-  co_return piece;
+  co_return cursor_.Take(n);
 }
 
 Status MemorySpillFile::Rewind() {
-  read_offset_ = 0;
+  cursor_ = ByteRuns::Cursor(&content_);
   return Status::OK();
 }
 
 class MemorySpillFile::Reader : public SpillReader {
  public:
-  explicit Reader(MemorySpillFile* file) : file_(file) {}
+  explicit Reader(MemorySpillFile* file)
+      : file_(file), cursor_(&file->content_) {}
 
   sim::Task<Result<ByteRuns>> ReadNext() override {
-    if (offset_ >= file_->size_) co_return ByteRuns{};
-    uint64_t n = std::min<uint64_t>(file_->read_unit_, file_->size_ - offset_);
+    const uint64_t offset = cursor_.position();
+    if (offset >= file_->size_) co_return ByteRuns{};
+    uint64_t n = std::min<uint64_t>(file_->read_unit_, file_->size_ - offset);
     co_await file_->engine_->Delay(TransferTime(n, file_->memory_bandwidth_));
-    ByteRuns piece = file_->content_.SubRange(offset_, n);
-    offset_ += n;
-    co_return piece;
+    co_return cursor_.Take(n);
   }
 
  private:
   MemorySpillFile* file_;
-  uint64_t offset_ = 0;
+  ByteRuns::Cursor cursor_;
 };
 
 Result<std::unique_ptr<SpillReader>> MemorySpillFile::OpenReader() {

@@ -156,6 +156,9 @@ class MemorySpillFile : public SpillFile {
       : engine_(engine),
         read_unit_(read_unit),
         memory_bandwidth_(memory_bandwidth) {}
+  // Pinned: the read cursor points into this object's content.
+  MemorySpillFile(const MemorySpillFile&) = delete;
+  MemorySpillFile& operator=(const MemorySpillFile&) = delete;
 
   sim::Task<Status> Append(ByteRuns data) override;
   sim::Task<Status> Close() override;
@@ -176,7 +179,9 @@ class MemorySpillFile : public SpillFile {
   double memory_bandwidth_;
   ByteRuns content_;
   uint64_t size_ = 0;
-  uint64_t read_offset_ = 0;
+  // The file's own read position. Appends before Close() only add runs
+  // after it, so a cursor still at the start stays valid.
+  ByteRuns::Cursor cursor_{&content_};
   bool closed_ = false;
 };
 

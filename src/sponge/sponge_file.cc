@@ -1,7 +1,11 @@
 #include "sponge/sponge_file.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/crypto.h"
 #include "common/logging.h"
@@ -38,35 +42,48 @@ const MediumMetrics& MediumMetricsFor(ChunkLocation location) {
   return metrics[static_cast<size_t>(location)];
 }
 
-obs::Counter* DecisionCounter(std::string_view reason) {
-  static obs::Registry& registry = obs::Registry::Default();
-  static obs::Counter* const pool_full =
-      registry.counter("sponge.alloc.decisions", {{"reason", "pool-full"}});
-  static obs::Counter* const tracker_stale = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "tracker-stale"}});
-  static obs::Counter* const tracker_down = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "tracker-down"}});
-  static obs::Counter* const rack_restricted = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "rack-restricted"}});
-  static obs::Counter* const server_sick = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "server-sick"}});
-  static obs::Counter* const rpc_timeout = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "rpc-timeout"}});
-  static obs::Counter* const ssd_full = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "ssd-full"}});
-  static obs::Counter* const ssd_worn = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "ssd-worn"}});
-  static obs::Counter* const affinity_hit = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "affinity-hit"}});
-  if (reason == "pool-full") return pool_full;
-  if (reason == "ssd-full") return ssd_full;
-  if (reason == "ssd-worn") return ssd_worn;
-  if (reason == "tracker-stale") return tracker_stale;
-  if (reason == "tracker-down") return tracker_down;
-  if (reason == "rack-restricted") return rack_restricted;
-  if (reason == "server-sick") return server_sick;
-  if (reason == "rpc-timeout") return rpc_timeout;
-  return affinity_hit;
+// Why the allocation cascade moved past (or preferred) a placement. The
+// order is the cluster-wide counters' registration order.
+constexpr std::string_view kDecisionReasons[] = {
+    "pool-full", "tracker-stale", "tracker-down",
+    "rack-restricted", "server-sick", "rpc-timeout",
+    "ssd-full", "ssd-worn", "affinity-hit"};
+constexpr size_t kNumDecisionReasons = std::size(kDecisionReasons);
+
+size_t DecisionIndex(std::string_view reason) {
+  for (size_t i = 0; i < kNumDecisionReasons; ++i) {
+    if (kDecisionReasons[i] == reason) return i;
+  }
+  SPONGE_CHECK(false) << "unknown spill decision reason " << reason;
+  return 0;
+}
+
+obs::Counter* DecisionCounter(size_t reason) {
+  static const auto counters = [] {
+    std::array<obs::Counter*, kNumDecisionReasons> made{};
+    for (size_t i = 0; i < kNumDecisionReasons; ++i) {
+      made[i] = obs::Registry::Default().counter(
+          "sponge.alloc.decisions",
+          {{"reason", std::string(kDecisionReasons[i])}});
+    }
+    return made;
+  }();
+  return counters[reason];
+}
+
+// Per-rack decision counters, registered the first time a (rack, reason)
+// pair occurs so the snapshot carries no zero-valued pairs.
+obs::Counter* RackDecisionCounter(size_t rack, size_t reason) {
+  static std::vector<std::array<obs::Counter*, kNumDecisionReasons>> by_rack;
+  if (rack >= by_rack.size()) by_rack.resize(rack + 1);
+  obs::Counter*& counter = by_rack[rack][reason];
+  if (counter == nullptr) {
+    counter = obs::Registry::Default().counter(
+        "sponge.spill.reason",
+        {{"rack", std::to_string(rack)},
+         {"reason", std::string(kDecisionReasons[reason])}});
+  }
+  return counter;
 }
 
 // Remote-memory placements split by rack locality (the cross-rack rung).
@@ -128,13 +145,11 @@ obs::Counter* CorruptionCounter() {
 // event on the task's trace track.
 void SpillDecision(SpongeEnv* env, const TaskContext* task,
                    const char* reason) {
-  DecisionCounter(reason)->Increment();
+  const size_t index = DecisionIndex(reason);
+  DecisionCounter(index)->Increment();
   // The per-rack breakdown is what lets a tracker-shard outage be pinned
   // to its rack: only that rack's tracker-down count moves.
-  obs::Registry::Default()
-      .counter("sponge.spill.reason",
-               {{"rack", std::to_string(env->cluster()->rack_of(task->node))},
-                {"reason", reason}})
+  RackDecisionCounter(env->cluster()->rack_of(task->node), index)
       ->Increment();
   obs::Tracer& tracer = obs::Tracer::Default();
   if (tracer.enabled()) {
@@ -492,6 +507,14 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
         co_await env_->tracker().Query(task_->node);
     if (list.ok()) {
       free_list_ = std::move(*list);
+      // The candidate walk below relies on this: MergedView lists each
+      // server once (a rack's digest carries only that rack's servers).
+      std::vector<bool> listed(env_->cluster()->size(), false);
+      for (const FreeSpaceEntry& entry : free_list_) {
+        SPONGE_CHECK(!listed[entry.node])
+            << "tracker listed node " << entry.node << " twice";
+        listed[entry.node] = true;
+      }
     } else {
       // The tracker is an optimization, not a dependency: with no free
       // list we can still try affinity nodes, and otherwise fall to disk.
@@ -517,32 +540,44 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
     }
     return true;
   };
-  auto estimate_of = [&](size_t node) -> FreeSpaceEntry* {
-    for (FreeSpaceEntry& entry : free_list_) {
-      if (entry.node == node) return &entry;
-    }
-    return nullptr;
-  };
 
   // Candidate order: affinity nodes first (fewer distinct machines hold
   // this task's data, shrinking its failure footprint), then the rest of
-  // the tracker's list.
+  // the tracker's list. The list names each server once, so its entries
+  // only need deduping against the affinity prefix.
   std::vector<size_t> candidates;
   if (config.affinity) {
     for (size_t node : task_->sponge_affinity) {
       if (eligible(node)) candidates.push_back(node);
     }
   }
+  const size_t affinity_end = candidates.size();
   for (const FreeSpaceEntry& entry : free_list_) {
     if (eligible(entry.node) &&
-        std::find(candidates.begin(), candidates.end(), entry.node) ==
-            candidates.end()) {
+        std::find(candidates.begin(), candidates.begin() + affinity_end,
+                  entry.node) == candidates.begin() + affinity_end) {
       candidates.push_back(entry.node);
     }
   }
 
+  // The tracker's estimate for candidates[i]. Past the affinity prefix the
+  // candidates follow free_list_ order, so that lookup only moves forward.
+  size_t scan = 0;
+  auto estimate_of = [&](size_t i) -> FreeSpaceEntry* {
+    const size_t node = candidates[i];
+    if (i < affinity_end) {
+      for (FreeSpaceEntry& entry : free_list_) {
+        if (entry.node == node) return &entry;
+      }
+      return nullptr;
+    }
+    while (free_list_[scan].node != node) ++scan;
+    return &free_list_[scan];
+  };
+
   ChunkOwner owner{task_->task_id, task_->node};
-  for (size_t node : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const size_t node = candidates[i];
     if (std::find(bounced_nodes_.begin(), bounced_nodes_.end(), node) !=
         bounced_nodes_.end()) {
       continue;
@@ -552,7 +587,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
     // exhausted even when their small classes still advertise free bytes.
     const uint64_t need =
         env_->server(node).pool().class_bytes_for(bytes);
-    FreeSpaceEntry* estimate = estimate_of(node);
+    FreeSpaceEntry* estimate = estimate_of(i);
     if (estimate != nullptr &&
         (estimate->free_bytes == 0 ||
          (need >= env_->config().chunk_size &&

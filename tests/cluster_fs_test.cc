@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
 #include "cluster/local_fs.h"
@@ -221,6 +225,143 @@ TEST(DfsTest, RemoteReadUsesNetwork) {
   engine.Run();
   EXPECT_TRUE(out.ok());
   EXPECT_EQ(cluster.network().bytes_transferred(), MiB(10));
+}
+
+// A file of five blocks, each of a different size and on its own node:
+// two from CreateFile (the second partial), three from AppendBlock (the
+// last partial). Block owners are read off the nodes' disk usage, so the
+// linear model below does not depend on how Dfs indexes its blocks.
+struct MixedBlockFile {
+  static constexpr uint64_t kSizes[] = {Dfs::kBlockSize, MiB(40), MiB(100),
+                                        MiB(64), MiB(7)};
+
+  sim::Engine engine;
+  Cluster cluster;
+  Dfs dfs;
+  std::vector<size_t> owners;  // owners[i] holds block i
+
+  MixedBlockFile() : cluster(&engine, Config()), dfs(&cluster) {
+    EXPECT_TRUE(dfs.CreateFile("f", kSizes[0] + kSizes[1]).ok());
+    auto append = [](Dfs* fs) -> sim::Task<> {
+      for (size_t i = 2; i < std::size(kSizes); ++i) {
+        EXPECT_TRUE((co_await fs->AppendBlock("f", 0, kSizes[i])).ok());
+      }
+    };
+    engine.Spawn(append(&dfs));
+    engine.Run();
+    for (uint64_t size : kSizes) {
+      for (size_t node = 0; node < cluster.size(); ++node) {
+        if (cluster.node(node).fs().used() == size) owners.push_back(node);
+      }
+    }
+    EXPECT_EQ(owners.size(), std::size(kSizes));
+  }
+
+  static ClusterConfig Config() {
+    ClusterConfig config;
+    config.num_nodes = 8;
+    config.nodes_per_rack = 4;
+    return config;
+  }
+
+  // Owner of the block covering `offset` by a walk from block 0.
+  Result<size_t> LinearOwner(uint64_t offset) const {
+    uint64_t end = 0;
+    for (size_t i = 0; i < std::size(kSizes); ++i) {
+      end += kSizes[i];
+      if (offset < end) return owners[i];
+    }
+    return OutOfRange("offset past EOF");
+  }
+};
+
+TEST(DfsTest, BlockLookupMatchesLinearScan) {
+  MixedBlockFile f;
+  ASSERT_EQ(f.owners.size(), std::size(MixedBlockFile::kSizes));
+  const uint64_t size = *f.dfs.Size("f");
+  std::vector<uint64_t> probes = {0};
+  uint64_t end = 0;
+  for (uint64_t block : MixedBlockFile::kSizes) {
+    end += block;
+    probes.push_back(end - 1);  // the block's last byte
+    probes.push_back(end);      // the next block's first byte; size() last
+  }
+  EXPECT_EQ(end, size);
+  for (uint64_t offset : probes) {
+    Result<size_t> want = f.LinearOwner(offset);
+    Result<size_t> got = f.dfs.BlockLocation("f", offset);
+    ASSERT_EQ(got.ok(), want.ok()) << "offset " << offset;
+    if (want.ok()) {
+      EXPECT_EQ(*got, *want) << "offset " << offset;
+    } else {
+      EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange);
+    }
+  }
+
+  // A read spanning blocks 0-2 charges the same disks, network and
+  // simulated time as one read per block piece on an identical file.
+  MixedBlockFile pieces;
+  ASSERT_EQ(f.owners, pieces.owners);
+  const uint64_t offset = Dfs::kBlockSize - MiB(10);
+  const std::vector<std::pair<uint64_t, uint64_t>> parts = {
+      {offset, MiB(10)}, {Dfs::kBlockSize, MiB(40)},
+      {Dfs::kBlockSize + MiB(40), MiB(20)}};
+  // A reader holding none of the blocks, so every piece crosses the network.
+  size_t reader = 0;
+  while (f.cluster.node(reader).fs().used() != 0) ++reader;
+
+  struct Charges {
+    std::vector<uint64_t> disk_read, disk_requests;
+    uint64_t network = 0;
+    SimTime elapsed = 0;
+    bool operator==(const Charges&) const = default;
+  };
+  auto measure = [reader](MixedBlockFile* file,
+                          std::vector<std::pair<uint64_t, uint64_t>> reads) {
+    Charges before;
+    for (size_t n = 0; n < file->cluster.size(); ++n) {
+      before.disk_read.push_back(file->cluster.node(n).disk().bytes_read());
+      before.disk_requests.push_back(file->cluster.node(n).disk().requests());
+    }
+    before.network = file->cluster.network().bytes_transferred();
+    const SimTime start = file->engine.now();
+    auto run = [](Dfs* fs, size_t node,
+                  std::vector<std::pair<uint64_t, uint64_t>> ranges)
+        -> sim::Task<> {
+      for (auto [at, bytes] : ranges) {
+        EXPECT_TRUE((co_await fs->Read("f", node, at, bytes)).ok());
+      }
+    };
+    file->engine.Spawn(run(&file->dfs, reader, std::move(reads)));
+    file->engine.Run();
+    Charges delta;
+    for (size_t n = 0; n < file->cluster.size(); ++n) {
+      delta.disk_read.push_back(file->cluster.node(n).disk().bytes_read() -
+                                before.disk_read[n]);
+      delta.disk_requests.push_back(file->cluster.node(n).disk().requests() -
+                                    before.disk_requests[n]);
+    }
+    delta.network =
+        file->cluster.network().bytes_transferred() - before.network;
+    delta.elapsed = file->engine.now() - start;
+    return delta;
+  };
+  Charges whole = measure(&f, {{offset, MiB(70)}});
+  Charges split = measure(&pieces, parts);
+  EXPECT_EQ(whole, split);
+  EXPECT_EQ(whole.network, MiB(70));
+  for (size_t n = 0; n < f.cluster.size(); ++n) {
+    const bool owns_a_piece = n == f.owners[0] ||
+                              n == f.owners[1] ||
+                              n == f.owners[2];
+    if (!owns_a_piece) {
+      EXPECT_EQ(whole.disk_read[n], 0u) << "node " << n;
+    }
+  }
+  // CreateFile's blocks are uncached, so their pieces come off the disk
+  // (block 2 was just appended and is served by its owner's cache).
+  EXPECT_GE(whole.disk_read[f.owners[0]], MiB(10));
+  EXPECT_GE(whole.disk_read[f.owners[1]], MiB(40));
 }
 
 }  // namespace

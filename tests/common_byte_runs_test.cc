@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/random.h"
@@ -174,6 +176,68 @@ TEST_P(ByteRunsPropertyTest, MatchesReferenceModel) {
   }
   auto bytes = runs.ToBytes();
   EXPECT_EQ(std::string(bytes.begin(), bytes.end()), model);
+}
+
+// Cursor::Take against SubRange and the string model: interleaved Skip and
+// Take calls over random literal and zero runs, including empty takes and
+// takes that end exactly on an append boundary.
+TEST_P(ByteRunsPropertyTest, CursorTakeMatchesSubRange) {
+  Rng rng(GetParam());
+  ByteRuns runs;
+  std::string model;
+  std::vector<uint64_t> boundaries;  // model size after each append
+  for (int i = 0; i < 60; ++i) {
+    if (rng.Uniform(2) == 0) {
+      std::string data = MakeData(rng.Uniform(300) + 1, rng.Next());
+      runs.AppendLiteral(Slice(data));
+      model += data;
+    } else {
+      uint64_t n = rng.Uniform(500) + 1;
+      runs.AppendZeros(n);
+      model += std::string(n, '\0');
+    }
+    boundaries.push_back(model.size());
+  }
+
+  ByteRuns::Cursor cursor(&runs);
+  size_t next_boundary = 0;
+  int takes = 0;
+  while (cursor.available() > 0) {
+    const uint64_t at = cursor.position();
+    while (boundaries[next_boundary] <= at) ++next_boundary;
+    uint64_t n = 0;
+    switch (rng.Uniform(4)) {
+      case 0:
+        break;  // Take(0) / Skip(0)
+      case 1:
+        n = boundaries[next_boundary] - at;
+        break;
+      default:
+        n = rng.Uniform(std::min<uint64_t>(cursor.available(), 700)) + 1;
+    }
+    if (rng.Uniform(4) == 0) {
+      cursor.Skip(n);
+    } else {
+      ByteRuns piece = cursor.Take(n);
+      ByteRuns expected = runs.SubRange(at, n);
+      const std::string want = model.substr(at, n);
+      auto got = piece.ToBytes();
+      EXPECT_EQ(std::string(got.begin(), got.end()), want) << "at " << at;
+      EXPECT_EQ(piece.size(), expected.size());
+      EXPECT_EQ(piece.physical_size(), expected.physical_size());
+      // Literal bytes are letters, so the literal count is the non-zero
+      // count.
+      EXPECT_EQ(piece.physical_size(),
+                static_cast<uint64_t>(std::count_if(
+                    want.begin(), want.end(), [](char c) { return c != 0; })));
+      EXPECT_EQ(piece.Checksum64(), expected.Checksum64());
+      EXPECT_EQ(piece.Checksum64(), Checksum::Of(Slice(want)));
+      ++takes;
+    }
+    ASSERT_EQ(cursor.position(), at + n);
+  }
+  EXPECT_EQ(cursor.position(), model.size());
+  EXPECT_GT(takes, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteRunsPropertyTest,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
@@ -154,6 +156,69 @@ TEST(SpillFileTest, MemorySpillRewindable) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(first.size(), 10u);
   EXPECT_EQ(first.size(), second.size());
+}
+
+// Readers hold their own cursor: two interleaved readers of one disk spill
+// file and a rewound memory spill file all return the same 1 MiB chunks,
+// including chunks that cut literal and zero runs mid-way.
+TEST(SpillFileTest, ReadersAndRewindReturnIdenticalChunks) {
+  MrFixture f;
+  DiskSpiller spiller(&f.engine, &f.cluster_->node(0).fs(), "t");
+  struct Chunk {
+    uint64_t size;
+    uint64_t checksum;
+    bool operator==(const Chunk&) const = default;
+  };
+  std::vector<Chunk> reader_a, reader_b, memory_first, memory_second;
+  Status status;
+  auto run = [&]() -> sim::Task<> {
+    auto disk = spiller.Create("run0");
+    MemorySpillFile memory(&f.engine);
+    for (int i = 0; i < 7; ++i) {
+      ByteRuns piece;
+      std::string literal(3000 + 977 * i, static_cast<char>('a' + i));
+      piece.AppendLiteral(Slice(literal));
+      piece.AppendZeros(kMiB / 2 + 4099 * i);
+      (void)co_await (*disk)->Append(piece);
+      (void)co_await memory.Append(std::move(piece));
+    }
+    (void)co_await (*disk)->Close();
+    (void)co_await memory.Close();
+
+    auto read_all = [](auto* source, std::vector<Chunk>* out) -> sim::Task<> {
+      while (true) {
+        auto chunk = co_await source->ReadNext();
+        if (!chunk.ok() || chunk->empty()) break;
+        out->push_back({chunk->size(), chunk->Checksum64()});
+      }
+    };
+    auto a = (*disk)->OpenReader();
+    auto b = (*disk)->OpenReader();
+    // Interleave the two readers chunk by chunk.
+    while (true) {
+      auto from_a = co_await (*a)->ReadNext();
+      auto from_b = co_await (*b)->ReadNext();
+      if (!from_a.ok() || !from_b.ok()) {
+        status = !from_a.ok() ? from_a.status() : from_b.status();
+        co_return;
+      }
+      if (from_a->empty() && from_b->empty()) break;
+      reader_a.push_back({from_a->size(), from_a->Checksum64()});
+      reader_b.push_back({from_b->size(), from_b->Checksum64()});
+    }
+    co_await read_all(&memory, &memory_first);
+    EXPECT_TRUE(memory.Rewind().ok());
+    co_await read_all(&memory, &memory_second);
+    co_await (*disk)->Delete();
+    status = Status::OK();
+  };
+  f.engine.Spawn(run());
+  f.engine.Run();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(reader_a.size(), 4u);  // ~3.7 MiB in 1 MiB reads
+  EXPECT_EQ(reader_a, reader_b);
+  EXPECT_EQ(memory_first, reader_a);
+  EXPECT_EQ(memory_second, reader_a);
 }
 
 TEST(MergeTest, TwoSortedRunsMergeInOrder) {

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
@@ -179,6 +181,42 @@ TEST(TrackerShardTest, DeadShardsDigestAgesOutOfOtherRacksAnswers) {
   EXPECT_FALSE(HasEntryOnRack(*aged, 0));
   EXPECT_TRUE(HasEntryOnRack(*aged, 1));
   EXPECT_TRUE(HasEntryOnRack(*aged, 2));
+
+  f.env->StopServices();
+  f.engine.Run();
+}
+
+// SpongeFile::AllocateRemote dedupes the tracker's list only against its
+// affinity prefix, so a merged answer must never name a server twice —
+// across gossip rounds, after a shard goes down, once its digest has aged
+// out, and after it comes back.
+TEST(TrackerShardTest, MergedViewListsEachServerOnce) {
+  MemoryTrackerConfig tracker_config;
+  tracker_config.poll_period = Seconds(1);
+  tracker_config.gossip_period = Seconds(1);
+  tracker_config.max_digest_age = Seconds(3);
+  RackFixture f(/*num_nodes=*/8, /*nodes_per_rack=*/2, SpongeConfig{},
+                tracker_config);
+  f.env->tracker().Start();
+  bool saw_expired = false;
+  for (int second = 0; second < 16; ++second) {
+    if (second == 3) f.env->tracker().SetShardDown(0, true);
+    if (second == 11) f.env->tracker().SetShardDown(0, false);
+    f.engine.RunUntil(f.engine.now() + Seconds(1));
+    for (size_t rack = 0; rack < f.env->tracker().num_shards(); ++rack) {
+      std::vector<FreeSpaceEntry> view =
+          f.env->tracker().shard(rack).MergedView(f.engine.now());
+      std::set<size_t> nodes;
+      for (const FreeSpaceEntry& entry : view) {
+        EXPECT_TRUE(nodes.insert(entry.node).second)
+            << "node " << entry.node << " listed twice by rack " << rack
+            << "'s shard at second " << second;
+      }
+      if (rack != 0 && !HasEntryOnRack(view, 0)) saw_expired = true;
+    }
+  }
+  // The dead shard's digest did age out of the other racks' answers.
+  EXPECT_TRUE(saw_expired);
 
   f.env->StopServices();
   f.engine.Run();

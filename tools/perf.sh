@@ -5,11 +5,13 @@
 #   1. Run-to-run determinism: bench_selfperf's fixed suite twice; sim
 #      summary, metrics snapshot, and trace must be byte-identical between
 #      the runs.
-#   2. Datacenter artifact: bench_datacenter at its default shape (16 racks
-#      x 32 nodes, 1,200 jobs). The committed BENCH_datacenter.json must
-#      have the same shape and build type, and its simulated digest must
-#      equal the fresh run's — a stale or differently-shaped artifact fails
-#      the gate instead of being compared.
+#   2. Datacenter and recovery artifacts: bench_datacenter (16 racks x 32
+#      nodes, 1,200 jobs) and bench_recovery (16 racks x 32 nodes, 600
+#      tasks, 6 crashes) at their default shapes. Each committed
+#      BENCH_datacenter.json / BENCH_recovery.json must have the same shape
+#      and build type, and its simulated digest must equal the fresh run's —
+#      a stale or differently-shaped artifact fails the gate instead of
+#      being compared.
 #   3. Pool gate (DESIGN.md §14): fig5_contention once on the tiered
 #      size-classed pool and once on --pool=flat (the pre-tiered global
 #      lock). The tiered pool's summed job runtime — a simulated,
@@ -21,9 +23,10 @@
 # this build against the recorded one. The committed file must match the
 # run's shape (chaos seeds, pool, build type); perf.sh refuses to compare
 # otherwise. To re-record at a new shape, delete BENCH_selfperf.json (the
-# second run then uses the first as its baseline) or re-run
-# bench_datacenter for BENCH_datacenter.json. The datacenter and pool
-# numbers are spliced in at the end.
+# second run then uses the first as its baseline), or re-run
+# bench_datacenter / bench_recovery for BENCH_datacenter.json /
+# BENCH_recovery.json. The datacenter and pool numbers are spliced in at
+# the end.
 #
 # Usage: tools/perf.sh [--chaos-seeds=N] [--out=PATH] [--keep-work]
 set -euo pipefail
@@ -69,12 +72,15 @@ same_shape() {
 # Copy the committed reports first: --out may overwrite them.
 committed_sp="$work/committed_selfperf.json"
 committed_dc="$work/committed_datacenter.json"
+committed_rc="$work/committed_recovery.json"
 [ -f "$repo/BENCH_selfperf.json" ] && cp "$repo/BENCH_selfperf.json" "$committed_sp"
 [ -f "$repo/BENCH_datacenter.json" ] && cp "$repo/BENCH_datacenter.json" "$committed_dc"
+[ -f "$repo/BENCH_recovery.json" ] && cp "$repo/BENCH_recovery.json" "$committed_rc"
 
 echo "== building ($build)"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$build" --target bench_selfperf bench_datacenter -j "$(nproc)"
+cmake --build "$build" --target bench_selfperf bench_datacenter \
+  bench_recovery -j "$(nproc)"
 
 echo
 echo "== gate 1: run-to-run determinism"
@@ -106,7 +112,7 @@ for pair in sim metrics trace; do
 done
 
 echo
-echo "== gate 2: datacenter artifact (default shape)"
+echo "== gate 2: datacenter and recovery artifacts (default shapes)"
 "$build/bench/bench_datacenter" --out="$work/dc.json"
 dc_wall="$(field "$work/dc.json" wall_ms)"
 dc_jobs="$(field "$work/dc.json" jobs)"
@@ -122,6 +128,18 @@ if [ -f "$committed_dc" ]; then
   fi
   echo "  wall: committed $(field "$committed_dc" wall_ms) ms" \
        "($(field "$committed_dc" host_cores) cores), now ${dc_wall} ms"
+fi
+"$build/bench/bench_recovery" --out="$work/rc.json" >/dev/null
+if [ -f "$committed_rc" ]; then
+  same_shape BENCH_recovery.json "$committed_rc" "$work/rc.json" \
+    bench racks nodes jobs crashes crash_at_us seed build_type
+  if [ "$(field "$committed_rc" digest)" = "$(field "$work/rc.json" digest)" ]; then
+    echo "  committed BENCH_recovery.json matches this build's simulation"
+  else
+    echo "  committed BENCH_recovery.json is stale: digest" \
+         "$(field "$committed_rc" digest) vs $(field "$work/rc.json" digest)" >&2
+    exit 1
+  fi
 fi
 
 echo
