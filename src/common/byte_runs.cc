@@ -12,6 +12,10 @@ namespace {
 // A zero run is represented as a null buffer with length > 0. Literal runs
 // with length 0 never appear in runs_.
 constexpr uint64_t kMergeLiteralThreshold = 64 * 1024;
+// Capacity reserved for a fresh literal buffer, so the next few record
+// headers can be packed into it (see AppendLiteral). 512 bytes holds
+// several headers and keeps peak RSS flat; larger reservations raised it.
+constexpr uint64_t kLiteralBufferReserve = 512;
 }  // namespace
 
 ByteRuns::ByteRuns(const ByteRuns& other)
@@ -52,9 +56,29 @@ void ByteRuns::AppendLiteral(Slice data) {
     return;
   }
   Run run;
-  run.buffer = std::make_shared<Buffer>(data.data(),
-                                        data.data() + data.size());
   run.length = data.size();
+  // Header packing: a literal after a zero filler run (the next record's
+  // header after the previous record's filler) gets its own run, but in
+  // the previous literal's buffer when that run still ends at the buffer's
+  // end and the buffer has spare capacity — the same grow-at-the-end rule
+  // as above, without a reallocation. Copy-on-write stays per run:
+  // MutableRun copies only the mutated run's own view.
+  if (runs_.size() >= 2 && !runs_.back().is_literal()) {
+    const Run& prev = runs_[runs_.size() - 2];
+    if (prev.is_literal() &&
+        prev.offset + prev.length == prev.buffer->size() &&
+        prev.buffer->capacity() - prev.buffer->size() >= data.size()) {
+      run.buffer = prev.buffer;
+      run.offset = run.buffer->size();
+      run.buffer->insert(run.buffer->end(), data.data(),
+                         data.data() + data.size());
+      runs_.push_back(std::move(run));
+      return;
+    }
+  }
+  run.buffer = std::make_shared<Buffer>();
+  run.buffer->reserve(std::max<uint64_t>(data.size(), kLiteralBufferReserve));
+  run.buffer->assign(data.data(), data.data() + data.size());
   runs_.push_back(std::move(run));
 }
 
@@ -91,6 +115,28 @@ void ByteRuns::Append(const ByteRuns& other) {
     size_ += run.length;
     physical_size_ += run.length;
   }
+}
+
+void ByteRuns::Append(ByteRuns&& other) {
+  if (&other == this) {
+    Append(static_cast<const ByteRuns&>(other));
+    return;
+  }
+  if (runs_.empty()) {
+    *this = std::move(other);
+  } else if (!other.empty()) {
+    InvalidateChecksum();
+    for (Run& run : other.runs_) {
+      if (!run.is_literal()) {
+        AppendZeros(run.length);
+        continue;
+      }
+      size_ += run.length;
+      physical_size_ += run.length;
+      runs_.push_back(std::move(run));
+    }
+  }
+  other.Clear();
 }
 
 void ByteRuns::Read(uint64_t offset, uint64_t n, uint8_t* out) const {
@@ -204,6 +250,14 @@ void ByteRuns::Cursor::Peek(uint64_t n, uint8_t* out) const {
   }
 }
 
+const uint8_t* ByteRuns::Cursor::View(uint64_t n) const {
+  assert(n <= available());
+  if (n == 0) return nullptr;
+  const Run& run = runs_->runs_[run_index_];
+  if (!run.is_literal() || run.length - run_offset_ < n) return nullptr;
+  return run.data() + run_offset_;
+}
+
 void ByteRuns::Cursor::Skip(uint64_t n) {
   assert(n <= available());
   position_ += n;
@@ -224,10 +278,17 @@ void ByteRuns::Cursor::Skip(uint64_t n) {
 ByteRuns ByteRuns::Cursor::Take(uint64_t n) {
   assert(n <= available());
   ByteRuns out;
+  // Count the pieces first so the run vector is allocated once.
+  size_t pieces = 0;
+  for (uint64_t need = n > 0 ? n + run_offset_ : 0; need > 0; ++pieces) {
+    need -= std::min(need, runs_->runs_[run_index_ + pieces].length);
+  }
+  out.runs_.reserve(pieces);
   position_ += n;
   while (n > 0) {
     const Run& run = runs_->runs_[run_index_];
-    Run piece = run;
+    out.runs_.push_back(run);
+    Run& piece = out.runs_.back();
     piece.length = std::min<uint64_t>(run.length - run_offset_, n);
     if (run.is_literal()) {
       piece.offset = run.offset + run_offset_;
@@ -241,7 +302,6 @@ ByteRuns ByteRuns::Cursor::Take(uint64_t n) {
     } else {
       run_offset_ += piece.length;
     }
-    out.runs_.push_back(std::move(piece));
   }
   return out;
 }

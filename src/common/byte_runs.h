@@ -47,7 +47,10 @@ class ByteRuns {
   ByteRuns(ByteRuns&&) = default;
   ByteRuns& operator=(ByteRuns&&) = default;
 
-  // Appends real bytes.
+  // Appends real bytes. Small appends share buffers: a literal directly
+  // after another extends it, and a literal after a zero run is packed
+  // into the buffer of the literal before that run when it still has room
+  // (record headers around their filler share one allocation).
   void AppendLiteral(Slice data);
 
   // Appends `n` logical zero bytes without materializing them.
@@ -55,6 +58,9 @@ class ByteRuns {
 
   // Appends all of `other` by sharing its buffers.
   void Append(const ByteRuns& other);
+  // Same, but takes over `other`'s run descriptors instead of copying them
+  // (no reference-count traffic); `other` is left empty.
+  void Append(ByteRuns&& other);
 
   // Copies logical bytes [offset, offset + n) into `out`. Zero runs read
   // back as 0x00. Requires offset + n <= size().
@@ -137,6 +143,12 @@ class ByteRuns {
     // (n <= available()).
     void Peek(uint64_t n, uint8_t* out) const;
 
+    // The `n` bytes at the cursor in place (n <= available()) when they
+    // lie within one literal run, else nullptr (use Peek). The pointer is
+    // valid only until the next append to any handle sharing the buffer,
+    // which may reallocate it.
+    const uint8_t* View(uint64_t n) const;
+
     // Consumes `n` bytes (n <= available()).
     void Skip(uint64_t n);
 
@@ -153,6 +165,8 @@ class ByteRuns {
   };
 
  private:
+  friend struct ByteRunsTestPeer;  // inspects buffer sharing in tests
+
   using Buffer = std::vector<uint8_t>;
   using BufferRef = std::shared_ptr<Buffer>;
 

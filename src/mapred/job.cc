@@ -2,16 +2,6 @@
 
 namespace spongefiles::mapred {
 
-sim::Task<> CpuMeter::Charge(Duration cost) {
-  debt_ += cost;
-  total_ += cost;
-  if (debt_ >= kMillisecond) {
-    Duration sleep = debt_;
-    debt_ = 0;
-    co_await engine_->Delay(sleep);
-  }
-}
-
 sim::Task<> CpuMeter::Flush() {
   if (debt_ > 0) {
     Duration sleep = debt_;

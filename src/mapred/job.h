@@ -1,6 +1,7 @@
 #ifndef SPONGEFILES_MAPRED_JOB_H_
 #define SPONGEFILES_MAPRED_JOB_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,7 +26,24 @@ class CpuMeter {
  public:
   explicit CpuMeter(sim::Engine* engine) : engine_(engine) {}
 
-  sim::Task<> Charge(Duration cost);
+  // Awaitable: adds `cost` to the debt. Ready at once (no suspension, no
+  // coroutine frame) while the debt stays under 1 ms; once it reaches
+  // 1 ms the caller sleeps off the whole debt in one engine event.
+  auto Charge(Duration cost) {
+    struct [[nodiscard]] Awaiter {
+      CpuMeter* meter;
+      bool await_ready() const { return meter->debt_ < kMillisecond; }
+      void await_suspend(std::coroutine_handle<> h) {
+        sim::Engine* engine = meter->engine_;
+        engine->ScheduleHandle(engine->now() + meter->debt_, h);
+        meter->debt_ = 0;
+      }
+      void await_resume() const {}
+    };
+    debt_ += cost;
+    total_ += cost;
+    return Awaiter{this};
+  }
   sim::Task<> Flush();
 
   Duration total_charged() const { return total_; }

@@ -53,8 +53,8 @@ sim::Task<Status> MapTask::SortAndSpill() {
   ++spill_count_;
   for (size_t p = 0; p < buffer_.size(); ++p) {
     if (buffer_[p].empty()) continue;
-    std::sort(buffer_[p].begin(), buffer_[p].end(),
-              [](const Record& a, const Record& b) { return a.key < b.key; });
+    SortRecords(&buffer_[p],
+                [](const Record& a, const Record& b) { return a.key < b.key; });
     VectorSource source(std::move(buffer_[p]));
     buffer_[p] = {};
     auto run = co_await WriteSortedRun(

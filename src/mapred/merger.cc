@@ -6,33 +6,40 @@
 
 namespace spongefiles::mapred {
 
-sim::Task<Result<bool>> SpillFileSource::Next(Record* out) {
-  if (exhausted_ && parser_.pending_bytes() == 0) co_return false;
-  while (!parser_.Next(out)) {
-    if (exhausted_) {
-      if (parser_.pending_bytes() != 0) {
-        co_return Internal("truncated record at end of spill file");
-      }
-      co_return false;
-    }
+sim::Task<Result<bool>> RecordSource::FillUntilNext(Record* out) {
+  do {
+    auto more = co_await Fill();
+    if (!more.ok()) co_return more.status();
+    if (!*more) co_return false;
+  } while (!TryNext(out));
+  co_return true;
+}
+
+sim::Task<Result<bool>> SpillFileSource::Fill() {
+  if (!exhausted_) {
     auto chunk = co_await file_->ReadNext();
     if (!chunk.ok()) co_return chunk.status();
-    if (chunk->empty()) {
-      exhausted_ = true;
-    } else {
-      parser_.Feed(*chunk);
+    if (!chunk->empty()) {
+      parser_.Feed(std::move(*chunk));
+      co_return true;
     }
+    exhausted_ = true;
   }
-  co_return true;
+  if (parser_.pending_bytes() != 0) {
+    co_return Internal("truncated record at end of spill file");
+  }
+  co_return false;
 }
 
 sim::Task<> SpillFileSource::Done() { co_await file_->Delete(); }
 
-sim::Task<Result<bool>> VectorSource::Next(Record* out) {
-  if (next_ >= records_.size()) co_return false;
+bool VectorSource::TryNext(Record* out) {
+  if (next_ >= records_.size()) return false;
   *out = std::move(records_[next_++]);
-  co_return true;
+  return true;
 }
+
+sim::Task<Result<bool>> VectorSource::Fill() { co_return false; }
 
 sim::Task<> VectorSource::Done() {
   records_.clear();
@@ -40,8 +47,9 @@ sim::Task<> VectorSource::Done() {
 }
 
 namespace {
-bool HeadLess(const MergeStream::Head& a, const MergeStream::Head& b) {
-  return a.record.key < b.record.key;
+// Heap order: a min-heap by key (std heap algorithms build max-heaps).
+bool HeapAfter(const MergeStream::Head& a, const MergeStream::Head& b) {
+  return b.record.key < a.record.key;
 }
 }  // namespace
 
@@ -52,29 +60,47 @@ sim::Task<Status> MergeStream::Prime() {
     if (!has.ok()) co_return has.status();
     if (*has) heap_.push_back(Head{std::move(record), i});
   }
-  std::make_heap(heap_.begin(), heap_.end(),
-                 [](const Head& a, const Head& b) { return HeadLess(b, a); });
+  std::make_heap(heap_.begin(), heap_.end(), HeapAfter);
   primed_ = true;
   co_return Status::OK();
 }
 
-sim::Task<Result<bool>> MergeStream::Next(Record* out) {
+bool MergeStream::TryNext(Record* out) {
+  if (has_ready_) {
+    std::swap(*out, ready_);
+    has_ready_ = false;
+    return true;
+  }
+  if (!primed_ || stashed_ || heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), HeapAfter);
+  Head& head = heap_.back();
+  if (!inputs_[head.input]->TryNext(&refill_)) {
+    stashed_ = true;  // refilling needs I/O: hand the head out after Fill
+    return false;
+  }
+  std::swap(*out, head.record);
+  std::swap(head.record, refill_);
+  std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
+  return true;
+}
+
+sim::Task<Result<bool>> MergeStream::Fill() {
   if (!primed_) {
     Status primed = co_await Prime();
     if (!primed.ok()) co_return primed;
+    co_return !heap_.empty();
   }
-  if (heap_.empty()) co_return false;
-  auto cmp = [](const Head& a, const Head& b) { return HeadLess(b, a); };
-  std::pop_heap(heap_.begin(), heap_.end(), cmp);
-  Head head = std::move(heap_.back());
-  heap_.pop_back();
-  *out = std::move(head.record);
-  Record refill;
-  auto has = co_await inputs_[head.input]->Next(&refill);
+  if (!stashed_) co_return has_ready_ || !heap_.empty();
+  auto has = co_await inputs_[heap_.back().input]->Next(&refill_);
   if (!has.ok()) co_return has.status();
+  stashed_ = false;
+  std::swap(ready_, heap_.back().record);
+  has_ready_ = true;
   if (*has) {
-    heap_.push_back(Head{std::move(refill), head.input});
-    std::push_heap(heap_.begin(), heap_.end(), cmp);
+    std::swap(heap_.back().record, refill_);
+    std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
+  } else {
+    heap_.pop_back();
   }
   co_return true;
 }

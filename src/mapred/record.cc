@@ -97,12 +97,13 @@ uint64_t ParseHeader(const uint8_t* p, Record* out) {
   cursor += 8;
   uint16_t nfields = GetRaw<uint16_t>(cursor);
   cursor += 2;
-  out->fields.clear();
-  out->fields.reserve(nfields);
-  for (uint16_t i = 0; i < nfields; ++i) {
+  // Assign in place: a record reused across Next() calls keeps its
+  // strings' capacity.
+  out->fields.resize(nfields);
+  for (std::string& field : out->fields) {
     uint32_t len = GetRaw<uint32_t>(cursor);
     cursor += 4;
-    out->fields.emplace_back(reinterpret_cast<const char*>(cursor), len);
+    field.assign(reinterpret_cast<const char*>(cursor), len);
     cursor += len;
   }
   return static_cast<uint64_t>(cursor - p);
@@ -110,18 +111,24 @@ uint64_t ParseHeader(const uint8_t* p, Record* out) {
 
 }  // namespace
 
-void RecordParser::Feed(const ByteRuns& chunk) {
-  // Drop what Next() consumed, share the new chunk's runs, and rebuild the
-  // cursor (mutation invalidates it). No payload byte is copied.
+void RecordParser::Feed(ByteRuns chunk) {
+  // Drop what Next() consumed, take over the new chunk's runs, and rebuild
+  // the cursor (mutation invalidates it). No payload byte is copied.
   pending_.TrimPrefix(cursor_.position());
-  pending_.Append(chunk);
+  pending_.Append(std::move(chunk));
   cursor_ = ByteRuns::Cursor(&pending_);
 }
 
 bool RecordParser::Next(Record* out) {
   if (cursor_.available() < 12) return false;
-  uint8_t lens[12];
-  cursor_.Peek(12, lens);
+  // Headers are parsed in place when they lie in one literal run (they are
+  // written as one), and copied out only when a chunk boundary splits one.
+  uint8_t lens_copy[12];
+  const uint8_t* lens = cursor_.View(12);
+  if (lens == nullptr) {
+    cursor_.Peek(12, lens_copy);
+    lens = lens_copy;
+  }
   uint32_t header_len = GetRaw<uint32_t>(lens);
   uint64_t total_len = GetRaw<uint64_t>(lens + 4);
   SPONGE_CHECK(header_len >= 24 && total_len >= header_len)
@@ -129,9 +136,13 @@ bool RecordParser::Next(Record* out) {
   if (cursor_.available() < total_len) return false;
   // Only the header's bytes are materialized; Skip() walks over the filler
   // without touching it.
-  scratch_.resize(header_len);
-  cursor_.Peek(header_len, scratch_.data());
-  SPONGE_CHECK(ParseHeader(scratch_.data(), out) == header_len)
+  const uint8_t* header = cursor_.View(header_len);
+  if (header == nullptr) {
+    scratch_.resize(header_len);
+    cursor_.Peek(header_len, scratch_.data());
+    header = scratch_.data();
+  }
+  SPONGE_CHECK(ParseHeader(header, out) == header_len)
       << "header length mismatch";
   out->size = total_len;
   cursor_.Skip(total_len);

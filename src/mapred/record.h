@@ -1,6 +1,7 @@
 #ifndef SPONGEFILES_MAPRED_RECORD_H_
 #define SPONGEFILES_MAPRED_RECORD_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,18 +40,48 @@ void SerializeRecord(const Record& record, ByteRuns* out);
 // Total wire size of `record` (header plus filler).
 uint64_t SerializedSize(const Record& record);
 
+// Sorts `records` by `less` into exactly the order std::sort gives them
+// (std::sort's moves depend only on its comparison outcomes, so sorting
+// indices replays them), then moves each record into place once. Records
+// carry strings and a vector, so moving them inside the sort dominated its
+// cost.
+template <typename Less>
+void SortRecords(std::vector<Record>* records, Less less) {
+  std::vector<Record>& r = *records;
+  std::vector<size_t> order(r.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return less(r[a], r[b]); });
+  // Position i receives record order[i]: follow each cycle of the
+  // permutation once, marking placed positions with order[j] = j.
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (order[i] == i) continue;
+    Record held = std::move(r[i]);
+    size_t j = i;
+    while (order[j] != i) {
+      size_t from = order[j];
+      r[j] = std::move(r[from]);
+      order[j] = j;
+      j = from;
+    }
+    r[j] = std::move(held);
+    order[j] = j;
+  }
+}
+
 // Incremental parser over a stream of serialized chunks. Records may span
 // chunk boundaries; Feed() chunks in order and drain with Next().
 //
-// Zero-copy: fed chunks are shared, not flattened — only each record's
-// header bytes are ever copied out (into a reused scratch buffer); the
-// zero filler, which dominates the logical volume, is skipped via a
-// ByteRuns::Cursor and never materialized on the host.
+// Zero-copy: fed chunks are shared, not flattened — each record's header
+// is parsed in place (copied into a reused scratch buffer only when a
+// chunk boundary splits it); the zero filler, which dominates the logical
+// volume, is skipped via a ByteRuns::Cursor and never materialized on the
+// host.
 class RecordParser {
  public:
   RecordParser() = default;
 
-  void Feed(const ByteRuns& chunk);
+  void Feed(ByteRuns chunk);
 
   // Parses the next record into `out`. Returns true on success, false when
   // more data is needed. Corrupt input is a CHECK failure (the stream is

@@ -67,7 +67,7 @@ class DiskSpillFile : public SpillFile {
   sim::Task<Status> Append(ByteRuns data) override {
     if (closed_) co_return FailedPrecondition("append after close");
     uint64_t n = data.size();
-    content_.Append(data);
+    content_.Append(std::move(data));
     size_ += n;
     stats_->bytes_spilled += n;
     SpillModeCounter(SpillMode::kDisk)->Increment(n);
@@ -212,7 +212,7 @@ Result<std::unique_ptr<SpillFile>> SpongeSpiller::Create(
 sim::Task<Status> MemorySpillFile::Append(ByteRuns data) {
   if (closed_) co_return FailedPrecondition("append after close");
   uint64_t n = data.size();
-  content_.Append(data);
+  content_.Append(std::move(data));
   size_ += n;
   co_await engine_->Delay(TransferTime(n, memory_bandwidth_));
   co_return Status::OK();

@@ -1,7 +1,5 @@
 #include "pig/data_bag.h"
 
-#include <algorithm>
-
 #include "pig/memory_manager.h"
 
 namespace spongefiles::pig {
@@ -22,40 +20,38 @@ DataBag::~DataBag() {
   if (!destroyed_) manager_->Unregister(this);
 }
 
-sim::Task<Status> DataBag::Add(Tuple tuple) {
-  uint64_t bytes = mapred::SerializedSize(tuple);
+bool DataBag::Push(Tuple tuple) {
+  memory_bytes_ += mapred::SerializedSize(tuple);
   memory_.push_back(std::move(tuple));
-  memory_bytes_ += bytes;
   ++count_;
-  // Growth may push the JVM over its limit, triggering the upcall.
-  co_return co_await manager_->MaybeSpill();
+  return manager_->over_budget();
+}
+
+sim::Task<Status> DataBag::WriteSpillFile(
+    ByteRuns* pending, std::vector<std::unique_ptr<mapred::SpillFile>>* out) {
+  if (pending->empty()) co_return Status::OK();
+  auto file = spiller_->Create(name_ + ".bag" + std::to_string(next_spill_++));
+  if (!file.ok()) co_return file.status();
+  uint64_t bytes = pending->size();
+  CO_RETURN_IF_ERROR(co_await (*file)->Append(std::move(*pending)));
+  *pending = ByteRuns{};
+  CO_RETURN_IF_ERROR(co_await (*file)->Close());
+  spilled_bytes_ += bytes;
+  out->push_back(std::move(*file));
+  co_return Status::OK();
 }
 
 sim::Task<Status> DataBag::SpillTuples(
     std::vector<Tuple> tuples,
     std::vector<std::unique_ptr<mapred::SpillFile>>* out) {
   ByteRuns pending;
-  auto flush = [&]() -> sim::Task<Status> {
-    if (pending.empty()) co_return Status::OK();
-    auto file = spiller_->Create(name_ + ".bag" +
-                                 std::to_string(next_spill_++));
-    if (!file.ok()) co_return file.status();
-    uint64_t bytes = pending.size();
-    CO_RETURN_IF_ERROR(co_await (*file)->Append(std::move(pending)));
-    pending = ByteRuns{};
-    CO_RETURN_IF_ERROR(co_await (*file)->Close());
-    spilled_bytes_ += bytes;
-    out->push_back(std::move(*file));
-    co_return Status::OK();
-  };
   for (const Tuple& tuple : tuples) {
     mapred::SerializeRecord(tuple, &pending);
     if (pending.size() >= spill_chunk_bytes_) {
-      CO_RETURN_IF_ERROR(co_await flush());
+      CO_RETURN_IF_ERROR(co_await WriteSpillFile(&pending, out));
     }
   }
-  CO_RETURN_IF_ERROR(co_await flush());
-  co_return Status::OK();
+  co_return co_await WriteSpillFile(&pending, out);
 }
 
 sim::Task<Status> DataBag::SpillMemory() {
@@ -74,23 +70,6 @@ sim::Task<Status> DataBag::ForEach(std::function<Status(const Tuple&)> fn,
   spilled_bytes_ = 0;
 
   ByteRuns pending;
-  // lint: ref-ok(awaited inline by the traversal; the tuple outlives each call)
-  auto respill_tuple = [&](const Tuple& tuple) -> sim::Task<Status> {
-    mapred::SerializeRecord(tuple, &pending);
-    if (pending.size() >= spill_chunk_bytes_) {
-      auto file = spiller_->Create(name_ + ".bag" +
-                                   std::to_string(next_spill_++));
-      if (!file.ok()) co_return file.status();
-      uint64_t bytes = pending.size();
-      CO_RETURN_IF_ERROR(co_await (*file)->Append(std::move(pending)));
-      pending = ByteRuns{};
-      CO_RETURN_IF_ERROR(co_await (*file)->Close());
-      spilled_bytes_ += bytes;
-      spill_files_.push_back(std::move(*file));
-    }
-    co_return Status::OK();
-  };
-
   for (auto& file : files) {
     mapred::SpillFileSource source(std::move(file));
     Tuple tuple;
@@ -100,20 +79,15 @@ sim::Task<Status> DataBag::ForEach(std::function<Status(const Tuple&)> fn,
       if (!*has) break;
       co_await cpu_->Charge(per_tuple_cpu_);
       CO_RETURN_IF_ERROR(fn(tuple));
-      if (respill) CO_RETURN_IF_ERROR(co_await respill_tuple(tuple));
+      if (!respill) continue;
+      mapred::SerializeRecord(tuple, &pending);
+      if (pending.size() >= spill_chunk_bytes_) {
+        CO_RETURN_IF_ERROR(co_await WriteSpillFile(&pending, &spill_files_));
+      }
     }
     co_await source.Done();
   }
-  if (respill && !pending.empty()) {
-    auto file =
-        spiller_->Create(name_ + ".bag" + std::to_string(next_spill_++));
-    if (!file.ok()) co_return file.status();
-    uint64_t bytes = pending.size();
-    CO_RETURN_IF_ERROR(co_await (*file)->Append(std::move(pending)));
-    CO_RETURN_IF_ERROR(co_await (*file)->Close());
-    spilled_bytes_ += bytes;
-    spill_files_.push_back(std::move(*file));
-  }
+  CO_RETURN_IF_ERROR(co_await WriteSpillFile(&pending, &spill_files_));
   if (!respill) {
     // The spilled portion has been consumed; only memory tuples remain.
     count_ = memory_.size();
@@ -148,45 +122,31 @@ sim::Task<Status> DataBag::SortedForEach(
       tuples.push_back(std::move(tuple));
     }
     co_await source.Done();
-    std::sort(tuples.begin(), tuples.end(), less);
+    mapred::SortRecords(&tuples, less);
     CO_RETURN_IF_ERROR(co_await SpillTuples(std::move(tuples), &runs));
   }
-  std::sort(memory_.begin(), memory_.end(), less);
+  mapred::SortRecords(&memory_, less);
 
   // K-way merge of the sorted runs plus the in-memory run, streaming
   // through `fn`. Note the merge orders by `less` on whole tuples, not by
-  // record key, so we merge manually here.
+  // record key, so we merge manually here. A cursor advances without
+  // suspending unless its run must read its next chunk.
   struct Cursor {
-    std::unique_ptr<mapred::SpillFileSource> source;  // null: memory run
-    size_t memory_index = 0;
+    std::unique_ptr<mapred::RecordSource> source;
     Tuple head;
     bool has = false;
   };
-  std::vector<Cursor> cursors;
-  for (auto& run : runs) {
-    Cursor cursor;
-    cursor.source =
-        std::make_unique<mapred::SpillFileSource>(std::move(run));
-    cursors.push_back(std::move(cursor));
+  std::vector<Cursor> cursors(runs.size() + 1);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    cursors[i].source =
+        std::make_unique<mapred::SpillFileSource>(std::move(runs[i]));
   }
-  cursors.emplace_back();  // the in-memory run
-
-  // lint: ref-ok(awaited inline; the cursor lives in the enclosing merge frame)
-  auto advance = [&](Cursor& cursor) -> sim::Task<Status> {
-    if (cursor.source != nullptr) {
-      auto has = co_await cursor.source->Next(&cursor.head);
-      if (!has.ok()) co_return has.status();
-      cursor.has = *has;
-    } else if (cursor.memory_index < memory_.size()) {
-      cursor.head = std::move(memory_[cursor.memory_index++]);
-      cursor.has = true;
-    } else {
-      cursor.has = false;
-    }
-    co_return Status::OK();
-  };
+  cursors.back().source =
+      std::make_unique<mapred::VectorSource>(std::move(memory_));
   for (Cursor& cursor : cursors) {
-    CO_RETURN_IF_ERROR(co_await advance(cursor));
+    auto has = co_await cursor.source->Next(&cursor.head);
+    if (!has.ok()) co_return has.status();
+    cursor.has = *has;
   }
   while (true) {
     Cursor* best = nullptr;
@@ -199,11 +159,11 @@ sim::Task<Status> DataBag::SortedForEach(
     if (best == nullptr) break;
     co_await cpu_->Charge(per_tuple_cpu_);
     CO_RETURN_IF_ERROR(fn(best->head));
-    CO_RETURN_IF_ERROR(co_await advance(*best));
+    auto has = co_await best->source->Next(&best->head);
+    if (!has.ok()) co_return has.status();
+    best->has = *has;
   }
-  for (Cursor& cursor : cursors) {
-    if (cursor.source != nullptr) co_await cursor.source->Done();
-  }
+  for (Cursor& cursor : cursors) co_await cursor.source->Done();
   memory_.clear();
   memory_bytes_ = 0;
   count_ = 0;

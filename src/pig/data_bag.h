@@ -41,8 +41,10 @@ class DataBag {
   DataBag(const DataBag&) = delete;
   DataBag& operator=(const DataBag&) = delete;
 
-  // Inserts a tuple; may trigger the memory manager's spill upcall.
-  sim::Task<Status> Add(Tuple tuple);
+  // Inserts a tuple. Returns true when the memory manager is now over
+  // budget, in which case the caller must await the manager's MaybeSpill
+  // (the spill upcall; skipping it when under budget spares its frames).
+  bool Push(Tuple tuple);
 
   // One pass over every tuple (spilled portions first, then in-memory).
   // With `respill`, tuples read from consumed spill files are written to
@@ -74,6 +76,12 @@ class DataBag {
   const std::string& name() const { return name_; }
 
  private:
+  // Writes `pending` (if any) to a fresh closed spill file appended to
+  // `out`, and leaves `pending` empty.
+  sim::Task<Status> WriteSpillFile(
+      ByteRuns* pending,
+      std::vector<std::unique_ptr<mapred::SpillFile>>* out);
+
   // Serializes `tuples` into spill files of at most spill_chunk_bytes each.
   sim::Task<Status> SpillTuples(std::vector<Tuple> tuples,
                                 std::vector<std::unique_ptr<mapred::SpillFile>>*

@@ -19,7 +19,7 @@ uint64_t MemoryManager::memory_in_use() const {
 }
 
 sim::Task<Status> MemoryManager::MaybeSpill() {
-  if (memory_in_use() <= limit_) co_return Status::OK();
+  if (!over_budget()) co_return Status::OK();
   ++spill_upcalls_;
   // Largest bags first: one big spill frees more memory per file created.
   std::vector<DataBag*> order = bags_;

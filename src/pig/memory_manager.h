@@ -32,6 +32,8 @@ class MemoryManager {
   sim::Task<Status> MaybeSpill();
 
   uint64_t memory_in_use() const;
+  // Whether MaybeSpill would spill now.
+  bool over_budget() const { return memory_in_use() > limit_; }
   uint64_t limit() const { return limit_; }
   size_t bag_count() const { return bags_.size(); }
   uint64_t spill_upcalls() const { return spill_upcalls_; }

@@ -181,7 +181,8 @@ sim::Task<Status> MedianReducer::StartKey(std::string key) {
 }
 
 sim::Task<Status> MedianReducer::AddValue(mapred::Record value) {
-  co_return co_await bag_->Add(std::move(value));
+  if (!bag_->Push(std::move(value))) co_return Status::OK();
+  co_return co_await manager_->MaybeSpill();
 }
 
 sim::Task<Status> MedianReducer::FinishKey() {
@@ -222,7 +223,8 @@ sim::Task<Status> PigReducer::StartKey(std::string key) {
 }
 
 sim::Task<Status> PigReducer::AddValue(mapred::Record value) {
-  co_return co_await bag_->Add(std::move(value));
+  if (!bag_->Push(std::move(value))) co_return Status::OK();
+  co_return co_await manager_->MaybeSpill();
 }
 
 sim::Task<Status> PigReducer::FinishKey() {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,7 +11,24 @@
 #include "common/random.h"
 
 namespace spongefiles {
+
+struct ByteRunsTestPeer {
+  // Distinct literal buffers a handle's runs reference: header packing
+  // shows up as fewer buffers than literal runs.
+  static size_t BufferCount(const ByteRuns& runs) {
+    std::set<const ByteRuns::Buffer*> buffers;
+    for (const ByteRuns::Run& run : runs.runs_) {
+      if (run.is_literal()) buffers.insert(run.buffer.get());
+    }
+    return buffers.size();
+  }
+};
+
 namespace {
+
+size_t BufferCount(const ByteRuns& runs) {
+  return ByteRunsTestPeer::BufferCount(runs);
+}
 
 std::string MakeData(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -85,6 +103,29 @@ TEST(ByteRunsTest, SmallLiteralAppendsMerge) {
   EXPECT_EQ(runs.size(), expected.size());
   auto bytes = runs.ToBytes();
   EXPECT_EQ(std::string(bytes.begin(), bytes.end()), expected);
+}
+
+TEST(ByteRunsTest, CursorViewStaysWithinOneLiteralRun) {
+  ByteRuns runs;
+  runs.AppendLiteral(Slice(std::string("abcdef")));
+  runs.AppendZeros(10);
+  runs.AppendLiteral(Slice(std::string("xyz")));
+  ByteRuns::Cursor cursor(&runs);
+  auto view = [&](uint64_t n) {
+    const uint8_t* p = cursor.View(n);
+    return p == nullptr ? std::string("<null>")
+                        : std::string(reinterpret_cast<const char*>(p), n);
+  };
+  EXPECT_EQ(view(3), "abc");
+  EXPECT_EQ(view(6), "abcdef");
+  EXPECT_EQ(view(7), "<null>");  // runs into the zero run
+  cursor.Skip(2);
+  EXPECT_EQ(view(4), "cdef");
+  cursor.Skip(4);
+  EXPECT_EQ(view(1), "<null>");  // zero runs have no bytes to view
+  cursor.Skip(10);
+  EXPECT_EQ(view(3), "xyz");
+  EXPECT_EQ(view(0), "<null>");
 }
 
 TEST(ByteRunsTest, AppendOtherPreservesContent) {
@@ -214,6 +255,12 @@ TEST_P(ByteRunsPropertyTest, CursorTakeMatchesSubRange) {
         break;
       default:
         n = rng.Uniform(std::min<uint64_t>(cursor.available(), 700)) + 1;
+    }
+    // View is an in-place Peek: null, or exactly the bytes Peek copies.
+    if (const uint8_t* view = n > 0 ? cursor.View(n) : nullptr) {
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(view), n),
+                model.substr(at, n))
+          << "at " << at;
     }
     if (rng.Uniform(4) == 0) {
       cursor.Skip(n);
@@ -367,6 +414,119 @@ TEST(ByteRunsCowTest, ChecksumMemoSurvivesSharingAndInvalidatesOnMutate) {
             Checksum::Of(Slice(bytes.data(), bytes.size())));
 }
 
+// Record-style stream: header, zero filler, header, ... Each header is a
+// few dozen literal bytes with its own run.
+struct HeaderStream {
+  ByteRuns runs;
+  std::string bytes;              // logical content
+  std::vector<uint64_t> offsets;  // where each header starts
+  std::vector<uint64_t> lengths;
+};
+
+HeaderStream MakeHeaderStream(int headers) {
+  HeaderStream s;
+  for (int i = 0; i < headers; ++i) {
+    std::string header = MakeData(24 + 4 * static_cast<size_t>(i),
+                                  100 + static_cast<uint64_t>(i));
+    s.offsets.push_back(s.bytes.size());
+    s.lengths.push_back(header.size());
+    s.runs.AppendLiteral(Slice(header));
+    s.bytes += header;
+    uint64_t filler = 500 + 10 * static_cast<uint64_t>(i);
+    s.runs.AppendZeros(filler);
+    s.bytes += std::string(filler, '\0');
+  }
+  return s;
+}
+
+TEST(ByteRunsPackTest, HeaderFillerStreamSharesOneBuffer) {
+  HeaderStream packed = MakeHeaderStream(5);
+  EXPECT_EQ(BufferCount(packed.runs), 1u);
+  // The unpacked model: every header in a buffer of its own, shared in
+  // from a separate handle.
+  ByteRuns unpacked;
+  uint64_t header_bytes = 0;
+  for (size_t i = 0; i < packed.offsets.size(); ++i) {
+    ByteRuns header;
+    header.AppendLiteral(
+        Slice(packed.bytes.substr(packed.offsets[i], packed.lengths[i])));
+    unpacked.Append(header);
+    uint64_t end = i + 1 < packed.offsets.size() ? packed.offsets[i + 1]
+                                                 : packed.bytes.size();
+    unpacked.AppendZeros(end - packed.offsets[i] - packed.lengths[i]);
+    header_bytes += packed.lengths[i];
+  }
+  EXPECT_EQ(BufferCount(unpacked), 5u);
+  EXPECT_EQ(AsString(packed.runs), packed.bytes);
+  EXPECT_EQ(packed.runs.ToBytes(), unpacked.ToBytes());
+  EXPECT_EQ(packed.runs.Checksum64(), unpacked.Checksum64());
+  EXPECT_EQ(packed.runs.Checksum64(), Checksum::Of(Slice(packed.bytes)));
+  EXPECT_EQ(packed.runs.physical_size(), unpacked.physical_size());
+  EXPECT_EQ(packed.runs.physical_size(), header_bytes);
+}
+
+TEST(ByteRunsPackTest, PackingStopsWhenTheBufferIsFullOrExtended) {
+  // Headers larger than the reserved capacity each need a buffer.
+  ByteRuns big;
+  std::string header = MakeData(4000, 7);
+  for (int i = 0; i < 3; ++i) {
+    big.AppendLiteral(Slice(header));
+    big.AppendZeros(100);
+  }
+  EXPECT_EQ(BufferCount(big), 3u);
+  // A copy that extended the shared buffer first keeps the other handle
+  // from packing into it: its run no longer ends at the buffer's end.
+  HeaderStream a = MakeHeaderStream(1);
+  ByteRuns b = a.runs;
+  a.runs.AppendLiteral(Slice(std::string("first")));
+  b.AppendLiteral(Slice(std::string("second")));
+  EXPECT_EQ(BufferCount(a.runs), 1u);
+  EXPECT_EQ(BufferCount(b), 2u);
+  EXPECT_EQ(AsString(a.runs), a.bytes + "first");
+  EXPECT_EQ(AsString(b), a.bytes + "second");
+}
+
+TEST(ByteRunsPackTest, MutatingOnePackedHeaderLeavesNeighboursAndHandles) {
+  HeaderStream s = MakeHeaderStream(4);
+  ByteRuns copy = s.runs;
+  ByteRuns header2 = s.runs.SubRange(s.offsets[2], s.lengths[2]);
+  const std::string pristine = s.bytes;
+
+  // Bit rot in header 1 changes exactly that byte of this handle.
+  s.runs.CorruptByte(s.offsets[1] + 3);
+  std::string expected = pristine;
+  char& rotted = expected[s.offsets[1] + 3];
+  rotted = static_cast<char>(rotted ^ 0xFF);
+  EXPECT_EQ(AsString(s.runs), expected);
+  EXPECT_EQ(AsString(copy), pristine);
+  EXPECT_EQ(AsString(header2), pristine.substr(s.offsets[2], s.lengths[2]));
+
+  // Encrypting a handle that holds only header 2 leaves the stream and
+  // its copy alone.
+  header2.TransformLiterals([](uint64_t, uint8_t* p, uint64_t n) {
+    for (uint64_t k = 0; k < n; ++k) p[k] ^= 0x5A;
+  });
+  std::string transformed = pristine.substr(s.offsets[2], s.lengths[2]);
+  for (char& c : transformed) c = static_cast<char>(c ^ 0x5A);
+  EXPECT_EQ(AsString(header2), transformed);
+  EXPECT_EQ(AsString(s.runs), expected);
+  EXPECT_EQ(AsString(copy), pristine);
+
+  // Encrypting the whole stream leaves the copy alone.
+  s.runs.TransformLiterals([](uint64_t, uint8_t* p, uint64_t n) {
+    for (uint64_t k = 0; k < n; ++k) p[k] ^= 0x5A;
+  });
+  for (size_t i = 0; i < s.offsets.size(); ++i) {
+    for (uint64_t k = 0; k < s.lengths[i]; ++k) {
+      char& c = expected[s.offsets[i] + k];
+      c = static_cast<char>(c ^ 0x5A);
+    }
+  }
+  EXPECT_EQ(AsString(s.runs), expected);
+  EXPECT_EQ(AsString(copy), pristine);
+  EXPECT_EQ(copy.Checksum64(), Checksum::Of(Slice(pristine)));
+}
+
 // Property test: a web of handles derived from each other via every
 // zero-copy operation must each match an independent reference model —
 // sharing is never observable through content, size, or checksum. The
@@ -391,7 +551,7 @@ TEST_P(ByteRunsCowPropertyTest, HandlesMatchIndependentModels) {
     size_t i = static_cast<size_t>(rng.Uniform(handles.size()));
     ByteRuns& h = handles[i];
     RefModel& m = models[i];
-    switch (rng.Uniform(7)) {
+    switch (rng.Uniform(9)) {
       case 0: {
         std::string data = MakeData(rng.Uniform(200) + 1, rng.Next());
         h.AppendLiteral(Slice(data));
@@ -443,6 +603,33 @@ TEST_P(ByteRunsCowPropertyTest, HandlesMatchIndependentModels) {
         }
         break;
       }
+      case 7: {  // record-style header, filler, header: packed headers
+        for (int k = 0; k < 2; ++k) {
+          std::string header = MakeData(rng.Uniform(60) + 12, rng.Next());
+          h.AppendLiteral(Slice(header));
+          m.bytes += header;
+          m.mask += std::string(header.size(), '1');
+          if (k == 0) {
+            uint64_t filler = rng.Uniform(300) + 1;
+            h.AppendZeros(filler);
+            m.bytes += std::string(filler, '\0');
+            m.mask += std::string(filler, '0');
+          }
+        }
+        break;
+      }
+      case 8: {  // move-append a copy of some handle (maybe this one)
+        size_t j = static_cast<size_t>(rng.Uniform(handles.size()));
+        ByteRuns moved = handles[j];
+        std::string bytes = models[j].bytes;
+        std::string mask = models[j].mask;
+        h.Append(std::move(moved));
+        EXPECT_TRUE(moved.empty());
+        EXPECT_EQ(moved.physical_size(), 0u);
+        m.bytes += bytes;
+        m.mask += mask;
+        break;
+      }
       case 6: {
         uint8_t key = static_cast<uint8_t>(rng.Uniform(256));
         h.TransformLiterals([key](uint64_t, uint8_t* p, uint64_t n) {
@@ -463,6 +650,9 @@ TEST_P(ByteRunsCowPropertyTest, HandlesMatchIndependentModels) {
     EXPECT_EQ(AsString(handles[i]), models[i].bytes);
     EXPECT_EQ(handles[i].Checksum64(),
               Checksum::Of(Slice(models[i].bytes)));
+    EXPECT_EQ(handles[i].physical_size(),
+              static_cast<uint64_t>(std::count(models[i].mask.begin(),
+                                               models[i].mask.end(), '1')));
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 
 namespace spongefiles::mapred {
@@ -126,6 +130,32 @@ TEST(RecordSerdeTest, ManyFields) {
   ASSERT_TRUE(parser.Next(&out));
   EXPECT_EQ(out.fields.size(), 100u);
   EXPECT_EQ(out.fields[99], "f99");
+}
+
+// SortRecords must reproduce std::sort's order exactly, including the
+// (unspecified, but deterministic) order of records with equal keys:
+// spill files and the simulated schedule depend on it.
+TEST(SortRecordsTest, MatchesStdSortIncludingTies) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    std::vector<Record> records;
+    size_t n = 1 + static_cast<size_t>(rng.Uniform(3000));
+    for (size_t i = 0; i < n; ++i) {
+      Record r;
+      r.key = "k" + std::to_string(rng.Uniform(40));  // many ties
+      r.number = static_cast<double>(i);              // tells ties apart
+      r.fields = {std::string(rng.Uniform(40), 'x')};
+      r.size = 100 + i;
+      records.push_back(std::move(r));
+    }
+    auto by_key = [](const Record& a, const Record& b) {
+      return a.key < b.key;
+    };
+    std::vector<Record> expected = records;
+    std::sort(expected.begin(), expected.end(), by_key);
+    SortRecords(&records, by_key);
+    EXPECT_EQ(records, expected) << "seed " << seed;
+  }
 }
 
 }  // namespace

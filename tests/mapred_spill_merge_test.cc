@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -323,6 +324,163 @@ TEST(MergeTest, WriteSortedRunSpillsAndReadsBack) {
   f.engine.Spawn(run());
   f.engine.Run();
   ASSERT_TRUE(status.ok()) << status.ToString();
+}
+
+// (input index, simulated time) of every ReadNext, in call order.
+using ReadLog = std::vector<std::pair<size_t, SimTime>>;
+
+// A spill file that logs its reads.
+class LoggedFile : public SpillFile {
+ public:
+  LoggedFile(sim::Engine* engine, size_t input,
+             std::unique_ptr<SpillFile> inner, ReadLog* log)
+      : engine_(engine), input_(input), inner_(std::move(inner)), log_(log) {}
+
+  sim::Task<Status> Append(ByteRuns data) override {
+    co_return co_await inner_->Append(std::move(data));
+  }
+  sim::Task<Status> Close() override { co_return co_await inner_->Close(); }
+  sim::Task<Result<ByteRuns>> ReadNext() override {
+    log_->push_back({input_, engine_->now()});
+    co_return co_await inner_->ReadNext();
+  }
+  sim::Task<> Delete() override { co_await inner_->Delete(); }
+  uint64_t size() const override { return inner_->size(); }
+
+ private:
+  sim::Engine* engine_;
+  size_t input_;
+  std::unique_ptr<SpillFile> inner_;
+  ReadLog* log_;
+};
+
+// Three sorted inputs with interleaved keys, read back in 37-byte chunks at
+// 1 MiB/s: every 100-byte record spans two or more reads, each taking
+// simulated time.
+sim::Task<std::vector<std::unique_ptr<RecordSource>>> SplitInputs(
+    sim::Engine* engine, ReadLog* log) {
+  std::vector<std::unique_ptr<RecordSource>> inputs;
+  for (size_t s = 0; s < 3; ++s) {
+    auto file = std::make_unique<LoggedFile>(
+        engine, s,
+        std::make_unique<MemorySpillFile>(engine, /*read_unit=*/37,
+                                          /*memory_bandwidth=*/1 << 20),
+        log);
+    ByteRuns wire;
+    for (int i = 0; i < 20; ++i) {
+      int k = 3 * i + static_cast<int>(s);
+      SerializeRecord(MakeRecord("k" + std::to_string(100 + k), k, 100),
+                      &wire);
+    }
+    (void)co_await file->Append(std::move(wire));
+    (void)co_await file->Close();
+    inputs.push_back(std::make_unique<SpillFileSource>(std::move(file)));
+  }
+  co_return inputs;
+}
+
+// The coroutine-per-record merge MergeStream replaced: pop the least head,
+// refill its input, then hand the head out (here: record it and spend
+// 5 us on it).
+sim::Task<Status> ReferenceMerge(
+    std::vector<std::unique_ptr<RecordSource>> inputs, sim::Engine* engine,
+    std::vector<Record>* out) {
+  std::vector<Record> heads(inputs.size());
+  std::vector<bool> live(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    auto has = co_await inputs[i]->Next(&heads[i]);
+    if (!has.ok()) co_return has.status();
+    live[i] = *has;
+  }
+  while (true) {
+    size_t best = inputs.size();
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (!live[i]) continue;
+      if (best == inputs.size() || heads[i].key < heads[best].key) best = i;
+    }
+    if (best == inputs.size()) break;
+    Record record = heads[best];
+    auto has = co_await inputs[best]->Next(&heads[best]);
+    if (!has.ok()) co_return has.status();
+    live[best] = *has;
+    out->push_back(std::move(record));
+    co_await engine->Delay(Micros(5));
+  }
+  for (auto& input : inputs) co_await input->Done();
+  co_return Status::OK();
+}
+
+enum class Puller { kReference, kTryNextFill, kNext };
+
+struct MergeRun {
+  std::vector<Record> records;
+  ReadLog reads;
+  Status status;
+};
+
+MergeRun RunSplitMerge(Puller puller) {
+  sim::Engine engine;
+  MergeRun out;
+  auto run = [&]() -> sim::Task<> {
+    auto inputs = co_await SplitInputs(&engine, &out.reads);
+    if (puller == Puller::kReference) {
+      out.status =
+          co_await ReferenceMerge(std::move(inputs), &engine, &out.records);
+      co_return;
+    }
+    MergeStream merge(std::move(inputs));
+    Record record;
+    while (true) {
+      if (puller == Puller::kTryNextFill) {
+        if (!merge.TryNext(&record)) {
+          auto more = co_await merge.Fill();
+          if (!more.ok()) {
+            out.status = more.status();
+            co_return;
+          }
+          if (*more) continue;
+          break;
+        }
+      } else {
+        auto has = co_await merge.Next(&record);
+        if (!has.ok()) {
+          out.status = has.status();
+          co_return;
+        }
+        if (!*has) break;
+      }
+      out.records.push_back(record);
+      co_await engine.Delay(Micros(5));
+    }
+    co_await merge.Done();
+  };
+  engine.Spawn(run());
+  engine.Run();
+  return out;
+}
+
+// Pins refill-before-hand-out: a merge that handed a head out before
+// reading its input's next chunk would let the consumer's 5 us land
+// before that read and shift every later read's time.
+TEST(MergeTest, PullsReadEveryChunkWhenACoroutineMergeWould) {
+  MergeRun reference = RunSplitMerge(Puller::kReference);
+  MergeRun pulled = RunSplitMerge(Puller::kTryNextFill);
+  MergeRun awaited = RunSplitMerge(Puller::kNext);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  ASSERT_TRUE(pulled.status.ok()) << pulled.status.ToString();
+  ASSERT_TRUE(awaited.status.ok()) << awaited.status.ToString();
+
+  ASSERT_EQ(reference.records.size(), 60u);
+  for (size_t i = 0; i < reference.records.size(); ++i) {
+    EXPECT_EQ(reference.records[i].key, "k" + std::to_string(100 + i));
+  }
+  EXPECT_EQ(pulled.records, reference.records);
+  EXPECT_EQ(awaited.records, reference.records);
+
+  // Every record spans two or more reads.
+  EXPECT_GE(reference.reads.size(), 2 * reference.records.size());
+  EXPECT_EQ(pulled.reads, reference.reads);
+  EXPECT_EQ(awaited.reads, reference.reads);
 }
 
 }  // namespace

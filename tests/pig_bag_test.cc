@@ -37,6 +37,13 @@ struct BagFixture {
   }
 };
 
+// Inserts a tuple the way the reducers do: Push, then the memory
+// manager's spill upcall when the bag went over budget.
+sim::Task<Status> Add(DataBag* bag, MemoryManager* manager, Tuple tuple) {
+  if (!bag->Push(std::move(tuple))) co_return Status::OK();
+  co_return co_await manager->MaybeSpill();
+}
+
 Tuple MakeTuple(double number, uint64_t size = 1000) {
   Tuple t;
   t.key = "g";
@@ -52,7 +59,7 @@ TEST(DataBagTest, SmallBagStaysInMemory) {
   auto run = [&]() -> sim::Task<> {
     DataBag bag(&manager, f.spiller.get(), f.cpu.get(), "b");
     for (int i = 0; i < 100; ++i) {
-      (void)co_await bag.Add(MakeTuple(i));
+      (void)co_await Add(&bag, &manager, MakeTuple(i));
     }
     EXPECT_EQ(bag.count(), 100u);
     EXPECT_EQ(bag.spilled_bytes(), 0u);
@@ -80,7 +87,7 @@ TEST(DataBagTest, MemoryPressureSpillsInChunks) {
     DataBag bag(&manager, f.spiller.get(), f.cpu.get(), "b",
                 /*spill_chunk_bytes=*/256 * kKiB);
     for (int i = 0; i < 3000; ++i) {
-      status = co_await bag.Add(MakeTuple(i, 2000));
+      status = co_await Add(&bag, &manager, MakeTuple(i, 2000));
       if (!status.ok()) co_return;
     }
     // ~6 MB through a 1 MB budget: most must be spilled in 256 KB chunks.
@@ -111,7 +118,7 @@ TEST(DataBagTest, RespillAllowsSecondPass) {
   auto run = [&]() -> sim::Task<> {
     DataBag bag(&manager, f.spiller.get(), f.cpu.get(), "b");
     for (int i = 0; i < 500; ++i) {
-      (void)co_await bag.Add(MakeTuple(i, 2000));
+      (void)co_await Add(&bag, &manager, MakeTuple(i, 2000));
     }
     uint64_t spilled_before = f.spiller->stats().bytes_spilled;
     int first_count = 0;
@@ -149,7 +156,7 @@ TEST(DataBagTest, SortedForEachOrdersAcrossSpills) {
                 /*spill_chunk_bytes=*/100 * kKiB);
     // Insert in reverse so ordering is non-trivial; force heavy spilling.
     for (int i = 999; i >= 0; --i) {
-      (void)co_await bag.Add(MakeTuple(i, 2000));
+      (void)co_await Add(&bag, &manager, MakeTuple(i, 2000));
     }
     double last = -1;
     int count = 0;
@@ -176,7 +183,7 @@ TEST(DataBagTest, DestroyFreesDiskSpace) {
   auto run = [&]() -> sim::Task<> {
     DataBag bag(&manager, f.spiller.get(), f.cpu.get(), "b");
     for (int i = 0; i < 500; ++i) {
-      (void)co_await bag.Add(MakeTuple(i, 2000));
+      (void)co_await Add(&bag, &manager, MakeTuple(i, 2000));
     }
     EXPECT_GT(f.cluster_->node(0).fs().used(), 0u);
     co_await bag.Destroy();
@@ -193,14 +200,14 @@ TEST(MemoryManagerTest, SpillsLargestBagFirst) {
     DataBag small(&manager, f.spiller.get(), f.cpu.get(), "small");
     DataBag big(&manager, f.spiller.get(), f.cpu.get(), "big");
     for (int i = 0; i < 100; ++i) {
-      (void)co_await small.Add(MakeTuple(i, 1000));
+      (void)co_await Add(&small, &manager, MakeTuple(i, 1000));
     }
     for (int i = 0; i < 900; ++i) {
-      (void)co_await big.Add(MakeTuple(i, 1000));
+      (void)co_await Add(&big, &manager, MakeTuple(i, 1000));
     }
     // Pushing past the budget spills the big bag, not the small one.
     for (int i = 0; i < 200; ++i) {
-      (void)co_await big.Add(MakeTuple(i, 1000));
+      (void)co_await Add(&big, &manager, MakeTuple(i, 1000));
     }
     EXPECT_GT(big.spilled_bytes(), 0u);
     EXPECT_EQ(small.spilled_bytes(), 0u);
@@ -218,7 +225,7 @@ TEST(MemoryManagerTest, TracksRegistrationAndUsage) {
   auto run = [&]() -> sim::Task<> {
     DataBag bag(&manager, f.spiller.get(), f.cpu.get(), "b");
     EXPECT_EQ(manager.bag_count(), 1u);
-    (void)co_await bag.Add(MakeTuple(1, 5000));
+    (void)co_await Add(&bag, &manager, MakeTuple(1, 5000));
     EXPECT_GE(manager.memory_in_use(), 5000u);
     co_await bag.Destroy();
     EXPECT_EQ(manager.bag_count(), 0u);

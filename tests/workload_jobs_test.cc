@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/units.h"
 #include "mapred/job.h"
 #include "workload/testbed.h"
@@ -121,6 +123,51 @@ TEST(CpuMeterTest, BatchesDebtIntoSleeps) {
   EXPECT_EQ(meter.total_charged(), Millis(10));
   // Far fewer engine events than charges (batched at >= 1 ms).
   EXPECT_LT(events, 100u);
+}
+
+TEST(CpuMeterTest, SuspendsOnlyWhenDebtReachesOneMillisecond) {
+  sim::Engine engine;
+  mapred::CpuMeter meter(&engine);
+  struct Seen {
+    SimTime now;
+    uint64_t events;
+  };
+  std::vector<Seen> seen;
+  auto run = [&]() -> sim::Task<> {
+    auto note = [&] {
+      seen.push_back({engine.now(), engine.events_processed()});
+    };
+    note();
+    for (int i = 0; i < 3; ++i) {
+      co_await meter.Charge(Micros(300));  // debt 300, 600, 900 us
+      note();
+    }
+    co_await meter.Charge(Micros(250));  // 1150 us: sleeps it all off
+    note();
+    co_await meter.Charge(Micros(400));  // fresh debt, below 1 ms
+    note();
+    co_await meter.Flush();  // sleeps off the 400 us remainder
+    note();
+    co_await meter.Flush();  // nothing owed: no sleep
+    note();
+  };
+  engine.Spawn(run());
+  engine.Run();
+  ASSERT_EQ(seen.size(), 8u);
+  const Seen start = seen[0];
+  for (size_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(seen[i].now, start.now) << i;
+    EXPECT_EQ(seen[i].events, start.events) << i;
+  }
+  EXPECT_EQ(seen[4].now, start.now + Micros(1150));
+  EXPECT_EQ(seen[4].events, start.events + 1);
+  EXPECT_EQ(seen[5].now, seen[4].now);
+  EXPECT_EQ(seen[5].events, seen[4].events);
+  EXPECT_EQ(seen[6].now, seen[5].now + Micros(400));
+  EXPECT_EQ(seen[6].events, seen[5].events + 1);
+  EXPECT_EQ(seen[7].now, seen[6].now);
+  EXPECT_EQ(seen[7].events, seen[6].events);
+  EXPECT_EQ(meter.total_charged(), Micros(1550));
 }
 
 TEST(JobResultTest, StragglerIsLongestReduce) {
