@@ -61,27 +61,6 @@ uint64_t PeakRssBytes() {
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
 }
 
-// --pool=flat runs every scenario on the pre-tiered allocator (one global
-// free list + one global lock); the default is the tiered pool. tools/
-// perf.sh runs fig5_contention both ways and gates on tiered winning.
-bool g_pool_flat = false;
-
-// --scenarios=a,b restricts the suite (perf.sh's pool gate runs just
-// fig5_contention twice instead of the whole suite). Empty = everything.
-std::string g_scenarios;
-
-bool ScenarioEnabled(const char* name) {
-  if (g_scenarios.empty()) return true;
-  size_t pos = 0;
-  while (pos < g_scenarios.size()) {
-    size_t comma = g_scenarios.find(',', pos);
-    if (comma == std::string::npos) comma = g_scenarios.size();
-    if (g_scenarios.compare(pos, comma - pos, name) == 0) return true;
-    pos = comma + 1;
-  }
-  return false;
-}
-
 struct ScenarioResult {
   std::string name;
   double wall_ms = 0;
@@ -89,8 +68,7 @@ struct ScenarioResult {
   SimTime sim_time = 0;        // deterministic
   // Deterministic: summed job runtimes. Unlike sim_time (the testbed's
   // final clock, often pinned by a fixed-length background workload) this
-  // moves with the data plane's efficiency — the pool gate compares it
-  // between --pool=flat and --pool=tiered.
+  // moves with the data plane's efficiency.
   Duration job_runtime = 0;
   uint64_t sim_bytes = 0;      // deterministic: logical bytes the data
                                // plane moved (spill accounting)
@@ -157,7 +135,6 @@ MacroOptions PinnedOptions() {
   options.median_count = 200001;
   options.web_bytes = MiB(256);
   options.grep_bytes = GiB(1);
-  options.pool.flat = g_pool_flat;
   return options;
 }
 
@@ -229,7 +206,6 @@ ChaosOutcome RunChaosJob(uint64_t seed, bool inject) {
   bed_config.num_nodes = 8;
   bed_config.sponge_memory = MiB(64);
   bed_config.sponge.rpc.hedge_reads = true;
-  bed_config.pool.flat = g_pool_flat;
   workload::Testbed bed(bed_config);
   workload::NumbersDatasetConfig data;
   data.count = 50001;
@@ -375,8 +351,6 @@ std::string WallJson(const std::vector<ScenarioResult>& results,
   }
   std::string out = "{\n  \"bench\": \"selfperf\",\n  \"flavor\": \"";
   out += flavor;
-  out += "\",\n  \"pool\": \"";
-  out += g_pool_flat ? "flat" : "tiered";
   out += "\",\n  \"chaos_seeds\": ";
   obs::AppendJsonUint(&out, static_cast<uint64_t>(chaos_seeds));
   out += ",\n  \"build_type\": ";
@@ -449,36 +423,16 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--chaos-seeds=", 0) == 0) {
       chaos_seeds = std::atoi(arg.c_str() + 14);
       if (chaos_seeds < 1) chaos_seeds = 1;
-    } else if (arg.rfind("--pool=", 0) == 0) {
-      std::string mode = arg.substr(7);
-      if (mode != "flat" && mode != "tiered") {
-        std::fprintf(stderr, "unknown --pool=%s (flat|tiered)\n",
-                     mode.c_str());
-        return 2;
-      }
-      g_pool_flat = mode == "flat";
-    } else if (arg.rfind("--scenarios=", 0) == 0) {
-      g_scenarios = arg.substr(12);
     }
   }
 
-  std::printf("self-perf suite (fast-path data plane, pool=%s)\n\n",
-              g_pool_flat ? "flat" : "tiered");
+  std::printf("self-perf suite (fast-path data plane)\n\n");
 
   std::vector<ScenarioResult> results;
-  if (ScenarioEnabled("event_storm")) results.push_back(RunEventStorm());
-  if (ScenarioEnabled("table2_spill")) results.push_back(RunTable2Spill());
-  if (ScenarioEnabled("fig5_contention")) {
-    results.push_back(RunFig5Contention());
-  }
-  if (ScenarioEnabled("chaos_sweep")) {
-    results.push_back(RunChaosSweep(chaos_seeds));
-  }
-  if (results.empty()) {
-    std::fprintf(stderr, "no scenarios matched --scenarios=%s\n",
-                 g_scenarios.c_str());
-    return 2;
-  }
+  results.push_back(RunEventStorm());
+  results.push_back(RunTable2Spill());
+  results.push_back(RunFig5Contention());
+  results.push_back(RunChaosSweep(chaos_seeds));
 
   AsciiTable table({"Scenario", "wall", "events", "Mev/s", "sim bytes",
                     "ok"});

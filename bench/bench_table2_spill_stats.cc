@@ -34,10 +34,12 @@ int main(int argc, char** argv) {
   int row = 0;
   double max_frag = 0;
   mapred::SpillStats all_jobs;  // summed over every task of every job
+  bool answers_exact = true;     // every job finished with the right answer
   for (MacroJob job : {MacroJob::kMedian, MacroJob::kAnchortext,
                        MacroJob::kSpamQuantiles}) {
     MacroOptions options;
     MacroRun run = RunMacro(job, mapred::SpillMode::kSponge, options);
+    answers_exact = answers_exact && run.correct;
     all_jobs.Add(run.total_spill);
     const auto& spill = run.straggler.spill;
     uint64_t memory_chunks =
@@ -110,7 +112,9 @@ int main(int argc, char** argv) {
                 ok ? "OK" : "MISMATCH");
   }
   std::printf("metrics cross-check: %s\n", agree ? "PASS" : "FAIL");
+  std::printf("job answers: %s\n",
+              answers_exact ? "exact" : "WRONG (or a job failed)");
 
   WriteObsOutputs(obs_options);
-  return agree ? 0 : 1;
+  return agree && answers_exact ? 0 : 1;
 }

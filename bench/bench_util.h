@@ -141,9 +141,7 @@ struct MacroOptions {
   uint64_t web_bytes = 0;
   uint64_t median_count = 0;
   uint64_t grep_bytes = 0;
-  // Sponge pool shape (size classes / flat baseline) and the optional
-  // per-node SSD rung (capacity 0 = no SSD).
-  sponge::ChunkPoolConfig pool;
+  // The optional per-node SSD rung (capacity 0 = no SSD).
   cluster::SsdConfig ssd;
 };
 
@@ -155,7 +153,6 @@ inline MacroRun RunMacro(MacroJob job, mapred::SpillMode mode,
   bed_config.heap_per_slot = options.heap_per_slot;
   bed_config.sponge_memory = options.sponge_memory;
   bed_config.sponge = options.sponge;
-  bed_config.pool = options.pool;
   bed_config.ssd = options.ssd;
   workload::Testbed bed(bed_config);
 

@@ -73,19 +73,27 @@ sim::Task<Status> DataBag::ForEach(std::function<Status(const Tuple&)> fn,
   for (auto& file : files) {
     mapred::SpillFileSource source(std::move(file));
     Tuple tuple;
-    while (true) {
+    Status status;
+    while (status.ok()) {
       auto has = co_await source.Next(&tuple);
-      if (!has.ok()) co_return has.status();
+      if (!has.ok()) {
+        status = has.status();
+        break;
+      }
       if (!*has) break;
       co_await cpu_->Charge(per_tuple_cpu_);
-      CO_RETURN_IF_ERROR(fn(tuple));
-      if (!respill) continue;
+      status = fn(tuple);
+      if (!status.ok() || !respill) continue;
       mapred::SerializeRecord(tuple, &pending);
       if (pending.size() >= spill_chunk_bytes_) {
-        CO_RETURN_IF_ERROR(co_await WriteSpillFile(&pending, &spill_files_));
+        status = co_await WriteSpillFile(&pending, &spill_files_);
       }
     }
+    // Done() on every exit, failures included: a sponge-backed file may
+    // still have a chunk prefetch in flight, and only Delete() waits for
+    // it before the file is destroyed.
     co_await source.Done();
+    CO_RETURN_IF_ERROR(status);
   }
   CO_RETURN_IF_ERROR(co_await WriteSpillFile(&pending, &spill_files_));
   if (!respill) {
@@ -114,14 +122,19 @@ sim::Task<Status> DataBag::SortedForEach(
     mapred::SpillFileSource source(std::move(file));
     std::vector<Tuple> tuples;
     Tuple tuple;
+    Status status;
     while (true) {
       auto has = co_await source.Next(&tuple);
-      if (!has.ok()) co_return has.status();
+      if (!has.ok()) {
+        status = has.status();
+        break;
+      }
       if (!*has) break;
       co_await cpu_->Charge(per_tuple_cpu_);
       tuples.push_back(std::move(tuple));
     }
-    co_await source.Done();
+    co_await source.Done();  // on failure too, as in ForEach
+    CO_RETURN_IF_ERROR(status);
     mapred::SortRecords(&tuples, less);
     CO_RETURN_IF_ERROR(co_await SpillTuples(std::move(tuples), &runs));
   }
@@ -143,12 +156,16 @@ sim::Task<Status> DataBag::SortedForEach(
   }
   cursors.back().source =
       std::make_unique<mapred::VectorSource>(std::move(memory_));
+  Status status;
   for (Cursor& cursor : cursors) {
     auto has = co_await cursor.source->Next(&cursor.head);
-    if (!has.ok()) co_return has.status();
+    if (!has.ok()) {
+      status = has.status();
+      break;
+    }
     cursor.has = *has;
   }
-  while (true) {
+  while (status.ok()) {
     Cursor* best = nullptr;
     for (Cursor& cursor : cursors) {
       if (cursor.has &&
@@ -158,12 +175,18 @@ sim::Task<Status> DataBag::SortedForEach(
     }
     if (best == nullptr) break;
     co_await cpu_->Charge(per_tuple_cpu_);
-    CO_RETURN_IF_ERROR(fn(best->head));
+    status = fn(best->head);
+    if (!status.ok()) break;
     auto has = co_await best->source->Next(&best->head);
-    if (!has.ok()) co_return has.status();
+    if (!has.ok()) {
+      status = has.status();
+      break;
+    }
     best->has = *has;
   }
+  // Every run may have a prefetch in flight when the merge fails.
   for (Cursor& cursor : cursors) co_await cursor.source->Done();
+  CO_RETURN_IF_ERROR(status);
   memory_.clear();
   memory_bytes_ = 0;
   count_ = 0;

@@ -70,13 +70,12 @@ sim::Task<> TrackerShard::PollOnce() {
                                   config_->rpc_message_bytes);
     }
     uint64_t free = server->free_bytes();
-    uint64_t free_bulk = server->free_bulk_bytes();
     if (server->node_id() != home_node_) {
       co_await network_->Transfer(server->node_id(), home_node_,
                                   config_->rpc_message_bytes);
     }
     if (free > 0) {
-      fresh.push_back({server->node_id(), free, free_bulk, rack_});
+      fresh.push_back({server->node_id(), free, rack_});
     }
   }
   SortFreeList(&fresh);

@@ -20,10 +20,6 @@ namespace spongefiles::sponge {
 struct FreeSpaceEntry {
   size_t node = 0;
   uint64_t free_bytes = 0;
-  // The bulk-size-class subset of free_bytes (tiered pool): what a
-  // full-size chunk can actually use on this server. Lets the cascade
-  // skip servers whose remaining space is all small-class slots.
-  uint64_t free_bulk_bytes = 0;
   size_t rack = 0;
 };
 

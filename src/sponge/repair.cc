@@ -140,11 +140,8 @@ sim::Task<> RepairService::RepairEntry(uint64_t chunk_id) {
       const uint64_t min_free = static_cast<uint64_t>(
           config.replication.min_free_fraction *
           static_cast<double>(capacity));
-      // Size-class-aware: gate on the slot the repaired copy will occupy.
-      const uint64_t need = pool.class_bytes_for(data.size());
-      if (candidate.free_bytes < min_free || candidate.free_bytes < need ||
-          (need >= config.chunk_size &&
-           candidate.free_bulk_bytes < need)) {
+      if (candidate.free_bytes < min_free ||
+          candidate.free_bytes < config.chunk_size) {
         continue;
       }
       target = candidate.node;

@@ -106,12 +106,14 @@ struct SpongeConfig {
 // `sponge_affinity` is the set of remote servers already holding any of
 // this task's chunks — the paper's allocation preference that keeps a
 // task's failure footprint small; it is task-wide, shared by all of the
-// task's SpongeFiles.
+// task's SpongeFiles, as is `prefetches`, the chunk prefetches the task's
+// files have in flight.
 struct TaskContext {
   uint64_t task_id = 0;
   size_t node = 0;
   bool killed = false;
   std::vector<size_t> sponge_affinity;
+  int prefetches = 0;
 };
 
 // Wires together everything SpongeFiles need on a cluster: one sponge

@@ -280,12 +280,10 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
   ByteRuns replica_copy;
   if (config.replication.enabled) replica_copy = chunk;
 
-  // 1. Local sponge memory. The declared size lets the tiered pool place a
-  // partial chunk into a small size class instead of burning a bulk slot.
+  // 1. Local sponge memory.
   Result<ChunkHandle> handle = local.LocalAllocate(owner, chunk.size());
   {
-    // Pay the simulated pool-lock convoy the allocation just went through
-    // (per-level lock, or the flat pool's global lock).
+    // Pay the simulated pool-lock convoy the allocation just went through.
     Duration lock_wait = local.pool().TakeLockWait();
     if (lock_wait > 0) co_await env_->engine()->Delay(lock_wait);
   }
@@ -321,10 +319,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
       record.handle = *handle;
       ++stats_.chunks_local_memory;
       stats_.bytes_local_memory += record.size;
-      // Fragmentation is measured against the slot actually occupied: a
-      // small-class slot wastes class_bytes - size, not chunk_size - size.
-      stats_.fragmentation_bytes +=
-          local.pool().slot_bytes(*handle) - record.size;
+      stats_.fragmentation_bytes += config.chunk_size - record.size;
       MediumMetricsFor(ChunkLocation::kLocalMemory).bytes->Increment(
           record.size);
       MediumMetricsFor(ChunkLocation::kLocalMemory).chunks->Increment();
@@ -384,9 +379,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
           ++stats_.chunks_remote_cross_rack;
           stats_.bytes_remote_cross_rack += record.size;
         }
-        stats_.fragmentation_bytes +=
-            env_->server(target).pool().slot_bytes(remote_handle) -
-            record.size;
+        stats_.fragmentation_bytes += config.chunk_size - record.size;
         MediumMetricsFor(ChunkLocation::kRemoteMemory).bytes->Increment(
             record.size);
         MediumMetricsFor(ChunkLocation::kRemoteMemory).chunks->Increment();
@@ -582,16 +575,9 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
         bounced_nodes_.end()) {
       continue;
     }
-    // Size-class-aware gate: the slot this chunk will occupy on the
-    // candidate, so a full-size chunk skips servers whose bulk level is
-    // exhausted even when their small classes still advertise free bytes.
-    const uint64_t need =
-        env_->server(node).pool().class_bytes_for(bytes);
+    // Skip servers the estimate says cannot hold one more chunk.
     FreeSpaceEntry* estimate = estimate_of(i);
-    if (estimate != nullptr &&
-        (estimate->free_bytes == 0 ||
-         (need >= env_->config().chunk_size &&
-          estimate->free_bulk_bytes < need))) {
+    if (estimate != nullptr && estimate->free_bytes < config.chunk_size) {
       continue;
     }
     // Circuit breaker: a server with an open breaker is skipped (but not
@@ -608,15 +594,10 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
           return env_->server(node).RemoteAllocate(task_->node, owner, bytes);
         });
     if (handle.ok()) {
-      const uint64_t taken = env_->server(node).pool().slot_bytes(*handle);
       if (estimate != nullptr) {
-        estimate->free_bytes =
-            estimate->free_bytes >= taken ? estimate->free_bytes - taken : 0;
-        if (taken >= config.chunk_size) {
-          estimate->free_bulk_bytes = estimate->free_bulk_bytes >= taken
-                                          ? estimate->free_bulk_bytes - taken
-                                          : 0;
-        }
+        estimate->free_bytes = estimate->free_bytes >= config.chunk_size
+                                   ? estimate->free_bytes - config.chunk_size
+                                   : 0;
       }
       if (config.affinity &&
           std::find(task_->sponge_affinity.begin(),
@@ -642,10 +623,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
     } else {
       SpillDecision(env_, task_, "tracker-stale");
     }
-    if (estimate != nullptr) {
-      estimate->free_bytes = 0;
-      estimate->free_bulk_bytes = 0;
-    }
+    if (estimate != nullptr) estimate->free_bytes = 0;
     bounced_nodes_.push_back(node);
   }
   co_return NotFound("no remote sponge server with free memory");
@@ -747,12 +725,8 @@ sim::Task<> SpongeFile::ReplicateChunk(size_t index, ByteRuns chunk) {
       const uint64_t capacity = pool.total_chunks() * config.chunk_size;
       const uint64_t min_free = static_cast<uint64_t>(
           config.replication.min_free_fraction * capacity);
-      // Size-class-aware placement: gate on the slot this replica will
-      // actually occupy, so a small chunk's copy still fits on servers
-      // whose bulk level is under pressure.
-      const uint64_t need = pool.class_bytes_for(record.size);
-      if (entry.free_bytes < min_free || entry.free_bytes < need ||
-          (need >= config.chunk_size && entry.free_bulk_bytes < need)) {
+      if (entry.free_bytes < min_free ||
+          entry.free_bytes < config.chunk_size) {
         continue;
       }
       candidates.push_back(entry.node);
@@ -787,14 +761,9 @@ sim::Task<> SpongeFile::ReplicateChunk(size_t index, ByteRuns chunk) {
         });
     // A half-written slot is GC fodder; move to the next candidate.
     if (!stored.ok()) continue;
-    const uint64_t taken = env_->server(node).pool().slot_bytes(slot);
     for (FreeSpaceEntry& entry : free_list_) {
-      if (entry.node == node && entry.free_bytes >= taken) {
-        entry.free_bytes -= taken;
-        if (taken >= config.chunk_size &&
-            entry.free_bulk_bytes >= taken) {
-          entry.free_bulk_bytes -= taken;
-        }
+      if (entry.node == node && entry.free_bytes >= config.chunk_size) {
+        entry.free_bytes -= config.chunk_size;
         break;
       }
     }
@@ -964,17 +933,27 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchChunkRaw(size_t index) {
 }
 
 void SpongeFile::MaybePrefetch(size_t index) {
+  // A k-way merge over many SpongeFiles reaches its inputs' chunk ends
+  // together; one prefetch per file would then put k chunk reads on the
+  // wire at once, and past ~60 MB (the 500 ms RPC deadline at 1 Gb/s) the
+  // late ones time out, retry into the queue and fail the task. Eight
+  // chunks in flight per task keep the link busy well inside the deadline;
+  // a file past the window reads its next chunk when asked.
+  constexpr int kMaxPrefetchesPerTask = 8;
   if (!env_->config().prefetch) return;
   if (index >= chunks_.size()) return;
   // Local-memory chunks are already a memory copy away; prefetching them
   // buys nothing (the paper prefetches the next non-local chunk).
   if (chunks_[index].location == ChunkLocation::kLocalMemory) return;
+  if (task_->prefetches >= kMaxPrefetchesPerTask) return;
+  ++task_->prefetches;
   prefetch_done_ = std::make_unique<sim::Event>(env_->engine());
   prefetch_index_ = index;
   prefetch_active_ = true;
   auto fetch = [](SpongeFile* file, size_t slot,
                   sim::Event* done) -> sim::Task<> {
     file->prefetch_result_ = co_await file->FetchChunk(slot);
+    --file->task_->prefetches;
     done->Set();
   };
   env_->engine()->Spawn(fetch(this, index, prefetch_done_.get()));

@@ -35,9 +35,10 @@ const char* ChunkLocationName(ChunkLocation location);
 // local disk (coalescing consecutive disk chunks into one growing file) ->
 // the distributed filesystem as the last resort.
 //
-// Reads prefetch the next non-local-memory chunk and writes to non-local
-// media are asynchronous (one outstanding store), overlapping IO with the
-// spilling task's computation.
+// Reads prefetch the next non-local-memory chunk (up to a per-task window
+// across all of the task's files) and writes to non-local media are
+// asynchronous (one outstanding store), overlapping IO with the spilling
+// task's computation.
 class SpongeFile {
  public:
   struct Stats {
@@ -152,8 +153,7 @@ class SpongeFile {
   // are counted and the bounced server is skipped for later chunks.
   // `cross_rack` selects the locality rung: false walks same-rack
   // candidates only, true off-rack only. `bytes` is the chunk's actual
-  // size, declared so the target's tiered pool can place it in a matching
-  // size class.
+  // size, declared to the target's pool for its fragmentation count.
   sim::Task<Result<std::pair<size_t, ChunkHandle>>> AllocateRemote(
       bool cross_rack, uint64_t bytes);
 

@@ -99,7 +99,7 @@ sim::Task<Result<ChunkHandle>> SpongeServer::RemoteAllocate(size_t from,
         ++failed_allocations_;
       }
       // The RPC pays the pool-lock convoy it just experienced: the server
-      // thread held (and possibly waited for) the level's lock.
+      // thread held (and possibly waited for) the pool's lock.
       Duration lock_wait = pool_->TakeLockWait();
       if (lock_wait > 0) co_await engine_->Delay(lock_wait);
     }

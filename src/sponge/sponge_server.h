@@ -48,10 +48,8 @@ class SpongeServer {
   ChunkPool& pool() { return *pool_; }
   bool alive() const { return alive_; }
 
-  // Free sponge memory right now (what the tracker's poll reads), and the
-  // bulk-class subset of it (what a full-size chunk can actually use).
+  // Free sponge memory right now (what the tracker's poll reads).
   uint64_t free_bytes() const { return pool_->free_bytes(); }
-  uint64_t free_bulk_bytes() const { return pool_->free_bulk_bytes(); }
 
   // --- remote operations (called by tasks on other nodes; `from` is the
   // --- caller's node, used to charge network time) ---
@@ -63,8 +61,8 @@ class SpongeServer {
 
   // Allocates one chunk for `owner`; RESOURCE_EXHAUSTED when full — the
   // caller then tries the next server on its (possibly stale) free list.
-  // `bytes` is the declared spill size, so the tiered pool can place small
-  // chunks into a matching size class (0 = a full bulk chunk).
+  // `bytes` is the declared spill size (0 = undeclared), which the pool
+  // uses only for its fragmentation count.
   sim::Task<Result<ChunkHandle>> RemoteAllocate(size_t from, ChunkOwner owner,
                                                 uint64_t bytes = 0);
 

@@ -23,7 +23,7 @@ Testbed::Testbed(const TestbedConfig& config) {
   cluster_ = std::make_unique<cluster::Cluster>(&engine_, cc);
   dfs_ = std::make_unique<cluster::Dfs>(cluster_.get());
   env_ = std::make_unique<sponge::SpongeEnv>(cluster_.get(), dfs_.get(),
-                                             config.sponge, config.pool);
+                                             config.sponge);
   tracker_ = std::make_unique<mapred::JobTracker>(env_.get(), dfs_.get());
   // One tracker poll so the free list exists before any job runs, then
   // keep the services alive for the duration.

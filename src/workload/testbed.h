@@ -33,10 +33,6 @@ struct TestbedConfig {
   // means no SSD — every placement identical to the pre-SSD testbed.
   cluster::SsdConfig ssd;
   sponge::SpongeConfig sponge;
-  // Pool shape: size classes, per-level lock model. `pool.flat = true` is
-  // the pre-tiered allocator (one global free list, one global lock) kept
-  // as the perf baseline for bench_selfperf --pool=flat.
-  sponge::ChunkPoolConfig pool;
 };
 
 // Owns the full simulated stack and provides synchronous helpers that

@@ -23,13 +23,15 @@ struct BagFixture {
   std::unique_ptr<mapred::DiskSpiller> spiller;
   std::unique_ptr<mapred::CpuMeter> cpu;
 
-  BagFixture() {
+  explicit BagFixture(const sponge::SpongeConfig& sponge = {},
+                      uint64_t sponge_memory = GiB(1)) {
     cluster::ClusterConfig cc;
     cc.num_nodes = 2;
+    cc.node.sponge_memory = sponge_memory;
     cluster_ = std::make_unique<cluster::Cluster>(&engine, cc);
     dfs = std::make_unique<cluster::Dfs>(cluster_.get());
     env = std::make_unique<sponge::SpongeEnv>(cluster_.get(), dfs.get(),
-                                              sponge::SpongeConfig{});
+                                              sponge);
     task = env->StartTask(0);
     spiller = std::make_unique<mapred::DiskSpiller>(
         &engine, &cluster_->node(0).fs(), "bag-test");
@@ -191,6 +193,46 @@ TEST(DataBagTest, DestroyFreesDiskSpace) {
   };
   f.engine.Spawn(run());
   f.engine.Run();
+}
+
+// A traversal that fails part-way still deletes the spill files it opened.
+// Here the bag spills once to SpongeFiles whose 64 KiB chunks all land on
+// local disk (no sponge memory anywhere), so reading a file's first chunk
+// starts the prefetch of its second. `fn` fails on the first tuple, while
+// that prefetch is in flight: a file destroyed without Delete() would be
+// read after it is freed (ASan reports it) and stay on disk.
+TEST(DataBagTest, FailedTraversalDeletesFilesWithPrefetchInFlight) {
+  for (bool sorted : {false, true}) {
+    SCOPED_TRACE(sorted ? "SortedForEach" : "ForEach");
+    sponge::SpongeConfig sponge;
+    sponge.chunk_size = 64 * kKiB;
+    BagFixture f(sponge, /*sponge_memory=*/0);
+    mapred::SpongeSpiller spiller(f.env.get(), &f.task, "bag-test");
+    MemoryManager manager(200 * kKiB);
+    Status status;
+    auto run = [&]() -> sim::Task<> {
+      DataBag bag(&manager, &spiller, f.cpu.get(), "b",
+                  /*spill_chunk_bytes=*/MiB(1));
+      for (int i = 0; i < 150; ++i) {
+        (void)co_await Add(&bag, &manager, MakeTuple(i, 2000));
+      }
+      EXPECT_EQ(bag.spill_file_count(), 1u);
+      EXPECT_GT(f.cluster_->node(0).fs().used(), 2 * 64 * kKiB);
+      auto fail = [](const Tuple&) { return Internal("stop"); };
+      if (sorted) {
+        status = co_await bag.SortedForEach(
+            [](const Tuple& a, const Tuple& b) { return a.number < b.number; },
+            fail);
+      } else {
+        status = co_await bag.ForEach(fail, /*respill=*/false);
+      }
+      EXPECT_EQ(f.cluster_->node(0).fs().used(), 0u);
+      co_await bag.Destroy();
+    };
+    f.engine.Spawn(run());
+    f.engine.Run();
+    EXPECT_EQ(status.code(), StatusCode::kInternal);
+  }
 }
 
 TEST(MemoryManagerTest, SpillsLargestBagFirst) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
@@ -419,6 +421,44 @@ TEST(SpongeFileTest, PrefetchOverlapsRemoteReads) {
   SimTime with_prefetch = measure(true);
   SimTime without_prefetch = measure(false);
   EXPECT_LT(with_prefetch, without_prefetch);
+}
+
+TEST(SpongeFileTest, PrefetchWindowIsSharedByTheTasksFiles) {
+  // A merge's inputs reach their chunk ends together: twelve files on
+  // local disk (no sponge memory), read in step like a k-way merge.
+  SpongeConfig config;
+  config.chunk_size = 64 * kKiB;
+  SpongeFixture f(config, /*sponge_per_node=*/0);
+  std::vector<std::unique_ptr<SpongeFile>> files;
+  for (int i = 0; i < 12; ++i) {
+    files.push_back(std::make_unique<SpongeFile>(
+        f.env.get(), &f.task, "merge-input-" + std::to_string(i)));
+  }
+  int most_in_flight = 0;
+  uint64_t chunks_read = 0;
+  auto run = [&]() -> sim::Task<> {
+    for (auto& file : files) {
+      ByteRuns data;
+      data.AppendZeros(3 * 64 * kKiB);
+      EXPECT_TRUE((co_await file->Append(std::move(data))).ok());
+      EXPECT_TRUE((co_await file->Close()).ok());
+    }
+    for (int round = 0; round < 4; ++round) {
+      for (auto& file : files) {
+        auto chunk = co_await file->ReadNext();
+        EXPECT_TRUE(chunk.ok());
+        if (chunk.ok() && !chunk->empty()) ++chunks_read;
+        most_in_flight = std::max(most_in_flight, f.task.prefetches);
+      }
+      co_await f.engine.Delay(Seconds(1));  // every prefetch lands
+    }
+    for (auto& file : files) co_await file->Delete();
+  };
+  f.engine.Spawn(run());
+  f.engine.Run();
+  EXPECT_EQ(chunks_read, 36u);
+  EXPECT_EQ(most_in_flight, 8);
+  EXPECT_EQ(f.task.prefetches, 0);
 }
 
 TEST(SpongeFileTest, AsyncWriteOverlapsWithComputation) {

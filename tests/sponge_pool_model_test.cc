@@ -1,13 +1,12 @@
-// Property test for the tiered chunk pool (ISSUE 10): a naive reference
-// model — a hash map of live handles with their owners, declared sizes,
-// and slot classes — is driven through random allocate / free /
-// wrong-owner free / double free / force-free / reset sequences alongside
-// the real ChunkPool, and after every step the pool's books must agree
-// with the model exactly: allocation count, per-level byte conservation
-// (free bytes + live slot bytes == capacity), internal-fragmentation
-// bytes, per-task held counts, and the AllocatedChunks() index. Runs over
-// several seeds, in both tiered and flat mode, and must end with zero
-// leaked bytes once the model drains.
+// Property test for the chunk pool: a naive reference model — a hash map
+// of live handles with their owners — is driven through random allocate /
+// free / wrong-owner free / double free / force-free / reset sequences
+// alongside the real ChunkPool, and after every step the pool's books must
+// agree with the model exactly: allocation count, byte conservation (free
+// bytes + live chunks * chunk_size == capacity), per-task held counts, and
+// the AllocatedChunks() index. Runs over several seeds, on a pool whose
+// chunks span several segments and on one with a single flat segment, and
+// must end with zero leaked bytes once the model drains.
 //
 // The model's containers are keyed by ChunkHandle and ChunkOwner through
 // their std::hash specializations, so this test is also the consumer-side
@@ -28,53 +27,15 @@
 namespace spongefiles::sponge {
 namespace {
 
-struct ModelEntry {
-  ChunkOwner owner;
-  uint64_t req_bytes = 0;
-  uint64_t class_bytes = 0;  // actual slot class (>= class_bytes_for)
-};
-
-uint64_t FragOf(const ModelEntry& entry) {
-  return entry.req_bytes != 0 && entry.class_bytes > entry.req_bytes
-             ? entry.class_bytes - entry.req_bytes
-             : 0;
-}
-
-// Request-size generator biased toward the interesting boundaries: tiny
-// headers, exact class sizes, one-past-a-class, bulk, and undeclared (0).
-uint64_t RandomBytes(Rng& rng) {
-  switch (rng.Uniform(8)) {
-    case 0: return 0;
-    case 1: return 1 + rng.Uniform(KiB(8));
-    case 2: return KiB(64);
-    case 3: return KiB(64) + 1 + rng.Uniform(KiB(16));
-    case 4: return KiB(256);
-    case 5: return KiB(256) + 1 + rng.Uniform(KiB(64));
-    case 6: return MiB(1);
-    default: return 1 + rng.Uniform(MiB(1));
-  }
-}
-
 void CheckBooks(const ChunkPool& pool,
-                const std::unordered_map<ChunkHandle, ModelEntry>& live,
+                const std::unordered_map<ChunkHandle, ChunkOwner>& live,
                 uint64_t capacity) {
   ASSERT_EQ(pool.allocated_count(), live.size());
 
-  uint64_t live_bytes = 0;
-  uint64_t frag = 0;
-  std::unordered_map<ChunkOwner, uint64_t> per_owner;
   std::unordered_map<uint64_t, uint64_t> per_task;
-  // lint: iter-ok(commutative integer sums and counts; order cannot matter)
-  for (const auto& [handle, entry] : live) {
-    live_bytes += entry.class_bytes;
-    frag += FragOf(entry);
-    ++per_owner[entry.owner];
-    ++per_task[entry.owner.task_id];
-  }
-  // Byte conservation: every byte is either free (a bulk chunk or a free
-  // slab slot) or occupied by a live slot's class.
-  ASSERT_EQ(pool.free_bytes() + live_bytes, capacity);
-  ASSERT_EQ(pool.frag_bytes(), frag);
+  for (const auto& [handle, owner] : live) ++per_task[owner.task_id];
+  // Byte conservation: every byte is either free or in a live chunk.
+  ASSERT_EQ(pool.free_bytes() + live.size() * pool.chunk_size(), capacity);
   for (const auto& [task_id, count] : per_task) {
     ASSERT_EQ(pool.HeldByTask(task_id), count);
   }
@@ -87,21 +48,20 @@ void CheckBooks(const ChunkPool& pool,
     ASSERT_TRUE(listed.insert(handle).second) << "duplicate handle listed";
     auto entry = live.find(handle);
     ASSERT_TRUE(entry != live.end());
-    ASSERT_EQ(entry->second.owner, owner);
+    ASSERT_EQ(entry->second, owner);
   }
-  (void)per_owner;
 }
 
-void RunModel(uint64_t seed, bool flat) {
+void RunModel(uint64_t seed, uint64_t max_segment_size) {
   ChunkPoolConfig config;
-  config.pool_size = MiB(4);  // 4 bulk chunks: exhaustion is common
+  config.pool_size = MiB(4);  // 4 chunks: exhaustion is common
   config.chunk_size = MiB(1);
-  config.flat = flat;
+  config.max_segment_size = max_segment_size;
   ChunkPool pool(config);
   const uint64_t capacity = MiB(4);
 
   Rng rng(seed);
-  std::unordered_map<ChunkHandle, ModelEntry> live;
+  std::unordered_map<ChunkHandle, ChunkOwner> live;
   std::vector<ChunkHandle> order;  // live handles, for random picks
 
   auto pick = [&]() -> ChunkHandle {
@@ -123,34 +83,30 @@ void RunModel(uint64_t seed, bool flat) {
     if (op < 55) {  // allocate
       ChunkOwner owner{1 + rng.Uniform(6), rng.Uniform(4) == 0 ? 1u : 0u,
                        rng.Uniform(8) == 0};
-      uint64_t bytes = RandomBytes(rng);
+      // Declared sizes: undeclared (0), partial, or a full chunk.
+      uint64_t bytes = rng.Uniform(3) == 0 ? 0 : 1 + rng.Uniform(MiB(1));
       auto handle = pool.Allocate(owner, bytes);
       if (handle.ok()) {
         ASSERT_FALSE(live.count(*handle)) << "handle already live";
-        uint64_t slot = pool.slot_bytes(*handle);
-        // The slot must fit the request; it may be a larger class than
-        // the ideal fit when the request fell upward, never a smaller.
-        ASSERT_GE(slot, bytes);
-        ASSERT_GE(slot, pool.class_bytes_for(bytes));
         auto stamped = pool.OwnerOf(*handle);
         ASSERT_TRUE(stamped.ok());
         ASSERT_EQ(*stamped, owner);
-        live.emplace(*handle, ModelEntry{owner, bytes, slot});
+        live.emplace(*handle, owner);
         order.push_back(*handle);
       } else {
         ASSERT_EQ(handle.status().code(), StatusCode::kResourceExhausted);
-        // Exhaustion with the whole pool free would be a lost-capacity bug.
-        ASSERT_LT(pool.free_bytes(), capacity);
+        // Exhaustion with a chunk free would be a lost-capacity bug.
+        ASSERT_EQ(pool.free_bytes(), 0u);
       }
     } else if (op < 80) {  // free by the rightful owner
       if (order.empty()) continue;
       ChunkHandle victim = pick();
-      ASSERT_TRUE(pool.Free(victim, live.at(victim).owner).ok());
+      ASSERT_TRUE(pool.Free(victim, live.at(victim)).ok());
       drop(victim);
     } else if (op < 87) {  // free by an impostor: rejected, still live
       if (order.empty()) continue;
       ChunkHandle victim = pick();
-      ChunkOwner impostor = live.at(victim).owner;
+      ChunkOwner impostor = live.at(victim);
       impostor.task_id += 1000;
       ASSERT_EQ(pool.Free(victim, impostor).code(),
                 StatusCode::kFailedPrecondition);
@@ -163,7 +119,7 @@ void RunModel(uint64_t seed, bool flat) {
     } else if (op < 98) {  // double free: rejected
       if (order.empty()) continue;
       ChunkHandle victim = pick();
-      ChunkOwner owner = live.at(victim).owner;
+      ChunkOwner owner = live.at(victim);
       ASSERT_TRUE(pool.Free(victim, owner).ok());
       drop(victim);
       ASSERT_FALSE(pool.Free(victim, owner).ok());
@@ -177,26 +133,26 @@ void RunModel(uint64_t seed, bool flat) {
 
   // Drain the model: the pool must hand every byte back.
   for (ChunkHandle handle : order) {
-    ASSERT_TRUE(pool.Free(handle, live.at(handle).owner).ok());
+    ASSERT_TRUE(pool.Free(handle, live.at(handle)).ok());
   }
   EXPECT_EQ(pool.allocated_count(), 0u);
   EXPECT_EQ(pool.free_bytes(), capacity) << "leaked bytes after drain";
-  EXPECT_EQ(pool.free_chunks(), pool.total_chunks())
-      << "slab failed to dissolve";
-  EXPECT_EQ(pool.frag_bytes(), 0u);
+  EXPECT_EQ(pool.free_chunks(), pool.total_chunks());
 }
 
+// Two chunks per segment: the 4 chunks span two segments.
 TEST(ChunkPoolModelTest, TieredPoolMatchesReferenceModel) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    RunModel(seed, /*flat=*/false);
+    RunModel(seed, MiB(2));
   }
 }
 
+// One segment holds the whole pool.
 TEST(ChunkPoolModelTest, FlatPoolMatchesReferenceModel) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    RunModel(seed, /*flat=*/true);
+    RunModel(seed, MiB(4));
   }
 }
 

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 
 namespace spongefiles::sponge {
@@ -121,164 +122,55 @@ TEST(ChunkPoolTest, ResetFreesEverything) {
   EXPECT_TRUE(pool.AllocatedChunks().empty());
 }
 
-TEST(ChunkPoolTest, ForceFreeIgnoresOwner) {
-  ChunkPool pool(SmallPool());
-  auto handle = *pool.Allocate(ChunkOwner{9, 3});
-  ASSERT_TRUE(pool.ForceFree(handle).ok());
-  EXPECT_EQ(pool.free_chunks(), 8u);
-}
-
-// --- tiered allocator (size classes, slabs, lock model) ---
-
-TEST(ChunkPoolTest, SmallAllocationCarvesSlabOnDemand) {
-  ChunkPool pool(SmallPool());  // default classes: 64 KiB, 256 KiB
-  ChunkOwner owner{3, 0};
-  auto handle = pool.Allocate(owner, KiB(10));
-  ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(handle->level, 1u);
-  EXPECT_EQ(pool.slot_bytes(*handle), KiB(64));
-  // One bulk chunk now backs the 64 KiB slab...
-  EXPECT_EQ(pool.free_chunks(), 7u);
-  EXPECT_EQ(pool.slabs_carved(), 1u);
-  // ...but its 15 sibling slots are still free, so total free bytes only
-  // shrank by one slot.
-  EXPECT_EQ(pool.free_bytes(), MiB(8) - KiB(64));
-  EXPECT_EQ(pool.frag_bytes(), KiB(64) - KiB(10));
-  ASSERT_TRUE(pool.Free(*handle, owner).ok());
-  // Last slot freed: the slab dissolves back into a bulk chunk.
-  EXPECT_EQ(pool.slabs_released(), 1u);
-  EXPECT_EQ(pool.free_chunks(), 8u);
-  EXPECT_EQ(pool.free_bytes(), MiB(8));
-  EXPECT_EQ(pool.frag_bytes(), 0u);
-}
-
-TEST(ChunkPoolTest, SiblingSmallAllocationsShareOneSlab) {
-  ChunkPool pool(SmallPool());
-  ChunkOwner owner{4, 0};
-  std::vector<ChunkHandle> handles;
-  for (int i = 0; i < 16; ++i) {  // 1 MiB / 64 KiB = 16 slots per slab
-    handles.push_back(*pool.Allocate(owner, KiB(64)));
-  }
-  EXPECT_EQ(pool.slabs_carved(), 1u);
-  EXPECT_EQ(pool.free_chunks(), 7u);
-  // The 17th spills into a second slab.
-  handles.push_back(*pool.Allocate(owner, KiB(64)));
-  EXPECT_EQ(pool.slabs_carved(), 2u);
-  EXPECT_EQ(pool.free_chunks(), 6u);
-  for (size_t i = 0; i < handles.size(); ++i) {
-    ASSERT_TRUE(pool.Free(handles[i], owner).ok());
-  }
-  EXPECT_EQ(pool.slabs_released(), 2u);
-  EXPECT_EQ(pool.free_chunks(), 8u);
-}
-
-TEST(ChunkPoolTest, ClassBytesForPicksSmallestFit) {
-  ChunkPool pool(SmallPool());
-  EXPECT_EQ(pool.class_bytes_for(1), KiB(64));
-  EXPECT_EQ(pool.class_bytes_for(KiB(64)), KiB(64));
-  EXPECT_EQ(pool.class_bytes_for(KiB(64) + 1), KiB(256));
-  EXPECT_EQ(pool.class_bytes_for(KiB(256)), KiB(256));
-  EXPECT_EQ(pool.class_bytes_for(KiB(256) + 1), MiB(1));
-  EXPECT_EQ(pool.class_bytes_for(0), MiB(1));  // undeclared => bulk
-  EXPECT_EQ(pool.class_bytes_for(MiB(1)), MiB(1));
-}
-
-TEST(ChunkPoolTest, InvalidSmallClassesAreDropped) {
-  ChunkPoolConfig config = SmallPool();
-  // 3 does not divide the chunk size; MiB(1)/MiB(2) are not smaller than
-  // it. Only the 64 KiB class survives.
-  config.small_classes = {3, KiB(64), MiB(1), MiB(2)};
-  ChunkPool pool(config);
-  EXPECT_EQ(pool.levels(), 2u);
-  EXPECT_EQ(pool.level_class_bytes(1), KiB(64));
-}
-
-TEST(ChunkPoolTest, SmallRequestFallsUpwardToAnOpenLargerClass) {
-  ChunkPool pool(SmallPool());
-  ChunkOwner owner{5, 0};
-  // Carve a 256 KiB slab, then exhaust every remaining bulk chunk.
-  auto big = *pool.Allocate(owner, KiB(100));
-  ASSERT_EQ(big.level, 2u);
-  while (pool.Allocate(owner).ok()) {
-  }
-  ASSERT_EQ(pool.free_chunks(), 0u);
-  // A 10 KiB request cannot carve a 64 KiB slab (no free bulk chunk), so
-  // it falls upward into the open 256 KiB slab.
-  auto handle = pool.Allocate(owner, KiB(10));
-  ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(handle->level, 2u);
-  EXPECT_EQ(pool.slot_bytes(*handle), KiB(256));
-  EXPECT_EQ(pool.frag_bytes(),
-            (KiB(256) - KiB(100)) + (KiB(256) - KiB(10)));
-}
-
-TEST(ChunkPoolTest, SmallRequestExhaustsWhenNothingFitsAnywhere) {
-  ChunkPool pool(SmallPool());
-  ChunkOwner owner{6, 0};
-  std::vector<ChunkHandle> bulk;
-  while (true) {
-    auto handle = pool.Allocate(owner);
-    if (!handle.ok()) break;
-    bulk.push_back(*handle);
-  }
-  auto small = pool.Allocate(owner, KiB(10));
-  EXPECT_EQ(small.status().code(), StatusCode::kResourceExhausted);
-  // Freeing one bulk chunk makes the carve possible again.
-  ASSERT_TRUE(pool.Free(bulk.back(), owner).ok());
-  auto retry = pool.Allocate(owner, KiB(10));
-  ASSERT_TRUE(retry.ok());
-  EXPECT_EQ(retry->level, 1u);
-}
-
-TEST(ChunkPoolTest, FlatModeHasOneLevelAndIgnoresSizeClasses) {
-  ChunkPoolConfig config = SmallPool();
-  config.flat = true;
-  ChunkPool pool(config);
-  EXPECT_EQ(pool.levels(), 1u);
-  auto handle = pool.Allocate(ChunkOwner{2, 0}, KiB(10));
-  ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(handle->level, 0u);  // a whole bulk chunk, as before the tiers
-  EXPECT_EQ(pool.slot_bytes(*handle), MiB(1));
-  EXPECT_EQ(pool.frag_bytes(), MiB(1) - KiB(10));
-}
-
+// Chunks declared smaller than chunk_size (once carved from slabs, now a
+// whole slot each) go back on Reset like full ones, and every count the
+// pool keeps about them is cleared.
 TEST(ChunkPoolTest, ResetDissolvesSlabsAndClearsAccounting) {
   ChunkPool pool(SmallPool());
   ChunkOwner owner{8, 1};
   (void)pool.Allocate(owner);
   (void)pool.Allocate(owner, KiB(10));
   (void)pool.Allocate(owner, KiB(200));
+  ASSERT_EQ(pool.HeldByTask(8), 3u);
   pool.Reset();
   EXPECT_EQ(pool.free_chunks(), 8u);
   EXPECT_EQ(pool.free_bytes(), MiB(8));
-  EXPECT_EQ(pool.frag_bytes(), 0u);
   EXPECT_EQ(pool.allocated_count(), 0u);
   EXPECT_EQ(pool.HeldByTask(8), 0u);
   EXPECT_TRUE(pool.AllocatedChunks().empty());
 }
 
-TEST(ChunkPoolTest, ForceFreeWorksOnSmallClassChunks) {
+TEST(ChunkPoolTest, ForceFreeIgnoresOwner) {
   ChunkPool pool(SmallPool());
-  auto handle = *pool.Allocate(ChunkOwner{9, 0}, KiB(10));
-  ASSERT_EQ(handle.level, 1u);
+  auto handle = *pool.Allocate(ChunkOwner{9, 3});
   ASSERT_TRUE(pool.ForceFree(handle).ok());
   EXPECT_EQ(pool.free_chunks(), 8u);
-  EXPECT_EQ(pool.frag_bytes(), 0u);
+  EXPECT_EQ(pool.HeldByTask(9), 0u);
+  EXPECT_EQ(pool.ForceFree(handle).code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(ChunkPoolTest, AllocatedChunksSpansAllLevels) {
-  ChunkPool pool(SmallPool());
-  auto bulk = *pool.Allocate(ChunkOwner{1, 0});
-  auto small = *pool.Allocate(ChunkOwner{2, 0}, KiB(10));
+TEST(ChunkPoolTest, AllocatedChunksSpansAllSegments) {
+  // Two chunks per segment: five allocations land in three segments.
+  ChunkPoolConfig config = SmallPool();
+  config.max_segment_size = MiB(2);
+  ChunkPool pool(config);
+  ASSERT_EQ(pool.segments(), 4u);
+  std::unordered_set<ChunkHandle> allocated;
+  for (uint64_t task = 1; task <= 5; ++task) {
+    allocated.insert(*pool.Allocate(ChunkOwner{task, 0}));
+  }
   auto chunks = pool.AllocatedChunks();
-  ASSERT_EQ(chunks.size(), 2u);
-  std::unordered_set<ChunkHandle> listed;
-  for (const auto& [handle, owner] : chunks) listed.insert(handle);
-  EXPECT_TRUE(listed.count(bulk));
-  EXPECT_TRUE(listed.count(small));
+  ASSERT_EQ(chunks.size(), 5u);
+  std::unordered_set<uint32_t> segments;
+  for (const auto& [handle, owner] : chunks) {
+    EXPECT_TRUE(allocated.count(handle));
+    EXPECT_EQ(*pool.OwnerOf(handle), owner);
+    segments.insert(handle.segment);
+  }
+  EXPECT_EQ(segments.size(), 3u);
 }
 
-TEST(ChunkPoolTest, HeldByTaskCountsAcrossLevels) {
+TEST(ChunkPoolTest, HeldByTaskCountsPerTask) {
   ChunkPool pool(SmallPool());
   auto a = *pool.Allocate(ChunkOwner{5, 0});
   (void)pool.Allocate(ChunkOwner{5, 0}, KiB(10));
@@ -288,6 +180,25 @@ TEST(ChunkPoolTest, HeldByTaskCountsAcrossLevels) {
   EXPECT_EQ(pool.HeldByTask(7), 0u);
   ASSERT_TRUE(pool.Free(a, ChunkOwner{5, 0}).ok());
   EXPECT_EQ(pool.HeldByTask(5), 1u);
+}
+
+TEST(ChunkPoolTest, FragBytesCountsTheUnusedTailOfDeclaredChunks) {
+  obs::Counter* frag =
+      obs::Registry::Default().counter("sponge.pool.frag_bytes");
+  ChunkPool pool(SmallPool());
+  ChunkOwner owner{3, 0};
+  const uint64_t before = frag->value();
+  // A declared 10 KiB chunk still takes a whole 1 MiB slot.
+  auto handle = *pool.Allocate(owner, KiB(10));
+  EXPECT_EQ(frag->value() - before, MiB(1) - KiB(10));
+  // Full and undeclared chunks waste nothing.
+  (void)pool.Allocate(owner, MiB(1));
+  (void)pool.Allocate(owner);
+  EXPECT_EQ(frag->value() - before, MiB(1) - KiB(10));
+  // The counter is cumulative: a free does not take the waste back.
+  ASSERT_TRUE(pool.Free(handle, owner).ok());
+  (void)pool.Allocate(owner, KiB(512));
+  EXPECT_EQ(frag->value() - before, (MiB(1) - KiB(10)) + KiB(512));
 }
 
 TEST(ChunkPoolTest, LockModelChargesWaitPlusHold) {
@@ -305,41 +216,24 @@ TEST(ChunkPoolTest, LockModelChargesWaitPlusHold) {
   EXPECT_EQ(pool.lock_wait_total(), Micros(6));
 }
 
-TEST(ChunkPoolTest, PerLevelLocksDoNotConvoyAcrossClasses) {
+TEST(ChunkPoolTest, FreesOccupyTheLockWithoutBeingCharged) {
   sim::Engine engine;
   ChunkPoolConfig config = SmallPool();
   config.lock_hold = Micros(2);
   ChunkPool pool(config, &engine);
   ChunkOwner owner{1, 0};
-  // Pin a slot so the 64 KiB slab stays carved, then drain the charge.
-  auto pin = *pool.Allocate(owner, KiB(10));
+  auto handle = *pool.Allocate(owner);
   (void)pool.TakeLockWait();
-  // Once the carve's lock horizons pass, a bulk allocation and a small
-  // allocation at the same instant hit different locks: neither waits,
-  // each pays one hold.
+  // Later, a free and an allocation at the same instant: the free holds
+  // the one lock, so the allocation waits out its hold, then pays its own.
   auto run = [&]() -> sim::Task<> {
     co_await engine.Delay(Micros(100));
+    EXPECT_TRUE(pool.Free(handle, owner).ok());
     (void)pool.Allocate(owner);
-    (void)pool.Allocate(owner, KiB(10));
   };
   engine.Spawn(run());
   engine.Run();
   EXPECT_EQ(pool.TakeLockWait(), Micros(4));
-  ASSERT_TRUE(pool.Free(pin, owner).ok());
-}
-
-TEST(ChunkPoolTest, FlatModeDoublesHoldAndSharesOneLock) {
-  sim::Engine engine;
-  ChunkPoolConfig config = SmallPool();
-  config.lock_hold = Micros(2);
-  config.flat = true;
-  ChunkPool pool(config, &engine);
-  ChunkOwner owner{1, 0};
-  // Flat critical sections cover the segment scan (hold x2) and every
-  // operation shares the one lock: 4us, then 4us wait + 4us hold.
-  (void)pool.Allocate(owner);
-  (void)pool.Allocate(owner, KiB(10));
-  EXPECT_EQ(pool.TakeLockWait(), Micros(4) + Micros(8));
 }
 
 TEST(ChunkPoolTest, HandlesAndOwnersAreHashable) {
@@ -350,7 +244,7 @@ TEST(ChunkPoolTest, HandlesAndOwnersAreHashable) {
     live.emplace(*pool.Allocate(owner), owner);
     live.emplace(*pool.Allocate(owner, KiB(10)), owner);
   }
-  EXPECT_EQ(live.size(), 8u);  // bulk and small handles never collide
+  EXPECT_EQ(live.size(), 8u);
   std::unordered_map<ChunkOwner, uint64_t> held;
   for (const auto& [handle, owner] : pool.AllocatedChunks()) {
     ASSERT_TRUE(live.count(handle));
@@ -359,6 +253,11 @@ TEST(ChunkPoolTest, HandlesAndOwnersAreHashable) {
   }
   EXPECT_EQ(held.size(), 4u);
   EXPECT_EQ(held.at(ChunkOwner{2, 0}), 2u);
+  // The handle hash is the SplitMix64 finalizer over (segment << 32) ^
+  // index; pinned so a hashed container's iteration order stays stable.
+  EXPECT_EQ(std::hash<ChunkHandle>{}(ChunkHandle{0, 0}), 0u);
+  EXPECT_EQ(std::hash<ChunkHandle>{}(ChunkHandle{1, 2}),
+            static_cast<size_t>(0xf2c6924e7dfed23eull));
 }
 
 }  // namespace

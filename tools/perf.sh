@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Self-performance gate (DESIGN.md "Performance engineering"). Three gates
+# Self-performance gate (DESIGN.md "Performance engineering"). Two gates
 # on one RelWithDebInfo build:
 #
 #   1. Run-to-run determinism: bench_selfperf's fixed suite twice; sim
@@ -12,21 +12,15 @@
 #      and build type, and its simulated digest must equal the fresh run's —
 #      a stale or differently-shaped artifact fails the gate instead of
 #      being compared.
-#   3. Pool gate (DESIGN.md §14): fig5_contention once on the tiered
-#      size-classed pool and once on --pool=flat (the pre-tiered global
-#      lock). The tiered pool's summed job runtime — a simulated,
-#      deterministic quantity — must beat the flat baseline; both numbers
-#      land in the report.
 #
 # The second suite run writes BENCH_selfperf.json with the committed copy
 # of that file as its baseline, so the report's "speedup" field compares
 # this build against the recorded one. The committed file must match the
-# run's shape (chaos seeds, pool, build type); perf.sh refuses to compare
+# run's shape (chaos seeds, build type); perf.sh refuses to compare
 # otherwise. To re-record at a new shape, delete BENCH_selfperf.json (the
 # second run then uses the first as its baseline), or re-run
 # bench_datacenter / bench_recovery for BENCH_datacenter.json /
-# BENCH_recovery.json. The datacenter and pool numbers are spliced in at
-# the end.
+# BENCH_recovery.json. The datacenter numbers are spliced in at the end.
 #
 # Usage: tools/perf.sh [--chaos-seeds=N] [--out=PATH] [--keep-work]
 set -euo pipefail
@@ -91,7 +85,7 @@ echo "== gate 1: run-to-run determinism"
 baseline="$work/run1.json"
 if [ -f "$committed_sp" ]; then
   same_shape BENCH_selfperf.json "$committed_sp" "$work/run1.json" \
-    bench chaos_seeds pool build_type
+    bench chaos_seeds build_type
   baseline="$committed_sp"
 fi
 echo
@@ -142,33 +136,15 @@ if [ -f "$committed_rc" ]; then
   fi
 fi
 
-echo
-echo "== gate 3: tiered pool vs flat baseline (fig5_contention)"
-"$build/bench/bench_selfperf" --scenarios=fig5_contention --pool=flat \
-  --out="$work/pool_flat.json" --sim-out="$work/pool_flat_sim.json"
-"$build/bench/bench_selfperf" --scenarios=fig5_contention --pool=tiered \
-  --out="$work/pool_tiered.json" --sim-out="$work/pool_tiered_sim.json"
-pool_flat_us="$(field "$work/pool_flat_sim.json" job_runtime_us)"
-pool_tiered_us="$(field "$work/pool_tiered_sim.json" job_runtime_us)"
-echo "  job runtime: flat ${pool_flat_us} us, tiered ${pool_tiered_us} us"
-if awk "BEGIN{exit !($pool_tiered_us < $pool_flat_us)}"; then
-  echo "  pool gate: tiered beats the flat global-lock baseline"
-else
-  echo "  pool gate: tiered pool is NOT faster than --pool=flat" >&2
-  exit 1
-fi
-
-# Splice the datacenter and pool numbers into the report (drop the closing
-# brace, append the extra keys, close again).
+# Splice the datacenter numbers into the report (drop the closing brace,
+# append the extra keys, close again).
 tmp="$(mktemp)"
 sed '$d' "$out" > "$tmp"
 {
   cat "$tmp"
   echo ",
   \"datacenter_wall_ms\": $dc_wall,
-  \"datacenter_jobs\": $dc_jobs,
-  \"pool_flat_job_runtime_us\": $pool_flat_us,
-  \"pool_tiered_job_runtime_us\": $pool_tiered_us
+  \"datacenter_jobs\": $dc_jobs
 }"
 } > "$out"
 rm -f "$tmp"
