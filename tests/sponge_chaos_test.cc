@@ -183,13 +183,16 @@ struct MiniSnapshot {
   uint64_t leaked = 0;
 };
 
-// The skewed median job on a 4-node testbed with speculation on; a nonzero
-// `chaos_seed` adds a six-fault chaos schedule, then settles the clock and
-// GC-sweeps every server before counting leaked chunks.
-MiniSnapshot RunMiniWorkload(uint64_t chaos_seed) {
+// The skewed median job on a 4-node testbed with speculation on, spilling
+// through `sponge`; a nonzero `chaos_seed` adds a six-fault chaos schedule,
+// then settles the clock and GC-sweeps every server before counting leaked
+// chunks.
+MiniSnapshot RunMiniWorkload(uint64_t chaos_seed,
+                             const sponge::SpongeConfig& sponge = {}) {
   workload::TestbedConfig bed_config;
   bed_config.num_nodes = 4;
   bed_config.sponge_memory = MiB(64);
+  bed_config.sponge = sponge;
   workload::Testbed bed(bed_config);
   workload::NumbersDatasetConfig data;
   data.count = 20001;
@@ -246,24 +249,39 @@ MiniSnapshot RunMiniWorkload(uint64_t chaos_seed) {
 
 // The constants were recorded from the single-queue engine; a change to
 // event order, tie-breaking or spawn scheduling moves at least one of them.
+// The `all_paths` rows turn on every client path the default config skips
+// (replica writes, hedged reads, encryption, socket-routed local chunks,
+// synchronous stores), so a change to any of them moves a constant too.
 TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
   struct Expected {
     uint64_t seed;
+    bool all_paths;
     Duration runtime;
     uint64_t events;
     SimTime now;
   };
   const Expected kExpected[] = {
-      {0, 6334158, 5567, 10010000},
-      {1, 6334158, 6034, 80000000},
-      {2, 6334043, 6036, 80000000},
+      {0, false, 6334158, 5567, 10010000},
+      {1, false, 6334158, 6034, 80000000},
+      {2, false, 6334043, 6036, 80000000},
+      {0, true, 8156825, 7303, 10010000},
+      {1, true, 8156825, 7770, 80000000},
+      {2, true, 8156780, 7774, 80000000},
   };
+  sponge::SpongeConfig all_paths;
+  all_paths.replication.enabled = true;
+  all_paths.rpc.hedge_reads = true;
+  all_paths.encrypt = true;
+  all_paths.direct_local_access = false;
+  all_paths.async_write = false;
   mapred::Record median;
   median.key = "median";
   median.number = 10000;
   for (const Expected& want : kExpected) {
-    SCOPED_TRACE("chaos seed " + std::to_string(want.seed));
-    MiniSnapshot got = RunMiniWorkload(want.seed);
+    SCOPED_TRACE("chaos seed " + std::to_string(want.seed) +
+                 (want.all_paths ? ", all paths" : ""));
+    MiniSnapshot got = want.all_paths ? RunMiniWorkload(want.seed, all_paths)
+                                      : RunMiniWorkload(want.seed);
     EXPECT_EQ(got.runtime, want.runtime);
     EXPECT_EQ(got.output, std::vector<mapred::Record>{median});
     EXPECT_EQ(got.events, want.events);
