@@ -11,6 +11,10 @@ namespace spongefiles::sponge {
 
 namespace {
 
+// Re-replication budget, as a fraction of the rack uplink rate (the NIC
+// rate when the core is unmetered).
+constexpr double kRepairBandwidthFraction = 0.10;
+
 struct RepairMetrics {
   obs::Counter* chunks;
   obs::Counter* bytes;
@@ -37,7 +41,7 @@ double RepairService::budget_bandwidth() const {
   // cross-rack pipe; on a non-blocking core the NIC rate is the bound.
   double uplink = net.cross_rack_bandwidth > 0 ? net.cross_rack_bandwidth
                                                : net.bandwidth;
-  return uplink * env_->config().replication.repair_bandwidth_fraction;
+  return uplink * kRepairBandwidthFraction;
 }
 
 void RepairService::NotifyServerDeath(size_t node) {
@@ -118,38 +122,14 @@ sim::Task<> RepairService::RepairEntry(uint64_t chunk_id) {
   if (data.Checksum64() != checksum) co_return;
 
   // Pick the new home from the tracker's freshest view: alive, not already
-  // holding a copy, past the pressure gate, rack-diverse from the survivor
-  // when possible.
-  const SpongeConfig& config = env_->config();
-  const std::vector<FreeSpaceEntry>& view = env_->tracker().snapshot();
-  const size_t source_rack = env_->cluster()->rack_of(source.node);
-  size_t target = source.node;
-  bool found = false;
-  const int passes = config.replication.prefer_rack_diverse ? 2 : 1;
-  for (int pass = 0; pass < passes && !found; ++pass) {
-    const bool want_diverse = config.replication.prefer_rack_diverse &&
-                              pass == 0;
-    for (const FreeSpaceEntry& candidate : view) {
-      if (candidate.node == source.node) continue;
-      if (!env_->server(candidate.node).alive()) continue;
-      const bool diverse =
-          env_->cluster()->rack_of(candidate.node) != source_rack;
-      if (want_diverse && !diverse) continue;
-      ChunkPool& pool = env_->server(candidate.node).pool();
-      const uint64_t capacity = pool.total_chunks() * config.chunk_size;
-      const uint64_t min_free = static_cast<uint64_t>(
-          config.replication.min_free_fraction *
-          static_cast<double>(capacity));
-      if (candidate.free_bytes < min_free ||
-          candidate.free_bytes < config.chunk_size) {
-        continue;
-      }
-      target = candidate.node;
-      found = true;
-      break;
-    }
-  }
-  if (!found) co_return;  // cluster under pressure; stay single-copy
+  // holding a copy, first in the replica-target order.
+  const std::vector<size_t> targets = env_->ReplicaTargets(
+      env_->tracker().snapshot(), env_->cluster()->rack_of(source.node),
+      [this, &source](size_t node) {
+        return node == source.node || !env_->server(node).alive();
+      });
+  if (targets.empty()) co_return;  // cluster under pressure; stay single-copy
+  const size_t target = targets.front();
 
   // The new copy is a replica owned by the same attempt, so GC reclaims it
   // with the attempt whether or not anyone ever reads it. The owner's node
@@ -172,7 +152,7 @@ sim::Task<> RepairService::RepairEntry(uint64_t chunk_id) {
       env_->server(target).RemoteAllocate(source.node, new_owner,
                                           data.size());
   Result<ChunkHandle> slot = co_await CallWithDeadline<Result<ChunkHandle>>(
-      env_->engine(), config.rpc.deadline, std::move(alloc_op));
+      env_->engine(), kRpcDeadline, std::move(alloc_op));
   if (!slot.ok()) {
     active_time_ += env_->engine()->now() - started;
     co_return;
@@ -181,7 +161,7 @@ sim::Task<> RepairService::RepairEntry(uint64_t chunk_id) {
   sim::Task<Status> write_op = env_->server(target).RemoteWrite(
       source.node, *slot, new_owner, std::move(data));
   Status stored = co_await CallWithDeadline<Status>(
-      env_->engine(), config.rpc.hedge_deadline, std::move(write_op));
+      env_->engine(), kHedgeDeadline, std::move(write_op));
   if (!stored.ok()) {
     active_time_ += env_->engine()->now() - started;
     co_return;

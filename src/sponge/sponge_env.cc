@@ -4,6 +4,13 @@
 
 namespace spongefiles::sponge {
 
+namespace {
+
+// Seeds the deterministic backoff jitter of every hardened call.
+constexpr uint64_t kRpcJitterSeed = 0x5f0a9e;
+
+}  // namespace
+
 SpongeEnv::~SpongeEnv() = default;
 
 SpongeEnv::SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
@@ -14,8 +21,8 @@ SpongeEnv::SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
     : cluster_(cluster),
       dfs_(dfs),
       config_(config),
-      health_(cluster->engine(), &config_.rpc),
-      rpc_rng_(config.rpc_jitter_seed) {
+      health_(cluster->engine(), config.rpc.hedge_min_delay),
+      rpc_rng_(kRpcJitterSeed) {
   servers_.reserve(cluster->size());
   for (size_t i = 0; i < cluster->size(); ++i) {
     ChunkPoolConfig node_pool = pool_config;
@@ -65,6 +72,31 @@ TaskContext SpongeEnv::StartTask(size_t node) {
 
 void SpongeEnv::EndTask(const TaskContext& task) {
   registry_.Deregister(task.task_id);
+}
+
+std::vector<size_t> SpongeEnv::ReplicaTargets(
+    const std::vector<FreeSpaceEntry>& view, size_t primary_rack,
+    const std::function<bool(size_t)>& skip) {
+  std::vector<size_t> targets;
+  for (const bool diverse : {true, false}) {
+    for (const FreeSpaceEntry& entry : view) {
+      if ((cluster_->rack_of(entry.node) != primary_rack) != diverse) {
+        continue;
+      }
+      if (skip(entry.node)) continue;
+      const uint64_t capacity =
+          servers_[entry.node]->pool().total_chunks() * config_.chunk_size;
+      const auto min_free = static_cast<uint64_t>(
+          config_.replication.min_free_fraction *
+          static_cast<double>(capacity));
+      if (entry.free_bytes < min_free ||
+          entry.free_bytes < config_.chunk_size) {
+        continue;
+      }
+      targets.push_back(entry.node);
+    }
+  }
+  return targets;
 }
 
 }  // namespace spongefiles::sponge

@@ -2,6 +2,7 @@
 #define SPONGEFILES_SPONGE_SPONGE_ENV_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,15 +32,6 @@ struct ReplicationConfig {
   // node's pool. Replication is strictly best-effort — under pressure the
   // spare copy is skipped rather than crowding out foreground spills.
   double min_free_fraction = 0.25;
-  // Prefer a replica on a different rack from the primary (survives
-  // rack-correlated failures); falls back to same-rack when no off-rack
-  // candidate passes the pressure gate.
-  bool prefer_rack_diverse = true;
-  // Re-replication repair budget, as a fraction of the rack uplink rate
-  // (the NIC rate when the core is unmetered): after copying a chunk the
-  // repair loop idles long enough that its average throughput never
-  // exceeds this, so repair cannot starve foreground spills.
-  double repair_bandwidth_fraction = 0.10;
 };
 
 // Knobs governing SpongeFile behaviour; defaults match the paper's
@@ -48,8 +40,6 @@ struct ReplicationConfig {
 // shared-memory access for local chunks).
 struct SpongeConfig {
   uint64_t chunk_size = 1024ull * 1024;
-  // Raw copy rate into the node's mapped shared-memory pool.
-  double shared_memory_bandwidth = 1.0 * 1024 * 1024 * 1024;
   // When false, even local chunks are stored through the local sponge
   // server over a socket (Table 1's second column) instead of directly
   // through shared memory.
@@ -82,20 +72,12 @@ struct SpongeConfig {
   bool allow_remote_memory = true;
   // Encrypt chunk contents before they leave the task (section 3.1.4's
   // access-control story: sponge memory is readable by anyone on the
-  // cluster). Costs cipher_bandwidth per spilled/read byte.
+  // cluster). Costs the cipher's rate per spilled/read byte.
   bool encrypt = false;
   std::string encryption_passphrase = "spongefiles";
-  double cipher_bandwidth = 500.0 * 1024 * 1024;
-  // Verify each chunk's stored checksum on read; a mismatch is treated as
-  // a lost chunk (UNAVAILABLE) and recovered by the framework's task
-  // retry. The hash rides along with the memcpy in a real implementation,
-  // so no simulated time is charged.
-  bool verify_checksums = true;
   // Client-side hardening of remote sponge operations (deadlines,
-  // retries, circuit breaker); see rpc_client.h.
+  // retries, circuit breaker, hedged reads); see rpc_client.h.
   RpcPolicy rpc;
-  // Seeds the deterministic backoff jitter.
-  uint64_t rpc_jitter_seed = 0x5f0a9e;
   // Chunk replication and crash recovery (see ReplicationConfig above).
   ReplicationConfig replication;
 };
@@ -153,6 +135,17 @@ class SpongeEnv {
   Rng& rpc_rng() { return rpc_rng_; }
   ReplicaDirectory& replicas() { return registry_.replicas(); }
   RepairService& repair() { return *repair_; }
+
+  // Replica targets from `view`, in the one order both the write path and
+  // repair use: servers off `primary_rack` first (a whole-rack failure —
+  // the switch, a PDU — then still leaves one copy), same-rack ones after.
+  // A server qualifies only while `view` shows at least
+  // ReplicationConfig::min_free_fraction of its pool, and at least one
+  // chunk, free: replicas only consume slack. `skip` is the caller's own
+  // exclusions.
+  std::vector<size_t> ReplicaTargets(const std::vector<FreeSpaceEntry>& view,
+                                     size_t primary_rack,
+                                     const std::function<bool(size_t)>& skip);
 
   // Registers a task with the registry and hands out its context.
   TaskContext StartTask(size_t node);

@@ -9,6 +9,9 @@ namespace spongefiles::sponge {
 
 namespace {
 
+// Copy rate between a request buffer and the pool on the server side.
+constexpr double kServerCopyBandwidth = 2.0 * 1024 * 1024 * 1024;
+
 obs::Counter* RpcCounter(const char* op) {
   static obs::Registry& registry = obs::Registry::Default();
   static obs::Counter* const alloc =
@@ -80,11 +83,10 @@ sim::Task<Result<ChunkHandle>> SpongeServer::RemoteAllocate(size_t from,
   obs::SpanGuard span(&obs::Tracer::Default(), engine_, node_id_,
                       owner.task_id, "rpc", "rpc.alloc");
   span.Arg("from", static_cast<uint64_t>(from));
-  // Request hop, server-side work, response hop: the two Transfers are
-  // exactly what Network::Rpc was made of, so the timing is unchanged,
-  // but the pool mutation now happens *at the server* (between the hops)
-  // — an error response still pays the return trip.
-  co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
+  // Request hop, server-side work, response hop: the pool mutation
+  // happens at the server, between the hops, so an error response still
+  // pays the return trip.
+  co_await network_->Transfer(from, node_id_, kRpcMessageBytes);
   co_await FaultPoint();
   Result<ChunkHandle> handle = Unavailable("sponge server down");
   if (alive_) {
@@ -104,7 +106,7 @@ sim::Task<Result<ChunkHandle>> SpongeServer::RemoteAllocate(size_t from,
       if (lock_wait > 0) co_await engine_->Delay(lock_wait);
     }
   }
-  co_await network_->Transfer(node_id_, from, config_.rpc_message_bytes);
+  co_await network_->Transfer(node_id_, from, kRpcMessageBytes);
   co_return handle;
 }
 
@@ -116,12 +118,9 @@ sim::Task<Status> SpongeServer::RemoteWrite(size_t from, ChunkHandle handle,
   span.Arg("from", static_cast<uint64_t>(from));
   span.Arg("bytes", data.size());
   // The chunk payload travels over the network, then the server moves it
-  // into the pool slot. The *simulated* server-side copy below still
-  // charges time (the real system memcpys socket buffer -> pool segment),
-  // but on the host the incoming ByteRuns already shares the caller's
-  // buffers and the pool slot takes them by move — the double copy this
-  // path used to do (payload into the RPC frame, then again into the pool
-  // slot representation) is gone.
+  // into the pool slot. The simulated server-side copy charges time (the
+  // real system memcpys socket buffer -> pool segment); on the host the
+  // pool slot takes the caller's shared buffers by move.
   co_await network_->Transfer(from, node_id_, data.size());
   co_await FaultPoint();
   if (!alive_) co_return Unavailable("sponge server down");
@@ -130,7 +129,7 @@ sim::Task<Status> SpongeServer::RemoteWrite(size_t from, ChunkHandle handle,
     co_return FailedPrecondition("chunk not owned by caller");
   }
   co_await engine_->Delay(
-      TransferTime(data.size(), config_.server_copy_bandwidth));
+      TransferTime(data.size(), kServerCopyBandwidth));
   *pool_->chunk_data(handle) = std::move(data);
   co_return Status::OK();
 }
@@ -143,7 +142,7 @@ sim::Task<Result<ByteRuns>> SpongeServer::RemoteRead(size_t from,
                       owner.task_id, "rpc", "rpc.read");
   span.Arg("from", static_cast<uint64_t>(from));
   // Request message to the server.
-  co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
+  co_await network_->Transfer(from, node_id_, kRpcMessageBytes);
   co_await FaultPoint();
   if (!alive_) co_return Unavailable("sponge server down");
   auto holder = pool_->OwnerOf(handle);
@@ -152,7 +151,7 @@ sim::Task<Result<ByteRuns>> SpongeServer::RemoteRead(size_t from,
   }
   ByteRuns* data = pool_->chunk_data(handle);
   co_await engine_->Delay(
-      TransferTime(data->size(), config_.server_copy_bandwidth));
+      TransferTime(data->size(), kServerCopyBandwidth));
   // Hand the reader a shared view of the slot (O(runs), no payload copy);
   // copy-on-write keeps it stable if the slot is later corrupted or reused.
   ByteRuns copy = *data;
@@ -167,11 +166,11 @@ sim::Task<Status> SpongeServer::RemoteFree(size_t from, ChunkHandle handle,
                       owner.task_id, "rpc", "rpc.free");
   span.Arg("from", static_cast<uint64_t>(from));
   // Request hop, free at the server, response hop (see RemoteAllocate).
-  co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
+  co_await network_->Transfer(from, node_id_, kRpcMessageBytes);
   co_await FaultPoint();
   Status result = alive_ ? pool_->Free(handle, owner)
                          : Unavailable("sponge server down");
-  co_await network_->Transfer(node_id_, from, config_.rpc_message_bytes);
+  co_await network_->Transfer(node_id_, from, kRpcMessageBytes);
   co_return result;
 }
 
@@ -183,10 +182,10 @@ sim::Task<bool> SpongeServer::RemoteIsTaskAlive(size_t from,
   span.Arg("from", static_cast<uint64_t>(from));
   // Request hop, registry lookup at the server, response hop (see
   // RemoteAllocate).
-  co_await network_->Transfer(from, node_id_, config_.rpc_message_bytes);
+  co_await network_->Transfer(from, node_id_, kRpcMessageBytes);
   co_await FaultPoint();
   bool task_alive = alive_ && registry_->IsAliveOn(task_id, node_id_);
-  co_await network_->Transfer(node_id_, from, config_.rpc_message_bytes);
+  co_await network_->Transfer(node_id_, from, kRpcMessageBytes);
   co_return task_alive;
 }
 

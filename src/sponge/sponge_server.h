@@ -16,12 +16,11 @@
 
 namespace spongefiles::sponge {
 
+// Size of a control message on the wire: sponge-server allocate, read,
+// free and liveness requests and responses, and tracker polls and queries.
+inline constexpr uint64_t kRpcMessageBytes = 256;
+
 struct SpongeServerConfig {
-  // Size of control messages (allocate/free/liveness requests and
-  // responses) on the wire.
-  uint64_t rpc_message_bytes = 256;
-  // Copy rate between a request buffer and the pool on the server side.
-  double server_copy_bandwidth = 2.0 * 1024 * 1024 * 1024;
   // Period between garbage-collection sweeps.
   Duration gc_period = Seconds(30);
   // Per-task per-node chunk quota; 0 disables enforcement (the paper's
