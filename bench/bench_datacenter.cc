@@ -27,10 +27,7 @@
 // >=500-node / >=16-rack / >=1k-concurrent-job acceptance bar;
 // tools/check.sh runs a small smoke shape under the sanitizers.
 
-#include <sys/resource.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -49,29 +46,6 @@ using namespace spongefiles;
 using namespace spongefiles::bench;
 
 namespace {
-
-// Host wall clock in milliseconds. Monotonic, never feeds simulated state.
-double WallMs() {
-  // lint: det-ok(bench wall-clock measurement; reported separately from sim outputs)
-  auto t = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t.time_since_epoch())
-      .count();
-}
-
-uint64_t PeakRssBytes() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
-}
-
-// FNV-1a 64 over the deterministic outputs.
-struct Digest {
-  uint64_t h = 1469598103934665603ull;
-  void U64(uint64_t v) {
-    const auto* c = reinterpret_cast<const unsigned char*>(&v);
-    for (size_t i = 0; i < sizeof(v); ++i) h = (h ^ c[i]) * 1099511628211ull;
-  }
-};
 
 struct Options {
   size_t racks = 16;
@@ -509,14 +483,6 @@ std::string FullJson(const Options& options, const RunResult& r) {
   obs::AppendJsonUint(&out, PeakRssBytes());
   out += "\n}\n";
   return out;
-}
-
-bool WriteText(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  int closed = std::fclose(f);
-  return written == text.size() && closed == 0;
 }
 
 }  // namespace

@@ -28,10 +28,7 @@
 //                   ours and the ratio computed (regression tracking
 //                   across commits).
 
-#include <sys/resource.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -46,21 +43,6 @@ using namespace spongefiles::bench;
 
 namespace {
 
-// Host wall clock in milliseconds. Monotonic, never feeds simulated state.
-double WallMs() {
-  // lint: det-ok(self-perf bench measures host wall time by design)
-  auto t = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t.time_since_epoch())
-      .count();
-}
-
-// Peak resident set, bytes (ru_maxrss is KiB on Linux).
-uint64_t PeakRssBytes() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
-}
-
 struct ScenarioResult {
   std::string name;
   double wall_ms = 0;
@@ -74,18 +56,6 @@ struct ScenarioResult {
                                // plane moved (spill accounting)
   uint64_t digest = 0;         // deterministic: FNV over scenario outputs
   bool ok = false;             // deterministic
-};
-
-// FNV-1a 64 over arbitrary stuff, for the per-scenario output digest.
-struct Digest {
-  uint64_t h = 1469598103934665603ull;
-  void Bytes(const void* p, size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) h = (h ^ c[i]) * 1099511628211ull;
-  }
-  void Str(const std::string& s) { Bytes(s.data(), s.size()); }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void F64(double v) { Bytes(&v, sizeof(v)); }
 };
 
 // ---- event_storm -----------------------------------------------------------
@@ -294,14 +264,6 @@ ScenarioResult RunChaosSweep(int seeds) {
 }
 
 // ---- reports ---------------------------------------------------------------
-
-bool WriteText(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  int closed = std::fclose(f);
-  return written == text.size() && closed == 0;
-}
 
 // Simulated quantities only — must be byte-identical across build flavors.
 std::string SimJson(const std::vector<ScenarioResult>& results) {

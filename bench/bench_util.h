@@ -5,8 +5,10 @@
 // one table or figure from the paper (see DESIGN.md's experiment index)
 // by running the three evaluation jobs on the simulated 30-node testbed.
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -83,6 +85,43 @@ inline void WriteObsOutputs(const ObsOptions& options) {
 inline unsigned HostCores() {
   long n = sysconf(_SC_NPROCESSORS_ONLN);
   return n > 0 ? static_cast<unsigned>(n) : 1;
+}
+
+// Host wall clock in milliseconds. Monotonic, never feeds simulated state.
+inline double WallMs() {
+  // lint: det-ok(bench wall-clock measurement; reported separately from sim outputs)
+  auto t = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t.time_since_epoch())
+      .count();
+}
+
+// Peak resident set, bytes (ru_maxrss is KiB on Linux).
+inline uint64_t PeakRssBytes() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
+}
+
+// FNV-1a 64 over a bench's deterministic outputs, hashed in host byte
+// order.
+struct Digest {
+  uint64_t h = 1469598103934665603ull;
+  void Bytes(const void* p, size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) h = (h ^ c[i]) * 1099511628211ull;
+  }
+  void Str(const std::string& s) { Bytes(s.data(), s.size()); }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void F64(double v) { Bytes(&v, sizeof(v)); }
+};
+
+// Writes `text` to `path`; false when the file cannot be written whole.
+inline bool WriteText(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  int closed = std::fclose(f);
+  return written == text.size() && closed == 0;
 }
 
 // Full paper scale by default; SPONGE_BENCH_SCALE=N divides dataset sizes
