@@ -9,8 +9,6 @@
 namespace spongefiles {
 
 namespace {
-// A zero run is represented as a null buffer with length > 0. Literal runs
-// with length 0 never appear in runs_.
 constexpr uint64_t kMergeLiteralThreshold = 64 * 1024;
 // Capacity reserved for a fresh literal buffer, so the next few record
 // headers can be packed into it (see AppendLiteral). 512 bytes holds
@@ -38,44 +36,41 @@ void ByteRuns::AppendLiteral(Slice data) {
   InvalidateChecksum();
   size_ += data.size();
   physical_size_ += data.size();
-  // Merge small literal appends into the previous literal run to keep the
-  // run list short when callers write record-at-a-time. Growing a buffer is
-  // safe even while shared: the new bytes lie beyond every existing view,
-  // and views address by offset, so a reallocation moves no one's range.
-  // The run must still end exactly at the buffer's end — if another handle
-  // extended the buffer first, this run no longer does and gets a fresh
-  // buffer instead.
-  if (!runs_.empty() && runs_.back().is_literal() &&
-      runs_.back().length < kMergeLiteralThreshold &&
+  // Small appends share the last run's buffer when that run's literal
+  // bytes end exactly at the buffer's end. Growing a buffer is safe even
+  // while shared: the new bytes lie beyond every existing view, and views
+  // address by offset, so a reallocation moves no one's range. If another
+  // handle extended the buffer first, the run no longer ends there and the
+  // bytes get a fresh buffer instead.
+  if (!runs_.empty() && runs_.back().length > 0 &&
       runs_.back().offset + runs_.back().length ==
           runs_.back().buffer->size()) {
     Run& last = runs_.back();
-    last.buffer->insert(last.buffer->end(), data.data(),
-                        data.data() + data.size());
-    last.length += data.size();
-    return;
-  }
-  Run run;
-  run.length = data.size();
-  // Header packing: a literal after a zero filler run (the next record's
-  // header after the previous record's filler) gets its own run, but in
-  // the previous literal's buffer when that run still ends at the buffer's
-  // end and the buffer has spare capacity — the same grow-at-the-end rule
-  // as above, without a reallocation. Copy-on-write stays per run:
-  // MutableRun copies only the mutated run's own view.
-  if (runs_.size() >= 2 && !runs_.back().is_literal()) {
-    const Run& prev = runs_[runs_.size() - 2];
-    if (prev.is_literal() &&
-        prev.offset + prev.length == prev.buffer->size() &&
-        prev.buffer->capacity() - prev.buffer->size() >= data.size()) {
-      run.buffer = prev.buffer;
-      run.offset = run.buffer->size();
-      run.buffer->insert(run.buffer->end(), data.data(),
-                         data.data() + data.size());
+    Buffer& buffer = *last.buffer;
+    if (last.zeros == 0) {
+      // A literal directly after another extends it, keeping the run list
+      // short when callers write record-at-a-time.
+      if (last.length < kMergeLiteralThreshold) {
+        buffer.insert(buffer.end(), data.data(), data.data() + data.size());
+        last.length += data.size();
+        return;
+      }
+    } else if (buffer.capacity() - buffer.size() >= data.size()) {
+      // Header packing: the next record's header after the previous
+      // record's filler starts a run of its own, but in the same buffer
+      // while it has spare capacity (no reallocation). Copy-on-write stays
+      // per run: MutableRun copies only the mutated run's own view.
+      Run run;
+      run.buffer = last.buffer;
+      run.offset = buffer.size();
+      run.length = data.size();
+      buffer.insert(buffer.end(), data.data(), data.data() + data.size());
       runs_.push_back(std::move(run));
       return;
     }
   }
+  Run run;
+  run.length = data.size();
   run.buffer = std::make_shared<Buffer>();
   run.buffer->reserve(std::max<uint64_t>(data.size(), kLiteralBufferReserve));
   run.buffer->assign(data.data(), data.data() + data.size());
@@ -86,13 +81,8 @@ void ByteRuns::AppendZeros(uint64_t n) {
   if (n == 0) return;
   InvalidateChecksum();
   size_ += n;
-  if (!runs_.empty() && !runs_.back().is_literal()) {
-    runs_.back().length += n;
-    return;
-  }
-  Run run;
-  run.length = n;
-  runs_.push_back(std::move(run));
+  if (runs_.empty()) runs_.emplace_back();
+  runs_.back().zeros += n;
 }
 
 void ByteRuns::Append(const ByteRuns& other) {
@@ -106,13 +96,13 @@ void ByteRuns::Append(const ByteRuns& other) {
   }
   InvalidateChecksum();
   for (const Run& run : other.runs_) {
-    if (!run.is_literal()) {
-      AppendZeros(run.length);
+    if (run.length == 0) {
+      AppendZeros(run.zeros);
       continue;
     }
     // Zero-copy hand-off: share the buffer, O(1) per run.
     runs_.push_back(run);
-    size_ += run.length;
+    size_ += run.size();
     physical_size_ += run.length;
   }
 }
@@ -127,11 +117,11 @@ void ByteRuns::Append(ByteRuns&& other) {
   } else if (!other.empty()) {
     InvalidateChecksum();
     for (Run& run : other.runs_) {
-      if (!run.is_literal()) {
-        AppendZeros(run.length);
+      if (run.length == 0) {
+        AppendZeros(run.zeros);
         continue;
       }
-      size_ += run.length;
+      size_ += run.size();
       physical_size_ += run.length;
       runs_.push_back(std::move(run));
     }
@@ -139,13 +129,23 @@ void ByteRuns::Append(ByteRuns&& other) {
   other.Clear();
 }
 
+void ByteRuns::Run::CopyOut(uint64_t from, uint64_t n, uint8_t* out) const {
+  if (from < length) {
+    uint64_t literal = std::min(n, length - from);
+    std::memcpy(out, data() + from, literal);
+    out += literal;
+    n -= literal;
+  }
+  std::memset(out, 0, n);
+}
+
 void ByteRuns::Read(uint64_t offset, uint64_t n, uint8_t* out) const {
   assert(offset + n <= size_);
   uint64_t run_start = 0;
   size_t i = 0;
   // Skip to the run containing `offset`.
-  while (i < runs_.size() && run_start + runs_[i].length <= offset) {
-    run_start += runs_[i].length;
+  while (i < runs_.size() && run_start + runs_[i].size() <= offset) {
+    run_start += runs_[i].size();
     ++i;
   }
   uint64_t produced = 0;
@@ -153,17 +153,24 @@ void ByteRuns::Read(uint64_t offset, uint64_t n, uint8_t* out) const {
     assert(i < runs_.size());
     const Run& run = runs_[i];
     uint64_t in_run_offset = offset + produced - run_start;
-    uint64_t take = std::min<uint64_t>(run.length - in_run_offset,
+    uint64_t take = std::min<uint64_t>(run.size() - in_run_offset,
                                        n - produced);
-    if (run.is_literal()) {
-      std::memcpy(out + produced, run.data() + in_run_offset, take);
-    } else {
-      std::memset(out + produced, 0, take);
-    }
+    run.CopyOut(in_run_offset, take, out + produced);
     produced += take;
-    run_start += run.length;
+    run_start += run.size();
     ++i;
   }
+}
+
+ByteRuns::Run ByteRuns::Piece(const Run& run, uint64_t from, uint64_t n) {
+  Run piece;
+  if (from < run.length) {
+    piece.buffer = run.buffer;
+    piece.offset = run.offset + from;
+    piece.length = std::min(n, run.length - from);
+  }
+  piece.zeros = n - piece.length;
+  return piece;
 }
 
 ByteRuns ByteRuns::SplitPrefix(uint64_t n) {
@@ -171,39 +178,30 @@ ByteRuns ByteRuns::SplitPrefix(uint64_t n) {
   ByteRuns prefix;
   if (n == 0) return prefix;
   InvalidateChecksum();
-  std::vector<Run> remainder;
+  // Whole runs move to the prefix; a run cut in two ends up shared between
+  // the prefix and the remainder (no byte is copied).
+  size_t whole = 0;
   uint64_t taken = 0;
-  uint64_t prefix_physical = 0;
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    Run& run = runs_[i];
-    if (taken >= n) {
-      remainder.push_back(std::move(run));
-      continue;
-    }
-    uint64_t need = n - taken;
-    if (run.length <= need) {
-      taken += run.length;
-      if (run.is_literal()) prefix_physical += run.length;
-      prefix.runs_.push_back(std::move(run));
-    } else {
-      // Cut this run in two; a literal ends up shared between the prefix
-      // and the remainder (no byte is copied).
-      Run head = run;
-      head.length = need;
-      Run rest = std::move(run);
-      rest.offset += need;  // harmless on zero runs (offset unused)
-      rest.length -= need;
-      if (head.is_literal()) prefix_physical += head.length;
-      prefix.runs_.push_back(std::move(head));
-      remainder.push_back(std::move(rest));
-      taken = n;
-    }
+  while (taken < n && runs_[whole].size() <= n - taken) {
+    taken += runs_[whole].size();
+    ++whole;
   }
-  runs_ = std::move(remainder);
+  prefix.runs_.reserve(whole + (taken < n ? 1 : 0));
+  for (size_t i = 0; i < whole; ++i) {
+    prefix.physical_size_ += runs_[i].length;
+    prefix.runs_.push_back(std::move(runs_[i]));
+  }
+  if (taken < n) {
+    Run& run = runs_[whole];
+    uint64_t cut = n - taken;
+    prefix.runs_.push_back(Piece(run, 0, cut));
+    prefix.physical_size_ += prefix.runs_.back().length;
+    run = Piece(run, cut, run.size() - cut);
+  }
+  runs_.erase(runs_.begin(), runs_.begin() + static_cast<long>(whole));
   size_ -= n;
   prefix.size_ = n;
-  prefix.physical_size_ = prefix_physical;
-  physical_size_ -= prefix_physical;
+  physical_size_ -= prefix.physical_size_;
   return prefix;
 }
 
@@ -215,16 +213,14 @@ void ByteRuns::TrimPrefix(uint64_t n) {
   size_t drop = 0;
   while (n > 0) {
     Run& run = runs_[drop];
-    if (run.length <= n) {
-      n -= run.length;
-      if (run.is_literal()) physical_size_ -= run.length;
+    if (run.size() <= n) {
+      n -= run.size();
+      physical_size_ -= run.length;
       ++drop;
     } else {
-      if (run.is_literal()) {
-        run.offset += n;
-        physical_size_ -= n;
-      }
-      run.length -= n;
+      uint64_t length = run.length;
+      run = Piece(run, n, run.size() - n);
+      physical_size_ -= length - run.length;
       n = 0;
     }
   }
@@ -238,12 +234,8 @@ void ByteRuns::Cursor::Peek(uint64_t n, uint8_t* out) const {
   uint64_t produced = 0;
   while (produced < n) {
     const Run& run = runs_->runs_[i];
-    uint64_t take = std::min<uint64_t>(run.length - in_run, n - produced);
-    if (run.is_literal()) {
-      std::memcpy(out + produced, run.data() + in_run, take);
-    } else {
-      std::memset(out + produced, 0, take);
-    }
+    uint64_t take = std::min<uint64_t>(run.size() - in_run, n - produced);
+    run.CopyOut(in_run, take, out + produced);
     produced += take;
     ++i;
     in_run = 0;
@@ -254,7 +246,7 @@ const uint8_t* ByteRuns::Cursor::View(uint64_t n) const {
   assert(n <= available());
   if (n == 0) return nullptr;
   const Run& run = runs_->runs_[run_index_];
-  if (!run.is_literal() || run.length - run_offset_ < n) return nullptr;
+  if (run_offset_ + n > run.length) return nullptr;
   return run.data() + run_offset_;
 }
 
@@ -262,8 +254,7 @@ void ByteRuns::Cursor::Skip(uint64_t n) {
   assert(n <= available());
   position_ += n;
   while (n > 0) {
-    const Run& run = runs_->runs_[run_index_];
-    uint64_t left = run.length - run_offset_;
+    uint64_t left = runs_->runs_[run_index_].size() - run_offset_;
     if (left <= n) {
       n -= left;
       ++run_index_;
@@ -281,26 +272,22 @@ ByteRuns ByteRuns::Cursor::Take(uint64_t n) {
   // Count the pieces first so the run vector is allocated once.
   size_t pieces = 0;
   for (uint64_t need = n > 0 ? n + run_offset_ : 0; need > 0; ++pieces) {
-    need -= std::min(need, runs_->runs_[run_index_ + pieces].length);
+    need -= std::min(need, runs_->runs_[run_index_ + pieces].size());
   }
   out.runs_.reserve(pieces);
   position_ += n;
   while (n > 0) {
     const Run& run = runs_->runs_[run_index_];
-    out.runs_.push_back(run);
-    Run& piece = out.runs_.back();
-    piece.length = std::min<uint64_t>(run.length - run_offset_, n);
-    if (run.is_literal()) {
-      piece.offset = run.offset + run_offset_;
-      out.physical_size_ += piece.length;
-    }
-    out.size_ += piece.length;
-    n -= piece.length;
-    if (run_offset_ + piece.length == run.length) {
+    uint64_t take = std::min<uint64_t>(run.size() - run_offset_, n);
+    out.runs_.push_back(Piece(run, run_offset_, take));
+    out.physical_size_ += out.runs_.back().length;
+    out.size_ += take;
+    n -= take;
+    if (run_offset_ + take == run.size()) {
       ++run_index_;
       run_offset_ = 0;
     } else {
-      run_offset_ += piece.length;
+      run_offset_ += take;
     }
   }
   return out;
@@ -315,7 +302,7 @@ ByteRuns ByteRuns::SubRange(uint64_t offset, uint64_t n) const {
 
 ByteRuns::Run& ByteRuns::MutableRun(size_t i) {
   Run& run = runs_[i];
-  assert(run.is_literal());
+  assert(run.length > 0);
   // use_count() == 1 means this run holds the only reference anywhere (any
   // other run — in this handle or another — would hold its own shared_ptr),
   // so in-place mutation cannot be observed elsewhere.
@@ -332,11 +319,11 @@ void ByteRuns::TransformLiterals(
   InvalidateChecksum();
   uint64_t offset = 0;
   for (size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].is_literal() && runs_[i].length > 0) {
+    if (runs_[i].length > 0) {
       Run& run = MutableRun(i);
       fn(offset, run.mutable_data(), run.length);
     }
-    offset += runs_[i].length;
+    offset += runs_[i].size();
   }
 }
 
@@ -344,11 +331,8 @@ uint64_t ByteRuns::Checksum64() const {
   if (checksum_valid_) return checksum_;
   Checksum checksum;
   for (const Run& run : runs_) {
-    if (run.is_literal()) {
-      checksum.Update(Slice(run.data(), run.length));
-    } else {
-      checksum.UpdateZeros(run.length);
-    }
+    if (run.length > 0) checksum.Update(Slice(run.data(), run.length));
+    if (run.zeros > 0) checksum.UpdateZeros(run.zeros);
   }
   checksum_ = checksum.digest();
   checksum_valid_ = true;
@@ -359,43 +343,32 @@ void ByteRuns::CorruptByte(uint64_t offset) {
   assert(offset < size_);
   InvalidateChecksum();
   uint64_t run_start = 0;
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    if (offset >= run_start + runs_[i].length) {
-      run_start += runs_[i].length;
-      continue;
-    }
-    uint64_t in_run = offset - run_start;
-    if (runs_[i].is_literal()) {
-      // Copy-on-write: readers that fetched this chunk before the fault
-      // keep the pristine bytes, exactly as if the store had deep-copied.
-      MutableRun(i).mutable_data()[in_run] ^= 0xFF;
-      return;
-    }
-    // Split the zero run around a one-byte literal 0xFF.
-    Run& run = runs_[i];
-    uint64_t before = in_run;
-    uint64_t after = run.length - in_run - 1;
-    std::vector<Run> patched;
-    if (before > 0) {
-      Run pre;
-      pre.length = before;
-      patched.push_back(std::move(pre));
-    }
-    Run flip;
-    flip.buffer = std::make_shared<Buffer>(1, 0xFF);
-    flip.length = 1;
-    patched.push_back(std::move(flip));
-    if (after > 0) {
-      Run post;
-      post.length = after;
-      patched.push_back(std::move(post));
-    }
-    runs_.erase(runs_.begin() + static_cast<long>(i));
-    runs_.insert(runs_.begin() + static_cast<long>(i),
-                 std::make_move_iterator(patched.begin()),
-                 std::make_move_iterator(patched.end()));
-    physical_size_ += 1;
+  size_t i = 0;
+  while (offset >= run_start + runs_[i].size()) {
+    run_start += runs_[i].size();
+    ++i;
+  }
+  uint64_t in_run = offset - run_start;
+  if (in_run < runs_[i].length) {
+    // Copy-on-write: readers that fetched this chunk before the fault
+    // keep the pristine bytes, exactly as if the store had deep-copied.
+    MutableRun(i).mutable_data()[in_run] ^= 0xFF;
     return;
+  }
+  // The byte is in the zero tail: the run keeps the zeros before it, and
+  // a new run holds a one-byte literal 0xFF and the zeros after it.
+  Run& run = runs_[i];
+  uint64_t before = in_run - run.length;
+  Run flip;
+  flip.buffer = std::make_shared<Buffer>(1, 0xFF);
+  flip.length = 1;
+  flip.zeros = run.zeros - before - 1;
+  run.zeros = before;
+  physical_size_ += 1;
+  if (run.size() == 0) {
+    run = std::move(flip);
+  } else {
+    runs_.insert(runs_.begin() + static_cast<long>(i) + 1, std::move(flip));
   }
 }
 

@@ -10,12 +10,16 @@
 
 namespace spongefiles {
 
-// A logical byte sequence stored as a list of runs. Two run kinds exist:
+// A logical byte sequence stored as a list of runs. Each run is some
+// literal bytes followed by a zero tail:
 //
-//  * literal runs carry real bytes (used for record headers, keys, and all
+//  * the literal bytes are real (record headers, keys, and all
 //    byte-exactness tests), and
-//  * zero runs carry only a length (used to represent bulk payloads in the
-//    macro benchmarks, where a 10 GB spill must not occupy 10 GB of RAM).
+//  * the zero tail carries only a length (bulk payloads in the macro
+//    benchmarks, where a 10 GB spill must not occupy 10 GB of RAM).
+//
+// Either part may be empty, not both. A serialized record — header, then
+// zero filler — is one run.
 //
 // All size accounting in the library uses the *logical* size, so capacities,
 // chunk counts and transfer times are identical to a fully-materialized run.
@@ -48,12 +52,13 @@ class ByteRuns {
   ByteRuns& operator=(ByteRuns&&) = default;
 
   // Appends real bytes. Small appends share buffers: a literal directly
-  // after another extends it, and a literal after a zero run is packed
-  // into the buffer of the literal before that run when it still has room
+  // after another extends it, and a literal after a zero tail is packed
+  // into the buffer of that run's literal bytes when it still has room
   // (record headers around their filler share one allocation).
   void AppendLiteral(Slice data);
 
-  // Appends `n` logical zero bytes without materializing them.
+  // Appends `n` logical zero bytes without materializing them: the last
+  // run's zero tail grows.
   void AppendZeros(uint64_t n);
 
   // Appends all of `other` by sharing its buffers.
@@ -62,7 +67,7 @@ class ByteRuns {
   // (no reference-count traffic); `other` is left empty.
   void Append(ByteRuns&& other);
 
-  // Copies logical bytes [offset, offset + n) into `out`. Zero runs read
+  // Copies logical bytes [offset, offset + n) into `out`. Zero tails read
   // back as 0x00. Requires offset + n <= size().
   void Read(uint64_t offset, uint64_t n, uint8_t* out) const;
 
@@ -77,21 +82,22 @@ class ByteRuns {
   void TrimPrefix(uint64_t n);
 
   // Returns logical bytes [offset, offset + n) as a new ByteRuns sharing
-  // this handle's buffers (zero runs stay unmaterialized). Requires
+  // this handle's buffers (zero tails stay unmaterialized). Requires
   // offset + n <= size(). Walks the run list from the start, so it is
   // O(runs before offset + n); a reader that slices a sequence front to
   // back should hold a Cursor and call Take() instead.
   ByteRuns SubRange(uint64_t offset, uint64_t n) const;
 
-  // Invokes `fn(logical_offset, data, length)` for every literal run,
-  // allowing in-place transformation of the real bytes (chunk encryption).
-  // Zero runs are not visited; their logical offsets are skipped. Shared
+  // Invokes `fn(logical_offset, data, length)` for every run's literal
+  // bytes, allowing in-place transformation of the real bytes (chunk
+  // encryption). Zero tails are not visited; their logical offsets are
+  // skipped. Shared
   // buffers are copied first (copy-on-write), so other handles keep the
   // untransformed bytes.
   void TransformLiterals(
       const std::function<void(uint64_t, uint8_t*, uint64_t)>& fn);
 
-  // FNV-1a 64 over the logical content. Zero runs are folded in O(log n)
+  // FNV-1a 64 over the logical content. Zero tails are folded in O(log n)
   // per run, so checksumming an unmaterialized multi-gigabyte payload is
   // cheap; the digest still equals Checksum::Of over ToBytes(). The digest
   // is memoized per handle and rides along on copies; any mutation
@@ -101,7 +107,8 @@ class ByteRuns {
   // Fault injection (bit rot): flips the byte at logical `offset`. A
   // solely-owned literal byte is xor-flipped in place; a shared literal
   // run is copied-on-write first (handles holding earlier reads keep the
-  // pristine bytes); a zero run is split around a new one-byte literal.
+  // pristine bytes); a run whose zero tail holds the byte is split in two,
+  // the second starting with a new one-byte literal.
   // Requires offset < size(). The logical size is unchanged, the content —
   // and hence Checksum64() — is not.
   void CorruptByte(uint64_t offset);
@@ -111,7 +118,7 @@ class ByteRuns {
   // Logical size in bytes.
   uint64_t size() const { return size_; }
 
-  // Literal bytes this handle references (zero runs excluded). Shared
+  // Literal bytes this handle references (zero tails excluded). Shared
   // buffers count once per referencing handle; a split or sub-range pair
   // reports the bytes each side can see, not the (single) backing
   // allocation.
@@ -126,7 +133,7 @@ class ByteRuns {
   // list from the start on every call, a Cursor remembers which run it is
   // in, so a parse loop over a many-run sequence is O(1) amortized per run
   // — and Skip() never materializes the bytes it passes over (skipping a
-  // gigabyte zero run costs nothing). Any mutation of the underlying
+  // gigabyte zero tail costs nothing). Any mutation of the underlying
   // ByteRuns invalidates the cursor; construct a fresh one after feeding
   // more data.
   class Cursor {
@@ -144,7 +151,8 @@ class ByteRuns {
     void Peek(uint64_t n, uint8_t* out) const;
 
     // The `n` bytes at the cursor in place (n <= available()) when they
-    // lie within one literal run, else nullptr (use Peek). The pointer is
+    // lie within one run's literal bytes, else nullptr (use Peek). The
+    // pointer is
     // valid only until the next append to any handle sharing the buffer,
     // which may reallocate it.
     const uint8_t* View(uint64_t n) const;
@@ -171,18 +179,28 @@ class ByteRuns {
   using BufferRef = std::shared_ptr<Buffer>;
 
   struct Run {
-    // Shared literal storage; null means a zero run of `length` bytes.
-    // Literal runs view buffer bytes [offset, offset + length).
+    // Literal bytes [offset, offset + length) of the shared `buffer`, then
+    // `zeros` logical zero bytes. `buffer` is null exactly when length is
+    // 0; length + zeros is never 0.
     BufferRef buffer;
     uint64_t offset = 0;
     uint64_t length = 0;
+    uint64_t zeros = 0;
 
-    bool is_literal() const { return buffer != nullptr; }
+    uint64_t size() const { return length + zeros; }
     const uint8_t* data() const { return buffer->data() + offset; }
     uint8_t* mutable_data() { return buffer->data() + offset; }
+    // Copies `n` logical bytes starting at `from` into `out`.
+    void CopyOut(uint64_t from, uint64_t n, uint8_t* out) const;
   };
 
-  // Ensures runs_[i] solely owns its bytes (copy-on-write) and returns it.
+  // Logical bytes [from, from + n) of `run` as a run of their own, sharing
+  // its buffer when they include literal bytes (n > 0, from + n <=
+  // run.size()).
+  static Run Piece(const Run& run, uint64_t from, uint64_t n);
+
+  // Ensures runs_[i]'s literal bytes are solely owned (copy-on-write) and
+  // returns the run. Requires runs_[i].length > 0.
   Run& MutableRun(size_t i);
 
   void InvalidateChecksum() { checksum_valid_ = false; }

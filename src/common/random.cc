@@ -5,7 +5,7 @@
 namespace spongefiles {
 
 ZipfSampler::ZipfSampler(size_t n, double s) {
-  assert(n > 0);
+  assert(n > 0 && n < UINT32_MAX);
   cdf_.resize(n);
   double total = 0;
   for (size_t k = 0; k < n; ++k) {
@@ -14,12 +14,23 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
   }
   for (double& c : cdf_) c /= total;
   cdf_.back() = 1.0;
+  guide_.resize(n + 1);
+  size_t rank = 0;
+  for (size_t b = 0; b <= n; ++b) {
+    while (rank < n && Bucket(cdf_[rank]) < b) ++rank;
+    guide_[b] = static_cast<uint32_t>(rank);
+  }
 }
 
-size_t ZipfSampler::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) --it;
+size_t ZipfSampler::Bucket(double u) const {
+  return std::min(static_cast<size_t>(u * static_cast<double>(cdf_.size())),
+                  cdf_.size() - 1);
+}
+
+size_t ZipfSampler::Rank(double u) const {
+  size_t b = Bucket(u);
+  auto it = std::lower_bound(cdf_.begin() + guide_[b],
+                             cdf_.begin() + guide_[b + 1], u);
   return static_cast<size_t>(it - cdf_.begin());
 }
 

@@ -86,12 +86,21 @@ class Rng {
 
 // Samples ranks from a Zipf(s) distribution over {0, ..., n-1} using a
 // precomputed inverse CDF table. Rank 0 is the most popular item.
+//
+// A guide table with one bucket per rank narrows each draw's search: a
+// uniform u falls in bucket floor(u * n), and guide_[b] is the first rank
+// whose CDF value falls in bucket b or later. Bucketing is monotone in its
+// argument, so every rank before guide_[b] has a CDF below u, and rank
+// guide_[b + 1] (or n - 1, whose CDF is 1) has one at or above it. A
+// lower_bound over [guide_[b], guide_[b + 1]) — which lands on its end
+// when every value in it is below u — therefore returns exactly the rank
+// a lower_bound over the whole CDF returns.
 class ZipfSampler {
  public:
   // Requires n > 0. `s` is the Zipf exponent (s = 1.0 is classic Zipf).
   ZipfSampler(size_t n, double s);
 
-  size_t Sample(Rng& rng) const;
+  size_t Sample(Rng& rng) const { return Rank(rng.NextDouble()); }
 
   // Probability mass of rank `k`.
   double Pmf(size_t k) const;
@@ -99,7 +108,15 @@ class ZipfSampler {
   size_t n() const { return cdf_.size(); }
 
  private:
-  std::vector<double> cdf_;  // cumulative, cdf_.back() == 1.0
+  friend struct ZipfSamplerTestPeer;  // compares Rank with the full search
+
+  // The rank a draw of `u` in [0, 1) maps to: the first rank whose CDF
+  // value is >= u.
+  size_t Rank(double u) const;
+  size_t Bucket(double u) const;
+
+  std::vector<double> cdf_;     // cumulative, cdf_.back() == 1.0
+  std::vector<uint32_t> guide_;  // n + 1 entries; guide_[n] == n
 };
 
 }  // namespace spongefiles

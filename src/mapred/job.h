@@ -97,7 +97,12 @@ class Reducer {
     co_return Status::OK();
   }
   virtual sim::Task<Status> StartKey(std::string key) = 0;
-  virtual sim::Task<Status> AddValue(Record value) = 0;
+  // Adds one value of the current key without suspending. Returns true
+  // when the reducer is now over its memory budget; the caller then
+  // awaits Spill() before the next value. Only that slow path costs a
+  // coroutine frame (the DataBag::Push pattern).
+  virtual bool AddValue(Record value) = 0;
+  virtual sim::Task<Status> Spill() { co_return Status::OK(); }
   virtual sim::Task<Status> FinishKey() = 0;
   virtual sim::Task<Status> Finish() { co_return Status::OK(); }
 

@@ -173,7 +173,9 @@ sim::Task<Status> ReduceTask::DriveReducer(RecordSource* stream,
       CO_RETURN_IF_ERROR(co_await reducer_->StartKey(current_key));
     }
     co_await cpu.Charge(config_->reduce_cpu_per_record);
-    CO_RETURN_IF_ERROR(co_await reducer_->AddValue(std::move(record)));
+    if (reducer_->AddValue(std::move(record))) {
+      CO_RETURN_IF_ERROR(co_await reducer_->Spill());
+    }
   }
   if (in_key) CO_RETURN_IF_ERROR(co_await reducer_->FinishKey());
   CO_RETURN_IF_ERROR(co_await reducer_->Finish());

@@ -180,10 +180,11 @@ sim::Task<Status> MedianReducer::StartKey(std::string key) {
   co_return Status::OK();
 }
 
-sim::Task<Status> MedianReducer::AddValue(mapred::Record value) {
-  if (!bag_->Push(std::move(value))) co_return Status::OK();
-  co_return co_await manager_->MaybeSpill();
+bool MedianReducer::AddValue(mapred::Record value) {
+  return bag_->Push(std::move(value));
 }
+
+sim::Task<Status> MedianReducer::Spill() { return manager_->MaybeSpill(); }
 
 sim::Task<Status> MedianReducer::FinishKey() {
   const uint64_t n = bag_->count();
@@ -222,10 +223,11 @@ sim::Task<Status> PigReducer::StartKey(std::string key) {
   co_return Status::OK();
 }
 
-sim::Task<Status> PigReducer::AddValue(mapred::Record value) {
-  if (!bag_->Push(std::move(value))) co_return Status::OK();
-  co_return co_await manager_->MaybeSpill();
+bool PigReducer::AddValue(mapred::Record value) {
+  return bag_->Push(std::move(value));
 }
+
+sim::Task<Status> PigReducer::Spill() { return manager_->MaybeSpill(); }
 
 sim::Task<Status> PigReducer::FinishKey() {
   std::unique_ptr<Udf> udf = udf_factory_();

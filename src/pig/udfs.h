@@ -67,7 +67,8 @@ class MedianReducer : public mapred::Reducer {
  public:
   sim::Task<Status> Start(mapred::ReduceContext* ctx) override;
   sim::Task<Status> StartKey(std::string key) override;
-  sim::Task<Status> AddValue(mapred::Record value) override;
+  bool AddValue(mapred::Record value) override;
+  sim::Task<Status> Spill() override;
   sim::Task<Status> FinishKey() override;
 
  private:
@@ -90,7 +91,8 @@ class PigReducer : public mapred::Reducer {
 
   sim::Task<Status> Start(mapred::ReduceContext* ctx) override;
   sim::Task<Status> StartKey(std::string key) override;
-  sim::Task<Status> AddValue(mapred::Record value) override;
+  bool AddValue(mapred::Record value) override;
+  sim::Task<Status> Spill() override;
   sim::Task<Status> FinishKey() override;
 
  private:

@@ -21,10 +21,10 @@ class StreamingMedianReducer : public mapred::Reducer {
     (void)key;
     co_return Status::OK();
   }
-  sim::Task<Status> AddValue(mapred::Record value) override {
+  bool AddValue(mapred::Record value) override {
     if (index_ == target_) median_ = value.number;
     ++index_;
-    co_return Status::OK();
+    return false;
   }
   sim::Task<Status> FinishKey() override { co_return Status::OK(); }
   sim::Task<Status> Finish() override {

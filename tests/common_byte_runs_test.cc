@@ -14,13 +14,25 @@ namespace spongefiles {
 
 struct ByteRunsTestPeer {
   // Distinct literal buffers a handle's runs reference: header packing
-  // shows up as fewer buffers than literal runs.
+  // shows up as fewer buffers than runs with literal bytes.
   static size_t BufferCount(const ByteRuns& runs) {
     std::set<const ByteRuns::Buffer*> buffers;
     for (const ByteRuns::Run& run : runs.runs_) {
-      if (run.is_literal()) buffers.insert(run.buffer.get());
+      if (run.buffer != nullptr) buffers.insert(run.buffer.get());
     }
     return buffers.size();
+  }
+
+  static size_t RunCount(const ByteRuns& runs) { return runs.runs_.size(); }
+
+  // Every run is non-empty and holds a buffer exactly when it has literal
+  // bytes.
+  static bool WellFormed(const ByteRuns& runs) {
+    return std::all_of(runs.runs_.begin(), runs.runs_.end(),
+                       [](const ByteRuns::Run& run) {
+                         return run.size() > 0 &&
+                                (run.buffer != nullptr) == (run.length > 0);
+                       });
   }
 };
 
@@ -28,6 +40,14 @@ namespace {
 
 size_t BufferCount(const ByteRuns& runs) {
   return ByteRunsTestPeer::BufferCount(runs);
+}
+
+size_t RunCount(const ByteRuns& runs) {
+  return ByteRunsTestPeer::RunCount(runs);
+}
+
+bool WellFormed(const ByteRuns& runs) {
+  return ByteRunsTestPeer::WellFormed(runs);
 }
 
 std::string MakeData(size_t n, uint64_t seed) {
@@ -527,6 +547,130 @@ TEST(ByteRunsPackTest, MutatingOnePackedHeaderLeavesNeighboursAndHandles) {
   EXPECT_EQ(copy.Checksum64(), Checksum::Of(Slice(pristine)));
 }
 
+// ---- runs: literal bytes followed by a zero tail ---------------------------
+
+TEST(ByteRunsTailTest, RecordStreamHoldsOneRunPerRecord) {
+  constexpr int kRecords = 40;
+  HeaderStream s = MakeHeaderStream(kRecords);
+  EXPECT_EQ(RunCount(s.runs), static_cast<size_t>(kRecords));
+  EXPECT_TRUE(WellFormed(s.runs));
+  EXPECT_EQ(AsString(s.runs), s.bytes);
+  // Header packing fills each fresh 512-byte buffer before starting the
+  // next, exactly as when header and filler were separate runs.
+  size_t buffers = 0;
+  uint64_t used = 0;
+  for (uint64_t length : s.lengths) {
+    if (buffers == 0 || used + length > 512) {
+      ++buffers;
+      used = 0;
+    }
+    used += length;
+  }
+  EXPECT_EQ(BufferCount(s.runs), buffers);
+  EXPECT_GT(buffers, 1u);
+  EXPECT_LT(buffers, static_cast<size_t>(kRecords));
+}
+
+TEST(ByteRunsTailTest, CorruptByteInZeroTailSplitsOneRunIntoTwo) {
+  const std::string pristine = "abc" + std::string(10, '\0');
+  for (uint64_t at : {3u, 7u, 12u}) {
+    ByteRuns runs;
+    runs.AppendLiteral(Slice(std::string_view("abc")));
+    runs.AppendZeros(10);
+    ASSERT_EQ(RunCount(runs), 1u);
+    runs.CorruptByte(at);
+    std::string expected = pristine;
+    expected[at] = static_cast<char>(0xFF);
+    EXPECT_EQ(RunCount(runs), 2u) << "at " << at;
+    EXPECT_TRUE(WellFormed(runs)) << "at " << at;
+    EXPECT_EQ(AsString(runs), expected) << "at " << at;
+    EXPECT_EQ(runs.physical_size(), 4u);
+    EXPECT_EQ(runs.Checksum64(), Checksum::Of(Slice(expected)));
+  }
+  // A run with no literal bytes: a flip at its first byte replaces it.
+  ByteRuns zeros;
+  zeros.AppendZeros(10);
+  zeros.CorruptByte(0);
+  EXPECT_EQ(RunCount(zeros), 1u);
+  EXPECT_TRUE(WellFormed(zeros));
+  EXPECT_EQ(AsString(zeros), "\xFF" + std::string(9, '\0'));
+  zeros.CorruptByte(5);
+  EXPECT_EQ(RunCount(zeros), 2u);
+  EXPECT_EQ(zeros.physical_size(), 2u);
+}
+
+TEST(ByteRunsTailTest, CutsInsideAZeroTail) {
+  auto make = [] {
+    ByteRuns runs;
+    runs.AppendLiteral(Slice(std::string_view("abcd")));
+    runs.AppendZeros(20);
+    runs.AppendLiteral(Slice(std::string_view("efg")));
+    runs.AppendZeros(5);
+    return runs;
+  };
+  const std::string model =
+      "abcd" + std::string(20, '\0') + "efg" + std::string(5, '\0');
+
+  ByteRuns split = make();
+  ASSERT_EQ(RunCount(split), 2u);
+  ByteRuns prefix = split.SplitPrefix(10);
+  EXPECT_EQ(AsString(prefix), model.substr(0, 10));
+  EXPECT_EQ(AsString(split), model.substr(10));
+  EXPECT_EQ(RunCount(prefix), 1u);
+  EXPECT_EQ(RunCount(split), 2u);  // 14 zeros, then "efg" and its tail
+  EXPECT_EQ(prefix.physical_size(), 4u);
+  EXPECT_EQ(split.physical_size(), 3u);
+  EXPECT_TRUE(WellFormed(prefix));
+  EXPECT_TRUE(WellFormed(split));
+
+  ByteRuns trimmed = make();
+  trimmed.TrimPrefix(10);
+  EXPECT_EQ(AsString(trimmed), model.substr(10));
+  EXPECT_EQ(RunCount(trimmed), 2u);
+  EXPECT_EQ(trimmed.physical_size(), 3u);
+  EXPECT_EQ(BufferCount(trimmed), 1u);  // the cut-off literal is released
+  EXPECT_TRUE(WellFormed(trimmed));
+
+  ByteRuns source = make();
+  ByteRuns::Cursor cursor(&source);
+  ByteRuns head = cursor.Take(2);
+  ByteRuns tail_part = cursor.Take(6);  // "cd" and 4 zeros of the tail
+  ByteRuns zeros_only = cursor.Take(10);
+  ByteRuns rest = cursor.Take(cursor.available());
+  EXPECT_EQ(AsString(head), "ab");
+  EXPECT_EQ(AsString(tail_part), model.substr(2, 6));
+  EXPECT_EQ(AsString(zeros_only), std::string(10, '\0'));
+  EXPECT_EQ(AsString(rest), model.substr(18));
+  EXPECT_EQ(RunCount(tail_part), 1u);
+  EXPECT_EQ(RunCount(zeros_only), 1u);
+  EXPECT_EQ(BufferCount(zeros_only), 0u);
+  EXPECT_EQ(zeros_only.physical_size(), 0u);
+  EXPECT_EQ(rest.physical_size(), 3u);
+  for (const ByteRuns* piece : {&head, &tail_part, &zeros_only, &rest}) {
+    EXPECT_TRUE(WellFormed(*piece));
+  }
+}
+
+TEST(ByteRunsTailTest, AppendingZeroOnlyRunsExtendsTheLastRun) {
+  ByteRuns runs;
+  runs.AppendLiteral(Slice(std::string_view("abc")));
+  ByteRuns zeros;
+  zeros.AppendZeros(7);
+  runs.Append(zeros);
+  EXPECT_EQ(RunCount(runs), 1u);
+  ByteRuns more_zeros;
+  more_zeros.AppendZeros(5);
+  runs.Append(std::move(more_zeros));
+  EXPECT_EQ(RunCount(runs), 1u);
+  EXPECT_TRUE(WellFormed(runs));
+  EXPECT_EQ(AsString(runs), "abc" + std::string(12, '\0'));
+  EXPECT_EQ(runs.physical_size(), 3u);
+  // A literal after the tail starts the next run (packed in the buffer).
+  runs.AppendLiteral(Slice(std::string_view("de")));
+  EXPECT_EQ(RunCount(runs), 2u);
+  EXPECT_EQ(BufferCount(runs), 1u);
+}
+
 // Property test: a web of handles derived from each other via every
 // zero-copy operation must each match an independent reference model —
 // sharing is never observable through content, size, or checksum. The
@@ -644,9 +788,11 @@ TEST_P(ByteRunsCowPropertyTest, HandlesMatchIndependentModels) {
       }
     }
     ASSERT_EQ(h.size(), m.bytes.size());
+    ASSERT_TRUE(WellFormed(h));
   }
   for (size_t i = 0; i < handles.size(); ++i) {
     SCOPED_TRACE("handle " + std::to_string(i));
+    EXPECT_TRUE(WellFormed(handles[i]));
     EXPECT_EQ(AsString(handles[i]), models[i].bytes);
     EXPECT_EQ(handles[i].Checksum64(),
               Checksum::Of(Slice(models[i].bytes)));

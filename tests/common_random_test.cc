@@ -2,11 +2,61 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 namespace spongefiles {
+
+struct ZipfSamplerTestPeer {
+  static size_t Rank(const ZipfSampler& zipf, double u) {
+    return zipf.Rank(u);
+  }
+  // The rank a lower_bound over the sampler's whole CDF gives `u`.
+  static size_t FullSearchRank(const ZipfSampler& zipf, double u) {
+    auto it = std::lower_bound(zipf.cdf_.begin(), zipf.cdf_.end(), u);
+    return static_cast<size_t>(it - zipf.cdf_.begin());
+  }
+  static const std::vector<double>& Cdf(const ZipfSampler& zipf) {
+    return zipf.cdf_;
+  }
+};
+
 namespace {
+
+// The guide table must return exactly the full search's rank for every
+// draw; edge cases are draws at and next to bucket edges (b / n) and CDF
+// values, where a rounding slip would shift the answer by one rank.
+TEST(ZipfTest, GuideTableRankEqualsFullSearch) {
+  for (size_t n : {1u, 2u, 100u, 20000u}) {
+    for (double s : {0.0, 0.5, 0.99, 1.0, 1.5, 3.0}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+      ZipfSampler zipf(n, s);
+      std::vector<double> draws = {0.0, std::nextafter(1.0, 0.0)};
+      const double dn = static_cast<double>(n);
+      for (size_t b = 0; b <= n; ++b) {
+        const double edge = static_cast<double>(b) / dn;
+        draws.push_back(edge);
+        draws.push_back(std::nextafter(edge, 0.0));
+        draws.push_back(std::nextafter(edge, 1.0));
+      }
+      for (double c : ZipfSamplerTestPeer::Cdf(zipf)) {
+        draws.push_back(c);
+        draws.push_back(std::nextafter(c, 0.0));
+        draws.push_back(std::nextafter(c, 1.0));
+      }
+      Rng rng(n + static_cast<uint64_t>(s * 100));
+      for (int i = 0; i < 10000; ++i) draws.push_back(rng.NextDouble());
+      for (double u : draws) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(ZipfSamplerTestPeer::Rank(zipf, u),
+                  ZipfSamplerTestPeer::FullSearchRank(zipf, u))
+            << "u=" << u;
+      }
+    }
+  }
+}
 
 TEST(RngTest, Deterministic) {
   Rng a(123);

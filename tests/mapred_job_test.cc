@@ -55,9 +55,9 @@ class CountReducer : public Reducer {
     count_ = 0;
     co_return Status::OK();
   }
-  sim::Task<Status> AddValue(Record value) override {
+  bool AddValue(Record value) override {
     count_ += value.number;
-    co_return Status::OK();
+    return false;
   }
   sim::Task<Status> FinishKey() override {
     Record out;

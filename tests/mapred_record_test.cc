@@ -8,7 +8,13 @@
 
 #include "common/random.h"
 
-namespace spongefiles::mapred {
+namespace spongefiles {
+
+struct ByteRunsTestPeer {
+  static size_t RunCount(const ByteRuns& runs) { return runs.runs_.size(); }
+};
+
+namespace mapred {
 namespace {
 
 TEST(RecordSerdeTest, RoundTripSimple) {
@@ -105,6 +111,30 @@ TEST(RecordSerdeTest, RecordsSpanningChunkBoundaries) {
   }
 }
 
+// A record's header and zero filler are one run, so a spill stream's run
+// list grows by one descriptor per record.
+TEST(RecordSerdeTest, EachSerializedRecordIsOneRun) {
+  constexpr int kRecords = 50;
+  ByteRuns wire;
+  std::vector<Record> in(kRecords);
+  for (int i = 0; i < kRecords; ++i) {
+    in[i].key = "key" + std::to_string(i);
+    in[i].number = i;
+    in[i].fields = {"f" + std::to_string(i)};
+    in[i].size = 1000 + static_cast<uint64_t>(i);
+    SerializeRecord(in[i], &wire);
+    EXPECT_EQ(ByteRunsTestPeer::RunCount(wire), static_cast<size_t>(i + 1));
+  }
+  RecordParser parser;
+  parser.Feed(wire);
+  Record out;
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(parser.Next(&out));
+    EXPECT_EQ(out, in[i]);
+  }
+  EXPECT_FALSE(parser.Next(&out));
+}
+
 TEST(RecordSerdeTest, NumberPrecisionPreserved) {
   Record in;
   in.key = "quantile";
@@ -159,4 +189,5 @@ TEST(SortRecordsTest, MatchesStdSortIncludingTies) {
 }
 
 }  // namespace
-}  // namespace spongefiles::mapred
+}  // namespace mapred
+}  // namespace spongefiles

@@ -224,9 +224,9 @@ class KeySumReducer : public mapred::Reducer {
     sum_ = 0;
     co_return Status::OK();
   }
-  sim::Task<Status> AddValue(mapred::Record value) override {
+  bool AddValue(mapred::Record value) override {
     sum_ += value.number;
-    co_return Status::OK();
+    return false;
   }
   sim::Task<Status> FinishKey() override {
     mapred::Record out;
