@@ -112,19 +112,17 @@ class Reducer {
 
 // Speculative execution (Hadoop's backup tasks, the tail-latency half of
 // the paper's recovery story): the JobTracker samples every attempt's
-// progress each check_period and launches one backup for a task whose
-// best attempt lags the wave's median progress by lag_factor, provided
-// the attempt has run at least min_attempt_age (young tasks have noisy
-// progress) and a slot is free on some other node. First attempt to
+// progress each check_period and launches a backup for a task whose best
+// attempt lags the wave's median progress by kLagFactor (2x, at most
+// kMaxBackupsPerTask = 1 backup per task; both in job_tracker.cc),
+// provided the attempt has run at least min_attempt_age (young tasks have
+// noisy progress) and a slot is free on some other node. First attempt to
 // commit wins; the loser is killed and deregistered, so its sponge chunks
 // are reclaimed by the ordinary dead-task GC.
 struct SpeculationConfig {
   bool enabled = false;
   Duration check_period = Seconds(1);
   Duration min_attempt_age = Seconds(5);
-  // A task is straggling when progress * lag_factor < median progress.
-  double lag_factor = 2.0;
-  int max_backups_per_task = 1;
 };
 
 struct JobConfig {
@@ -165,6 +163,8 @@ struct JobConfig {
   // are skipped and running ones abort at their next checkpoint (used to
   // stop the background contention job once the measured job finishes).
   std::shared_ptr<bool> cancel;
+
+  bool cancelled() const { return cancel != nullptr && *cancel; }
 };
 
 struct TaskStats {
@@ -175,7 +175,7 @@ struct TaskStats {
   SpillStats spill;
   int attempts = 1;        // attempts launched for the logical task
   bool completed = true;   // false: cancelled
-  bool data_local = true;  // map ran on the node holding its block
+  bool data_local = true;  // ran on its preferred node (a map: its block's)
   bool speculative = false;  // a backup attempt produced this result
 };
 

@@ -5,6 +5,15 @@
 #include "mapred/reduce_task.h"
 
 namespace spongefiles::mapred {
+namespace {
+
+// Speculation's fixed policy (the settable half is SpeculationConfig): a
+// task is straggling when its best progress * kLagFactor is below the
+// wave's median progress, and it gets at most kMaxBackupsPerTask backups.
+constexpr double kLagFactor = 2.0;
+constexpr int kMaxBackupsPerTask = 1;
+
+}  // namespace
 
 JobTracker::JobTracker(sponge::SpongeEnv* env, cluster::Dfs* dfs)
     : env_(env), dfs_(dfs) {
@@ -24,7 +33,63 @@ void JobTracker::AssignMap(PendingMap* task, size_t node) {
   task->assigned->Set();
 }
 
-void JobTracker::ReleaseMapSlot(size_t node) {
+sim::Task<> JobTracker::DeadlineWake(std::shared_ptr<PendingMap> task) {
+  if (task->done) co_return;
+  // Past the locality wait: take any free slot now, or join the relaxed
+  // queue so the next freed slot anywhere picks this task up.
+  for (size_t node = 0; node < free_map_slots_.size(); ++node) {
+    if (free_map_slots_[node] > 0) {
+      AssignMap(task.get(), node);
+      co_return;
+    }
+  }
+  relaxed_.push_back(std::move(task));
+}
+
+size_t JobTracker::PreferredNode(const Wave& wave, const TaskState& task) {
+  if (wave.kind == TaskKind::kReduce) {
+    for (const auto& [partition, node] : wave.config->reduce_pins) {
+      if (partition == static_cast<size_t>(task.index)) return node;
+    }
+    return static_cast<size_t>(task.index) % env_->cluster()->size();
+  }
+  auto location = dfs_->BlockLocation(task.split->dfs_file, task.split->offset);
+  if (location.ok()) return *location;
+  // Non-DFS input: spread round-robin.
+  return next_map_node_++ % env_->cluster()->size();
+}
+
+sim::Task<size_t> JobTracker::AcquireSlot(const Wave* wave,
+                                          const TaskState* task) {
+  if (wave->kind == TaskKind::kReduce) {
+    co_await reduce_slots_[task->preferred]->Acquire();
+    co_return task->preferred;
+  }
+  // Delay scheduling: hold out for a data-local slot for up to
+  // locality_wait, then take any free slot (the split is then fetched
+  // over the network, which the DFS read path charges automatically).
+  auto pending = std::make_shared<PendingMap>();
+  pending->preferred = task->preferred;
+  pending->assigned = std::make_unique<sim::Event>(env_->engine());
+  if (free_map_slots_[pending->preferred] > 0) {
+    AssignMap(pending.get(), pending->preferred);
+    co_return pending->node;
+  }
+  pending_local_[pending->preferred].push_back(pending);
+  Duration locality_wait = wave->config->locality_wait;
+  if (locality_wait > 0) {
+    env_->engine()->SpawnAt(env_->engine()->now() + locality_wait,
+                            DeadlineWake(pending));
+  }
+  co_await pending->assigned->Wait();
+  co_return pending->node;
+}
+
+void JobTracker::ReleaseSlot(TaskKind kind, size_t node) {
+  if (kind == TaskKind::kReduce) {
+    reduce_slots_[node]->Release();
+    return;
+  }
   ++free_map_slots_[node];
   // Oldest data-local waiter first.
   while (!pending_local_[node].empty()) {
@@ -44,37 +109,6 @@ void JobTracker::ReleaseMapSlot(size_t node) {
   }
 }
 
-sim::Task<> JobTracker::DeadlineWake(std::shared_ptr<PendingMap> task) {
-  if (task->done) co_return;
-  // Past the locality wait: take any free slot now, or join the relaxed
-  // queue so the next freed slot anywhere picks this task up.
-  for (size_t node = 0; node < free_map_slots_.size(); ++node) {
-    if (free_map_slots_[node] > 0) {
-      AssignMap(task.get(), node);
-      co_return;
-    }
-  }
-  relaxed_.push_back(std::move(task));
-}
-
-sim::Task<> JobTracker::AcquireMapSlot(std::shared_ptr<PendingMap> task,
-                                       Duration locality_wait) {
-  if (free_map_slots_[task->preferred] > 0) {
-    AssignMap(task.get(), task->preferred);
-    co_return;
-  }
-  pending_local_[task->preferred].push_back(task);
-  if (locality_wait > 0) {
-    auto wake = [](JobTracker* tracker,
-                   std::shared_ptr<PendingMap> waiter) -> sim::Task<> {
-      co_await tracker->DeadlineWake(std::move(waiter));
-    };
-    env_->engine()->SpawnAt(env_->engine()->now() + locality_wait,
-                            wake(this, task));
-  }
-  co_await task->assigned->Wait();
-}
-
 bool JobTracker::TryReserveBackupSlot(TaskKind kind, size_t node) {
   if (kind == TaskKind::kMap) {
     if (free_map_slots_[node] <= 0) return false;
@@ -84,251 +118,130 @@ bool JobTracker::TryReserveBackupSlot(TaskKind kind, size_t node) {
   return reduce_slots_[node]->TryAcquire();
 }
 
-size_t JobTracker::MapNodeFor(const InputSplit& split) const {
-  auto location = dfs_->BlockLocation(split.dfs_file, split.offset);
-  if (location.ok()) return *location;
-  // Non-DFS input: spread round-robin.
-  return const_cast<JobTracker*>(this)->next_map_node_++ %
-         env_->cluster()->size();
+sim::Task<Status> JobTracker::RunAttempt(Wave* wave, TaskState* task,
+                                         TaskAttempt* attempt) {
+  // The one commit site: the first attempt through the barrier moves its
+  // output and stats into the task. A race loser's output is simply
+  // dropped; its spill files delete on destruction, and its registry id
+  // is already gone.
+  auto commit = [&](auto outcome, auto* output) -> Status {
+    task->attempts.Finish(env_, attempt);
+    if (!outcome.ok()) return outcome.status();
+    if (task->attempts.TryCommit(attempt)) {
+      outcome->stats.attempts = task->attempts.launched();
+      outcome->stats.speculative = attempt->backup;
+      outcome->stats.data_local = attempt->id.node == task->preferred;
+      *output = std::move(outcome->output);
+      task->stats = std::move(outcome->stats);
+    }
+    return Status::OK();
+  };
+  if (wave->kind == TaskKind::kMap) {
+    MapTask map_task(env_, dfs_, wave->config, task->split, attempt);
+    co_return commit(co_await map_task.Run(), &task->map_output);
+  }
+  ReduceTask reduce_task(env_, wave->config, wave->map_outputs,
+                         static_cast<size_t>(task->index), attempt);
+  co_return commit(co_await reduce_task.Run(), &task->reduce_output);
 }
 
-size_t JobTracker::ReduceNodeFor(const JobConfig& config,
-                                 size_t partition) const {
-  for (const auto& [pinned_partition, node] : config.reduce_pins) {
-    if (pinned_partition == partition) return node;
-  }
-  return partition % env_->cluster()->size();
-}
-
-sim::Task<> JobTracker::RunOneMap(const JobConfig* config, MapTaskState* state,
-                                  sim::Channel<TaskOutcome>* outcomes,
-                                  sim::WaitGroup* wg) {
-  size_t preferred = MapNodeFor(*state->split);
-  if (config->cancel && *config->cancel) {
-    state->stats.completed = false;
-    outcomes->Push({state->index, Status::OK()});
-    wg->Done();
-    co_return;
-  }
-  // Delay scheduling: hold out for a data-local slot for up to
-  // locality_wait, then take any free slot (the split is then fetched
-  // over the network, which the DFS read path charges automatically).
-  auto pending = std::make_shared<PendingMap>();
-  pending->preferred = preferred;
-  pending->assigned = std::make_unique<sim::Event>(env_->engine());
-  co_await AcquireMapSlot(pending, config->locality_wait);
-  size_t node = pending->node;
-  state->stats.node = node;
-  state->stats.data_local = node == preferred;
+sim::Task<> JobTracker::RunPrimary(Wave* wave, TaskState* task) {
+  const JobConfig* config = wave->config;
+  task->preferred = PreferredNode(*wave, *task);
   Status last;
-  while (true) {
-    if (state->attempts.committed()) break;  // a backup won while we waited
-    if (config->cancel && *config->cancel) {
-      state->stats.completed = false;
-      break;
-    }
-    TaskAttempt* attempt = state->attempts.Launch(
-        env_, config->name, TaskKind::kMap, state->index, node,
-        /*backup=*/false);
-    MapTask map_task(env_, dfs_, config, state->split, attempt);
-    Result<MapAttemptResult> outcome = co_await map_task.Run();
-    state->attempts.Finish(env_, attempt);
-    if (outcome.ok()) {
-      MapAttemptResult produced = std::move(*outcome);
-      if (state->attempts.TryCommit(attempt)) {
-        produced.stats.attempts = state->attempts.launched();
-        produced.stats.data_local = node == preferred;
-        state->output = std::move(produced.output);
-        state->stats = std::move(produced.stats);
-      }
-      // A race loser's output is simply dropped; its spill files delete
-      // on destruction, and its registry id is already gone.
-      last = Status::OK();
-      break;
-    }
-    last = outcome.status();
-    if (last.code() == StatusCode::kAborted) {
-      if (config->cancel && *config->cancel) {
-        state->stats.completed = false;
-        last = Status::OK();
+  if (config->cancelled()) {
+    task->stats.completed = false;
+  } else {
+    size_t node = co_await AcquireSlot(wave, task);
+    task->stats.node = node;
+    task->stats.data_local = node == task->preferred;
+    // A backup may have committed while this chain waited.
+    while (!task->attempts.committed()) {
+      if (config->cancelled()) {
+        task->stats.completed = false;
         break;
       }
-      if (attempt->killed()) {
-        // Killed mid-run: either a backup committed (the task is done) or
-        // the job is tearing down; either way the chain stops here.
-        if (state->attempts.committed()) last = Status::OK();
-        break;
+      TaskAttempt* attempt = task->attempts.Launch(
+          env_, config->name, wave->kind, task->index, node,
+          /*backup=*/false);
+      last = co_await RunAttempt(wave, task, attempt);
+      if (last.ok()) break;
+      if (last.code() == StatusCode::kAborted) {
+        if (config->cancelled()) {
+          task->stats.completed = false;
+          last = Status::OK();
+          break;
+        }
+        if (attempt->killed()) {
+          // Killed mid-run: either a backup committed (the task is done)
+          // or the job is tearing down; either way the chain stops here.
+          if (task->attempts.committed()) last = Status::OK();
+          break;
+        }
       }
+      if (task->attempts.primary_attempts() >= config->max_attempts) break;
+      // Falling through to another Launch: this is a real re-run, count
+      // it with the failure that caused it.
+      CountTaskRerun(last);
     }
-    if (state->attempts.primary_attempts() >= config->max_attempts) break;
-    // Falling through to another Launch: this is a real re-run, count it
-    // with the failure that caused it.
-    CountTaskRerun(last);
+    if (!last.ok()) task->attempts.KillAll();
+    ReleaseSlot(wave->kind, node);
   }
-  if (!last.ok()) state->attempts.KillAll();
-  ReleaseMapSlot(node);
-  outcomes->Push({state->index, last});
-  wg->Done();
+  wave->outcomes.Push(last);
+  wave->workers.Done();
 }
 
-sim::Task<> JobTracker::RunMapBackup(const JobConfig* config,
-                                     MapTaskState* state, size_t node,
-                                     sim::WaitGroup* wg) {
+sim::Task<> JobTracker::RunBackup(Wave* wave, TaskState* task, size_t node) {
   // The monitor reserved our slot on `node` before spawning us.
-  if (!state->attempts.committed() &&
-      !(config->cancel && *config->cancel)) {
-    TaskAttempt* attempt = state->attempts.Launch(
-        env_, config->name, TaskKind::kMap, state->index, node,
-        /*backup=*/true);
-    MapTask map_task(env_, dfs_, config, state->split, attempt);
-    Result<MapAttemptResult> outcome = co_await map_task.Run();
-    state->attempts.Finish(env_, attempt);
-    if (outcome.ok()) {
-      MapAttemptResult produced = std::move(*outcome);
-      if (state->attempts.TryCommit(attempt)) {
-        produced.stats.attempts = state->attempts.launched();
-        produced.stats.data_local = node == MapNodeFor(*state->split);
-        produced.stats.speculative = true;
-        state->output = std::move(produced.output);
-        state->stats = std::move(produced.stats);
-      }
-    }
+  if (!task->attempts.committed() && !wave->config->cancelled()) {
+    TaskAttempt* attempt =
+        task->attempts.Launch(env_, wave->config->name, wave->kind,
+                              task->index, node, /*backup=*/true);
     // A backup never reports an outcome: failures and lost races are
     // silent, the primary chain owns the task's status.
+    (void)co_await RunAttempt(wave, task, attempt);
   }
-  ReleaseMapSlot(node);
-  wg->Done();
+  ReleaseSlot(wave->kind, node);
+  wave->workers.Done();
 }
 
-sim::Task<> JobTracker::RunOneReduce(const JobConfig* config,
-                                     std::vector<MapOutput>* outputs,
-                                     ReduceTaskState* state,
-                                     sim::Channel<TaskOutcome>* outcomes,
-                                     sim::WaitGroup* wg) {
-  size_t node = ReduceNodeFor(*config, state->partition);
-  state->stats.node = node;
-  if (config->cancel && *config->cancel) {
-    state->stats.completed = false;
-    outcomes->Push({static_cast<int>(state->partition), Status::OK()});
-    wg->Done();
-    co_return;
-  }
-  co_await reduce_slots_[node]->Acquire();
-  Status last;
-  while (true) {
-    if (state->attempts.committed()) break;
-    if (config->cancel && *config->cancel) {
-      state->stats.completed = false;
-      break;
-    }
-    TaskAttempt* attempt = state->attempts.Launch(
-        env_, config->name, TaskKind::kReduce,
-        static_cast<int>(state->partition), node, /*backup=*/false);
-    ReduceTask reduce_task(env_, config, outputs, state->partition, attempt);
-    Result<ReduceAttemptResult> outcome = co_await reduce_task.Run();
-    state->attempts.Finish(env_, attempt);
-    if (outcome.ok()) {
-      ReduceAttemptResult produced = std::move(*outcome);
-      if (state->attempts.TryCommit(attempt)) {
-        produced.stats.attempts = state->attempts.launched();
-        state->output = std::move(produced.output);
-        state->stats = std::move(produced.stats);
-      }
-      last = Status::OK();
-      break;
-    }
-    last = outcome.status();
-    if (last.code() == StatusCode::kAborted) {
-      if (config->cancel && *config->cancel) {
-        state->stats.completed = false;
-        last = Status::OK();
-        break;
-      }
-      if (attempt->killed()) {
-        if (state->attempts.committed()) last = Status::OK();
-        break;
-      }
-    }
-    if (state->attempts.primary_attempts() >= config->max_attempts) break;
-    CountTaskRerun(last);
-  }
-  if (!last.ok()) state->attempts.KillAll();
-  reduce_slots_[node]->Release();
-  outcomes->Push({static_cast<int>(state->partition), last});
-  wg->Done();
-}
-
-sim::Task<> JobTracker::RunReduceBackup(const JobConfig* config,
-                                        std::vector<MapOutput>* outputs,
-                                        ReduceTaskState* state, size_t node,
-                                        sim::WaitGroup* wg) {
-  if (!state->attempts.committed() &&
-      !(config->cancel && *config->cancel)) {
-    TaskAttempt* attempt = state->attempts.Launch(
-        env_, config->name, TaskKind::kReduce,
-        static_cast<int>(state->partition), node, /*backup=*/true);
-    ReduceTask reduce_task(env_, config, outputs, state->partition, attempt);
-    Result<ReduceAttemptResult> outcome = co_await reduce_task.Run();
-    state->attempts.Finish(env_, attempt);
-    if (outcome.ok()) {
-      ReduceAttemptResult produced = std::move(*outcome);
-      if (state->attempts.TryCommit(attempt)) {
-        produced.stats.attempts = state->attempts.launched();
-        produced.stats.speculative = true;
-        state->output = std::move(produced.output);
-        state->stats = std::move(produced.stats);
-      }
-    }
-  }
-  reduce_slots_[node]->Release();
-  wg->Done();
-}
-
-sim::Task<> JobTracker::SpeculationLoop(const JobConfig* config, TaskKind kind,
-                                        std::deque<MapTaskState>* maps,
-                                        std::deque<ReduceTaskState>* reduces,
-                                        std::vector<MapOutput>* outputs,
-                                        const bool* wave_done,
-                                        sim::WaitGroup* wg) {
-  const SpeculationConfig& spec = config->speculation;
+sim::Task<> JobTracker::SpeculationLoop(Wave* wave) {
+  const JobConfig* config = wave->config;
   sim::Engine* engine = env_->engine();
-  size_t count = kind == TaskKind::kMap ? maps->size() : reduces->size();
-  auto set_of = [&](size_t i) -> AttemptSet& {
-    return kind == TaskKind::kMap ? (*maps)[i].attempts
-                                  : (*reduces)[i].attempts;
-  };
-  while (!*wave_done) {
-    co_await engine->Delay(spec.check_period);
-    if (*wave_done) break;
-    if (config->cancel && *config->cancel) break;
+  const size_t count = wave->tasks.size();
+  const size_t nodes = free_map_slots_.size();
+  while (!wave->done) {
+    co_await engine->Delay(config->speculation.check_period);
+    if (wave->done || config->cancelled()) break;
     // Median best-progress across the wave's logical tasks; committed
     // tasks keep anchoring it with their final progress. With all tasks
     // near zero (wave just started) there is nothing to compare yet.
     std::vector<uint64_t> progress;
     progress.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      progress.push_back(set_of(i).BestProgress());
+    for (const TaskState& task : wave->tasks) {
+      progress.push_back(task.attempts.BestProgress());
     }
     std::sort(progress.begin(), progress.end());
     uint64_t median = progress[count / 2];
     if (median == 0) continue;
-    for (size_t i = 0; i < count; ++i) {
-      AttemptSet& set = set_of(i);
+    for (TaskState& task : wave->tasks) {
+      const AttemptSet& set = task.attempts;
       if (set.committed()) continue;
-      if (set.backups() >= spec.max_backups_per_task) continue;
+      if (set.backups() >= kMaxBackupsPerTask) continue;
       TaskAttempt* primary = set.RunningPrimary();
       if (primary == nullptr) continue;  // between retries / awaiting slot
-      if (engine->now() - primary->started_at < spec.min_attempt_age) {
+      if (engine->now() - primary->started_at <
+          config->speculation.min_attempt_age) {
         continue;
       }
-      if (static_cast<double>(set.BestProgress()) * spec.lag_factor >=
+      if (static_cast<double>(set.BestProgress()) * kLagFactor >=
           static_cast<double>(median)) {
         continue;
       }
       // Straggler: place the backup on a free slot on a node no live
       // attempt of this task occupies (lowest index first, deterministic).
-      size_t chosen = free_map_slots_.size();
-      for (size_t node = 0; node < free_map_slots_.size(); ++node) {
+      size_t chosen = nodes;
+      for (size_t node = 0; node < nodes; ++node) {
         bool occupied = false;
         for (const auto& attempt : set.attempts()) {
           if (!attempt->finished && attempt->id.node == node) {
@@ -337,116 +250,85 @@ sim::Task<> JobTracker::SpeculationLoop(const JobConfig* config, TaskKind kind,
           }
         }
         if (occupied) continue;
-        if (TryReserveBackupSlot(kind, node)) {
+        if (TryReserveBackupSlot(wave->kind, node)) {
           chosen = node;
           break;
         }
       }
-      if (chosen == free_map_slots_.size()) continue;  // no slot this round
-      wg->Add(1);
-      if (kind == TaskKind::kMap) {
-        engine->Spawn(RunMapBackup(config, &(*maps)[i], chosen, wg));
-      } else {
-        engine->Spawn(
-            RunReduceBackup(config, outputs, &(*reduces)[i], chosen, wg));
-      }
+      if (chosen == nodes) continue;  // no slot this round
+      wave->workers.Add(1);
+      engine->Spawn(RunBackup(wave, &task, chosen));
     }
   }
-  wg->Done();
+  wave->workers.Done();
+}
+
+sim::Task<Status> JobTracker::RunWave(Wave* wave) {
+  sim::Engine* engine = env_->engine();
+  wave->workers.Add(static_cast<int64_t>(wave->tasks.size()));
+  for (TaskState& task : wave->tasks) {
+    engine->Spawn(RunPrimary(wave, &task));
+  }
+  if (wave->config->speculation.enabled && wave->tasks.size() >= 2) {
+    wave->workers.Add(1);
+    engine->Spawn(SpeculationLoop(wave));
+  }
+  Status status;
+  for (size_t i = 0; i < wave->tasks.size(); ++i) {
+    std::optional<Status> outcome = co_await wave->outcomes.Pop();
+    if (outcome.has_value() && !outcome->ok() && status.ok()) {
+      status = *outcome;
+    }
+  }
+  wave->done = true;
+  // The WaitGroup (its event is one-shot, hence one per wave) counts
+  // every driver plus the monitor: once it clears, no coroutine still
+  // references the wave. For reduces this also drains a losing attempt
+  // still mid-shuffle before the map outputs are deleted.
+  co_await wave->workers.Wait();
+  co_return status;
 }
 
 sim::Task<Result<JobResult>> JobTracker::Run(JobConfig config) {
   sim::Engine* engine = env_->engine();
   SimTime start = engine->now();
   JobResult result;
-  Status job_status;
 
   if (config.input == nullptr) co_return InvalidArgument("job needs input");
   std::vector<InputSplit> splits = config.input->Splits();
 
-  sim::Channel<TaskOutcome> outcomes(engine);
-  std::deque<MapTaskState> map_states;
+  Wave maps(engine, TaskKind::kMap, &config, nullptr);
   for (size_t i = 0; i < splits.size(); ++i) {
-    map_states.emplace_back();
-    map_states.back().split = &splits[i];
-    map_states.back().index = static_cast<int>(i);
+    maps.tasks.emplace_back(static_cast<int>(i), &splits[i]);
   }
+  Status status = co_await RunWave(&maps);
+  if (!status.ok()) co_return status;
 
-  // One WaitGroup per wave (the underlying event is one-shot): it counts
-  // every attempt driver plus the monitor, so by the time it clears, no
-  // coroutine still references this frame's wave state.
-  bool map_wave_done = false;
-  sim::WaitGroup map_workers(engine);
-  map_workers.Add(static_cast<int64_t>(map_states.size()));
-  for (MapTaskState& state : map_states) {
-    engine->Spawn(RunOneMap(&config, &state, &outcomes, &map_workers));
-  }
-  if (config.speculation.enabled && map_states.size() >= 2) {
-    map_workers.Add(1);
-    engine->Spawn(SpeculationLoop(&config, TaskKind::kMap, &map_states,
-                                  nullptr, nullptr, &map_wave_done,
-                                  &map_workers));
-  }
-  // Each primary driver reports exactly one outcome; a cancelled backup
-  // never reports, so it cannot clobber the job status.
-  for (size_t i = 0; i < map_states.size(); ++i) {
-    std::optional<TaskOutcome> outcome = co_await outcomes.Pop();
-    if (outcome.has_value() && !outcome->status.ok() && job_status.ok()) {
-      job_status = outcome->status;
-    }
-  }
-  map_wave_done = true;
-  co_await map_workers.Wait();
-  if (!job_status.ok()) co_return job_status;
-
-  result.map_tasks.reserve(map_states.size());
+  result.map_tasks.reserve(maps.tasks.size());
   std::vector<MapOutput> map_outputs;
-  map_outputs.reserve(map_states.size());
-  for (MapTaskState& state : map_states) {
-    result.map_tasks.push_back(state.stats);
-    map_outputs.push_back(std::move(state.output));
+  map_outputs.reserve(maps.tasks.size());
+  for (TaskState& task : maps.tasks) {
+    result.map_tasks.push_back(task.stats);
+    map_outputs.push_back(std::move(task.map_output));
   }
 
   if (config.reducer_factory) {
-    std::deque<ReduceTaskState> reduce_states;
+    Wave reduces(engine, TaskKind::kReduce, &config, &map_outputs);
     for (int p = 0; p < config.num_reducers; ++p) {
-      reduce_states.emplace_back();
-      reduce_states.back().partition = static_cast<size_t>(p);
+      reduces.tasks.emplace_back(p, nullptr);
     }
-    bool reduce_wave_done = false;
-    sim::WaitGroup reduce_workers(engine);
-    reduce_workers.Add(config.num_reducers);
-    for (ReduceTaskState& state : reduce_states) {
-      engine->Spawn(RunOneReduce(&config, &map_outputs, &state, &outcomes,
-                                 &reduce_workers));
-    }
-    if (config.speculation.enabled && reduce_states.size() >= 2) {
-      reduce_workers.Add(1);
-      engine->Spawn(SpeculationLoop(&config, TaskKind::kReduce, nullptr,
-                                    &reduce_states, &map_outputs,
-                                    &reduce_wave_done, &reduce_workers));
-    }
-    for (int p = 0; p < config.num_reducers; ++p) {
-      std::optional<TaskOutcome> outcome = co_await outcomes.Pop();
-      if (outcome.has_value() && !outcome->status.ok() && job_status.ok()) {
-        job_status = outcome->status;
-      }
-    }
-    reduce_wave_done = true;
-    // Drained before map outputs are deleted below: a losing attempt may
-    // still be mid-shuffle on its independent cursor.
-    co_await reduce_workers.Wait();
-    if (!job_status.ok()) co_return job_status;
+    status = co_await RunWave(&reduces);
+    if (!status.ok()) co_return status;
 
-    result.reduce_tasks.reserve(reduce_states.size());
-    for (ReduceTaskState& state : reduce_states) {
-      result.reduce_tasks.push_back(state.stats);
+    result.reduce_tasks.reserve(reduces.tasks.size());
+    for (TaskState& task : reduces.tasks) {
+      result.reduce_tasks.push_back(task.stats);
       // Job output is assembled in partition order (not completion
       // order), so reruns — and races under speculation — are
       // byte-identical.
       result.output.insert(result.output.end(),
-                           std::make_move_iterator(state.output.begin()),
-                           std::make_move_iterator(state.output.end()));
+                           std::make_move_iterator(task.reduce_output.begin()),
+                           std::make_move_iterator(task.reduce_output.end()));
     }
   }
 

@@ -29,9 +29,10 @@ namespace spongefiles::mapred {
 // (section 3.1).
 //
 // Execution is attempt-based: every run of a logical task is a TaskAttempt
-// with its own registry id, spill namespace, and result sink. A per-task
-// driver coroutine owns the sequential retry chain and reports exactly one
-// outcome on the job's outcome channel; the speculation monitor (when
+// with its own registry id, spill namespace, and result sink. Maps and
+// reduces run through the same drivers, one wave per kind: a per-task
+// primary driver owns the sequential retry chain and reports exactly one
+// outcome on the wave's outcome channel; the speculation monitor (when
 // JobConfig::speculation.enabled) launches backup attempts for stragglers,
 // and the first attempt to commit through the AttemptSet barrier wins —
 // the loser is killed, deregistered, and its sponge chunks fall to the
@@ -59,72 +60,75 @@ class JobTracker {
     bool done = false;
   };
 
-  // One logical task's outcome, reported exactly once by its primary
-  // driver. A cancelled or losing backup attempt never reports, so it
-  // cannot clobber the job status.
-  struct TaskOutcome {
-    int index = 0;
-    Status status;
-  };
-
-  // Scheduling state of one logical map task: its attempts plus the
+  // Scheduling state of one logical task: its attempts plus the
   // committed winner's results.
-  struct MapTaskState {
-    const InputSplit* split = nullptr;
-    int index = 0;
+  struct TaskState {
+    TaskState(int i, const InputSplit* s) : index(i), split(s) {}
+
+    int index;                 // split index or reduce partition
+    const InputSplit* split;   // maps only
+    size_t preferred = 0;      // set once, by the primary driver
     AttemptSet attempts;
-    MapOutput output;
+    MapOutput map_output;
+    std::vector<Record> reduce_output;
     TaskStats stats;
   };
 
-  struct ReduceTaskState {
-    size_t partition = 0;
-    AttemptSet attempts;
-    std::vector<Record> output;
-    TaskStats stats;
+  // One wave of same-kind tasks and what their drivers share. It
+  // outlives every driver and the monitor: RunWave returns only after
+  // `workers` (all of them) clears.
+  struct Wave {
+    Wave(sim::Engine* engine, TaskKind k, const JobConfig* job,
+         std::vector<MapOutput>* inputs)
+        : kind(k),
+          config(job),
+          map_outputs(inputs),
+          outcomes(engine),
+          workers(engine) {}
+
+    TaskKind kind;
+    const JobConfig* config;
+    std::vector<MapOutput>* map_outputs;  // the reduces' input
+    std::deque<TaskState> tasks;
+    // Exactly one status per task, from its primary driver. A cancelled
+    // or losing backup never reports, so it cannot clobber the job status.
+    sim::Channel<Status> outcomes;
+    sim::WaitGroup workers;
+    bool done = false;
   };
 
-  // Primary drivers: own the slot, run the sequential retry chain, report
-  // the single task outcome.
-  sim::Task<> RunOneMap(const JobConfig* config, MapTaskState* state,
-                        sim::Channel<TaskOutcome>* outcomes,
-                        sim::WaitGroup* wg);
-  sim::Task<> RunOneReduce(const JobConfig* config,
-                           std::vector<MapOutput>* outputs,
-                           ReduceTaskState* state,
-                           sim::Channel<TaskOutcome>* outcomes,
-                           sim::WaitGroup* wg);
+  // Runs the wave's tasks (plus the speculation monitor) to completion;
+  // returns the first failed task's status.
+  sim::Task<Status> RunWave(Wave* wave);
 
-  // Backup drivers: run one speculative attempt on a slot the monitor
-  // already reserved, commit if they win, and stay silent otherwise.
-  sim::Task<> RunMapBackup(const JobConfig* config, MapTaskState* state,
-                           size_t node, sim::WaitGroup* wg);
-  sim::Task<> RunReduceBackup(const JobConfig* config,
-                              std::vector<MapOutput>* outputs,
-                              ReduceTaskState* state, size_t node,
-                              sim::WaitGroup* wg);
+  // Primary driver: owns the slot, runs the sequential retry chain, and
+  // reports the task's single outcome.
+  sim::Task<> RunPrimary(Wave* wave, TaskState* task);
+
+  // Backup driver: runs one speculative attempt on a slot the monitor
+  // already reserved, commits if it wins, and stays silent otherwise.
+  sim::Task<> RunBackup(Wave* wave, TaskState* task, size_t node);
 
   // The straggler watcher for one wave: every check_period, compares each
   // open task's best progress against the wave median and launches a
   // backup on a free slot on a node no live attempt of the task occupies.
-  sim::Task<> SpeculationLoop(const JobConfig* config, TaskKind kind,
-                              std::deque<MapTaskState>* maps,
-                              std::deque<ReduceTaskState>* reduces,
-                              std::vector<MapOutput>* outputs,
-                              const bool* wave_done, sim::WaitGroup* wg);
+  sim::Task<> SpeculationLoop(Wave* wave);
 
+  // The only code that knows the task kind: where a task prefers to run,
+  // how its slots are taken and returned, and which task class runs an
+  // attempt.
+  size_t PreferredNode(const Wave& wave, const TaskState& task);
+  sim::Task<size_t> AcquireSlot(const Wave* wave, const TaskState* task);
+  void ReleaseSlot(TaskKind kind, size_t node);
   // Synchronously grabs a slot for a backup attempt (the monitor must not
   // wait in a slot queue); false when the node has no free slot.
   bool TryReserveBackupSlot(TaskKind kind, size_t node);
+  // Runs `attempt` and, if it is the first to commit, moves its output
+  // and stats into `task`. Returns the attempt's status.
+  sim::Task<Status> RunAttempt(Wave* wave, TaskState* task,
+                               TaskAttempt* attempt);
 
-  size_t MapNodeFor(const InputSplit& split) const;
-  size_t ReduceNodeFor(const JobConfig& config, size_t partition) const;
-
-  // Acquires a map slot for `task` honoring delay scheduling; resolves
-  // task->node.
-  sim::Task<> AcquireMapSlot(std::shared_ptr<PendingMap> task,
-                             Duration locality_wait);
-  void ReleaseMapSlot(size_t node);
+  // Delay scheduling's hand-offs.
   void AssignMap(PendingMap* task, size_t node);
   sim::Task<> DeadlineWake(std::shared_ptr<PendingMap> task);
 

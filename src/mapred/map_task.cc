@@ -83,7 +83,7 @@ sim::Task<Result<MapAttemptResult>> MapTask::Run() {
 
   // Stream the split off the DFS, charging scan CPU as we go.
   for (uint64_t off = 0; off < split_->bytes; off += kScanUnit) {
-    if (config_->cancel && *config_->cancel) {
+    if (config_->cancelled()) {
       co_return Aborted("job cancelled");
     }
     if (attempt_->killed()) co_return Aborted("attempt killed");

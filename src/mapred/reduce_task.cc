@@ -209,7 +209,7 @@ sim::Task<Result<ReduceAttemptResult>> ReduceTask::Run() {
                                 attempt_->id.attempt_id, "mapred",
                                 "reduce.shuffle");
     for (MapOutput& output : *map_outputs_) {
-      if (config_->cancel && *config_->cancel) {
+      if (config_->cancelled()) {
         co_return finish(Aborted("job cancelled"));
       }
       if (attempt_->killed()) co_return finish(Aborted("attempt killed"));

@@ -36,21 +36,21 @@ void CountTaskRerun(const Status& status) {
 
 namespace {
 
-obs::Counter* SpeculationCounter(const char* event) {
+// mapred.speculation.{launched,won,cancelled}, registered together on
+// first use.
+struct SpeculationCounters {
+  obs::Counter* launched;
+  obs::Counter* won;
+  obs::Counter* cancelled;
+};
+
+const SpeculationCounters& Speculation() {
   static obs::Registry& registry = obs::Registry::Default();
-  static obs::Counter* const launched =
-      registry.counter("mapred.speculation.launched");
-  static obs::Counter* const won = registry.counter("mapred.speculation.won");
-  static obs::Counter* const cancelled =
-      registry.counter("mapred.speculation.cancelled");
-  switch (event[0]) {
-    case 'l':
-      return launched;
-    case 'w':
-      return won;
-    default:
-      return cancelled;
-  }
+  static const SpeculationCounters counters{
+      registry.counter("mapred.speculation.launched"),
+      registry.counter("mapred.speculation.won"),
+      registry.counter("mapred.speculation.cancelled")};
+  return counters;
 }
 
 }  // namespace
@@ -75,7 +75,7 @@ TaskAttempt* AttemptSet::Launch(sponge::SpongeEnv* env, const std::string& job,
   attempt->started_at = env->engine()->now();
   if (backup) {
     ++backups_;
-    SpeculationCounter("launched")->Increment();
+    Speculation().launched->Increment();
   }
   attempts_.push_back(std::move(attempt));
   return attempts_.back().get();
@@ -98,10 +98,10 @@ bool AttemptSet::TryCommit(TaskAttempt* attempt) {
     // Only races created by speculation count as cancellations; a lone
     // primary has no competitors to kill.
     if (other->backup || attempt->backup) {
-      SpeculationCounter("cancelled")->Increment();
+      Speculation().cancelled->Increment();
     }
   }
-  if (attempt->backup) SpeculationCounter("won")->Increment();
+  if (attempt->backup) Speculation().won->Increment();
   return true;
 }
 

@@ -7,6 +7,7 @@
 #include "cluster/dfs.h"
 #include "common/units.h"
 #include "mapred/job_tracker.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sponge/sponge_env.h"
 
@@ -315,6 +316,34 @@ TEST(JobTest, FailingJobSurfacesError) {
   auto result = f.RunJob(std::move(config));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+}
+
+TEST(JobTest, FailingMapJobSurfacesErrorAfterMaxAttempts) {
+  // One split names a DFS file that does not exist: every attempt of
+  // that map fails its first read, so its two-attempt budget is one
+  // re-run, and the job fails with the read's status.
+  class MissingFileInput : public TestInput {
+   public:
+    using TestInput::TestInput;
+    std::vector<InputSplit> Splits() override {
+      std::vector<InputSplit> splits = TestInput::Splits();
+      splits[1].dfs_file = "missing";
+      return splits;
+    }
+  };
+  JobFixture f;
+  MissingFileInput input(f.dfs.get(), "partial", WordSplits(), MiB(16));
+  JobConfig config;
+  config.input = &input;
+  config.max_attempts = 2;
+  config.reducer_factory = [] { return std::make_unique<CountReducer>(); };
+  obs::Counter* reruns = obs::Registry::Default().counter(
+      "mapred.task.rerun.reason", {{"reason", "other"}});
+  uint64_t before = reruns->value();
+  auto result = f.RunJob(std::move(config));
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(reruns->value() - before, 1u);
 }
 
 TEST(JobTest, CancelStopsRemainingTasks) {

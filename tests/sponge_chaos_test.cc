@@ -25,6 +25,7 @@
 
 #include "common/units.h"
 #include "mapred/job.h"
+#include "obs/metrics.h"
 #include "sponge/failure.h"
 #include "workload/testbed.h"
 
@@ -173,6 +174,35 @@ TEST(SpongeChaosTest, HungServerDoesNotDeadlockJob) {
   EXPECT_EQ(result->output[0].number, numbers.expected_median());
 }
 
+// The attempt-race counters: mapred.speculation.{launched,won,cancelled}
+// and the total over every mapred.task.rerun.reason label.
+struct AttemptCounts {
+  uint64_t launched = 0;
+  uint64_t won = 0;
+  uint64_t cancelled = 0;
+  uint64_t reruns = 0;
+
+  static AttemptCounts Now() {
+    obs::Registry& registry = obs::Registry::Default();
+    AttemptCounts now;
+    now.launched = registry.counter("mapred.speculation.launched")->value();
+    now.won = registry.counter("mapred.speculation.won")->value();
+    now.cancelled = registry.counter("mapred.speculation.cancelled")->value();
+    for (const char* reason : {"timeout", "checksum", "chunk-lost", "aborted",
+                               "resource-exhausted", "other"}) {
+      now.reruns +=
+          registry.counter("mapred.task.rerun.reason", {{"reason", reason}})
+              ->value();
+    }
+    return now;
+  }
+
+  AttemptCounts Since(const AttemptCounts& before) const {
+    return {launched - before.launched, won - before.won,
+            cancelled - before.cancelled, reruns - before.reruns};
+  }
+};
+
 // Everything deterministic a mini-workload run produces.
 struct MiniSnapshot {
   Duration runtime = 0;
@@ -181,6 +211,8 @@ struct MiniSnapshot {
   SimTime now = 0;
   uint64_t spilled = 0;
   uint64_t leaked = 0;
+  // Who won each attempt race.
+  AttemptCounts attempts;
 };
 
 // The skewed median job on a 4-node testbed with speculation on, spilling
@@ -211,6 +243,7 @@ MiniSnapshot RunMiniWorkload(uint64_t chaos_seed,
   job.speculation.enabled = true;
   job.speculation.check_period = Seconds(1);
   job.speculation.min_attempt_age = Seconds(3);
+  AttemptCounts before = AttemptCounts::Now();
   auto result = bed.RunJob(std::move(job));
 
   MiniSnapshot snap;
@@ -244,6 +277,7 @@ MiniSnapshot RunMiniWorkload(uint64_t chaos_seed,
   }
   snap.events = bed.engine().events_processed();
   snap.now = bed.engine().now();
+  snap.attempts = AttemptCounts::Now().Since(before);
   return snap;
 }
 
@@ -252,6 +286,8 @@ MiniSnapshot RunMiniWorkload(uint64_t chaos_seed,
 // The `all_paths` rows turn on every client path the default config skips
 // (replica writes, hedged reads, encryption, socket-routed local chunks,
 // synchronous stores), so a change to any of them moves a constant too.
+// The counter columns pin who wins each attempt race: a change to which
+// attempt commits (or to when a task re-runs) moves one of them.
 TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
   struct Expected {
     uint64_t seed;
@@ -259,14 +295,17 @@ TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
     Duration runtime;
     uint64_t events;
     SimTime now;
+    AttemptCounts attempts;
   };
   const Expected kExpected[] = {
-      {0, false, 6334158, 5567, 10010000},
-      {1, false, 6334158, 6034, 80000000},
-      {2, false, 6334043, 6036, 80000000},
-      {0, true, 8156825, 7303, 10010000},
-      {1, true, 8156825, 7770, 80000000},
-      {2, true, 8156780, 7774, 80000000},
+      {0, false, 6334158, 5567, 10010000, {0, 0, 0, 0}},
+      {1, false, 6334158, 6034, 80000000, {0, 0, 0, 0}},
+      {2, false, 6334043, 6036, 80000000, {0, 0, 0, 0}},
+      {0, true, 8156825, 7303, 10010000, {0, 0, 0, 0}},
+      {1, true, 8156825, 7770, 80000000, {0, 0, 0, 0}},
+      {2, true, 8156780, 7774, 80000000, {0, 0, 0, 0}},
+      // A fault costs one task a re-run.
+      {23, false, 9010730, 10449, 80000000, {0, 0, 0, 1}},
   };
   sponge::SpongeConfig all_paths;
   all_paths.replication.enabled = true;
@@ -288,6 +327,10 @@ TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
     EXPECT_EQ(got.now, want.now);
     EXPECT_EQ(got.spilled, 409620480u);
     EXPECT_EQ(got.leaked, 0u);
+    EXPECT_EQ(got.attempts.launched, want.attempts.launched);
+    EXPECT_EQ(got.attempts.won, want.attempts.won);
+    EXPECT_EQ(got.attempts.cancelled, want.attempts.cancelled);
+    EXPECT_EQ(got.attempts.reruns, want.attempts.reruns);
   }
 }
 

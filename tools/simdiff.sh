@@ -1,20 +1,24 @@
 #!/usr/bin/env bash
 # Byte-identity check of the simulated schedule against a base commit.
 #
-# Builds spongebench from BASE (in a temporary git worktree) and from the
-# working tree, runs each benchmark workload at seed 1 with both binaries,
-# and compares with cmp:
-#   - the --sim-out file (makespan, append mean/p99, per-layer counters
-#     such as sim.events), and
-#   - the report's trace.* span folds (simulated time per span kind).
-# Exits 1 on any difference, naming the workload and file. Host-time
-# numbers are not compared. The benchmark sources are only built and run.
+# Builds spongebench and bench_selfperf from BASE (a `git archive` export)
+# and from the working tree, runs both binaries of each side, and compares
+# with cmp:
+#   - spongebench, each benchmark workload at seed 1: the --sim-out file
+#     (makespan, append mean/p99, per-layer counters such as sim.events)
+#     and the report's trace.* span folds (simulated time per span kind);
+#   - bench_selfperf at perf.sh's --chaos-seeds value: its --sim-out,
+#     --metrics-out and --trace-out snapshots. Its chaos sweep runs with
+#     speculation on, so this half covers the mapred attempt path that the
+#     benchmark workloads never speculate on.
+# Exits 1 on any difference, naming the run and file. Host-time numbers
+# are not compared. The benchmark sources are only built and run.
 #
 # Usage: tools/simdiff.sh BASE
 #
-# The working tree's build is kept in build-simdiff/ so reruns are warm;
-# BASE is built from scratch each time. Set TMPDIR to move the worktree and
-# outputs.
+# The working tree's builds are kept in build-simdiff/ (spongebench) and
+# build-simdiff-selfperf/ so reruns are warm; BASE is built from scratch
+# each time. Set TMPDIR to move the export and outputs.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -24,32 +28,48 @@ fi
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 base_rev="$(git -C "$repo" rev-parse --verify "$1^{commit}")"
 work="$(mktemp -d)"
-cleanup() {
-  git -C "$repo" worktree remove --force "$work/base" >/dev/null 2>&1 || true
-  git -C "$repo" worktree prune >/dev/null 2>&1 || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
 generator=()
 if command -v ninja >/dev/null; then generator=(-G Ninja); fi
 jobs="$(( $(nproc) < 4 ? $(nproc) : 4 ))"
+# perf.sh's default, so these snapshots are the ones its gate 1 compares.
+chaos_seeds=5
 
-# build SOURCE_ROOT BUILD_DIR: configures and builds spongebench.
+# build SOURCE_DIR BUILD_DIR TARGET: configures and builds one target.
 build() {
   if [ ! -f "$2/CMakeCache.txt" ]; then
-    cmake -S "$1/spongebench" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       "${generator[@]}" >/dev/null
   fi
-  cmake --build "$2" --target spongebench -j "$jobs" >/dev/null
+  cmake --build "$2" --target "$3" -j "$jobs" >/dev/null
+}
+
+# same RUN KIND...: cmp's the base and change copies of each output.
+status=0
+same() {
+  local run="$1" kind
+  shift
+  for kind in "$@"; do
+    if cmp "$work/$run.base.$kind" "$work/$run.change.$kind"; then
+      echo "simdiff: $run $kind identical" >&2
+    else
+      echo "simdiff: $run $kind DIFFERS" >&2
+      diff "$work/$run.base.$kind" "$work/$run.change.$kind" \
+        | head -20 >&2 || true
+      status=1
+    fi
+  done
 }
 
 echo "simdiff: building $base_rev and the working tree" >&2
-git -C "$repo" worktree add --detach "$work/base" "$base_rev" >/dev/null 2>&1
-build "$work/base" "$work/base-build"
-build "$repo" "$repo/build-simdiff"
+mkdir "$work/base"
+git -C "$repo" archive "$base_rev" | tar -x -C "$work/base"
+build "$work/base/spongebench" "$work/base-build" spongebench
+build "$repo/spongebench" "$repo/build-simdiff" spongebench
+build "$work/base" "$work/base-selfperf" bench_selfperf
+build "$repo" "$repo/build-simdiff-selfperf" bench_selfperf
 
-status=0
 for workload in skew_sponge skew_disk dc_replay; do
   for side in base change; do
     if [ "$side" = base ]; then
@@ -62,15 +82,19 @@ for workload in skew_sponge skew_disk dc_replay; do
     grep -E '^ +trace\.' "$work/$workload.$side.report" \
       >"$work/$workload.$side.spans" || true
   done
-  for kind in sim spans; do
-    if cmp "$work/$workload.base.$kind" "$work/$workload.change.$kind"; then
-      echo "simdiff: $workload $kind identical" >&2
-    else
-      echo "simdiff: $workload $kind DIFFERS" >&2
-      diff "$work/$workload.base.$kind" "$work/$workload.change.$kind" \
-        | head -20 >&2 || true
-      status=1
-    fi
-  done
+  same "$workload" sim spans
 done
+
+for side in base change; do
+  if [ "$side" = base ]; then
+    binary="$work/base-selfperf/bench/bench_selfperf"
+  else
+    binary="$repo/build-simdiff-selfperf/bench/bench_selfperf"
+  fi
+  "$binary" --chaos-seeds="$chaos_seeds" --out="$work/selfperf.$side.json" \
+    --sim-out="$work/selfperf.$side.sim" \
+    --metrics-out="$work/selfperf.$side.metrics" \
+    --trace-out="$work/selfperf.$side.trace" >/dev/null
+done
+same selfperf sim metrics trace
 exit "$status"
