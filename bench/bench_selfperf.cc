@@ -24,9 +24,6 @@
 //                   it, along with --trace-out and --metrics-out
 //                   snapshots).
 //   --out=PATH      writes the wall-clock report (BENCH_selfperf.json).
-//   --baseline=PATH a prior --out file; its totals are embedded next to
-//                   ours and the ratio computed (regression tracking
-//                   across commits).
 
 #include <algorithm>
 #include <cstdio>
@@ -292,17 +289,8 @@ std::string SimJson(const std::vector<ScenarioResult>& results) {
   return out;
 }
 
-// Pulls `"key": <number>` out of a baseline report (our own output format,
-// so naive extraction is fine).
-double ExtractNumber(const std::string& json, const std::string& key) {
-  std::string needle = "\"" + key + "\": ";
-  size_t pos = json.find(needle);
-  if (pos == std::string::npos) return 0;
-  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
-}
-
 std::string WallJson(const std::vector<ScenarioResult>& results,
-                     int chaos_seeds, const std::string& baseline_json) {
+                     int chaos_seeds) {
   const char* flavor = "fastpath";
   double total_wall = 0;
   uint64_t total_events = 0, total_bytes = 0;
@@ -352,16 +340,6 @@ std::string WallJson(const std::vector<ScenarioResult>& results,
   obs::AppendJsonDouble(&out, total_secs > 0 ? total_bytes / total_secs : 0);
   out += ",\n  \"peak_rss_bytes\": ";
   obs::AppendJsonUint(&out, PeakRssBytes());
-  if (!baseline_json.empty()) {
-    double base_wall = ExtractNumber(baseline_json, "total_wall_ms");
-    double base_rss = ExtractNumber(baseline_json, "peak_rss_bytes");
-    out += ",\n  \"baseline_total_wall_ms\": ";
-    obs::AppendJsonDouble(&out, base_wall);
-    out += ",\n  \"baseline_peak_rss_bytes\": ";
-    obs::AppendJsonUint(&out, static_cast<uint64_t>(base_rss));
-    out += ",\n  \"speedup\": ";
-    obs::AppendJsonDouble(&out, total_wall > 0 ? base_wall / total_wall : 0);
-  }
   out += "\n}\n";
   return out;
 }
@@ -372,7 +350,6 @@ int main(int argc, char** argv) {
   ObsOptions obs_options = ParseObsFlags(argc, argv);
   std::string out_path = "BENCH_selfperf.json";
   std::string sim_out_path;
-  std::string baseline_path;
   int chaos_seeds = 5;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -380,8 +357,6 @@ int main(int argc, char** argv) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--sim-out=", 0) == 0) {
       sim_out_path = arg.substr(10);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
     } else if (arg.rfind("--chaos-seeds=", 0) == 0) {
       chaos_seeds = std::atoi(arg.c_str() + 14);
       if (chaos_seeds < 1) chaos_seeds = 1;
@@ -412,32 +387,7 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\npeak RSS: %s\n", FormatBytes(PeakRssBytes()).c_str());
 
-  std::string baseline_json;
-  if (!baseline_path.empty()) {
-    std::FILE* f = std::fopen(baseline_path.c_str(), "r");
-    if (f != nullptr) {
-      char buf[4096];
-      size_t n;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        baseline_json.append(buf, n);
-      }
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "baseline %s unreadable; omitting speedup\n",
-                   baseline_path.c_str());
-    }
-  }
-  if (!baseline_json.empty()) {
-    double base = ExtractNumber(baseline_json, "total_wall_ms");
-    double total = 0;
-    for (const ScenarioResult& r : results) total += r.wall_ms;
-    if (base > 0 && total > 0) {
-      std::printf("speedup vs baseline: %.2fx (%.0f ms -> %.0f ms)\n",
-                  base / total, base, total);
-    }
-  }
-
-  if (!WriteText(out_path, WallJson(results, chaos_seeds, baseline_json))) {
+  if (!WriteText(out_path, WallJson(results, chaos_seeds))) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }

@@ -64,6 +64,8 @@ size_t Engine::DrainDetached() {
   // child a queued handle might point into).
   heap_.clear();
   ring_head_ = ring_tail_ = 0;
+  timer_seq_.clear();
+  timer_free_.clear();
   // Snapshot the live frames and reset the registry before destroying, so
   // the loop is immune to destructor side effects (a frame-local
   // destructor must not spawn, but be defensive).
@@ -92,8 +94,52 @@ void Engine::ScheduleHandle(SimTime at, std::coroutine_handle<> h) {
     // schedule order.
     RingPush(h);
   } else {
-    HeapPush(Event{at, next_seq_++, h});
+    HeapPush(Event{at, next_seq_++ << kTimerSlotBits, h});
   }
+}
+
+// ---- cancellable timers ---------------------------------------------------
+
+TimerId Engine::ScheduleTimer(SimTime at, std::coroutine_handle<> h) {
+  // A timer at now() would have to go through the ring, which cannot
+  // cancel; every caller arms a strictly positive timeout.
+  SPONGE_CHECK(at > now_) << "timer not in the future: " << at
+                          << " <= " << now_;
+  uint32_t slot;
+  if (!timer_free_.empty()) {
+    slot = timer_free_.back();
+    timer_free_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(timer_seq_.size());
+    SPONGE_CHECK(slot < kTimerSlotMask) << "too many pending timers";
+    timer_seq_.push_back(0);
+  }
+  uint64_t seq = (next_seq_++ << kTimerSlotBits) | (slot + 1);
+  timer_seq_[slot] = seq;
+  HeapPush(Event{at, seq, h});
+  return seq;
+}
+
+bool Engine::CancelTimer(TimerId id) {
+  // Slot 0 - 1 wraps to a huge index, so id 0 fails the bounds check.
+  size_t slot = (id & kTimerSlotMask) - 1;
+  if (slot >= timer_seq_.size() || timer_seq_[slot] != id) return false;
+  timer_seq_[slot] = 0;
+  return true;
+}
+
+std::coroutine_handle<> Engine::PopTimed() {
+  Event ev = HeapPop();
+  uint64_t tag = ev.seq & kTimerSlotMask;
+  if (tag == 0) return ev.handle;
+  auto slot = static_cast<uint32_t>(tag - 1);
+  bool armed = timer_seq_[slot] == ev.seq;
+  timer_seq_[slot] = 0;
+  timer_free_.push_back(slot);
+  if (!armed) return nullptr;
+  // The fired timer is this event; its handle runs from the ring.
+  RingPush(ev.handle);
+  return std::noop_coroutine();
 }
 
 // ---- timed-event store ----------------------------------------------------
@@ -176,15 +222,16 @@ uint64_t Engine::RunEvents(SimTime deadline) {
   for (;;) {
     std::coroutine_handle<> h;
     if (now_ <= deadline && !heap_.empty() && heap_.front().at == now_) {
-      h = HeapPop().handle;
+      h = PopTimed();
     } else if (now_ <= deadline && !RingEmpty()) {
       h = RingPop();
     } else if (!heap_.empty() && heap_.front().at <= deadline) {
       now_ = heap_.front().at;
-      h = HeapPop().handle;
+      h = PopTimed();
     } else {
       break;
     }
+    if (!h) continue;  // a cancelled timer's tombstone
     ++processed;
     ++events_processed_;
     h.resume();

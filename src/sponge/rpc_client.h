@@ -2,8 +2,9 @@
 #define SPONGEFILES_SPONGE_RPC_CLIENT_H_
 
 #include <algorithm>
+#include <array>
+#include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -12,7 +13,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "sim/engine.h"
-#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace spongefiles::obs {
@@ -165,40 +165,130 @@ void CountBackoff(Duration slept);
 void CountHedgeIssued();
 void CountHedgeWon();
 
+// Where a deadline-guarded call meets the detached runners that carry its
+// operation. It lives in the caller's frame. The caller parks on a
+// cancellable engine timer, its deadline; each runner reaches the
+// rendezvous through a back-pointer in the runner's own frame. When the
+// caller stops waiting it nulls every back-pointer, so a late answer is
+// dropped; a runner withdraws its back-pointer before its frame dies.
+// Neither side touches the other from a destructor, so the teardown pass
+// may destroy the frames in any order.
+template <typename T>
+struct Rendezvous {
+  explicit Rendezvous(sim::Engine* e) : engine(e) {}
+  // Runners hold its address.
+  Rendezvous(const Rendezvous&) = delete;
+  Rendezvous& operator=(const Rendezvous&) = delete;
+
+  // Parks the caller until Settle or until `deadline` has passed.
+  auto Wait(Duration deadline) {
+    struct Awaiter {
+      Rendezvous* rv;
+      Duration deadline;
+      bool await_ready() const { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        rv->caller = h;
+        rv->timer =
+            rv->engine->ScheduleTimer(rv->engine->now() + deadline, h);
+      }
+      void await_resume() const {}
+    };
+    return Awaiter{this, deadline};
+  }
+
+  // Keeps the first answer and wakes the caller through the same-instant
+  // ring. If the deadline has already fired, the caller is queued there
+  // and finds the answer when it resumes: an answer that lands in the
+  // deadline's instant before the caller runs still wins.
+  bool Settle(T value) {
+    if (result.has_value()) return false;
+    result = std::move(value);
+    if (engine->CancelTimer(timer)) {
+      engine->ScheduleHandle(engine->now(), caller);
+    }
+    return true;
+  }
+
+  void Attach(Rendezvous** link) {
+    *std::find(links.begin(), links.end(), nullptr) = link;
+  }
+  void Detach(Rendezvous** link) {
+    *std::find(links.begin(), links.end(), link) = nullptr;
+  }
+  // The caller stops waiting: no runner may reach this frame any more.
+  void Leave() {
+    for (Rendezvous** link : links) {
+      if (link != nullptr) *link = nullptr;
+    }
+  }
+
+  sim::Engine* engine;
+  std::coroutine_handle<> caller;
+  sim::TimerId timer = 0;
+  std::optional<T> result;
+  bool hedge_won = false;
+  // Back-pointers of the runners still attached (a hedged read has two).
+  std::array<Rendezvous**, 2> links{};
+};
+
+// CallWithDeadline's runner: runs `op` to completion — the simulated
+// server cannot tell its client gave up — and hands the answer over if
+// the caller is still waiting.
+template <typename T>
+sim::Task<> RunToAnswer(Rendezvous<T>* rv, sim::Task<T> op) {
+  rv->Attach(&rv);
+  T value = co_await op;
+  if (rv == nullptr) co_return;  // the caller timed out and left
+  rv->Detach(&rv);
+  rv->Settle(std::move(value));
+}
+
+// One copy of a hedged read. The primary starts at once. The hedge copy
+// first sleeps `delay` and is issued only if the caller is still waiting
+// and nothing has answered. A completed copy records its latency on
+// `board`, also after the caller has left.
+template <typename T>
+sim::Task<> RunHedgeCopy(Rendezvous<T>* rv, HealthBoard* board, size_t node,
+                         sim::Task<T> op, bool is_hedge, Duration delay) {
+  sim::Engine* engine = rv->engine;
+  rv->Attach(&rv);
+  if (is_hedge) {
+    co_await engine->Delay(delay);
+    if (rv == nullptr || rv->result.has_value()) {
+      if (rv != nullptr) rv->Detach(&rv);
+      co_return;  // already settled: `op` is destroyed unstarted
+    }
+    CountHedgeIssued();
+  }
+  SimTime started = engine->now();
+  T value = co_await op;
+  if (CallTraits<T>::StatusOf(value).code() != StatusCode::kUnavailable) {
+    board->RecordReadLatency(node, engine->now() - started);
+  }
+  if (rv == nullptr) co_return;
+  rv->Detach(&rv);
+  if (rv->Settle(std::move(value))) rv->hedge_won = is_hedge;
+}
+
 }  // namespace internal_rpc
 
-// Runs `op` against a wall-clock budget of `deadline`. If the deadline
-// fires first, returns UNAVAILABLE ("rpc deadline exceeded") and sets
-// *timed_out; the operation itself keeps running detached — the simulated
-// server cannot tell its client gave up — and its eventual result is
-// discarded. The engine's teardown pass reclaims ops that never finish
-// (e.g. parked on a hung server).
+// Runs `op` against a budget of `deadline` (> 0) of simulated time. If the
+// deadline fires first, returns UNAVAILABLE ("rpc deadline exceeded") and
+// sets *timed_out; the operation itself keeps running detached — the
+// simulated server cannot tell its client gave up — and its eventual
+// result is discarded. The engine's teardown pass reclaims ops that never
+// finish (e.g. parked on a hung server). The deadline is an engine timer,
+// cancelled when the answer arrives; no coroutine sleeps it out.
 template <typename T>
 sim::Task<T> CallWithDeadline(sim::Engine* engine, Duration deadline,
                               sim::Task<T> op, bool* timed_out = nullptr) {
-  struct Shared {
-    explicit Shared(sim::Engine* e) : done(e) {}
-    sim::Event done;
-    std::optional<T> result;
-  };
-  auto shared = std::make_shared<Shared>(engine);
-  auto runner = [](std::shared_ptr<Shared> state,
-                   sim::Task<T> call) -> sim::Task<> {
-    T value = co_await call;
-    if (!state->result.has_value()) state->result = std::move(value);
-    state->done.Set();
-  };
-  auto timer = [](std::shared_ptr<Shared> state, sim::Engine* eng,
-                  Duration budget) -> sim::Task<> {
-    co_await eng->Delay(budget);
-    state->done.Set();
-  };
-  engine->Spawn(runner(shared, std::move(op)));
-  engine->Spawn(timer(shared, engine, deadline));
-  co_await shared->done.Wait();
-  if (shared->result.has_value()) {
+  internal_rpc::Rendezvous<T> rv(engine);
+  engine->Spawn(internal_rpc::RunToAnswer(&rv, std::move(op)));
+  co_await rv.Wait(deadline);
+  rv.Leave();
+  if (rv.result.has_value()) {
     if (timed_out != nullptr) *timed_out = false;
-    co_return std::move(*shared->result);
+    co_return std::move(*rv.result);
   }
   if (timed_out != nullptr) *timed_out = true;
   internal_rpc::CountTimeout();
@@ -261,73 +351,42 @@ sim::Task<T> HardenedCall(sim::Engine* engine, HealthBoard* board, Rng* rng,
 // the breaker. Both copies are created eagerly (sim::Task is lazy, so the
 // unused duplicate costs nothing) while the caller's frame is guaranteed
 // alive; copies that outlive the call keep running detached, like
-// CallWithDeadline's abandoned attempts. Health accounting: a settled
-// result records success/failure by its status; deadline expiry records a
-// failure. Completed copies record their latency into the per-server
-// histogram that drives future hedge delays.
+// CallWithDeadline's abandoned attempts. The deadline is the same kind of
+// engine timer as CallWithDeadline's, with the same same-instant rule, and
+// a duplicate is never issued once the call has returned. Health
+// accounting: a settled result records success/failure by its status;
+// deadline expiry records a failure. Completed copies record their latency
+// into the per-server histogram that drives future hedge delays.
 //
 // The TOOLCHAIN CONSTRAINT above HardenedCall applies here too: `make_op`
 // temporaries must capture only trivially-destructible state.
 template <typename T, typename Factory>
 sim::Task<T> HedgedCall(sim::Engine* engine, HealthBoard* board,
                         size_t node, Factory make_op) {
-  struct Shared {
-    explicit Shared(sim::Engine* e) : done(e) {}
-    sim::Event done;
-    std::optional<T> result;
-    bool hedge_won = false;
-  };
-  auto shared = std::make_shared<Shared>(engine);
-  auto runner = [](std::shared_ptr<Shared> state, HealthBoard* hb,
-                   size_t target, sim::Engine* eng, sim::Task<T> call,
-                   bool is_hedge) -> sim::Task<> {
-    SimTime started = eng->now();
-    T value = co_await call;
-    const Status& status = internal_rpc::CallTraits<T>::StatusOf(value);
-    if (status.code() != StatusCode::kUnavailable) {
-      hb->RecordReadLatency(target, eng->now() - started);
-    }
-    if (!state->result.has_value()) {
-      state->hedge_won = is_hedge;
-      state->result = std::move(value);
-      state->done.Set();
-    }
-  };
-  auto hedger = [](std::shared_ptr<Shared> state, sim::Engine* eng,
-                   Duration delay, sim::Task<> duplicate) -> sim::Task<> {
-    co_await eng->Delay(delay);
-    if (state->result.has_value()) co_return;  // primary already answered
-    internal_rpc::CountHedgeIssued();
-    co_await duplicate;
-  };
-  auto timer = [](std::shared_ptr<Shared> state, sim::Engine* eng,
-                  Duration budget) -> sim::Task<> {
-    co_await eng->Delay(budget);
-    state->done.Set();
-  };
+  internal_rpc::Rendezvous<T> rv(engine);
   // Both copies' operations are created now, while the caller (and
   // whatever state the factory captures) is alive; the duplicate only
-  // starts if the hedger decides to await it.
+  // starts if the hedge copy decides to issue it.
   sim::Task<T> primary_op = make_op();
   sim::Task<T> hedge_op = make_op();
-  sim::Task<> hedge_runner =
-      runner(shared, board, node, engine, std::move(hedge_op), true);
-  engine->Spawn(runner(shared, board, node, engine, std::move(primary_op),
-                       false));
-  engine->Spawn(hedger(shared, engine, board->HedgeDelay(node),
-                       std::move(hedge_runner)));
-  engine->Spawn(timer(shared, engine, kHedgeDeadline));
-  co_await shared->done.Wait();
-  if (shared->result.has_value()) {
-    const Status& status =
-        internal_rpc::CallTraits<T>::StatusOf(*shared->result);
+  engine->Spawn(internal_rpc::RunHedgeCopy(&rv, board, node,
+                                           std::move(primary_op),
+                                           /*is_hedge=*/false, 0));
+  engine->Spawn(internal_rpc::RunHedgeCopy(&rv, board, node,
+                                           std::move(hedge_op),
+                                           /*is_hedge=*/true,
+                                           board->HedgeDelay(node)));
+  co_await rv.Wait(kHedgeDeadline);
+  rv.Leave();
+  if (rv.result.has_value()) {
+    const Status& status = internal_rpc::CallTraits<T>::StatusOf(*rv.result);
     if (status.code() != StatusCode::kUnavailable) {
       board->RecordSuccess(node);
     } else {
       board->RecordFailure(node);
     }
-    if (shared->hedge_won) internal_rpc::CountHedgeWon();
-    co_return std::move(*shared->result);
+    if (rv.hedge_won) internal_rpc::CountHedgeWon();
+    co_return std::move(*rv.result);
   }
   internal_rpc::CountTimeout();
   board->RecordFailure(node);

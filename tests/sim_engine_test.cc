@@ -334,5 +334,129 @@ TEST(EngineTest, DetachedSlotsRecycleWithoutGrowth) {
   EXPECT_EQ(log.size(), 100u);
 }
 
+// ---- cancellable timers ----------------------------------------------------
+
+// Parks on a timer at `at`; logs `tag` when the timer wakes it. The probe
+// records the frame's destruction.
+Task<> ParkOnTimer(Engine* engine, SimTime at, TimerId* id,
+                   std::vector<int>* log, int tag, bool* destroyed) {
+  struct Arm {
+    Engine* engine;
+    SimTime at;
+    TimerId* id;
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      *id = engine->ScheduleTimer(at, h);
+    }
+    void await_resume() const {}
+  };
+  DrainProbe probe{destroyed};
+  co_await Arm{engine, at, id};
+  log->push_back(tag);
+}
+
+TEST(EngineTest, CancelledTimerIsNeitherResumedNorCounted) {
+  Engine engine;
+  std::vector<int> log;
+  bool destroyed[2] = {false, false};
+  TimerId cancelled = 0;
+  TimerId fired = 0;
+  engine.Spawn(ParkOnTimer(&engine, Millis(10), &cancelled, &log, 1,
+                           &destroyed[0]));
+  engine.Spawn(ParkOnTimer(&engine, Millis(5), &fired, &log, 2,
+                           &destroyed[1]));
+  EXPECT_EQ(engine.RunUntil(Millis(1)), 2u);  // the two starts
+  EXPECT_TRUE(engine.CancelTimer(cancelled));
+  EXPECT_FALSE(engine.CancelTimer(cancelled));
+  // The armed timer fires (one event) and queues its waiter, which runs
+  // from the ring (one event). The tombstone at 10 ms adds no event, but
+  // the clock still reaches it, as it would have reached a live timer.
+  EXPECT_EQ(engine.Run(), 2u);
+  EXPECT_EQ(engine.events_processed(), 4u);
+  EXPECT_EQ(engine.now(), Millis(10));
+  EXPECT_EQ(log, std::vector<int>({2}));
+  EXPECT_FALSE(engine.CancelTimer(fired));  // too late: it fired
+  EXPECT_FALSE(engine.CancelTimer(0));
+  EXPECT_TRUE(destroyed[1]);
+  EXPECT_FALSE(destroyed[0]);  // never woken: parked until teardown
+  EXPECT_EQ(engine.detached_live(), 1u);
+}
+
+TEST(EngineTest, FiredTimerQueuesBehindTheInstantsEarlierWakeups) {
+  // A sleeper and a timer due at the same instant: the sleeper was
+  // scheduled first, so its heap event pops first, and the zero-delay
+  // yield it makes there is queued on the ring ahead of the timer's
+  // waiter. Resuming the waiter straight from the heap would run it first.
+  Engine engine;
+  std::vector<int> log;
+  bool destroyed = false;
+  TimerId id = 0;
+  auto sleep_then_yield = [](Engine* eng, std::vector<int>* out) -> Task<> {
+    co_await eng->Delay(Millis(5));
+    co_await eng->Delay(0);
+    out->push_back(3);
+  };
+  engine.Spawn(sleep_then_yield(&engine, &log));
+  engine.Spawn(ParkOnTimer(&engine, Millis(5), &id, &log, 4, &destroyed));
+  engine.Run();
+  EXPECT_EQ(log, std::vector<int>({3, 4}));
+}
+
+TEST(EngineTest, TimerSlotsAreReusedAfterFireAndCancel) {
+  Engine engine;
+  std::vector<int> log;
+  bool destroyed = false;
+  TimerId previous = 0;
+  for (int wave = 0; wave < 50; ++wave) {
+    TimerId id = 0;
+    engine.Spawn(ParkOnTimer(&engine, engine.now() + Millis(1), &id, &log,
+                             wave, &destroyed));
+    engine.RunUntil(engine.now());
+    ASSERT_NE(id, 0u);
+    // A stale id whose slot now holds this timer must not cancel it.
+    EXPECT_FALSE(engine.CancelTimer(previous));
+    if (wave % 2 == 1) {
+      EXPECT_TRUE(engine.CancelTimer(id));
+    }
+    engine.Run();
+    EXPECT_EQ(engine.timer_slots(), 1u);
+    previous = id;
+  }
+  // Odd waves were cancelled; their waiters stay parked until teardown.
+  EXPECT_EQ(log.size(), 25u);
+  EXPECT_EQ(engine.detached_live(), 25u);
+}
+
+TEST(EngineTest, DrainDetachedWithLiveTimersReclaimsFrames) {
+  // Frames parked on armed timers and on tombstoned ones: the teardown
+  // pass must destroy every frame and drop every slot, and the engine
+  // must keep working afterwards.
+  Engine engine;
+  std::vector<int> log;
+  bool destroyed[4] = {false, false, false, false};
+  TimerId ids[4] = {0, 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    engine.Spawn(ParkOnTimer(&engine, Seconds(i + 1), &ids[i], &log, i,
+                             &destroyed[i]));
+  }
+  engine.RunUntil(Millis(1));
+  EXPECT_TRUE(engine.CancelTimer(ids[1]));
+  EXPECT_TRUE(engine.CancelTimer(ids[3]));
+  EXPECT_EQ(engine.timer_slots(), 4u);
+  EXPECT_EQ(engine.DrainDetached(), 4u);
+  for (bool d : destroyed) EXPECT_TRUE(d);
+  EXPECT_EQ(engine.timer_slots(), 0u);
+  EXPECT_TRUE(log.empty());
+  // Ids from before the drain name nothing.
+  for (TimerId id : ids) EXPECT_FALSE(engine.CancelTimer(id));
+  bool later = false;
+  TimerId fresh = 0;
+  engine.Spawn(ParkOnTimer(&engine, engine.now() + Millis(1), &fresh, &log,
+                           7, &later));
+  engine.Run();
+  EXPECT_EQ(log, std::vector<int>({7}));
+  EXPECT_TRUE(later);
+}
+
 }  // namespace
 }  // namespace spongefiles::sim

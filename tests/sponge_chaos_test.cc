@@ -298,14 +298,14 @@ TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
     AttemptCounts attempts;
   };
   const Expected kExpected[] = {
-      {0, false, 6334158, 5567, 10010000, {0, 0, 0, 0}},
-      {1, false, 6334158, 6034, 80000000, {0, 0, 0, 0}},
-      {2, false, 6334043, 6036, 80000000, {0, 0, 0, 0}},
-      {0, true, 8156825, 7303, 10010000, {0, 0, 0, 0}},
-      {1, true, 8156825, 7770, 80000000, {0, 0, 0, 0}},
-      {2, true, 8156780, 7774, 80000000, {0, 0, 0, 0}},
+      {0, false, 6334158, 4511, 10010000, {0, 0, 0, 0}},
+      {1, false, 6334158, 4978, 80000000, {0, 0, 0, 0}},
+      {2, false, 6334043, 4980, 80000000, {0, 0, 0, 0}},
+      {0, true, 8156825, 5737, 10010000, {0, 0, 0, 0}},
+      {1, true, 8156825, 6204, 80000000, {0, 0, 0, 0}},
+      {2, true, 8156780, 6208, 80000000, {0, 0, 0, 0}},
       // A fault costs one task a re-run.
-      {23, false, 9010730, 10449, 80000000, {0, 0, 0, 1}},
+      {23, false, 9010730, 8501, 80000000, {0, 0, 0, 1}},
   };
   sponge::SpongeConfig all_paths;
   all_paths.replication.enabled = true;

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "common/units.h"
 #include "sim/engine.h"
+#include "sim/sync.h"
 #include "sponge/failure.h"
 #include "sponge/memory_tracker.h"
 #include "sponge/rpc_client.h"
@@ -455,6 +456,104 @@ TEST(RpcHardeningTest, HungServerTripsBreakerThenRecovers) {
   };
   f.engine.Spawn(run());
   f.engine.Run();
+}
+
+// An operation that answers `after` from its start, marking its own
+// completion and the destruction of its frame.
+sim::Task<Status> AnswerAfter(sim::Engine* engine, Duration after,
+                              bool* finished) {
+  co_await engine->Delay(after);
+  *finished = true;
+  co_return Status::OK();
+}
+
+struct FrameProbe {
+  bool* destroyed;
+  ~FrameProbe() { *destroyed = true; }
+};
+
+// A hung server: the operation parks with no wake-up pending, ever.
+sim::Task<Status> HangForever(sim::Engine* engine, bool* destroyed) {
+  FrameProbe probe{destroyed};
+  sim::Event never(engine);
+  co_await never.Wait();
+  co_return Status::OK();
+}
+
+TEST(CallWithDeadlineTest, AnswerInTheDeadlineInstantWins) {
+  // The runner starts after the caller has armed its deadline, so the
+  // answer's wake-up at exactly start + deadline pops after the timer.
+  // The timer queues the caller on the same-instant ring, the answer lands
+  // before the caller runs, and the answer wins.
+  sim::Engine engine;
+  bool finished = false;
+  bool timed_out = true;
+  Status got = Unavailable("unset");
+  SimTime returned_at = -1;
+  auto caller = [&]() -> sim::Task<> {
+    sim::Task<Status> op = AnswerAfter(&engine, kRpcDeadline, &finished);
+    got = co_await CallWithDeadline<Status>(&engine, kRpcDeadline,
+                                            std::move(op), &timed_out);
+    returned_at = engine.now();
+  };
+  engine.Spawn(caller());
+  engine.Run();
+  EXPECT_TRUE(got.ok()) << got.ToString();
+  EXPECT_FALSE(timed_out);
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(returned_at, kRpcDeadline);
+  EXPECT_EQ(engine.detached_live(), 0u);
+}
+
+TEST(CallWithDeadlineTest, LateAnswerAfterTimeoutIsDropped) {
+  // The caller gives up at the deadline and its frame is gone before the
+  // runner gets its answer; the runner must drop the answer without
+  // touching the caller's memory (ASan would report a use after free).
+  sim::Engine engine;
+  bool finished = false;
+  bool timed_out = false;
+  Status got;
+  SimTime returned_at = -1;
+  auto caller = [&]() -> sim::Task<> {
+    sim::Task<Status> op =
+        AnswerAfter(&engine, kRpcDeadline + Millis(1), &finished);
+    got = co_await CallWithDeadline<Status>(&engine, kRpcDeadline,
+                                            std::move(op), &timed_out);
+    returned_at = engine.now();
+  };
+  engine.Spawn(caller());
+  engine.RunUntil(kRpcDeadline);
+  EXPECT_TRUE(timed_out);
+  EXPECT_TRUE(IsRpcTimeout(got)) << got.ToString();
+  EXPECT_EQ(returned_at, kRpcDeadline);
+  EXPECT_FALSE(finished);
+  EXPECT_EQ(engine.detached_live(), 1u);  // only the runner is left
+  engine.Run();
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(engine.now(), kRpcDeadline + Millis(1));
+  EXPECT_EQ(engine.detached_live(), 0u);
+}
+
+TEST(CallWithDeadlineTest, RunnerParkedOnHungServerIsReclaimedAtTeardown) {
+  sim::Engine engine;
+  bool destroyed = false;
+  bool timed_out = false;
+  auto caller = [&]() -> sim::Task<> {
+    sim::Task<Status> op = HangForever(&engine, &destroyed);
+    Status got = co_await CallWithDeadline<Status>(&engine, kRpcDeadline,
+                                                   std::move(op), &timed_out);
+    EXPECT_TRUE(IsRpcTimeout(got)) << got.ToString();
+  };
+  engine.Spawn(caller());
+  engine.Run();
+  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(engine.now(), kRpcDeadline);
+  // The caller has returned; the runner stays parked on the hung server
+  // until the teardown pass destroys it (LSan checks nothing leaks).
+  EXPECT_EQ(engine.detached_live(), 1u);
+  EXPECT_FALSE(destroyed);
+  EXPECT_EQ(engine.DrainDetached(), 1u);
+  EXPECT_TRUE(destroyed);
 }
 
 TEST(BitRotTest, CorruptedChunkReadsAsUnavailable) {

@@ -13,14 +13,11 @@
 #      a stale or differently-shaped artifact fails the gate instead of
 #      being compared.
 #
-# The second suite run writes BENCH_selfperf.json with the committed copy
-# of that file as its baseline, so the report's "speedup" field compares
-# this build against the recorded one. The committed file must match the
-# run's shape (chaos seeds, build type); perf.sh refuses to compare
-# otherwise. To re-record at a new shape, delete BENCH_selfperf.json (the
-# second run then uses the first as its baseline), or re-run
-# bench_datacenter / bench_recovery for BENCH_datacenter.json /
-# BENCH_recovery.json. The datacenter numbers are spliced in at the end.
+# The second suite run writes BENCH_selfperf.json (or --out), with the
+# datacenter numbers spliced in at the end. The report holds this build's
+# own wall times only; comparing two builds means running both, in
+# alternating order, on one host. To re-record BENCH_datacenter.json /
+# BENCH_recovery.json, re-run bench_datacenter / bench_recovery.
 #
 # Usage: tools/perf.sh [--chaos-seeds=N] [--out=PATH] [--keep-work]
 set -euo pipefail
@@ -63,13 +60,8 @@ same_shape() {
   done
 }
 
-# Copy the committed reports first: --out may overwrite them.
-committed_sp="$work/committed_selfperf.json"
-committed_dc="$work/committed_datacenter.json"
-committed_rc="$work/committed_recovery.json"
-[ -f "$repo/BENCH_selfperf.json" ] && cp "$repo/BENCH_selfperf.json" "$committed_sp"
-[ -f "$repo/BENCH_datacenter.json" ] && cp "$repo/BENCH_datacenter.json" "$committed_dc"
-[ -f "$repo/BENCH_recovery.json" ] && cp "$repo/BENCH_recovery.json" "$committed_rc"
+committed_dc="$repo/BENCH_datacenter.json"
+committed_rc="$repo/BENCH_recovery.json"
 
 echo "== building ($build)"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -82,15 +74,8 @@ echo "== gate 1: run-to-run determinism"
   --out="$work/run1.json" --sim-out="$work/run1_sim.json" \
   --metrics-out="$work/run1_metrics.json" \
   --trace-out="$work/run1_trace.json"
-baseline="$work/run1.json"
-if [ -f "$committed_sp" ]; then
-  same_shape BENCH_selfperf.json "$committed_sp" "$work/run1.json" \
-    bench chaos_seeds build_type
-  baseline="$committed_sp"
-fi
 echo
-"$build/bench/bench_selfperf" --chaos-seeds="$seeds" \
-  --baseline="$baseline" --out="$out" \
+"$build/bench/bench_selfperf" --chaos-seeds="$seeds" --out="$out" \
   --sim-out="$work/run2_sim.json" \
   --metrics-out="$work/run2_metrics.json" \
   --trace-out="$work/run2_trace.json"
@@ -151,5 +136,5 @@ rm -f "$tmp"
 
 echo
 echo "report: $out"
-grep -E '"(host_cores|build_type|total_wall_ms|baseline_total_wall_ms|speedup|datacenter_wall_ms|events_per_sec|peak_rss_bytes)"' "$out" || true
+grep -E '"(host_cores|build_type|total_wall_ms|datacenter_wall_ms|events_per_sec|peak_rss_bytes)"' "$out" || true
 echo "self-perf gate passed"
