@@ -322,7 +322,6 @@ RunResult RunReplay(const Options& options) {
   Digest digest;
   digest.U64(result.tasks_done);
   digest.U64(static_cast<uint64_t>(result.makespan));
-  digest.U64(result.engine_events);
   digest.U64(result.peak_concurrent_jobs);
   for (const RackAgg& a : result.agg) {
     digest.U64(a.tasks);

@@ -428,7 +428,6 @@ BenchResult RunBench(const Options& options) {
     digest.U64(s->attempts);
     digest.U64(s->content_digest);
     digest.U64(static_cast<uint64_t>(s->makespan));
-    digest.U64(s->engine_events);
     digest.U64(s->rerun_chunk_lost);
     digest.U64(s->failover_won);
     digest.U64(s->replica_stored);

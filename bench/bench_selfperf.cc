@@ -115,7 +115,6 @@ void FoldRun(const MacroRun& run, ScenarioResult* r, Digest* d) {
   d->U64(run.total_spill.bytes_spilled);
   d->U64(run.total_spill.sponge_chunks);
   d->U64(run.straggler.input_bytes);
-  d->U64(run.engine_events);
   d->U64(run.sim_now);
 }
 
@@ -248,13 +247,11 @@ ScenarioResult RunChaosSweep(int seeds) {
     d.U64(chaotic.runtime);
     d.U64(chaotic.spilled_bytes);
     d.U64(chaotic.leaked_chunks);
-    d.U64(chaotic.engine_events);
   }
   r.engine_events += baseline.engine_events;
   r.sim_time += baseline.sim_now;
   r.sim_bytes += baseline.spilled_bytes;
   d.U64(baseline.runtime);
-  d.U64(baseline.engine_events);
   r.wall_ms = WallMs() - start;
   r.digest = d.h;
   return r;

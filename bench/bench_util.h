@@ -103,7 +103,9 @@ inline uint64_t PeakRssBytes() {
 }
 
 // FNV-1a 64 over a bench's deterministic outputs, hashed in host byte
-// order.
+// order. Engine event counts are reported as fields of their own and left
+// out of every digest, so a digest moves when the simulated schedule or
+// its outputs move, not when only the engine's event bookkeeping does.
 struct Digest {
   uint64_t h = 1469598103934665603ull;
   void Bytes(const void* p, size_t n) {

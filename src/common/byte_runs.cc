@@ -314,19 +314,6 @@ ByteRuns::Run& ByteRuns::MutableRun(size_t i) {
   return run;
 }
 
-void ByteRuns::TransformLiterals(
-    const std::function<void(uint64_t, uint8_t*, uint64_t)>& fn) {
-  InvalidateChecksum();
-  uint64_t offset = 0;
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].length > 0) {
-      Run& run = MutableRun(i);
-      fn(offset, run.mutable_data(), run.length);
-    }
-    offset += runs_[i].size();
-  }
-}
-
 uint64_t ByteRuns::Checksum64() const {
   if (checksum_valid_) return checksum_;
   Checksum checksum;

@@ -2,7 +2,6 @@
 #define SPONGEFILES_COMMON_BYTE_RUNS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -29,9 +28,9 @@ namespace spongefiles {
 // SplitPrefix are O(runs) pointer operations that never touch the payload;
 // the byte movement they used to perform remains *simulated* (callers still
 // charge transfer time), it just no longer happens on the host. The only
-// mutating entry points into literal bytes — TransformLiterals and
-// CorruptByte — copy-on-write when the underlying buffer is shared, so
-// mutating one handle can never change the bytes another handle observes.
+// mutating entry point into literal bytes, CorruptByte, copies on write
+// when the underlying buffer is shared, so mutating one handle can never
+// change the bytes another handle observes.
 //
 // Ownership rules (see DESIGN.md "Performance engineering"):
 //  * a buffer's existing bytes are immutable while more than one run
@@ -87,15 +86,6 @@ class ByteRuns {
   // O(runs before offset + n); a reader that slices a sequence front to
   // back should hold a Cursor and call Take() instead.
   ByteRuns SubRange(uint64_t offset, uint64_t n) const;
-
-  // Invokes `fn(logical_offset, data, length)` for every run's literal
-  // bytes, allowing in-place transformation of the real bytes (chunk
-  // encryption). Zero tails are not visited; their logical offsets are
-  // skipped. Shared
-  // buffers are copied first (copy-on-write), so other handles keep the
-  // untransformed bytes.
-  void TransformLiterals(
-      const std::function<void(uint64_t, uint8_t*, uint64_t)>& fn);
 
   // FNV-1a 64 over the logical content. Zero tails are folded in O(log n)
   // per run, so checksumming an unmaterialized multi-gigabyte payload is

@@ -81,7 +81,6 @@ Result<ChunkHandle> ChunkPool::Allocate(const ChunkOwner& owner,
     segment.slots[index].owner = owner;
     segment.allocated.insert(index);
     --free_chunks_;
-    ++held_by_task_[owner.task_id];
     if (bytes != 0 && bytes < config_.chunk_size) {
       Metrics().frag_bytes->Increment(config_.chunk_size - bytes);
     }
@@ -121,10 +120,6 @@ Status ChunkPool::ForceFree(ChunkHandle handle) {
   // Frees advance the lock horizon (occupying the critical section that
   // the next allocation convoys behind) but charge no one directly.
   AcquireLock();
-  auto held = held_by_task_.find(slot->owner.task_id);
-  if (held != held_by_task_.end() && --held->second == 0) {
-    held_by_task_.erase(held);
-  }
   slot->owner = ChunkOwner{};
   slot->data.Clear();
   Segment& segment = segments_[handle.segment];
@@ -147,11 +142,6 @@ Result<ChunkOwner> ChunkPool::OwnerOf(ChunkHandle handle) const {
   if (slot == nullptr) return InvalidArgument("bad chunk handle");
   if (slot->owner.task_id == 0) return NotFound("chunk is free");
   return slot->owner;
-}
-
-uint64_t ChunkPool::HeldByTask(uint64_t task_id) const {
-  auto held = held_by_task_.find(task_id);
-  return held == held_by_task_.end() ? 0 : held->second;
 }
 
 std::vector<std::pair<ChunkHandle, ChunkOwner>> ChunkPool::AllocatedChunks()
@@ -185,7 +175,6 @@ void ChunkPool::Reset() {
     }
   }
   free_chunks_ = total_chunks_;
-  held_by_task_.clear();
   lock_free_at_ = 0;
   pending_lock_wait_ = 0;
 }

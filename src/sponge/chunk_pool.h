@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -99,7 +98,7 @@ class ChunkPool {
 
   // Every allocated chunk with its owner. Walks the per-segment allocated
   // indexes, so the scan is O(live chunks), not O(total slots) — the GC
-  // sweep, quota enforcement, and the repair scanner all ride on this.
+  // sweep and the repair scanner both ride on this.
   std::vector<std::pair<ChunkHandle, ChunkOwner>> AllocatedChunks() const;
 
   // Drops all contents and marks everything free (node crash).
@@ -109,9 +108,6 @@ class ChunkPool {
   // collection; the caller (the allocating task or the serving RPC) pays
   // it as a Delay. Frees advance the lock horizon but charge nobody.
   Duration TakeLockWait();
-
-  // Chunks currently held per task, O(log tasks); quota checks read it.
-  uint64_t HeldByTask(uint64_t task_id) const;
 
   uint64_t chunk_size() const { return config_.chunk_size; }
   uint64_t total_chunks() const { return total_chunks_; }
@@ -147,8 +143,6 @@ class ChunkPool {
   std::vector<Segment> segments_;
   uint64_t total_chunks_ = 0;
   uint64_t free_chunks_ = 0;
-  // Per-task held-chunk counts (ordered: deterministic iteration).
-  std::map<uint64_t, uint64_t> held_by_task_;
   SimTime lock_free_at_ = 0;
   Duration pending_lock_wait_ = 0;
   Duration lock_wait_total_ = 0;

@@ -16,6 +16,14 @@ constexpr uint64_t kGossipDigestBytes = 32;
 constexpr uint64_t kGossipEntryBytes = 24;
 // Top-N free-space entries carried per rack digest.
 constexpr size_t kDigestEntries = 16;
+// Anti-entropy round period: each round every shard exchanges its full
+// digest set with one rotating partner, so new information reaches every
+// shard in O(log num_racks) rounds.
+constexpr Duration kGossipPeriod = Seconds(1);
+// Staleness bound: merged answers drop any remote-rack digest older than
+// this, so a dead or partitioned shard's rack fades from other racks'
+// cross-rack candidates instead of attracting doomed allocations.
+constexpr Duration kMaxDigestAge = Seconds(10);
 
 void SortFreeList(std::vector<FreeSpaceEntry>* list) {
   std::sort(list->begin(), list->end(),
@@ -31,13 +39,11 @@ void SortFreeList(std::vector<FreeSpaceEntry>* list) {
 
 TrackerShard::TrackerShard(sim::Engine* engine, cluster::Network* network,
                            std::vector<SpongeServer*> members, size_t rack,
-                           size_t num_racks,
-                           const MemoryTrackerConfig* config)
+                           size_t num_racks)
     : engine_(engine),
       network_(network),
       members_(std::move(members)),
-      rack_(rack),
-      config_(config) {
+      rack_(rack) {
   SPONGE_CHECK(!members_.empty()) << "rack " << rack << " has no servers";
   home_node_ = members_.front()->node_id();
   member_alive_.assign(members_.size(), 1);
@@ -115,7 +121,7 @@ std::vector<FreeSpaceEntry> TrackerShard::MergedView(SimTime now) const {
   std::vector<FreeSpaceEntry> view = rack_list_;
   for (const RackDigest& digest : digests_) {
     if (digest.rack == rack_ || digest.version == 0) continue;
-    if (now - digest.built_at > config_->max_digest_age) continue;
+    if (now - digest.built_at > kMaxDigestAge) continue;
     view.insert(view.end(), digest.top.begin(), digest.top.end());
   }
   SortFreeList(&view);
@@ -134,7 +140,7 @@ ShardedMemoryTracker::ShardedMemoryTracker(
   shards_.reserve(num_racks);
   for (size_t r = 0; r < num_racks; ++r) {
     shards_.push_back(std::make_unique<TrackerShard>(
-        engine, network, std::move(by_rack[r]), r, num_racks, &config_));
+        engine, network, std::move(by_rack[r]), r, num_racks));
   }
 }
 
@@ -154,7 +160,7 @@ sim::Task<> ShardedMemoryTracker::ShardPollLoop(TrackerShard* shard) {
 
 sim::Task<> ShardedMemoryTracker::GossipLoop() {
   while (!stopping_) {
-    co_await engine_->Delay(config_.gossip_period);
+    co_await engine_->Delay(kGossipPeriod);
     if (stopping_) break;
     co_await GossipRound();
   }

@@ -23,17 +23,10 @@ struct FreeSpaceEntry {
   size_t rack = 0;
 };
 
+// Shard gossip runs every kGossipPeriod, and merged answers drop any
+// remote-rack digest older than kMaxDigestAge (both in memory_tracker.cc).
 struct MemoryTrackerConfig {
   Duration poll_period = Seconds(1);
-  // --- sharded-tracker gossip ---
-  // Anti-entropy round period: each round every shard exchanges its full
-  // digest set with one rotating partner, so new information reaches every
-  // shard in O(log num_racks) rounds.
-  Duration gossip_period = Seconds(1);
-  // Staleness bound: merged answers drop any remote-rack digest older than
-  // this, so a dead or partitioned shard's rack fades from other racks'
-  // cross-rack candidates instead of attracting doomed allocations.
-  Duration max_digest_age = Seconds(10);
 };
 
 // Compact free-space summary of one rack, exchanged between tracker shards
@@ -57,7 +50,7 @@ class TrackerShard {
  public:
   TrackerShard(sim::Engine* engine, cluster::Network* network,
                std::vector<SpongeServer*> members, size_t rack,
-               size_t num_racks, const MemoryTrackerConfig* config);
+               size_t num_racks);
 
   TrackerShard(const TrackerShard&) = delete;
   TrackerShard& operator=(const TrackerShard&) = delete;
@@ -78,7 +71,7 @@ class TrackerShard {
 
   // Cluster-wide answer from this shard's bounded-staleness view: the own
   // rack's fresh list plus, for every other rack, the digest's top entries
-  // — unless the digest is older than config.max_digest_age, in which case
+  // — unless the digest is older than kMaxDigestAge, in which case
   // the rack is omitted entirely. Sorted most-free-first, node-ascending.
   std::vector<FreeSpaceEntry> MergedView(SimTime now) const;
 
@@ -125,7 +118,6 @@ class TrackerShard {
   std::vector<SpongeServer*> members_;
   size_t rack_;
   size_t home_node_;
-  const MemoryTrackerConfig* config_;
 
   std::vector<FreeSpaceEntry> rack_list_;
   std::vector<RackDigest> digests_;  // indexed by rack

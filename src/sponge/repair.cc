@@ -110,8 +110,8 @@ sim::Task<> RepairService::RepairEntry(uint64_t chunk_id) {
     directory.DropLocation(chunk_id, source.node);
     co_return;
   }
-  // Verify the survivor's slot before shipping it anywhere: GC or a quota
-  // sweep may have reassigned it, and bit rot may have corrupted it.
+  // Verify the survivor's slot before shipping it anywhere: a GC sweep
+  // may have reassigned it, and bit rot may have corrupted it.
   // Re-replicating garbage would turn one lost chunk into two lies.
   Result<ChunkOwner> holder = survivor.pool().OwnerOf(source.handle);
   if (!holder.ok() || !(*holder == source.owner)) {

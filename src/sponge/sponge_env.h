@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -56,25 +55,13 @@ struct SpongeConfig {
   bool prefetch = true;
   // Overlap non-local chunk writes with the writer's computation.
   bool async_write = true;
-  // Disable the disk/DFS fallbacks (memory-only operation; allocation
-  // failures surface as RESOURCE_EXHAUSTED). Also disables the SSD rung —
-  // an SSD is not memory.
-  bool memory_only = false;
   // --- SSD rung ---
   // Use the node's local SSD (NodeConfig::ssd with capacity > 0) as the
   // cascade rung between remote memory and local disk. Inert — every
   // placement is bit-identical to before — on nodes without an SSD.
   bool ssd_enabled = true;
-  // Spill to the SSD only while its used fraction stays at or below this
-  // (headroom for other consumers of the device).
-  double ssd_max_used_fraction = 1.0;
   // Disable remote memory entirely (local pool then disk).
   bool allow_remote_memory = true;
-  // Encrypt chunk contents before they leave the task (section 3.1.4's
-  // access-control story: sponge memory is readable by anyone on the
-  // cluster). Costs the cipher's rate per spilled/read byte.
-  bool encrypt = false;
-  std::string encryption_passphrase = "spongefiles";
   // Client-side hardening of remote sponge operations (deadlines,
   // retries, circuit breaker, hedged reads); see rpc_client.h.
   RpcPolicy rpc;

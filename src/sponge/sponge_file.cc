@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/crypto.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,8 +18,6 @@ namespace {
 
 // Raw copy rate into the node's mapped shared-memory pool.
 constexpr double kSharedMemoryBandwidth = 1.0 * 1024 * 1024 * 1024;
-// Chunk cipher rate, charged per spilled and per read byte when encrypting.
-constexpr double kCipherBandwidth = 500.0 * 1024 * 1024;
 
 // Per-medium spill accounting. These are the counters the benches check
 // against the SpillStats the tasks report: both are incremented on the same
@@ -268,16 +265,9 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
                       task_->task_id, "sponge", "chunk.store");
   span.Arg("bytes", record.size);
 
-  if (config.encrypt) {
-    // Transform before the chunk leaves the task (section 3.1.4).
-    XteaCtr cipher(XteaCtr::DeriveKey(config.encryption_passphrase));
-    cipher.ApplyToLiterals(ChunkNonce(index), &chunk);
-    co_await env_->engine()->Delay(
-        TransferTime(chunk.size(), kCipherBandwidth));
-  }
-  // Checksum the stored representation (post-encryption) so every read —
-  // from any medium — can detect corruption. The hash rides along with the
-  // copy, so no simulated time is charged.
+  // Checksum the chunk so every read — from any medium — can detect
+  // corruption. The hash rides along with the copy, so no simulated time is
+  // charged.
   record.checksum = chunk.Checksum64();
 
   // Copy-on-write view of the stored representation, kept only when
@@ -389,10 +379,6 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
     }
   }
 
-  if (config.memory_only) {
-    co_return ResourceExhausted("no sponge memory available");
-  }
-
   // Disk, SSD and DFS chunks keep their bytes in the record.
   record.data = std::move(chunk);
 
@@ -403,10 +389,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
     cluster::Node& self = env_->cluster()->node(task_->node);
     if (self.has_ssd()) {
       cluster::Ssd& ssd = self.ssd();
-      const uint64_t allowed = static_cast<uint64_t>(
-          config.ssd_max_used_fraction * static_cast<double>(ssd.capacity()));
-      if (ssd.used_bytes() + record.size > allowed ||
-          !ssd.TryReserve(record.size)) {
+      if (!ssd.TryReserve(record.size)) {
         SpillDecision(env_, task_, "ssd-full");
       } else {
         Status written = co_await ssd.Write(record.size);
@@ -605,7 +588,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
       }
       co_return std::make_pair(node, *handle);
     }
-    // Stale list entry (dead/quota-limited server) or a sick one that
+    // Stale list entry (dead or full server) or a sick one that
     // timed out through its retries: remember it is unusable and move on —
     // the paper's "try the rest of the servers in the free list one at a
     // time".
@@ -645,7 +628,6 @@ sim::Task<Status> SpongeFile::Close() {
 
 sim::Task<Result<ByteRuns>> SpongeFile::FetchChunk(size_t index) {
   Result<ByteRuns> fetched = co_await FetchChunkRaw(index);
-  const SpongeConfig& config = env_->config();
   if (fetched.ok() && fetched->Checksum64() != chunks_[index].checksum) {
     // Bit rot, a stolen pool slot, a buggy server — whatever happened,
     // the chunk is gone. Surface it as lost (UNAVAILABLE) so failover —
@@ -670,13 +652,6 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchChunk(size_t index) {
     } else {
       FailoverCounter("exhausted")->Increment();
     }
-  }
-  if (!fetched.ok()) co_return fetched;
-  if (config.encrypt) {
-    XteaCtr cipher(XteaCtr::DeriveKey(config.encryption_passphrase));
-    cipher.ApplyToLiterals(ChunkNonce(index), &*fetched);
-    co_await env_->engine()->Delay(
-        TransferTime(fetched->size(), kCipherBandwidth));
   }
   co_return fetched;
 }
@@ -810,15 +785,6 @@ sim::Task<> SpongeFile::FreeRemote(size_t node, ChunkHandle handle,
       env_->server(node).RemoteFree(task_->node, handle, owner);
   (void)co_await CallWithDeadline<Status>(env_->engine(), kRpcDeadline,
                                           std::move(free_op));
-}
-
-uint64_t SpongeFile::ChunkNonce(size_t index) const {
-  uint64_t h = 14695981039346656037ull;
-  for (char c : name_) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h ^ (task_->task_id << 20) ^ index;
 }
 
 sim::Task<Result<ByteRuns>> SpongeFile::FetchChunkRaw(size_t index) {

@@ -133,8 +133,8 @@ class SpongeFile {
     uint64_t offset = 0;      // within the (coalesced) disk file
     uint64_t size = 0;
     ByteRuns data;            // content for disk/DFS chunks
-    // Checksum of the stored representation (post-encryption), verified
-    // on every read; a mismatch means the chunk is lost.
+    // Checksum of the chunk's bytes, verified on every read; a mismatch
+    // means the chunk is lost.
     uint64_t checksum = 0;
     // ReplicaDirectory entry id when this chunk has a second copy;
     // 0 means unreplicated (reads have no failover).
@@ -180,10 +180,9 @@ class SpongeFile {
   // silent — the chunk simply stays single-copy.
   sim::Task<> ReplicateChunk(size_t index, ByteRuns chunk);
 
-  // Fetches chunk `index`'s content, charging media time and decrypting
-  // when encryption is enabled. A primary lost to a crash, open breaker,
-  // or checksum mismatch fails over to the replica before surfacing
-  // UNAVAILABLE.
+  // Fetches chunk `index`'s content, charging media time. A primary lost
+  // to a crash, open breaker, or checksum mismatch fails over to the
+  // replica before surfacing UNAVAILABLE.
   sim::Task<Result<ByteRuns>> FetchChunk(size_t index);
   sim::Task<Result<ByteRuns>> FetchChunkRaw(size_t index);
 
@@ -199,9 +198,6 @@ class SpongeFile {
   // Best-effort free of the copy at `node`/`handle`: skipped for a dead or
   // breaker-open server, else one attempt under the RPC deadline.
   sim::Task<> FreeRemote(size_t node, ChunkHandle handle, ChunkOwner owner);
-
-  // Deterministic per-chunk cipher nonce.
-  uint64_t ChunkNonce(size_t index) const;
 
   void MaybePrefetch(size_t index);
 

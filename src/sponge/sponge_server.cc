@@ -68,14 +68,6 @@ void SpongeServer::SetHung(bool hung) {
   }
 }
 
-bool SpongeServer::QuotaAllows(const ChunkOwner& owner) const {
-  if (config_.quota_chunks_per_task == 0) return true;
-  // Count by task id, not full owner identity: a task's replicas share its
-  // quota — replication must not double a misbehaving task's footprint.
-  // The pool keeps the per-task tally, so this no longer scans the pool.
-  return pool_->HeldByTask(owner.task_id) < config_.quota_chunks_per_task;
-}
-
 sim::Task<Result<ChunkHandle>> SpongeServer::RemoteAllocate(size_t from,
                                                             ChunkOwner owner,
                                                             uint64_t bytes) {
@@ -90,21 +82,16 @@ sim::Task<Result<ChunkHandle>> SpongeServer::RemoteAllocate(size_t from,
   co_await FaultPoint();
   Result<ChunkHandle> handle = Unavailable("sponge server down");
   if (alive_) {
-    if (!QuotaAllows(owner)) {
-      ++failed_allocations_;
-      handle = ResourceExhausted("task over quota");
+    handle = pool_->Allocate(owner, bytes);
+    if (handle.ok()) {
+      ++remote_allocations_;
     } else {
-      handle = pool_->Allocate(owner, bytes);
-      if (handle.ok()) {
-        ++remote_allocations_;
-      } else {
-        ++failed_allocations_;
-      }
-      // The RPC pays the pool-lock convoy it just experienced: the server
-      // thread held (and possibly waited for) the pool's lock.
-      Duration lock_wait = pool_->TakeLockWait();
-      if (lock_wait > 0) co_await engine_->Delay(lock_wait);
+      ++failed_allocations_;
     }
+    // The RPC pays the pool-lock convoy it just experienced: the server
+    // thread held (and possibly waited for) the pool's lock.
+    Duration lock_wait = pool_->TakeLockWait();
+    if (lock_wait > 0) co_await engine_->Delay(lock_wait);
   }
   co_await network_->Transfer(node_id_, from, kRpcMessageBytes);
   co_return handle;
@@ -249,24 +236,6 @@ sim::Task<uint64_t> SpongeServer::GcSweep() {
   gc_reclaimed_counter->Increment(reclaimed);
   span.Arg("reclaimed", reclaimed);
   co_return reclaimed;
-}
-
-uint64_t SpongeServer::EnforceQuotas() {
-  if (config_.quota_chunks_per_task == 0 || !alive_) return 0;
-  // Count holdings per owner, then free everything beyond the quota
-  // (later allocations first: the task keeps its oldest chunks, which it
-  // will read first).
-  std::unordered_map<uint64_t, uint64_t> held;
-  uint64_t reclaimed = 0;
-  for (const auto& [handle, owner] : pool_->AllocatedChunks()) {
-    uint64_t count = ++held[owner.task_id];
-    if (count > config_.quota_chunks_per_task) {
-      (void)pool_->ForceFree(handle);
-      ++reclaimed;
-    }
-  }
-  gc_reclaimed_ += reclaimed;
-  return reclaimed;
 }
 
 void SpongeServer::Crash() {

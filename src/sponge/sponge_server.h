@@ -23,9 +23,6 @@ inline constexpr uint64_t kRpcMessageBytes = 256;
 struct SpongeServerConfig {
   // Period between garbage-collection sweeps.
   Duration gc_period = Seconds(30);
-  // Per-task per-node chunk quota; 0 disables enforcement (the paper's
-  // access-control section sketches quotas; this implements them).
-  uint64_t quota_chunks_per_task = 0;
 };
 
 // The per-node sponge server. It shares the node's chunk pool with local
@@ -88,7 +85,6 @@ class SpongeServer {
   Result<ChunkHandle> LocalAllocate(const ChunkOwner& owner,
                                     uint64_t bytes = 0) {
     if (!alive_) return Unavailable("sponge server down");
-    if (!QuotaAllows(owner)) return ResourceExhausted("task over quota");
     return pool_->Allocate(owner, bytes);
   }
   Status LocalFree(ChunkHandle handle, const ChunkOwner& owner) {
@@ -107,19 +103,6 @@ class SpongeServer {
   // against the local process table; remote owners via the owning node's
   // server. Returns the number of chunks reclaimed.
   sim::Task<uint64_t> GcSweep();
-
-  // Corrective action for quota offenders (section 3.1.4): scans for
-  // owners holding more than the per-task quota and reclaims their excess
-  // chunks (the offending task discovers the loss on its next read and is
-  // restarted by the framework). No-op when quotas are disabled. Returns
-  // the number of chunks reclaimed.
-  uint64_t EnforceQuotas();
-
-  // Adjusts the per-task quota at runtime (operator action); enforced on
-  // subsequent allocations and EnforceQuotas sweeps.
-  void set_quota_chunks_per_task(uint64_t quota) {
-    config_.quota_chunks_per_task = quota;
-  }
 
   // Simulated machine failure: pool contents are lost; subsequent remote
   // operations fail UNAVAILABLE.
@@ -151,8 +134,6 @@ class SpongeServer {
   uint64_t gc_reclaimed() const { return gc_reclaimed_; }
 
  private:
-  bool QuotaAllows(const ChunkOwner& owner) const;
-
   // Awaited by every remote operation after its request reaches the
   // server (deliberately after the network hop, so an abandoned request
   // never wedges a NIC pipe): pays the injected slow-server delay and

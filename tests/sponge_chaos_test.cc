@@ -284,8 +284,8 @@ MiniSnapshot RunMiniWorkload(uint64_t chaos_seed,
 // The constants were recorded from the single-queue engine; a change to
 // event order, tie-breaking or spawn scheduling moves at least one of them.
 // The `all_paths` rows turn on every client path the default config skips
-// (replica writes, hedged reads, encryption, socket-routed local chunks,
-// synchronous stores), so a change to any of them moves a constant too.
+// (replica writes, hedged reads, socket-routed local chunks, synchronous
+// stores), so a change to any of them moves a constant too.
 // The counter columns pin who wins each attempt race: a change to which
 // attempt commits (or to when a task re-runs) moves one of them.
 TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
@@ -301,16 +301,15 @@ TEST(SpongeChaosTest, MiniWorkloadScheduleIsPinned) {
       {0, false, 6334158, 4511, 10010000, {0, 0, 0, 0}},
       {1, false, 6334158, 4978, 80000000, {0, 0, 0, 0}},
       {2, false, 6334043, 4980, 80000000, {0, 0, 0, 0}},
-      {0, true, 8156825, 5737, 10010000, {0, 0, 0, 0}},
-      {1, true, 8156825, 6204, 80000000, {0, 0, 0, 0}},
-      {2, true, 8156780, 6208, 80000000, {0, 0, 0, 0}},
+      {0, true, 7382621, 5339, 10010000, {0, 0, 0, 0}},
+      {1, true, 7382621, 5806, 80000000, {0, 0, 0, 0}},
+      {2, true, 7382506, 5809, 80000000, {0, 0, 0, 0}},
       // A fault costs one task a re-run.
       {23, false, 9010730, 8501, 80000000, {0, 0, 0, 1}},
   };
   sponge::SpongeConfig all_paths;
   all_paths.replication.enabled = true;
   all_paths.rpc.hedge_reads = true;
-  all_paths.encrypt = true;
   all_paths.direct_local_access = false;
   all_paths.async_write = false;
   mapred::Record median;

@@ -172,26 +172,6 @@ TEST(SpongeFileTest, ConsecutiveDiskChunksCoalesceIntoOneFile) {
   EXPECT_EQ(f.cluster_->node(0).fs().file_count(), 1u);
 }
 
-TEST(SpongeFileTest, MemoryOnlyModeFailsWhenPoolsFull) {
-  SpongeConfig config;
-  config.memory_only = true;
-  SpongeFixture f(config, MiB(1));
-  for (size_t n = 0; n < 4; ++n) {
-    (void)f.env->server(n).pool().Allocate(ChunkOwner{999, n});
-  }
-  SpongeFile file(f.env.get(), &f.task, "oom");
-  Status status;
-  auto run = [&]() -> sim::Task<> {
-    ByteRuns data;
-    data.AppendZeros(MiB(2));
-    status = co_await file.Append(std::move(data));
-    if (status.ok()) status = co_await file.Close();
-  };
-  f.engine.Spawn(run());
-  f.engine.Run();
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-}
-
 TEST(SpongeFileTest, AffinityPrefersServersAlreadyHoldingChunks) {
   SpongeFixture f(SpongeConfig{}, MiB(2), /*num_nodes=*/6);
   // Local pool (node 0) has 2 chunks; spill 8 MB so 6 go remote.
@@ -368,6 +348,43 @@ TEST(SpongeFileTest, RemoteNodeCrashLosesChunksReadFails) {
   };
   f.engine.Spawn(run());
   f.engine.Run();
+  EXPECT_EQ(read_status.code(), StatusCode::kUnavailable);
+}
+
+// The one case where a live task's *local* pool chunk is freed underneath
+// it (a server-side sweep reclaiming slots): the next read of that chunk
+// reports it lost.
+TEST(SpongeFileTest, LocalChunkFreedUnderLiveTaskReadsAsUnavailable) {
+  SpongeConfig config;
+  config.allow_remote_memory = false;  // keep everything on node 0
+  SpongeFixture f(config, MiB(8));
+  SpongeFile file(f.env.get(), &f.task, "victim");
+  Status read_status;
+  auto run = [&]() -> sim::Task<> {
+    ByteRuns data;
+    data.AppendZeros(MiB(4));
+    (void)co_await file.Append(std::move(data));
+    (void)co_await file.Close();
+    ChunkPool& pool = f.env->server(0).pool();
+    auto held = pool.AllocatedChunks();
+    EXPECT_EQ(held.size(), 4u);
+    // Reclaim all but the task's first two slots.
+    for (size_t i = 2; i < held.size(); ++i) {
+      EXPECT_TRUE(pool.ForceFree(held[i].first).ok());
+    }
+    while (true) {
+      auto chunk = co_await file.ReadNext();
+      if (!chunk.ok()) {
+        read_status = chunk.status();
+        break;
+      }
+      if (chunk->empty()) break;
+    }
+  };
+  f.engine.Spawn(run());
+  f.engine.Run();
+  EXPECT_EQ(file.stats().chunks_local_memory, 4u);
+  // A chunk is gone; the task fails and the framework would restart it.
   EXPECT_EQ(read_status.code(), StatusCode::kUnavailable);
 }
 

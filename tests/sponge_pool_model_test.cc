@@ -32,13 +32,8 @@ void CheckBooks(const ChunkPool& pool,
                 uint64_t capacity) {
   ASSERT_EQ(pool.allocated_count(), live.size());
 
-  std::unordered_map<uint64_t, uint64_t> per_task;
-  for (const auto& [handle, owner] : live) ++per_task[owner.task_id];
   // Byte conservation: every byte is either free or in a live chunk.
   ASSERT_EQ(pool.free_bytes() + live.size() * pool.chunk_size(), capacity);
-  for (const auto& [task_id, count] : per_task) {
-    ASSERT_EQ(pool.HeldByTask(task_id), count);
-  }
 
   // AllocatedChunks must list exactly the model's live set.
   auto chunks = pool.AllocatedChunks();

@@ -131,12 +131,11 @@ TEST(ChunkPoolTest, ResetDissolvesSlabsAndClearsAccounting) {
   (void)pool.Allocate(owner);
   (void)pool.Allocate(owner, KiB(10));
   (void)pool.Allocate(owner, KiB(200));
-  ASSERT_EQ(pool.HeldByTask(8), 3u);
+  ASSERT_EQ(pool.allocated_count(), 3u);
   pool.Reset();
   EXPECT_EQ(pool.free_chunks(), 8u);
   EXPECT_EQ(pool.free_bytes(), MiB(8));
   EXPECT_EQ(pool.allocated_count(), 0u);
-  EXPECT_EQ(pool.HeldByTask(8), 0u);
   EXPECT_TRUE(pool.AllocatedChunks().empty());
 }
 
@@ -145,7 +144,7 @@ TEST(ChunkPoolTest, ForceFreeIgnoresOwner) {
   auto handle = *pool.Allocate(ChunkOwner{9, 3});
   ASSERT_TRUE(pool.ForceFree(handle).ok());
   EXPECT_EQ(pool.free_chunks(), 8u);
-  EXPECT_EQ(pool.HeldByTask(9), 0u);
+  EXPECT_TRUE(pool.AllocatedChunks().empty());
   EXPECT_EQ(pool.ForceFree(handle).code(), StatusCode::kFailedPrecondition);
 }
 
@@ -168,18 +167,6 @@ TEST(ChunkPoolTest, AllocatedChunksSpansAllSegments) {
     segments.insert(handle.segment);
   }
   EXPECT_EQ(segments.size(), 3u);
-}
-
-TEST(ChunkPoolTest, HeldByTaskCountsPerTask) {
-  ChunkPool pool(SmallPool());
-  auto a = *pool.Allocate(ChunkOwner{5, 0});
-  (void)pool.Allocate(ChunkOwner{5, 0}, KiB(10));
-  (void)pool.Allocate(ChunkOwner{6, 2});
-  EXPECT_EQ(pool.HeldByTask(5), 2u);
-  EXPECT_EQ(pool.HeldByTask(6), 1u);
-  EXPECT_EQ(pool.HeldByTask(7), 0u);
-  ASSERT_TRUE(pool.Free(a, ChunkOwner{5, 0}).ok());
-  EXPECT_EQ(pool.HeldByTask(5), 1u);
 }
 
 TEST(ChunkPoolTest, FragBytesCountsTheUnusedTailOfDeclaredChunks) {

@@ -170,27 +170,6 @@ TEST(SpongeServerTest, WrongOwnerCannotTouchChunk) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(SpongeServerTest, QuotaLimitsPerTaskChunks) {
-  SpongeServerConfig server_config;
-  server_config.quota_chunks_per_task = 2;
-  ServicesFixture f(server_config);
-  ChunkOwner owner{55, 0};
-  Status third;
-  auto run = [&]() -> sim::Task<> {
-    SpongeServer& server = f.env->server(1);
-    (void)co_await server.RemoteAllocate(0, owner);
-    (void)co_await server.RemoteAllocate(0, owner);
-    auto blocked = co_await server.RemoteAllocate(0, owner);
-    third = blocked.status();
-    // A different task still gets memory.
-    auto other = co_await server.RemoteAllocate(0, ChunkOwner{56, 0});
-    EXPECT_TRUE(other.ok());
-  };
-  f.engine.Spawn(run());
-  f.engine.Run();
-  EXPECT_EQ(third.code(), StatusCode::kResourceExhausted);
-}
-
 TEST(SpongeServerTest, GcReclaimsOrphanedLocalChunks) {
   ServicesFixture f;
   TaskContext task = f.env->StartTask(1);

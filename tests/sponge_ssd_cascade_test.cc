@@ -1,10 +1,9 @@
 // The cascade's SSD rung (ISSUE 10): with a local SSD configured, a
 // SpongeFile fills local memory -> remote memory -> SSD -> disk in that
 // order, round-trips bytes exactly, releases its SSD reservations on
-// delete, respects the ssd_max_used_fraction headroom gate, and degrades
-// gracefully under the two gray failures — a slowed SSD just takes
-// longer, a worn one (writes fail, reads still work) drains while new
-// chunks fall through to disk.
+// delete, and degrades gracefully under the two gray failures — a slowed
+// SSD just takes longer, a worn one (writes fail, reads still work)
+// drains while new chunks fall through to disk.
 
 #include "sponge/sponge_file.h"
 
@@ -161,17 +160,6 @@ TEST(SpongeSsdCascadeTest, DisabledRungSkipsThePresentSsd) {
   EXPECT_EQ(file.stats().chunks_local_ssd, 0u);
   EXPECT_EQ(file.stats().chunks_local_disk, 2u);
   EXPECT_EQ(f.ssd().writes(), 0u);
-}
-
-TEST(SpongeSsdCascadeTest, UsedFractionGateLeavesHeadroom) {
-  SpongeConfig config;
-  config.ssd_max_used_fraction = 0.5;  // of a 4 MiB device: 2 MiB usable
-  SsdFixture f(config, /*ssd_capacity=*/MiB(4));
-  SpongeFile file(f.env.get(), &f.task, "headroom");
-  f.WriteAndClose(&file, MiB(8));
-  EXPECT_EQ(file.stats().chunks_local_ssd, 2u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 4u);
-  EXPECT_EQ(f.ssd().used_bytes(), MiB(2));
 }
 
 TEST(SpongeSsdCascadeTest, WornSsdFallsThroughToDisk) {

@@ -161,8 +161,6 @@ TEST(TrackerShardTest, ShardOutageDegradesOnlyItsRacksSpills) {
 TEST(TrackerShardTest, DeadShardsDigestAgesOutOfOtherRacksAnswers) {
   MemoryTrackerConfig tracker_config;
   tracker_config.poll_period = Seconds(1);
-  tracker_config.gossip_period = Seconds(1);
-  tracker_config.max_digest_age = Seconds(3);
   RackFixture f(/*num_nodes=*/6, /*nodes_per_rack=*/2, SpongeConfig{},
                 tracker_config);
   f.env->tracker().Start();
@@ -173,9 +171,10 @@ TEST(TrackerShardTest, DeadShardsDigestAgesOutOfOtherRacksAnswers) {
   ASSERT_TRUE(still_fresh.ok());
   EXPECT_TRUE(HasEntryOnRack(*still_fresh, 0));
 
-  // Past the staleness bound the dead rack vanishes from merged answers;
-  // the healthy racks keep seeing each other (their digests stay fresh).
-  f.engine.RunUntil(f.engine.now() + Seconds(6));
+  // Past the 10 s staleness bound the dead rack vanishes from merged
+  // answers; the healthy racks keep seeing each other (their digests stay
+  // fresh).
+  f.engine.RunUntil(f.engine.now() + Seconds(14));
   auto aged = f.QueryFrom(2);
   ASSERT_TRUE(aged.ok());
   EXPECT_FALSE(HasEntryOnRack(*aged, 0));
@@ -193,15 +192,13 @@ TEST(TrackerShardTest, DeadShardsDigestAgesOutOfOtherRacksAnswers) {
 TEST(TrackerShardTest, MergedViewListsEachServerOnce) {
   MemoryTrackerConfig tracker_config;
   tracker_config.poll_period = Seconds(1);
-  tracker_config.gossip_period = Seconds(1);
-  tracker_config.max_digest_age = Seconds(3);
   RackFixture f(/*num_nodes=*/8, /*nodes_per_rack=*/2, SpongeConfig{},
                 tracker_config);
   f.env->tracker().Start();
   bool saw_expired = false;
-  for (int second = 0; second < 16; ++second) {
+  for (int second = 0; second < 23; ++second) {
     if (second == 3) f.env->tracker().SetShardDown(0, true);
-    if (second == 11) f.env->tracker().SetShardDown(0, false);
+    if (second == 17) f.env->tracker().SetShardDown(0, false);
     f.engine.RunUntil(f.engine.now() + Seconds(1));
     for (size_t rack = 0; rack < f.env->tracker().num_shards(); ++rack) {
       std::vector<FreeSpaceEntry> view =
@@ -225,8 +222,6 @@ TEST(TrackerShardTest, MergedViewListsEachServerOnce) {
 TEST(TrackerShardTest, GossipPartitionHealsAndLeaksNothing) {
   MemoryTrackerConfig tracker_config;
   tracker_config.poll_period = Seconds(1);
-  tracker_config.gossip_period = Seconds(1);
-  tracker_config.max_digest_age = Seconds(3);
   SpongeConfig config;
   config.allow_cross_rack = true;
   RackFixture f(/*num_nodes=*/4, /*nodes_per_rack=*/2, config,
@@ -238,7 +233,7 @@ TEST(TrackerShardTest, GossipPartitionHealsAndLeaksNothing) {
   // age out: cross-rack visibility is gone in both directions, but each
   // rack still answers from its own fresh polls.
   f.env->tracker().SetGossipPartitioned(0, true);
-  f.engine.RunUntil(f.engine.now() + Seconds(6));
+  f.engine.RunUntil(f.engine.now() + Seconds(14));
   auto rack0_view = f.QueryFrom(0);
   ASSERT_TRUE(rack0_view.ok());
   EXPECT_TRUE(HasEntryOnRack(*rack0_view, 0));
