@@ -43,12 +43,9 @@ struct Rig {
     sponge::MemoryTrackerConfig tracker_config;
     tracker_config.poll_period = tracker_poll;
     env = std::make_unique<sponge::SpongeEnv>(
-        cluster_.get(), dfs.get(), config, sponge::ChunkPoolConfig{},
-        sponge::SpongeServerConfig{}, tracker_config);
-    auto prime = [](sponge::MemoryTracker* t) -> sim::Task<> {
-      co_await t->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+        cluster_.get(), dfs.get(), config, sponge::SpongeServerConfig{},
+        tracker_config);
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 };
@@ -274,8 +271,7 @@ void RackRestrictionAblation() {
                  sponge::ChunkOwner{999, n}).ok()) {
       }
     }
-    auto prime = [&]() -> sim::Task<> { co_await env.tracker().PollOnce(); };
-    engine.Spawn(prime());
+    engine.Spawn(env.tracker().PollOnce());
     engine.Run();
     sponge::TaskContext task = env.StartTask(0);
     sponge::SpongeFile file(&env, &task, "xrack");

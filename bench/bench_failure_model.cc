@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -240,22 +241,12 @@ StragglerOutcome RunStragglerJob(bool recover) {
 
   // Past every fault window, sweep the GC everywhere: no chunk may
   // survive — in particular none owned by a cancelled backup's loser.
-  SimTime settle =
-      std::max(bed.engine().now(), SimTime{Minutes(5)}) + Seconds(10);
-  bed.engine().RunUntil(settle);
-  bool swept = false;
-  auto sweep = [](workload::Testbed* tb, StragglerOutcome* record,
-                  bool* done) -> sim::Task<> {
-    for (size_t n = 0; n < tb->cluster().size(); ++n) {
-      (void)co_await tb->env().server(n).GcSweep();
-      record->leaked_chunks +=
-          tb->env().server(n).pool().AllocatedChunks().size();
-    }
-    *done = true;
-  };
-  bed.engine().Spawn(sweep(&bed, &out, &swept));
-  bed.engine().RunUntil(bed.engine().now() + Seconds(10));
-  if (!swept) std::printf("  WARNING: GC sweep did not finish\n");
+  std::optional<uint64_t> leaked = bed.SettleAndSweep(
+      std::max(bed.engine().now(), SimTime{Minutes(5)}) + Seconds(10));
+  if (!leaked.has_value()) {
+    std::printf("  WARNING: GC sweep did not finish\n");
+  }
+  out.leaked_chunks = leaked.value_or(0);
   return out;
 }
 

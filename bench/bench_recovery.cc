@@ -237,12 +237,8 @@ struct ScenarioResult {
   double repair_budget = 0;  // bytes/sec
 };
 
-sim::Task<> SweepAll(sponge::SpongeEnv* env, size_t num_nodes,
-                     ScenarioResult* result) {
-  for (size_t n = 0; n < num_nodes; ++n) {
-    (void)co_await env->server(n).GcSweep();
-    result->leaked_chunks += env->server(n).pool().AllocatedChunks().size();
-  }
+sim::Task<> SweepInto(sponge::SpongeEnv* env, ScenarioResult* result) {
+  result->leaked_chunks = co_await env->SweepAll();
   result->swept = true;
 }
 
@@ -275,7 +271,7 @@ ScenarioResult RunScenario(const Options& options, bool inject_crashes,
   // the job tracker keeps task registrations alive until commit.
   sponge::SpongeServerConfig server_config;
   server_config.gc_period = Minutes(60);
-  sponge::SpongeEnv env(&cluster, &dfs, sponge_config, {}, server_config);
+  sponge::SpongeEnv env(&cluster, &dfs, sponge_config, server_config);
   env.tracker().Start();
   env.StartServices();
 
@@ -327,7 +323,7 @@ ScenarioResult RunScenario(const Options& options, bool inject_crashes,
   // every server (crashed ones included — their pools were reset) must
   // leave zero allocated chunks, replicas and repair copies included.
   engine.RunUntil(engine.now() + Seconds(30));
-  engine.Spawn(SweepAll(&env, num_nodes, &result));
+  engine.Spawn(SweepInto(&env, &result));
   engine.RunUntil(engine.now() + Seconds(30));
 
   result.repairs_completed = env.repair().repairs_completed();

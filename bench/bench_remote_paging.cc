@@ -65,8 +65,7 @@ Duration SpongeFileTime(uint64_t chunk_size) {
   sponge::ChunkOwner hog{999, 0};
   while (env.server(0).pool().Allocate(hog).ok()) {
   }
-  auto prime = [&]() -> sim::Task<> { co_await env.tracker().PollOnce(); };
-  engine.Spawn(prime());
+  engine.Spawn(env.tracker().PollOnce());
   engine.Run();
 
   sponge::TaskContext task = env.StartTask(0);

@@ -25,7 +25,6 @@
 //                   snapshots).
 //   --out=PATH      writes the wall-clock report (BENCH_selfperf.json).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -151,106 +150,57 @@ ScenarioResult RunFig5Contention() {
 
 // ---- chaos_sweep -----------------------------------------------------------
 
-struct ChaosOutcome {
-  Duration runtime = 0;
-  std::vector<mapred::Record> output;
-  uint64_t leaked_chunks = 0;
-  uint64_t engine_events = 0;
-  SimTime sim_now = 0;
-  uint64_t spilled_bytes = 0;
-  bool ok = false;
-};
-
-constexpr SimTime kFaultHorizon = Seconds(90);
-
-// The chaos test's scenario (tests/sponge_chaos_test.cc) sans gtest: the
-// skewed median job on a small testbed under a seeded gray-failure
-// schedule, GC-swept afterwards and leak-counted.
-ChaosOutcome RunChaosJob(uint64_t seed, bool inject) {
-  ChaosOutcome out;
+// The chaos test's scenario (tests/sponge_chaos_test.cc) on a one-rack
+// testbed without replication, where crashed nodes restart: the skewed
+// median job under a seeded gray-failure schedule (none for seed 0, the
+// baseline), GC-swept afterwards and leak-counted.
+workload::ChaosMedianRun RunChaosJob(uint64_t seed) {
   workload::TestbedConfig bed_config;
   bed_config.num_nodes = 8;
   bed_config.sponge_memory = MiB(64);
   bed_config.sponge.rpc.hedge_reads = true;
-  workload::Testbed bed(bed_config);
-  workload::NumbersDatasetConfig data;
-  data.count = 50001;
-  workload::NumbersDataset numbers(&bed.dfs(), "nums", data);
-
-  sponge::FailureInjector injector(&bed.env(), seed);
-  if (inject) {
-    sponge::ChaosOptions options;
-    options.start = Seconds(2);
-    options.horizon = kFaultHorizon;
-    options.num_faults = 10;
-    injector.ScheduleChaos(options);
-  }
-
-  auto job = workload::MakeMedianJob(&numbers, mapred::SpillMode::kSponge);
-  job.speculation.enabled = true;
-  job.speculation.check_period = Seconds(1);
-  job.speculation.min_attempt_age = Seconds(3);
-  auto result = bed.RunJob(std::move(job));
-  if (!result.ok()) {
+  sponge::ChaosOptions chaos;
+  chaos.start = Seconds(2);
+  chaos.horizon = Seconds(90);
+  chaos.num_faults = seed == 0 ? 0 : 10;
+  workload::ChaosMedianRun run =
+      workload::RunChaosMedian(bed_config, chaos, seed);
+  if (!run.status.ok()) {
     std::fprintf(stderr, "chaos seed %llu failed: %s\n",
                  static_cast<unsigned long long>(seed),
-                 result.status().ToString().c_str());
-    return out;
+                 run.status.ToString().c_str());
   }
-  out.runtime = result->runtime;
-  out.output = result->output;
-  for (const auto& task : result->map_tasks) {
-    out.spilled_bytes += task.spill.bytes_spilled;
-  }
-  for (const auto& task : result->reduce_tasks) {
-    out.spilled_bytes += task.spill.bytes_spilled;
-  }
+  return run;
+}
 
-  SimTime settle = std::max(bed.engine().now(), kFaultHorizon) + Seconds(10);
-  bed.engine().RunUntil(settle);
+// Passed: the job finished with the right median and nothing leaked.
+bool ChaosRunOk(const workload::ChaosMedianRun& run) {
+  return run.correct && run.leaked_chunks == 0u;
+}
 
-  bool swept = false;
-  auto sweep = [](workload::Testbed* tb, ChaosOutcome* record,
-                  bool* done) -> sim::Task<> {
-    for (size_t n = 0; n < tb->cluster().size(); ++n) {
-      (void)co_await tb->env().server(n).GcSweep();
-      record->leaked_chunks +=
-          tb->env().server(n).pool().AllocatedChunks().size();
-    }
-    *done = true;
-  };
-  bed.engine().Spawn(sweep(&bed, &out, &swept));
-  bed.engine().RunUntil(bed.engine().now() + Seconds(10));
-  out.engine_events = bed.engine().events_processed();
-  out.sim_now = bed.engine().now();
-  out.ok = swept && out.output.size() == 1 &&
-           out.output[0].number == numbers.expected_median();
-  return out;
+void FoldChaosRun(const workload::ChaosMedianRun& run, ScenarioResult* r) {
+  r->engine_events += run.events;
+  r->sim_time += run.now;
+  r->job_runtime += run.runtime;
+  r->sim_bytes += run.spilled_bytes;
 }
 
 ScenarioResult RunChaosSweep(int seeds) {
   ScenarioResult r;
   r.name = "chaos_sweep";
-  r.ok = true;
   Digest d;
   double start = WallMs();
-  ChaosOutcome baseline = RunChaosJob(0, /*inject=*/false);
-  r.ok = r.ok && baseline.ok && baseline.leaked_chunks == 0;
+  workload::ChaosMedianRun baseline = RunChaosJob(0);
+  r.ok = ChaosRunOk(baseline);
   for (int seed = 1; seed <= seeds; ++seed) {
-    ChaosOutcome chaotic = RunChaosJob(static_cast<uint64_t>(seed),
-                                       /*inject=*/true);
-    r.ok = r.ok && chaotic.ok && chaotic.leaked_chunks == 0 &&
-           chaotic.output == baseline.output;
-    r.engine_events += chaotic.engine_events;
-    r.sim_time += chaotic.sim_now;
-    r.sim_bytes += chaotic.spilled_bytes;
+    workload::ChaosMedianRun chaotic = RunChaosJob(static_cast<uint64_t>(seed));
+    r.ok = r.ok && ChaosRunOk(chaotic) && chaotic.output == baseline.output;
+    FoldChaosRun(chaotic, &r);
     d.U64(chaotic.runtime);
     d.U64(chaotic.spilled_bytes);
-    d.U64(chaotic.leaked_chunks);
+    d.U64(chaotic.leaked_chunks.value_or(0));
   }
-  r.engine_events += baseline.engine_events;
-  r.sim_time += baseline.sim_now;
-  r.sim_bytes += baseline.spilled_bytes;
+  FoldChaosRun(baseline, &r);
   d.U64(baseline.runtime);
   r.wall_ms = WallMs() - start;
   r.digest = d.h;

@@ -64,10 +64,7 @@ struct MicroEnv {
       // own chunk's cost.
       (void)env->server(0).pool().TakeLockWait();
     }
-    auto prime = [](sponge::MemoryTracker* t) -> sim::Task<> {
-      co_await t->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 };

@@ -91,10 +91,7 @@ int main() {
   sponge::SpongeEnv env(&cluster, &dfs, sponge::SpongeConfig{});
 
   // Prime the memory tracker once so remote allocation has a free list.
-  auto prime = [](sponge::MemoryTracker* tracker) -> sim::Task<> {
-    co_await tracker->PollOnce();
-  };
-  engine.Spawn(prime(&env.tracker()));
+  engine.Spawn(env.tracker().PollOnce());
   engine.Run();
 
   engine.Spawn(Demo(&engine, &env));

@@ -42,7 +42,9 @@ namespace {
 // provides timing and capacity accounting.
 class DiskSpillFile;
 
-class DiskSpillReader : public SpillReader {
+// A read cursor over a disk spill file: the file's own and every
+// OpenReader one.
+class DiskSpillReader final : public SpillReader {
  public:
   explicit DiskSpillReader(DiskSpillFile* file);
   sim::Task<Result<ByteRuns>> ReadNext() override;
@@ -80,13 +82,7 @@ class DiskSpillFile : public SpillFile {
   }
 
   sim::Task<Result<ByteRuns>> ReadNext() override {
-    if (!closed_) co_return FailedPrecondition("read before close");
-    const uint64_t offset = cursor_.position();
-    if (offset >= size_) co_return ByteRuns{};
-    uint64_t n = std::min<uint64_t>(kMiB, size_ - offset);
-    Status read = co_await fs_->Read(file_id_, offset, n);
-    if (!read.ok()) co_return read;
-    co_return cursor_.Take(n);
+    return reader_.ReadNext();
   }
 
   Result<std::unique_ptr<SpillReader>> OpenReader() override {
@@ -115,7 +111,7 @@ class DiskSpillFile : public SpillFile {
   uint64_t size_ = 0;
   // The file's own read position. Appends before Close() only add runs
   // after it, so a cursor still at the start stays valid.
-  ByteRuns::Cursor cursor_{&content_};
+  DiskSpillReader reader_{this};
   bool closed_ = false;
   bool deleted_ = false;
 };
@@ -124,6 +120,7 @@ DiskSpillReader::DiskSpillReader(DiskSpillFile* file)
     : file_(file), cursor_(&file->content_) {}
 
 sim::Task<Result<ByteRuns>> DiskSpillReader::ReadNext() {
+  if (!file_->closed_) co_return FailedPrecondition("read before close");
   const uint64_t offset = cursor_.position();
   if (offset >= file_->size_) co_return ByteRuns{};
   uint64_t n = std::min<uint64_t>(kMiB, file_->size_ - offset);
@@ -224,36 +221,22 @@ sim::Task<Status> MemorySpillFile::Close() {
 }
 
 sim::Task<Result<ByteRuns>> MemorySpillFile::ReadNext() {
-  if (!closed_) co_return FailedPrecondition("read before close");
-  const uint64_t offset = cursor_.position();
-  if (offset >= size_) co_return ByteRuns{};
-  uint64_t n = std::min<uint64_t>(read_unit_, size_ - offset);
-  co_await engine_->Delay(TransferTime(n, memory_bandwidth_));
-  co_return cursor_.Take(n);
+  return reader_.ReadNext();
 }
 
 Status MemorySpillFile::Rewind() {
-  cursor_ = ByteRuns::Cursor(&content_);
+  reader_ = Reader(this);
   return Status::OK();
 }
 
-class MemorySpillFile::Reader : public SpillReader {
- public:
-  explicit Reader(MemorySpillFile* file)
-      : file_(file), cursor_(&file->content_) {}
-
-  sim::Task<Result<ByteRuns>> ReadNext() override {
-    const uint64_t offset = cursor_.position();
-    if (offset >= file_->size_) co_return ByteRuns{};
-    uint64_t n = std::min<uint64_t>(file_->read_unit_, file_->size_ - offset);
-    co_await file_->engine_->Delay(TransferTime(n, file_->memory_bandwidth_));
-    co_return cursor_.Take(n);
-  }
-
- private:
-  MemorySpillFile* file_;
-  ByteRuns::Cursor cursor_;
-};
+sim::Task<Result<ByteRuns>> MemorySpillFile::Reader::ReadNext() {
+  if (!file_->closed_) co_return FailedPrecondition("read before close");
+  const uint64_t offset = cursor_.position();
+  if (offset >= file_->size_) co_return ByteRuns{};
+  uint64_t n = std::min<uint64_t>(file_->read_unit_, file_->size_ - offset);
+  co_await file_->engine_->Delay(TransferTime(n, file_->memory_bandwidth_));
+  co_return cursor_.Take(n);
+}
 
 Result<std::unique_ptr<SpillReader>> MemorySpillFile::OpenReader() {
   if (!closed_) return FailedPrecondition("read before close");

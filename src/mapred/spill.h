@@ -172,7 +172,17 @@ class MemorySpillFile : public SpillFile {
   uint64_t size() const override { return size_; }
 
  private:
-  class Reader;
+  // A read cursor over this file: the file's own and every OpenReader one.
+  class Reader final : public SpillReader {
+   public:
+    explicit Reader(MemorySpillFile* file)
+        : file_(file), cursor_(&file->content_) {}
+    sim::Task<Result<ByteRuns>> ReadNext() override;
+
+   private:
+    MemorySpillFile* file_;
+    ByteRuns::Cursor cursor_;
+  };
 
   sim::Engine* engine_;
   uint64_t read_unit_;
@@ -181,7 +191,7 @@ class MemorySpillFile : public SpillFile {
   uint64_t size_ = 0;
   // The file's own read position. Appends before Close() only add runs
   // after it, so a cursor still at the start stays valid.
-  ByteRuns::Cursor cursor_{&content_};
+  Reader reader_{this};
   bool closed_ = false;
 };
 

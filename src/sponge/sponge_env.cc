@@ -15,7 +15,6 @@ SpongeEnv::~SpongeEnv() = default;
 
 SpongeEnv::SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
                      const SpongeConfig& config,
-                     const ChunkPoolConfig& pool_config,
                      const SpongeServerConfig& server_config,
                      const MemoryTrackerConfig& tracker_config)
     : cluster_(cluster),
@@ -25,7 +24,7 @@ SpongeEnv::SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
       rpc_rng_(kRpcJitterSeed) {
   servers_.reserve(cluster->size());
   for (size_t i = 0; i < cluster->size(); ++i) {
-    ChunkPoolConfig node_pool = pool_config;
+    ChunkPoolConfig node_pool;
     node_pool.pool_size = cluster->node(i).config().sponge_memory;
     node_pool.chunk_size = config.chunk_size;
     servers_.push_back(std::make_unique<SpongeServer>(
@@ -72,6 +71,15 @@ TaskContext SpongeEnv::StartTask(size_t node) {
 
 void SpongeEnv::EndTask(const TaskContext& task) {
   registry_.Deregister(task.task_id);
+}
+
+sim::Task<uint64_t> SpongeEnv::SweepAll() {
+  uint64_t allocated = 0;
+  for (auto& server : servers_) {
+    (void)co_await server->GcSweep();
+    allocated += server->pool().allocated_count();
+  }
+  co_return allocated;
 }
 
 std::vector<size_t> SpongeEnv::ReplicaTargets(

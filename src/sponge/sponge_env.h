@@ -55,11 +55,6 @@ struct SpongeConfig {
   bool prefetch = true;
   // Overlap non-local chunk writes with the writer's computation.
   bool async_write = true;
-  // --- SSD rung ---
-  // Use the node's local SSD (NodeConfig::ssd with capacity > 0) as the
-  // cascade rung between remote memory and local disk. Inert — every
-  // placement is bit-identical to before — on nodes without an SSD.
-  bool ssd_enabled = true;
   // Disable remote memory entirely (local pool then disk).
   bool allow_remote_memory = true;
   // Client-side hardening of remote sponge operations (deadlines,
@@ -93,7 +88,6 @@ class SpongeEnv {
  public:
   SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
             const SpongeConfig& config,
-            const ChunkPoolConfig& pool_config = {},
             const SpongeServerConfig& server_config = {},
             const MemoryTrackerConfig& tracker_config = {});
 
@@ -137,6 +131,11 @@ class SpongeEnv {
   // Registers a task with the registry and hands out its context.
   TaskContext StartTask(size_t node);
   void EndTask(const TaskContext& task);
+
+  // GC-sweeps every server in node order, one sweep after another, and
+  // returns the chunks still allocated across the cluster (after the
+  // faults have cleared, any survivor of a finished workload is a leak).
+  sim::Task<uint64_t> SweepAll();
 
   // Simulates a machine failure: its sponge contents are lost.
   void CrashNode(size_t node) { servers_[node]->Crash(); }

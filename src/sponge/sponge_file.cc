@@ -382,24 +382,23 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
   // Disk, SSD and DFS chunks keep their bytes in the record.
   record.data = std::move(chunk);
 
-  // 3. Local SSD: the middle rung between remote memory and the spindle.
-  // Capacity is reserved up-front (released on Delete); a worn device
-  // whose program op fails just falls through to disk.
-  if (config.ssd_enabled) {
-    cluster::Node& self = env_->cluster()->node(task_->node);
-    if (self.has_ssd()) {
-      cluster::Ssd& ssd = self.ssd();
-      if (!ssd.TryReserve(record.size)) {
-        SpillDecision(env_, task_, "ssd-full");
-      } else {
-        Status written = co_await ssd.Write(record.size);
-        if (written.ok()) {
-          CommitPlacement(record, ChunkLocation::kLocalSsd, &span);
-          co_return Status::OK();
-        }
-        ssd.Release(record.size);
-        SpillDecision(env_, task_, "ssd-worn");
+  // 3. Local SSD: the middle rung between remote memory and the spindle,
+  // on nodes that have one. Capacity is reserved up-front (released on
+  // Delete); a worn device whose program op fails just falls through to
+  // disk.
+  cluster::Node& self = env_->cluster()->node(task_->node);
+  if (self.has_ssd()) {
+    cluster::Ssd& ssd = self.ssd();
+    if (!ssd.TryReserve(record.size)) {
+      SpillDecision(env_, task_, "ssd-full");
+    } else {
+      Status written = co_await ssd.Write(record.size);
+      if (written.ok()) {
+        CommitPlacement(record, ChunkLocation::kLocalSsd, &span);
+        co_return Status::OK();
       }
+      ssd.Release(record.size);
+      SpillDecision(env_, task_, "ssd-worn");
     }
   }
 

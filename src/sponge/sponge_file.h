@@ -33,7 +33,7 @@ const char* ChunkLocationName(ChunkLocation location);
 // placed by the cascade: local sponge memory -> remote sponge memory on
 // the same rack (servers already hosting this task's chunks first) ->
 // remote sponge memory across racks (only when allow_cross_rack is set) ->
-// the node's local SSD (when present and SpongeConfig::ssd_enabled) ->
+// the node's local SSD (when it has one: NodeConfig::ssd.capacity > 0) ->
 // local disk (coalescing consecutive disk chunks into one growing file) ->
 // the distributed filesystem as the last resort.
 //

@@ -1,8 +1,19 @@
 #include "workload/testbed.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace spongefiles::workload {
+
+namespace {
+
+sim::Task<> SweepInto(sponge::SpongeEnv* env,
+                      std::shared_ptr<std::optional<uint64_t>> leaked) {
+  *leaked = co_await env->SweepAll();
+}
+
+}  // namespace
 
 Testbed::Testbed(const TestbedConfig& config) {
   cluster::ClusterConfig cc;
@@ -89,6 +100,53 @@ Result<mapred::JobResult> Testbed::RunJob(
     engine_.RunUntil(engine_.now() + Seconds(10));
   }
   return result;
+}
+
+std::optional<uint64_t> Testbed::SettleAndSweep(SimTime settle_at) {
+  engine_.RunUntil(settle_at);
+  // Shared with the sweep: an unfinished one still holds it when this
+  // returns.
+  auto leaked = std::make_shared<std::optional<uint64_t>>();
+  engine_.Spawn(SweepInto(env_.get(), leaked));
+  engine_.RunUntil(engine_.now() + Seconds(10));
+  return *leaked;
+}
+
+ChaosMedianRun RunChaosMedian(const TestbedConfig& bed_config,
+                              const sponge::ChaosOptions& chaos,
+                              uint64_t seed) {
+  Testbed bed(bed_config);
+  NumbersDatasetConfig data;
+  data.count = 50001;
+  NumbersDataset numbers(&bed.dfs(), "nums", data);
+  sponge::FailureInjector injector(&bed.env(), seed);
+  injector.ScheduleChaos(chaos);
+
+  auto job = MakeMedianJob(&numbers, mapred::SpillMode::kSponge);
+  job.speculation.enabled = true;
+  job.speculation.check_period = Seconds(1);
+  job.speculation.min_attempt_age = Seconds(3);
+  auto result = bed.RunJob(std::move(job));
+
+  ChaosMedianRun run;
+  run.status = result.status();
+  if (!result.ok()) return run;
+  run.runtime = result->runtime;
+  run.output = result->output;
+  run.correct = run.output.size() == 1 &&
+                run.output[0].number == numbers.expected_median();
+  run.schedule = injector.schedule();
+  for (const auto& task : result->map_tasks) {
+    run.spilled_bytes += task.spill.bytes_spilled;
+  }
+  for (const auto& task : result->reduce_tasks) {
+    run.spilled_bytes += task.spill.bytes_spilled;
+  }
+  run.leaked_chunks = bed.SettleAndSweep(
+      std::max(bed.engine().now(), chaos.horizon) + Seconds(10));
+  run.events = bed.engine().events_processed();
+  run.now = bed.engine().now();
+  return run;
 }
 
 }  // namespace spongefiles::workload

@@ -1,13 +1,16 @@
 #ifndef SPONGEFILES_WORKLOAD_TESTBED_H_
 #define SPONGEFILES_WORKLOAD_TESTBED_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
 #include "mapred/job_tracker.h"
 #include "sim/engine.h"
+#include "sponge/failure.h"
 #include "sponge/sponge_env.h"
 #include "workload/jobs.h"
 
@@ -61,6 +64,13 @@ class Testbed {
       std::optional<mapred::JobConfig> background = std::nullopt,
       std::vector<mapred::TaskStats>* background_tasks = nullptr);
 
+  // The leak check every fault run ends with: runs the clock to
+  // `settle_at` (past every fault window, so no sweep meets a hung or
+  // down server), GC-sweeps every server (SpongeEnv::SweepAll) and runs
+  // 10 s more. Returns the chunks still allocated, or nullopt if the
+  // sweep did not finish in those 10 s.
+  std::optional<uint64_t> SettleAndSweep(SimTime settle_at);
+
  private:
   sim::Engine engine_;
   std::unique_ptr<cluster::Cluster> cluster_;
@@ -68,6 +78,34 @@ class Testbed {
   std::unique_ptr<sponge::SpongeEnv> env_;
   std::unique_ptr<mapred::JobTracker> tracker_;
 };
+
+// One run of the chaos-median scenario (RunChaosMedian). Everything past
+// `status` is left empty when the job failed.
+struct ChaosMedianRun {
+  Status status;
+  Duration runtime = 0;
+  std::vector<mapred::Record> output;
+  // The output is exactly the dataset's median.
+  bool correct = false;
+  std::vector<sponge::FaultEvent> schedule;
+  // Map and reduce tasks' SpillStats::bytes_spilled.
+  uint64_t spilled_bytes = 0;
+  // The engine's event count and clock after the sweep.
+  uint64_t events = 0;
+  SimTime now = 0;
+  // SettleAndSweep's verdict: nullopt when the sweep did not finish.
+  std::optional<uint64_t> leaked_chunks;
+};
+
+// The chaos scenario the fault checks share: the skewed median job over
+// 50,001 numbers on a testbed built from `bed_config`, with speculation on
+// (backups launched against fault-induced stragglers), under a
+// `chaos`-shaped schedule drawn from `seed`. `num_faults = 0` is the
+// fault-free baseline. After the job, the clock settles 10 s past
+// max(job end, chaos.horizon) and every server is GC-swept.
+ChaosMedianRun RunChaosMedian(const TestbedConfig& bed_config,
+                              const sponge::ChaosOptions& chaos,
+                              uint64_t seed);
 
 }  // namespace spongefiles::workload
 

@@ -112,10 +112,7 @@ TEST_P(SpongeRoundTripTest, ChecksumSurvivesEveryConfig) {
   config.affinity = param.affinity;
   config.chunk_size = param.chunk_size;
   sponge::SpongeEnv env(&cluster, &dfs, config);
-  auto prime = [](sponge::MemoryTracker* t) -> sim::Task<> {
-    co_await t->PollOnce();
-  };
-  engine.Spawn(prime(&env.tracker()));
+  engine.Spawn(env.tracker().PollOnce());
   engine.Run();
 
   sponge::TaskContext task = env.StartTask(0);
@@ -206,8 +203,10 @@ TEST(DeterminismTest, DifferentSeedsDifferentData) {
 // --- Failure + GC integration ---
 
 TEST(FailureIntegrationTest, CrashedAttemptChunksAreGarbageCollected) {
-  // A task spills to remote memory, then dies without deleting. The
-  // remote server's GC sweep must reclaim every chunk.
+  // A task spills to local and remote memory, then dies without deleting,
+  // while a task on another node stays alive holding one remote chunk.
+  // SpongeEnv::SweepAll must reclaim the dead task's chunks on every
+  // server and count the live chunk as still allocated.
   sim::Engine engine;
   cluster::ClusterConfig cc;
   cc.num_nodes = 3;
@@ -215,13 +214,16 @@ TEST(FailureIntegrationTest, CrashedAttemptChunksAreGarbageCollected) {
   cluster::Cluster cluster(&engine, cc);
   cluster::Dfs dfs(&cluster);
   sponge::SpongeEnv env(&cluster, &dfs, sponge::SpongeConfig{});
-  auto prime = [](sponge::MemoryTracker* t) -> sim::Task<> {
-    co_await t->PollOnce();
-  };
-  engine.Spawn(prime(&env.tracker()));
+  const sponge::TaskContext live = env.StartTask(2);
+  ASSERT_TRUE(env.server(1)
+                  .pool()
+                  .Allocate(sponge::ChunkOwner{live.task_id, live.node})
+                  .ok());
+  engine.Spawn(env.tracker().PollOnce());
   engine.Run();
 
   auto task = std::make_unique<sponge::TaskContext>(env.StartTask(0));
+  const uint64_t doomed = task->task_id;
   auto file = std::make_unique<sponge::SpongeFile>(&env, task.get(),
                                                    "doomed");
   auto run = [&]() -> sim::Task<> {
@@ -232,27 +234,39 @@ TEST(FailureIntegrationTest, CrashedAttemptChunksAreGarbageCollected) {
   };
   engine.Spawn(run());
   engine.Run();
+  auto doomed_chunks = [&](size_t node) {
+    uint64_t held = 0;
+    for (const auto& [handle, owner] :
+         env.server(node).pool().AllocatedChunks()) {
+      if (owner.task_id == doomed) ++held;
+    }
+    return held;
+  };
   uint64_t allocated = 0;
   for (size_t n = 0; n < 3; ++n) {
-    allocated += env.server(n).pool().AllocatedChunks().size();
+    // Every server holds some, so a sweep that skips one leaves a leak.
+    EXPECT_GT(doomed_chunks(n), 0u) << "node " << n;
+    allocated += doomed_chunks(n);
   }
   EXPECT_EQ(allocated, 5u);
 
   // The task dies without cleanup (its file object just goes away).
   env.EndTask(*task);
 
-  uint64_t reclaimed = 0;
-  auto sweep = [&]() -> sim::Task<> {
-    for (size_t n = 0; n < 3; ++n) {
-      reclaimed += co_await env.server(n).GcSweep();
-    }
-  };
+  uint64_t remaining = 0;
+  auto sweep = [&]() -> sim::Task<> { remaining = co_await env.SweepAll(); };
   engine.Spawn(sweep());
   engine.Run();
-  EXPECT_EQ(reclaimed, 5u);
+  EXPECT_EQ(remaining, 1u);
+  uint64_t reclaimed = 0;
   for (size_t n = 0; n < 3; ++n) {
-    EXPECT_TRUE(env.server(n).pool().AllocatedChunks().empty());
+    reclaimed += env.server(n).gc_reclaimed();
+    EXPECT_EQ(doomed_chunks(n), 0u) << "node " << n;
   }
+  EXPECT_EQ(reclaimed, 5u);
+  const auto survivors = env.server(1).pool().AllocatedChunks();
+  ASSERT_EQ(survivors.size(), 1u);
+  EXPECT_EQ(survivors[0].second.task_id, live.task_id);
 }
 
 TEST(FailureIntegrationTest, JobSurvivesMidRunNodeCrash) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -331,21 +332,10 @@ ShuffleRun RunUniformShuffle(bool degrade) {
 
   // Let the degradation window close, then GC-sweep every server and
   // count survivors: a cancelled attempt must leak nothing.
-  SimTime settle = std::max(bed.engine().now(), Millis(500) + kWindow);
-  bed.engine().RunUntil(settle + Seconds(10));
-  bool swept = false;
-  auto sweep = [](workload::Testbed* tb, ShuffleRun* record,
-                  bool* done) -> sim::Task<> {
-    for (size_t n = 0; n < tb->cluster().size(); ++n) {
-      (void)co_await tb->env().server(n).GcSweep();
-      record->leaked_chunks +=
-          tb->env().server(n).pool().AllocatedChunks().size();
-    }
-    *done = true;
-  };
-  bed.engine().Spawn(sweep(&bed, &run, &swept));
-  bed.engine().RunUntil(bed.engine().now() + Seconds(10));
-  EXPECT_TRUE(swept) << "GC sweep did not finish";
+  std::optional<uint64_t> leaked = bed.SettleAndSweep(
+      std::max(bed.engine().now(), Millis(500) + kWindow) + Seconds(10));
+  EXPECT_TRUE(leaked.has_value()) << "GC sweep did not finish";
+  run.leaked_chunks = leaked.value_or(0);
   return run;
 }
 

@@ -32,10 +32,7 @@ struct MrFixture {
     env = std::make_unique<sponge::SpongeEnv>(cluster_.get(), dfs.get(),
                                               sponge::SpongeConfig{});
     task = env->StartTask(0);
-    auto prime = [](sponge::MemoryTracker* t) -> sim::Task<> {
-      co_await t->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 };

@@ -65,10 +65,7 @@ struct PigFixture {
     env = std::make_unique<sponge::SpongeEnv>(cluster_.get(), dfs.get(),
                                               sponge::SpongeConfig{});
     tracker = std::make_unique<mapred::JobTracker>(env.get(), dfs.get());
-    auto prime = [](sponge::MemoryTracker* t) -> sim::Task<> {
-      co_await t->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,21 +41,13 @@ int ChaosSeeds() {
   return n < 1 ? 1 : n;
 }
 
-struct ChaosRun {
-  Duration runtime = 0;
-  std::vector<mapred::Record> output;
-  std::vector<sponge::FaultEvent> schedule;
-  uint64_t leaked_chunks = 0;
-};
-
-constexpr SimTime kFaultHorizon = Seconds(90);
-
-// Runs the skewed median job on a small testbed (tiny sponge pools force
-// the remote path, so the fault surface actually gets exercised), with a
-// seeded chaos schedule when `inject` is set. After the job finishes the
-// clock is advanced past every fault window, each server is GC-swept, and
-// the surviving chunk count is recorded.
-ChaosRun RunChaosJob(uint64_t seed, bool inject) {
+// The skewed median job on a small testbed (tiny sponge pools force the
+// remote path, so the fault surface actually gets exercised), under a
+// ten-fault chaos schedule drawn from `seed`, or none for the fault-free
+// baseline (seed 0). RunChaosMedian settles the clock past every fault
+// window — a sweep against a still-hung or down server would not prove
+// anything — and GC-sweeps every server before counting leaked chunks.
+workload::ChaosMedianRun RunChaosJob(uint64_t seed) {
   workload::TestbedConfig bed_config;
   bed_config.num_nodes = 8;
   // Two racks behind a 4:1 core: the chaos sweep then also exercises
@@ -71,71 +64,38 @@ ChaosRun RunChaosJob(uint64_t seed, bool inject) {
   // and the tracker-driven repair loop all run under every fault schedule
   // and must never change the answer or leak a chunk.
   bed_config.sponge.replication.enabled = true;
-  workload::Testbed bed(bed_config);
-  workload::NumbersDatasetConfig data;
-  data.count = 50001;
-  workload::NumbersDataset numbers(&bed.dfs(), "nums", data);
 
-  sponge::FailureInjector injector(&bed.env(), seed);
-  if (inject) {
-    sponge::ChaosOptions options;
-    options.start = Seconds(2);
-    options.horizon = kFaultHorizon;
-    options.num_faults = 10;
-    // Fail-stop crashes (no restart): the paper's failure model, and the
-    // scenario replication exists for — a crashed server's chunks must be
-    // served from replicas and re-replicated by the repair loop.
-    options.fail_stop_crashes = true;
-    injector.ScheduleChaos(options);
-  }
-
-  ChaosRun run;
-  // Speculation is likewise on for every run: backup attempts launched
+  sponge::ChaosOptions chaos;
+  chaos.start = Seconds(2);
+  chaos.horizon = Seconds(90);
+  chaos.num_faults = seed == 0 ? 0 : 10;
+  // Fail-stop crashes (no restart): the paper's failure model, and the
+  // scenario replication exists for — a crashed server's chunks must be
+  // served from replicas and re-replicated by the repair loop.
+  chaos.fail_stop_crashes = true;
+  // RunChaosMedian runs with speculation on: backup attempts launched
   // against chaos-induced stragglers must never change the answer, and
-  // their killed losers must not leak chunks past the sweep below.
-  auto job = workload::MakeMedianJob(&numbers, mapred::SpillMode::kSponge);
-  job.speculation.enabled = true;
-  job.speculation.check_period = Seconds(1);
-  job.speculation.min_attempt_age = Seconds(3);
-  auto result = bed.RunJob(std::move(job));
-  EXPECT_TRUE(result.ok()) << "seed " << seed << ": "
-                           << result.status().ToString();
-  if (!result.ok()) return run;
-  run.runtime = result->runtime;
-  run.output = result->output;
-  run.schedule = injector.schedule();
-
-  // Let every scheduled fault fire and clear (crash restarts, hang ends)
-  // before judging leaks: a sweep against a still-hung or down server
-  // would not prove anything.
-  SimTime settle = std::max(bed.engine().now(), kFaultHorizon) + Seconds(10);
-  bed.engine().RunUntil(settle);
-
-  bool swept = false;
-  auto sweep = [](workload::Testbed* tb, ChaosRun* record,
-                  bool* done) -> sim::Task<> {
-    for (size_t n = 0; n < tb->cluster().size(); ++n) {
-      (void)co_await tb->env().server(n).GcSweep();
-      record->leaked_chunks +=
-          tb->env().server(n).pool().AllocatedChunks().size();
-    }
-    *done = true;
-  };
-  bed.engine().Spawn(sweep(&bed, &run, &swept));
-  bed.engine().RunUntil(bed.engine().now() + Seconds(10));
-  EXPECT_TRUE(swept) << "seed " << seed << ": GC sweep did not finish";
+  // their killed losers must not leak chunks past the sweep.
+  workload::ChaosMedianRun run =
+      workload::RunChaosMedian(bed_config, chaos, seed);
+  EXPECT_TRUE(run.status.ok()) << "seed " << seed << ": "
+                               << run.status.ToString();
+  if (run.status.ok()) {
+    EXPECT_TRUE(run.leaked_chunks.has_value())
+        << "seed " << seed << ": GC sweep did not finish";
+  }
   return run;
 }
 
 TEST(SpongeChaosTest, OutputMatchesFaultFreeRunAndNothingLeaks) {
-  ChaosRun baseline = RunChaosJob(0, /*inject=*/false);
+  workload::ChaosMedianRun baseline = RunChaosJob(0);
   ASSERT_FALSE(baseline.output.empty());
   EXPECT_EQ(baseline.leaked_chunks, 0u);
   int seeds = ChaosSeeds();
   for (int seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("chaos seed " + std::to_string(seed));
-    ChaosRun chaotic = RunChaosJob(static_cast<uint64_t>(seed),
-                                   /*inject=*/true);
+    workload::ChaosMedianRun chaotic =
+        RunChaosJob(static_cast<uint64_t>(seed));
     EXPECT_FALSE(chaotic.schedule.empty());
     // Byte-identical output: same records in the same order. Faults may
     // slow the job down but must never change what it computes.
@@ -145,8 +105,8 @@ TEST(SpongeChaosTest, OutputMatchesFaultFreeRunAndNothingLeaks) {
 }
 
 TEST(SpongeChaosTest, FixedSeedIsDeterministic) {
-  ChaosRun first = RunChaosJob(42, /*inject=*/true);
-  ChaosRun second = RunChaosJob(42, /*inject=*/true);
+  workload::ChaosMedianRun first = RunChaosJob(42);
+  workload::ChaosMedianRun second = RunChaosJob(42);
   EXPECT_EQ(first.schedule, second.schedule);
   EXPECT_EQ(first.runtime, second.runtime);
   EXPECT_EQ(first.output, second.output);
@@ -259,21 +219,10 @@ MiniSnapshot RunMiniWorkload(uint64_t chaos_seed,
     }
   }
   if (chaos_seed != 0) {
-    bed.engine().RunUntil(std::max(bed.engine().now(), Seconds(60)) +
-                          Seconds(10));
-    bool swept = false;
-    auto sweep = [](workload::Testbed* tb, MiniSnapshot* record,
-                    bool* done) -> sim::Task<> {
-      for (size_t n = 0; n < tb->cluster().size(); ++n) {
-        (void)co_await tb->env().server(n).GcSweep();
-        record->leaked +=
-            tb->env().server(n).pool().AllocatedChunks().size();
-      }
-      *done = true;
-    };
-    bed.engine().Spawn(sweep(&bed, &snap, &swept));
-    bed.engine().RunUntil(bed.engine().now() + Seconds(10));
-    EXPECT_TRUE(swept);
+    std::optional<uint64_t> leaked = bed.SettleAndSweep(
+        std::max(bed.engine().now(), Seconds(60)) + Seconds(10));
+    EXPECT_TRUE(leaked.has_value());
+    snap.leaked = leaked.value_or(0);
   }
   snap.events = bed.engine().events_processed();
   snap.now = bed.engine().now();

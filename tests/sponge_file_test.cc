@@ -40,10 +40,7 @@ struct SpongeFixture {
     env = std::make_unique<SpongeEnv>(cluster_.get(), dfs.get(), config);
     task = env->StartTask(0);
     // Prime the tracker's free list once so queries have data.
-    auto prime = [](MemoryTracker* tracker) -> sim::Task<> {
-      co_await tracker->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 };

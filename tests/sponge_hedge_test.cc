@@ -63,10 +63,7 @@ struct HedgeFixture {
     for (int i = 0; i < 4; ++i) {
       (void)env->server(0).pool().Allocate(ChunkOwner{999, 0});
     }
-    auto prime = [](MemoryTracker* tracker) -> sim::Task<> {
-      co_await tracker->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 

@@ -49,10 +49,7 @@ struct ReplicationFixture {
     task = env->StartTask(0);
     // Prime the tracker (one poll + one gossip exchange) so queries see
     // both racks.
-    auto prime = [](MemoryTracker* tracker) -> sim::Task<> {
-      co_await tracker->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 
@@ -72,24 +69,17 @@ struct ReplicationFixture {
 
   // One tracker poll round (death detection fires here), then drain.
   void PollTracker() {
-    auto poll = [](MemoryTracker* tracker) -> sim::Task<> {
-      co_await tracker->PollOnce();
-    };
-    engine.Spawn(poll(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 
   // GC-sweeps every server and returns the surviving allocated-chunk count.
   uint64_t SweepAll() {
     uint64_t remaining = 0;
-    auto sweep = [](SpongeEnv* e, size_t nodes,
-                    uint64_t* out) -> sim::Task<> {
-      for (size_t n = 0; n < nodes; ++n) {
-        (void)co_await e->server(n).GcSweep();
-        *out += e->server(n).pool().AllocatedChunks().size();
-      }
+    auto sweep = [](SpongeEnv* e, uint64_t* out) -> sim::Task<> {
+      *out = co_await e->SweepAll();
     };
-    engine.Spawn(sweep(env.get(), cluster_->size(), &remaining));
+    engine.Spawn(sweep(env.get(), &remaining));
     engine.Run();
     return remaining;
   }

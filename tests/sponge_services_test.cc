@@ -36,8 +36,8 @@ struct ServicesFixture {
     cluster_ = std::make_unique<cluster::Cluster>(&engine, cc);
     dfs = std::make_unique<cluster::Dfs>(cluster_.get());
     env = std::make_unique<SpongeEnv>(cluster_.get(), dfs.get(),
-                                      SpongeConfig{}, ChunkPoolConfig{},
-                                      server_config, tracker_config);
+                                      SpongeConfig{}, server_config,
+                                      tracker_config);
   }
 };
 
@@ -67,8 +67,7 @@ TEST(MemoryTrackerTest, PollBuildsSortedFreeList) {
   (void)f.env->server(1).pool().Allocate(ChunkOwner{1, 1});
   (void)f.env->server(1).pool().Allocate(ChunkOwner{1, 1});
   (void)f.env->server(2).pool().Allocate(ChunkOwner{1, 2});
-  auto run = [&]() -> sim::Task<> { co_await f.env->tracker().PollOnce(); };
-  f.engine.Spawn(run());
+  f.engine.Spawn(f.env->tracker().PollOnce());
   f.engine.Run();
   const auto& list = f.env->tracker().snapshot();
   ASSERT_EQ(list.size(), 4u);
@@ -79,8 +78,7 @@ TEST(MemoryTrackerTest, PollBuildsSortedFreeList) {
 
 TEST(MemoryTrackerTest, SnapshotGoesStaleUntilNextPoll) {
   ServicesFixture f;
-  auto run = [&]() -> sim::Task<> { co_await f.env->tracker().PollOnce(); };
-  f.engine.Spawn(run());
+  f.engine.Spawn(f.env->tracker().PollOnce());
   f.engine.Run();
   uint64_t before = f.env->tracker().snapshot()[0].free_bytes;
   // Consume memory: the snapshot must NOT change until re-polled.
@@ -90,7 +88,7 @@ TEST(MemoryTrackerTest, SnapshotGoesStaleUntilNextPoll) {
       EXPECT_EQ(entry.free_bytes, before);
     }
   }
-  f.engine.Spawn(run());
+  f.engine.Spawn(f.env->tracker().PollOnce());
   f.engine.Run();
   bool updated = false;
   for (const auto& entry : f.env->tracker().snapshot()) {
@@ -113,8 +111,7 @@ TEST(MemoryTrackerTest, PeriodicLoopKeepsPolling) {
 TEST(MemoryTrackerTest, DeadServersExcludedFromList) {
   ServicesFixture f;
   f.env->CrashNode(2);
-  auto run = [&]() -> sim::Task<> { co_await f.env->tracker().PollOnce(); };
-  f.engine.Spawn(run());
+  f.engine.Spawn(f.env->tracker().PollOnce());
   f.engine.Run();
   for (const auto& entry : f.env->tracker().snapshot()) {
     EXPECT_NE(entry.node, 2u);
@@ -355,8 +352,7 @@ TEST(FailureInjectorTest, CrashMidAsyncRemoteWriteFallsDownCascade) {
   SpongeConfig config;
   config.async_write = true;
   SpongeEnv env(&cluster, &dfs, config);
-  auto prime = [&]() -> sim::Task<> { co_await env.tracker().PollOnce(); };
-  engine.Spawn(prime());
+  engine.Spawn(env.tracker().PollOnce());
   engine.Run();
 
   TaskContext task = env.StartTask(0);
@@ -539,8 +535,7 @@ TEST(BitRotTest, CorruptedChunkReadsAsUnavailable) {
   // Bit rot flips one stored byte; the read-side checksum catches it and
   // reports the chunk lost instead of returning silently wrong data.
   ServicesFixture f;
-  auto prime = [&]() -> sim::Task<> { co_await f.env->tracker().PollOnce(); };
-  f.engine.Spawn(prime());
+  f.engine.Spawn(f.env->tracker().PollOnce());
   f.engine.Run();
   TaskContext task = f.env->StartTask(0);
   SpongeFile file(f.env.get(), &task, "rotted");

@@ -48,10 +48,7 @@ struct SsdFixture {
     dfs = std::make_unique<cluster::Dfs>(cluster_.get());
     env = std::make_unique<SpongeEnv>(cluster_.get(), dfs.get(), config);
     task = env->StartTask(0);
-    auto prime = [](MemoryTracker* tracker) -> sim::Task<> {
-      co_await tracker->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 
@@ -149,17 +146,6 @@ TEST(SpongeSsdCascadeTest, DeleteReleasesSsdReservations) {
   f.engine.Spawn(run());
   f.engine.Run();
   EXPECT_EQ(f.ssd().used_bytes(), 0u);
-}
-
-TEST(SpongeSsdCascadeTest, DisabledRungSkipsThePresentSsd) {
-  SpongeConfig config;
-  config.ssd_enabled = false;
-  SsdFixture f(config);
-  SpongeFile file(f.env.get(), &f.task, "off");
-  f.WriteAndClose(&file, MiB(4));
-  EXPECT_EQ(file.stats().chunks_local_ssd, 0u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 2u);
-  EXPECT_EQ(f.ssd().writes(), 0u);
 }
 
 TEST(SpongeSsdCascadeTest, WornSsdFallsThroughToDisk) {

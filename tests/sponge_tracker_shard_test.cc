@@ -43,13 +43,9 @@ struct RackFixture {
     cluster_ = std::make_unique<cluster::Cluster>(&engine, cc);
     dfs = std::make_unique<cluster::Dfs>(cluster_.get());
     env = std::make_unique<SpongeEnv>(cluster_.get(), dfs.get(), config,
-                                      ChunkPoolConfig{}, SpongeServerConfig{},
-                                      tracker_config);
+                                      SpongeServerConfig{}, tracker_config);
     // Prime every shard's free list and run one gossip exchange.
-    auto prime = [](MemoryTracker* tracker) -> sim::Task<> {
-      co_await tracker->PollOnce();
-    };
-    engine.Spawn(prime(&env->tracker()));
+    engine.Spawn(env->tracker().PollOnce());
     engine.Run();
   }
 

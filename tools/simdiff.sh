@@ -1,24 +1,27 @@
 #!/usr/bin/env bash
 # Byte-identity check of the simulated schedule against a base commit.
 #
-# Builds spongebench and bench_selfperf from BASE (a `git archive` export)
-# and from the working tree, runs both binaries of each side, and compares
-# with cmp:
+# Builds spongebench, bench_selfperf and bench_recovery from BASE (a
+# `git archive` export) and from the working tree, runs the binaries of
+# each side, and compares with cmp:
 #   - spongebench, each benchmark workload at seed 1: the --sim-out file
 #     (makespan, append mean/p99, per-layer counters such as sim.events)
 #     and the report's trace.* span folds (simulated time per span kind);
 #   - bench_selfperf at perf.sh's --chaos-seeds value: its --sim-out,
 #     --metrics-out and --trace-out snapshots. Its chaos sweep runs with
 #     speculation on, so this half covers the mapred attempt path that the
-#     benchmark workloads never speculate on.
+#     benchmark workloads never speculate on;
+#   - bench_recovery at check.sh's smoke shape: its --sim-out (fail-stop
+#     crashes, replica failover, the repair loop and the closing GC leak
+#     sweep).
 # Exits 1 on any difference, naming the run and file. Host-time numbers
 # are not compared. The benchmark sources are only built and run.
 #
 # Usage: tools/simdiff.sh BASE
 #
 # The working tree's builds are kept in build-simdiff/ (spongebench) and
-# build-simdiff-selfperf/ so reruns are warm; BASE is built from scratch
-# each time. Set TMPDIR to move the export and outputs.
+# build-simdiff-selfperf/ (both benches) so reruns are warm; BASE is
+# built from scratch each time. Set TMPDIR to move the export and outputs.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -36,13 +39,13 @@ jobs="$(( $(nproc) < 4 ? $(nproc) : 4 ))"
 # perf.sh's default, so these snapshots are the ones its gate 1 compares.
 chaos_seeds=5
 
-# build SOURCE_DIR BUILD_DIR TARGET: configures and builds one target.
+# build SOURCE_DIR BUILD_DIR TARGET...: configures and builds the targets.
 build() {
   if [ ! -f "$2/CMakeCache.txt" ]; then
     cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       "${generator[@]}" >/dev/null
   fi
-  cmake --build "$2" --target "$3" -j "$jobs" >/dev/null
+  cmake --build "$2" --target "${@:3}" -j "$jobs" >/dev/null
 }
 
 # same RUN KIND...: cmp's the base and change copies of each output.
@@ -67,8 +70,8 @@ mkdir "$work/base"
 git -C "$repo" archive "$base_rev" | tar -x -C "$work/base"
 build "$work/base/spongebench" "$work/base-build" spongebench
 build "$repo/spongebench" "$repo/build-simdiff" spongebench
-build "$work/base" "$work/base-selfperf" bench_selfperf
-build "$repo" "$repo/build-simdiff-selfperf" bench_selfperf
+build "$work/base" "$work/base-selfperf" bench_selfperf bench_recovery
+build "$repo" "$repo/build-simdiff-selfperf" bench_selfperf bench_recovery
 
 for workload in skew_sponge skew_disk dc_replay; do
   for side in base change; do
@@ -87,14 +90,19 @@ done
 
 for side in base change; do
   if [ "$side" = base ]; then
-    binary="$work/base-selfperf/bench/bench_selfperf"
+    benches="$work/base-selfperf/bench"
   else
-    binary="$repo/build-simdiff-selfperf/bench/bench_selfperf"
+    benches="$repo/build-simdiff-selfperf/bench"
   fi
-  "$binary" --chaos-seeds="$chaos_seeds" --out="$work/selfperf.$side.json" \
+  "$benches/bench_selfperf" --chaos-seeds="$chaos_seeds" \
+    --out="$work/selfperf.$side.json" \
     --sim-out="$work/selfperf.$side.sim" \
     --metrics-out="$work/selfperf.$side.metrics" \
     --trace-out="$work/selfperf.$side.trace" >/dev/null
+  "$benches/bench_recovery" --racks=4 --nodes-per-rack=8 --jobs=60 \
+    --crashes=3 --out="$work/recovery.$side.json" \
+    --sim-out="$work/recovery.$side.sim" >/dev/null
 done
 same selfperf sim metrics trace
+same recovery sim
 exit "$status"
