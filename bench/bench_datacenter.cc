@@ -37,6 +37,7 @@
 #include "bench_util.h"
 #include "cluster/topology.h"
 #include "common/random.h"
+#include "common/text_file.h"
 #include "obs/json.h"
 #include "sponge/failure.h"
 #include "sponge/sponge_file.h"
@@ -224,7 +225,6 @@ RunResult RunReplay(const Options& options) {
   sponge::SpongeConfig sponge_config;
   sponge_config.allow_cross_rack = true;
   sponge::SpongeEnv env(&cluster, &dfs, sponge_config);
-  env.tracker().Start();
   env.StartServices();
 
   // Build the replay plan: per-job reduce-task demands from the Figure-1
@@ -567,13 +567,13 @@ int main(int argc, char** argv) {
   std::printf("wall %.0f ms, %.2f Mev/s\n", r.wall_ms,
               r.wall_ms > 0 ? r.engine_events / r.wall_ms / 1000.0 : 0.0);
 
-  if (!WriteText(options.out, FullJson(options, r))) {
+  if (!WriteTextFile(options.out, FullJson(options, r)).ok()) {
     std::fprintf(stderr, "failed to write %s\n", options.out.c_str());
     return 1;
   }
   std::printf("report written to %s\n", options.out.c_str());
   if (!options.sim_out.empty()) {
-    if (!WriteText(options.sim_out, SimJson(options, r))) {
+    if (!WriteTextFile(options.sim_out, SimJson(options, r)).ok()) {
       std::fprintf(stderr, "failed to write %s\n", options.sim_out.c_str());
       return 1;
     }

@@ -41,6 +41,7 @@
 #include "bench_util.h"
 #include "cluster/topology.h"
 #include "common/random.h"
+#include "common/text_file.h"
 #include "mapred/task_attempt.h"
 #include "obs/json.h"
 #include "sponge/failure.h"
@@ -272,7 +273,6 @@ ScenarioResult RunScenario(const Options& options, bool inject_crashes,
   sponge::SpongeServerConfig server_config;
   server_config.gc_period = Minutes(60);
   sponge::SpongeEnv env(&cluster, &dfs, sponge_config, server_config);
-  env.tracker().Start();
   env.StartServices();
 
   // The fault schedule: k fail-stop crashes (no restart), all in rack 1 so
@@ -626,13 +626,13 @@ int main(int argc, char** argv) {
               r.ok ? "byte-identical" : "MISMATCH OR GATE MISS",
               r.wall_ms);
 
-  if (!WriteText(options.out, FullJson(options, r))) {
+  if (!WriteTextFile(options.out, FullJson(options, r)).ok()) {
     std::fprintf(stderr, "failed to write %s\n", options.out.c_str());
     return 1;
   }
   std::printf("report written to %s\n", options.out.c_str());
   if (!options.sim_out.empty()) {
-    if (!WriteText(options.sim_out, SimJson(options, r))) {
+    if (!WriteTextFile(options.sim_out, SimJson(options, r)).ok()) {
       std::fprintf(stderr, "failed to write %s\n", options.sim_out.c_str());
       return 1;
     }

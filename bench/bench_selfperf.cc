@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/text_file.h"
 #include "obs/json.h"
 #include "sponge/failure.h"
 
@@ -334,13 +335,13 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\npeak RSS: %s\n", FormatBytes(PeakRssBytes()).c_str());
 
-  if (!WriteText(out_path, WallJson(results, chaos_seeds))) {
+  if (!WriteTextFile(out_path, WallJson(results, chaos_seeds)).ok()) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }
   std::printf("report written to %s\n", out_path.c_str());
   if (!sim_out_path.empty()) {
-    if (!WriteText(sim_out_path, SimJson(results))) {
+    if (!WriteTextFile(sim_out_path, SimJson(results)).ok()) {
       std::fprintf(stderr, "failed to write %s\n", sim_out_path.c_str());
       return 1;
     }

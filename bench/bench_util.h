@@ -117,15 +117,6 @@ struct Digest {
   void F64(double v) { Bytes(&v, sizeof(v)); }
 };
 
-// Writes `text` to `path`; false when the file cannot be written whole.
-inline bool WriteText(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  int closed = std::fclose(f);
-  return written == text.size() && closed == 0;
-}
-
 // Full paper scale by default; SPONGE_BENCH_SCALE=N divides dataset sizes
 // by N for quick runs (shapes hold, absolute numbers shrink).
 inline uint64_t ScaleDivisor() {

@@ -36,9 +36,6 @@ struct CdfPoint {
 std::vector<CdfPoint> EmpiricalCdf(std::vector<double> xs,
                                    size_t max_points = 64);
 
-// For streaming min/max/mean/count accumulation use obs::Summary
-// (obs/metrics.h) — the single summary implementation in the tree.
-
 }  // namespace spongefiles
 
 #endif  // SPONGEFILES_COMMON_STATS_H_

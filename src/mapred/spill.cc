@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "obs/metrics.h"
+#include "sponge/sponge_file.h"
 
 namespace spongefiles::mapred {
 
@@ -169,16 +170,12 @@ class SpongeSpillFile : public SpillFile {
   }
 
   sim::Task<Result<ByteRuns>> ReadNext() override {
-    co_return co_await file_.ReadNext();
+    return file_.ReadNext();
   }
 
-  sim::Task<> Delete() override { co_await file_.Delete(); }
+  sim::Task<> Delete() override { return file_.Delete(); }
 
   uint64_t size() const override { return file_.size(); }
-
-  const sponge::SpongeFile::Stats* sponge_stats() const override {
-    return &file_.stats();
-  }
 
  private:
   sponge::SpongeFile file_;
@@ -221,26 +218,12 @@ sim::Task<Status> MemorySpillFile::Close() {
 }
 
 sim::Task<Result<ByteRuns>> MemorySpillFile::ReadNext() {
-  return reader_.ReadNext();
-}
-
-Status MemorySpillFile::Rewind() {
-  reader_ = Reader(this);
-  return Status::OK();
-}
-
-sim::Task<Result<ByteRuns>> MemorySpillFile::Reader::ReadNext() {
-  if (!file_->closed_) co_return FailedPrecondition("read before close");
+  if (!closed_) co_return FailedPrecondition("read before close");
   const uint64_t offset = cursor_.position();
-  if (offset >= file_->size_) co_return ByteRuns{};
-  uint64_t n = std::min<uint64_t>(file_->read_unit_, file_->size_ - offset);
-  co_await file_->engine_->Delay(TransferTime(n, file_->memory_bandwidth_));
+  if (offset >= size_) co_return ByteRuns{};
+  uint64_t n = std::min<uint64_t>(read_unit_, size_ - offset);
+  co_await engine_->Delay(TransferTime(n, memory_bandwidth_));
   co_return cursor_.Take(n);
-}
-
-Result<std::unique_ptr<SpillReader>> MemorySpillFile::OpenReader() {
-  if (!closed_) return FailedPrecondition("read before close");
-  return std::unique_ptr<SpillReader>(new Reader(this));
 }
 
 sim::Task<> MemorySpillFile::Delete() {

@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "sim/task.h"
 #include "sponge/sponge_env.h"
-#include "sponge/sponge_file.h"
 
 namespace spongefiles::mapred {
 
@@ -46,17 +45,13 @@ class SpillFile {
 
   // Opens an independent cursor over the closed file (shuffle sources:
   // map outputs are fetched concurrently by every attempt of every
-  // reduce). Supported by the media map outputs live on (local disk,
-  // memory); SpongeFiles are strictly read-once and do not support this.
+  // reduce). Supported by local disk, where map outputs live; SpongeFiles
+  // and memory segments are strictly read-once and do not support this.
   virtual Result<std::unique_ptr<SpillReader>> OpenReader() {
     return FailedPrecondition("spill file is read-once");
   }
 
   virtual uint64_t size() const = 0;
-  // Placement stats when backed by a SpongeFile, nullptr otherwise.
-  virtual const sponge::SpongeFile::Stats* sponge_stats() const {
-    return nullptr;
-  }
 };
 
 // Where a task's spills go; what Figures 4-6 vary.
@@ -110,21 +105,20 @@ class Spiller {
 // buffer cache, exactly like stock Hadoop/Pig intermediate files).
 class DiskSpiller : public Spiller {
  public:
+  // io.sort.factor's stock value.
+  static constexpr size_t kMergeFactor = 10;
+
   DiskSpiller(sim::Engine* engine, cluster::LocalFs* fs,
-              std::string name_prefix, size_t merge_factor = 10)
-      : engine_(engine),
-        fs_(fs),
-        name_prefix_(std::move(name_prefix)),
-        merge_factor_(merge_factor) {}
+              std::string name_prefix)
+      : engine_(engine), fs_(fs), name_prefix_(std::move(name_prefix)) {}
 
   Result<std::unique_ptr<SpillFile>> Create(const std::string& name) override;
-  size_t merge_factor() const override { return merge_factor_; }
+  size_t merge_factor() const override { return kMergeFactor; }
 
  private:
   sim::Engine* engine_;
   cluster::LocalFs* fs_;
   std::string name_prefix_;
-  size_t merge_factor_;
   uint64_t next_id_ = 0;
 };
 
@@ -164,34 +158,17 @@ class MemorySpillFile : public SpillFile {
   sim::Task<Status> Close() override;
   sim::Task<Result<ByteRuns>> ReadNext() override;
   sim::Task<> Delete() override;
-  Result<std::unique_ptr<SpillReader>> OpenReader() override;
-  // Resets the file's own cursor (not part of the SpillFile interface:
-  // shuffle re-reads go through OpenReader; this exists for segment reuse
-  // within one attempt).
-  Status Rewind();
   uint64_t size() const override { return size_; }
 
  private:
-  // A read cursor over this file: the file's own and every OpenReader one.
-  class Reader final : public SpillReader {
-   public:
-    explicit Reader(MemorySpillFile* file)
-        : file_(file), cursor_(&file->content_) {}
-    sim::Task<Result<ByteRuns>> ReadNext() override;
-
-   private:
-    MemorySpillFile* file_;
-    ByteRuns::Cursor cursor_;
-  };
-
   sim::Engine* engine_;
   uint64_t read_unit_;
   double memory_bandwidth_;
   ByteRuns content_;
   uint64_t size_ = 0;
-  // The file's own read position. Appends before Close() only add runs
-  // after it, so a cursor still at the start stays valid.
-  Reader reader_{this};
+  // The read position. Appends before Close() only add runs after it, so
+  // a cursor still at the start stays valid.
+  ByteRuns::Cursor cursor_{&content_};
   bool closed_ = false;
 };
 

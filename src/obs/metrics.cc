@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 #include "common/logging.h"
+#include "common/text_file.h"
 #include "obs/json.h"
 
 namespace spongefiles::obs {
@@ -98,17 +98,6 @@ std::vector<std::pair<uint64_t, uint64_t>> Histogram::NonEmptyBuckets() const {
   return out;
 }
 
-void Summary::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++count_;
-}
-
 Registry::Entry* Registry::FindOrCreate(std::string_view name,
                                         const Labels& labels, Kind kind) {
   std::string key = InstrumentKey(name, labels);
@@ -131,9 +120,6 @@ Registry::Entry* Registry::FindOrCreate(std::string_view name,
     case Kind::kHistogram:
       entry->histogram = std::make_unique<Histogram>();
       break;
-    case Kind::kSummary:
-      entry->summary = std::make_unique<Summary>();
-      break;
   }
   Entry* raw = entry.get();
   entries_.push_back(std::move(entry));
@@ -151,10 +137,6 @@ Gauge* Registry::gauge(std::string_view name, const Labels& labels) {
 
 Histogram* Registry::histogram(std::string_view name, const Labels& labels) {
   return FindOrCreate(name, labels, Kind::kHistogram)->histogram.get();
-}
-
-Summary* Registry::summary(std::string_view name, const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kSummary)->summary.get();
 }
 
 size_t Registry::CardinalityOf(std::string_view name) const {
@@ -177,9 +159,6 @@ void Registry::ResetValues() {
         break;
       case Kind::kHistogram:
         *entry->histogram = Histogram();
-        break;
-      case Kind::kSummary:
-        *entry->summary = Summary();
         break;
     }
   }
@@ -252,20 +231,6 @@ std::string Registry::ToJson() const {
           out.push_back(']');
           break;
         }
-        case Kind::kSummary: {
-          const Summary& s = *entry->summary;
-          out.append(",\"count\":");
-          AppendJsonUint(&out, s.count());
-          out.append(",\"min\":");
-          AppendJsonDouble(&out, s.min());
-          out.append(",\"max\":");
-          AppendJsonDouble(&out, s.max());
-          out.append(",\"mean\":");
-          AppendJsonDouble(&out, s.mean());
-          out.append(",\"sum\":");
-          AppendJsonDouble(&out, s.sum());
-          break;
-        }
       }
       out.push_back('}');
     }
@@ -277,20 +242,12 @@ std::string Registry::ToJson() const {
   append_section("gauges", Kind::kGauge);
   out.push_back(',');
   append_section("histograms", Kind::kHistogram);
-  out.push_back(',');
-  append_section("summaries", Kind::kSummary);
   out.append("}\n");
   return out;
 }
 
 Status Registry::WriteJsonFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Internal("cannot open " + path);
-  std::string json = ToJson();
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) return Internal("short write to " + path);
-  return Status::OK();
+  return WriteTextFile(path, ToJson());
 }
 
 Registry& Registry::Default() {

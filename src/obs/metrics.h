@@ -14,7 +14,7 @@
 namespace spongefiles::obs {
 
 // The metrics half of the observability subsystem: a process-wide registry
-// of named counters, gauges, histograms, and summaries, each optionally
+// of named counters, gauges and histograms, each optionally
 // qualified by a small set of labels ({medium=remote-memory}, {op=read}).
 // Instruments are cheap enough for simulator hot paths — recording is a
 // few integer operations on a cached pointer; the string-keyed lookup
@@ -104,29 +104,6 @@ class Histogram {
   uint64_t max_ = 0;
 };
 
-// Streaming min/max/mean/count over doubles — the successor of the old
-// common/stats.h Accumulator, now living with the rest of the telemetry
-// instruments so there is a single summary implementation in the tree.
-class Summary {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double mean() const {
-    return count_ == 0 ? 0 : sum_ / static_cast<double>(count_);
-  }
-  double sum() const { return sum_; }
-
- private:
-  friend class Registry;
-  size_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
-
 // Owns every instrument. Lookup by (name, labels) returns a stable pointer
 // valid for the registry's lifetime; repeated lookups return the same
 // instrument. Requesting an existing name with a different instrument kind
@@ -140,7 +117,6 @@ class Registry {
   Counter* counter(std::string_view name, const Labels& labels = {});
   Gauge* gauge(std::string_view name, const Labels& labels = {});
   Histogram* histogram(std::string_view name, const Labels& labels = {});
-  Summary* summary(std::string_view name, const Labels& labels = {});
 
   size_t size() const { return entries_.size(); }
 
@@ -153,7 +129,7 @@ class Registry {
 
   // Deterministic JSON snapshot, instruments sorted by (name, labels):
   // {"counters":[{"name":...,"labels":{...},"value":N}, ...],
-  //  "gauges":[...], "histograms":[...], "summaries":[...]}
+  //  "gauges":[...], "histograms":[...]}
   std::string ToJson() const;
 
   Status WriteJsonFile(const std::string& path) const;
@@ -163,7 +139,7 @@ class Registry {
   static Registry& Default();
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kSummary };
+  enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
     std::string name;
     Labels labels;
@@ -171,7 +147,6 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<Summary> summary;
   };
 
   Entry* FindOrCreate(std::string_view name, const Labels& labels, Kind kind);

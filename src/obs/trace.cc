@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
+#include "common/text_file.h"
 #include "obs/json.h"
 
 namespace spongefiles::obs {
@@ -72,13 +71,7 @@ std::string Tracer::ToJson() const {
 }
 
 Status Tracer::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Internal("cannot open " + path);
-  std::string json = ToJson();
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) return Internal("short write to " + path);
-  return Status::OK();
+  return WriteTextFile(path, ToJson());
 }
 
 std::vector<std::pair<int64_t, int64_t>> Tracer::SpansNamed(

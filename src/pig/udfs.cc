@@ -88,7 +88,7 @@ class SpaceSaving {
 sim::Task<Status> TopKUdf::Apply(std::string group, DataBag* bag,
                                  mapred::ReduceContext* ctx) {
   // Pass 1: sketch the candidate heavy hitters (re-spill: pass 2 follows).
-  SpaceSaving sketch(sketch_capacity_);
+  SpaceSaving sketch(kSketchCapacity);
   CO_RETURN_IF_ERROR(co_await bag->ForEach(
       [&](const Tuple& tuple) {
         for (const std::string& term : tuple.fields) sketch.Add(term);
@@ -135,16 +135,15 @@ sim::Task<Status> SpamQuantilesUdf::Apply(std::string group,
                                           mapred::ReduceContext* ctx) {
   const uint64_t n = bag->count();
   if (n == 0) co_return Status::OK();
-  // Target positions, in ascending order (quantiles_ is ascending).
-  std::vector<uint64_t> positions;
-  positions.reserve(quantiles_.size());
-  for (double q : quantiles_) {
-    uint64_t pos = static_cast<uint64_t>(q * static_cast<double>(n - 1));
-    positions.push_back(pos);
+  // Target positions, in ascending order (kQuantiles is ascending).
+  std::array<uint64_t, kQuantiles.size()> positions;
+  for (size_t i = 0; i < kQuantiles.size(); ++i) {
+    positions[i] =
+        static_cast<uint64_t>(kQuantiles[i] * static_cast<double>(n - 1));
   }
   size_t next = 0;
   uint64_t index = 0;
-  std::vector<double> values(quantiles_.size(), 0);
+  std::array<double, kQuantiles.size()> values{};
   CO_RETURN_IF_ERROR(co_await bag->SortedForEach(
       [](const Tuple& a, const Tuple& b) { return a.number < b.number; },
       [&](const Tuple& tuple) {
@@ -155,62 +154,21 @@ sim::Task<Status> SpamQuantilesUdf::Apply(std::string group,
         ++index;
         return Status::OK();
       }));
-  for (size_t i = 0; i < quantiles_.size(); ++i) {
+  for (size_t i = 0; i < kQuantiles.size(); ++i) {
     mapred::Record out;
     out.key = group;
     out.number = values[i];
     out.fields = {"q" + std::to_string(static_cast<int>(
-                            quantiles_[i] * 100))};
+                            kQuantiles[i] * 100))};
     ctx->output->push_back(std::move(out));
   }
-  co_return Status::OK();
-}
-
-sim::Task<Status> MedianReducer::Start(mapred::ReduceContext* ctx) {
-  ctx_ = ctx;
-  manager_ = std::make_unique<MemoryManager>(
-      static_cast<uint64_t>(0.3 * static_cast<double>(ctx->heap_bytes)));
-  co_return Status::OK();
-}
-
-sim::Task<Status> MedianReducer::StartKey(std::string key) {
-  (void)key;
-  bag_ = std::make_unique<DataBag>(manager_.get(), ctx_->spiller, ctx_->cpu,
-                                   "median");
-  co_return Status::OK();
-}
-
-bool MedianReducer::AddValue(mapred::Record value) {
-  return bag_->Push(std::move(value));
-}
-
-sim::Task<Status> MedianReducer::Spill() { return manager_->MaybeSpill(); }
-
-sim::Task<Status> MedianReducer::FinishKey() {
-  const uint64_t n = bag_->count();
-  uint64_t target = n == 0 ? 0 : (n - 1) / 2;
-  uint64_t index = 0;
-  double median = 0;
-  CO_RETURN_IF_ERROR(co_await bag_->SortedForEach(
-      [](const Tuple& a, const Tuple& b) { return a.number < b.number; },
-      [&](const Tuple& tuple) {
-        if (index == target) median = tuple.number;
-        ++index;
-        return Status::OK();
-      }));
-  mapred::Record out;
-  out.key = "median";
-  out.number = median;
-  ctx_->output->push_back(std::move(out));
-  co_await bag_->Destroy();
-  bag_.reset();
   co_return Status::OK();
 }
 
 sim::Task<Status> PigReducer::Start(mapred::ReduceContext* ctx) {
   ctx_ = ctx;
   manager_ = std::make_unique<MemoryManager>(static_cast<uint64_t>(
-      bag_memory_fraction_ * static_cast<double>(ctx->heap_bytes)));
+      kBagMemoryFraction * static_cast<double>(ctx->heap_bytes)));
   co_return Status::OK();
 }
 
@@ -219,7 +177,7 @@ sim::Task<Status> PigReducer::StartKey(std::string key) {
   bag_ = std::make_unique<DataBag>(manager_.get(), ctx_->spiller, ctx_->cpu,
                                    "group." + key,
                                    /*spill_chunk_bytes=*/10ull * 1024 * 1024,
-                                   per_tuple_cpu_);
+                                   kPerTupleCpu);
   co_return Status::OK();
 }
 

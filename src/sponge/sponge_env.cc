@@ -45,7 +45,7 @@ SpongeEnv::SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
 
 void SpongeEnv::StartServices() {
   tracker_->Start();
-  for (auto& server : servers_) server->StartGc(&server_ptrs_);
+  for (auto& server : servers_) server->StartGc();
   if (config_.replication.enabled) {
     // Crash recovery rides on the tracker's poll loop: the shard that
     // stops hearing from a server reports the death, the repair service

@@ -176,15 +176,13 @@ sim::Task<bool> SpongeServer::RemoteIsTaskAlive(size_t from,
   co_return task_alive;
 }
 
-void SpongeServer::StartGc(std::vector<SpongeServer*>* peers) {
-  peers_ = peers;
+void SpongeServer::StartGc() {
   if (gc_running_) return;
   gc_running_ = true;
-  engine_->Spawn(GcLoop(peers));
+  engine_->Spawn(GcLoop());
 }
 
-sim::Task<> SpongeServer::GcLoop(std::vector<SpongeServer*>* peers) {
-  peers_ = peers;
+sim::Task<> SpongeServer::GcLoop() {
   while (!stopping_) {
     co_await engine_->Delay(config_.gc_period);
     if (stopping_) break;

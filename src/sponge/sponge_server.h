@@ -97,7 +97,7 @@ class SpongeServer {
   void SetPeers(std::vector<SpongeServer*>* peers) { peers_ = peers; }
 
   // Starts the periodic GC loop; it runs until Shutdown().
-  void StartGc(std::vector<SpongeServer*>* peers);
+  void StartGc();
 
   // One sweep: frees chunks whose owner is dead. Local owners are checked
   // against the local process table; remote owners via the owning node's
@@ -140,7 +140,7 @@ class SpongeServer {
   // parks while the server is hung.
   sim::Task<> FaultPoint();
 
-  sim::Task<> GcLoop(std::vector<SpongeServer*>* peers);
+  sim::Task<> GcLoop();
 
   sim::Engine* engine_;
   cluster::Network* network_;

@@ -36,9 +36,8 @@ Testbed::Testbed(const TestbedConfig& config) {
   env_ = std::make_unique<sponge::SpongeEnv>(cluster_.get(), dfs_.get(),
                                              config.sponge);
   tracker_ = std::make_unique<mapred::JobTracker>(env_.get(), dfs_.get());
-  // One tracker poll so the free list exists before any job runs, then
-  // keep the services alive for the duration.
-  env_->tracker().Start();
+  // Tracker polls and GC loops run for the testbed's lifetime; the 10 ms
+  // run lets the first poll build the free list before any job runs.
   env_->StartServices();
   engine_.RunUntil(engine_.now() + Millis(10));
 }

@@ -117,49 +117,10 @@ TEST(SpillFileTest, SpongeSpillRoundTripAndStats) {
   EXPECT_EQ(f.env->server(0).free_bytes(), MiB(8));
 }
 
-TEST(SpillFileTest, MemorySpillRewindable) {
-  MrFixture f;
-  Status status;
-  std::vector<Record> first;
-  std::vector<Record> second;
-  auto run = [&]() -> sim::Task<> {
-    MemorySpillFile file(&f.engine);
-    ByteRuns wire;
-    for (int i = 0; i < 10; ++i) {
-      SerializeRecord(MakeRecord("k" + std::to_string(i), i, 200), &wire);
-    }
-    (void)co_await file.Append(std::move(wire));
-    (void)co_await file.Close();
-    while (true) {
-      auto chunk = co_await file.ReadNext();
-      if (chunk->empty()) break;
-      RecordParser p;
-      p.Feed(*chunk);
-      Record r;
-      while (p.Next(&r)) first.push_back(r);
-    }
-    EXPECT_TRUE(file.Rewind().ok());
-    while (true) {
-      auto chunk = co_await file.ReadNext();
-      if (chunk->empty()) break;
-      RecordParser p;
-      p.Feed(*chunk);
-      Record r;
-      while (p.Next(&r)) second.push_back(r);
-    }
-    status = Status::OK();
-  };
-  f.engine.Spawn(run());
-  f.engine.Run();
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(first.size(), 10u);
-  EXPECT_EQ(first.size(), second.size());
-}
-
 // Readers hold their own cursor: two interleaved readers of one disk spill
-// file and a rewound memory spill file all return the same 1 MiB chunks,
+// file and a memory spill file all return the same 1 MiB chunks,
 // including chunks that cut literal and zero runs mid-way.
-TEST(SpillFileTest, ReadersAndRewindReturnIdenticalChunks) {
+TEST(SpillFileTest, ReadersReturnIdenticalChunks) {
   MrFixture f;
   DiskSpiller spiller(&f.engine, &f.cluster_->node(0).fs(), "t");
   struct Chunk {
@@ -167,7 +128,7 @@ TEST(SpillFileTest, ReadersAndRewindReturnIdenticalChunks) {
     uint64_t checksum;
     bool operator==(const Chunk&) const = default;
   };
-  std::vector<Chunk> reader_a, reader_b, memory_first, memory_second;
+  std::vector<Chunk> reader_a, reader_b, memory_chunks;
   Status status;
   auto run = [&]() -> sim::Task<> {
     auto disk = spiller.Create("run0");
@@ -204,9 +165,7 @@ TEST(SpillFileTest, ReadersAndRewindReturnIdenticalChunks) {
       reader_a.push_back({from_a->size(), from_a->Checksum64()});
       reader_b.push_back({from_b->size(), from_b->Checksum64()});
     }
-    co_await read_all(&memory, &memory_first);
-    EXPECT_TRUE(memory.Rewind().ok());
-    co_await read_all(&memory, &memory_second);
+    co_await read_all(&memory, &memory_chunks);
     co_await (*disk)->Delete();
     status = Status::OK();
   };
@@ -215,8 +174,7 @@ TEST(SpillFileTest, ReadersAndRewindReturnIdenticalChunks) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_EQ(reader_a.size(), 4u);  // ~3.7 MiB in 1 MiB reads
   EXPECT_EQ(reader_a, reader_b);
-  EXPECT_EQ(memory_first, reader_a);
-  EXPECT_EQ(memory_second, reader_a);
+  EXPECT_EQ(memory_chunks, reader_a);
 }
 
 TEST(MergeTest, TwoSortedRunsMergeInOrder) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+
+#include "obs/trace.h"
 
 namespace spongefiles::obs {
 namespace {
@@ -73,17 +76,6 @@ TEST(HistogramTest, SumMeanMinMax) {
   EXPECT_EQ(h.max(), 30u);
 }
 
-TEST(SummaryTest, TracksMinMaxMean) {
-  Summary acc;
-  acc.Add(5);
-  acc.Add(-1);
-  acc.Add(2);
-  EXPECT_EQ(acc.count(), 3u);
-  EXPECT_EQ(acc.min(), -1);
-  EXPECT_EQ(acc.max(), 5);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
-}
-
 TEST(RegistryTest, LookupReturnsStablePointers) {
   Registry registry;
   Counter* a = registry.counter("x.count");
@@ -120,21 +112,17 @@ TEST(RegistryTest, ResetValuesKeepsInstrumentPointers) {
   Counter* c = registry.counter("c");
   Gauge* g = registry.gauge("g");
   Histogram* h = registry.histogram("h");
-  Summary* s = registry.summary("s");
   c->Increment(7);
   g->Set(9);
   h->Record(5);
-  s->Add(1.5);
   registry.ResetValues();
   EXPECT_EQ(registry.counter("c"), c);
   EXPECT_EQ(registry.gauge("g"), g);
   EXPECT_EQ(registry.histogram("h"), h);
-  EXPECT_EQ(registry.summary("s"), s);
   EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(g->value(), 0);
   EXPECT_EQ(g->max(), 0);
   EXPECT_EQ(h->count(), 0u);
-  EXPECT_EQ(s->count(), 0u);
 }
 
 TEST(RegistryTest, JsonSnapshotRoundTrip) {
@@ -145,7 +133,6 @@ TEST(RegistryTest, JsonSnapshotRoundTrip) {
   Histogram* h = registry.histogram("disk.queue");
   h->Record(3);
   h->Record(200);
-  registry.summary("run.ms")->Add(2.5);
 
   std::string json = registry.ToJson();
   // Deterministic: serializing twice yields the same bytes.
@@ -160,8 +147,6 @@ TEST(RegistryTest, JsonSnapshotRoundTrip) {
             std::string::npos);
   EXPECT_NE(json.find("\"count\":2"), std::string::npos);
   EXPECT_NE(json.find("\"buckets\":[[3,1],["), std::string::npos);
-  EXPECT_NE(json.find("\"summaries\":["), std::string::npos);
-  EXPECT_NE(json.find("\"mean\":2.5"), std::string::npos);
 
   // Round-trip through a file: the bytes on disk equal the snapshot.
   std::string path = ::testing::TempDir() + "/obs_metrics_snapshot.json";
@@ -177,6 +162,21 @@ TEST(RegistryTest, JsonSnapshotRoundTrip) {
   std::fclose(f);
   EXPECT_EQ(read_back, json);
   std::remove(path.c_str());
+}
+
+// A snapshot small enough to sit in stdio's buffer is only written when
+// the file is closed, so a full device shows up as a failed close.
+TEST(SnapshotWriteTest, FullDeviceFailsBothWriters) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "no /dev/full on this host";
+  std::fclose(probe);
+  Registry registry;
+  registry.counter("c")->Increment(1);
+  EXPECT_FALSE(registry.WriteJsonFile("/dev/full").ok());
+  Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.InstantEvent(0, 1, 1, "cat", "x");
+  EXPECT_FALSE(tracer.WriteFile("/dev/full").ok());
 }
 
 TEST(RegistryTest, DefaultIsProcessWideSingleton) {

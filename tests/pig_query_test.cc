@@ -180,50 +180,61 @@ TEST(PigQueryTest, SpamQuantilesExactOrderStatistics) {
   EXPECT_EQ(quantiles["q100"], 999);
 }
 
-TEST(PigQueryTest, MedianJobExact) {
-  PigFixture f;
-  // Numbers 1..2001 scattered over splits; median = 1001.
+// Numbers 1..2001 scattered over four splits, all in one group: the
+// group's q50 is the exact median, 1001.
+std::vector<std::vector<mapred::Record>> NumberSplits() {
   std::vector<std::vector<mapred::Record>> splits(4);
   for (int i = 1; i <= 2001; ++i) {
     mapred::Record r;
-    r.key = "";
+    r.key = "all";
     r.number = i;
     r.size = 3000;
     splits[static_cast<size_t>(i) % 4].push_back(std::move(r));
   }
-  TestInput input(f.dfs.get(), "numbers", std::move(splits), MiB(8));
-  mapred::JobConfig config;
-  config.name = "median";
-  config.input = &input;
-  config.reducer_factory = [] { return std::make_unique<MedianReducer>(); };
-  auto result = f.RunJob(std::move(config));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->output.size(), 1u);
-  EXPECT_EQ(result->output[0].key, "median");
-  EXPECT_EQ(result->output[0].number, 1001);
+  return splits;
 }
 
+GroupByQuery OneGroupQuantiles(mapred::InputFormat* input,
+                               mapred::SpillMode mode) {
+  GroupByQuery query;
+  query.name = "median";
+  query.input = input;
+  query.spill_mode = mode;
+  query.group_key = [](const mapred::Record& r) { return r.key; };
+  query.udf_factory = [] { return std::make_unique<SpamQuantilesUdf>(); };
+  return query;
+}
+
+double Q50(const mapred::JobResult& result) {
+  for (const mapred::Record& r : result.output) {
+    if (r.fields[0] == "q50") return r.number;
+  }
+  return -1;
+}
+
+TEST(PigQueryTest, MedianJobExact) {
+  PigFixture f;
+  TestInput input(f.dfs.get(), "numbers", NumberSplits(), MiB(8));
+  auto result =
+      f.RunJob(Compile(OneGroupQuantiles(&input, mapred::SpillMode::kDisk)));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->output.size(), SpamQuantilesUdf::kQuantiles.size());
+  EXPECT_EQ(result->output[0].key, "all");
+  EXPECT_EQ(Q50(*result), 1001);
+}
+
+// A 2 MiB heap leaves the bag ~0.6 MiB of the ~6 MiB group, so the
+// quantile pass runs the bag's external sort over spilled runs.
 TEST(PigQueryTest, SpongeSpillingProducesSameAnswers) {
-  auto median_with = [](mapred::SpillMode mode) {
+  const uint64_t input_bytes = 2001ull * 3000;
+  auto median_with = [&](mapred::SpillMode mode) {
     PigFixture f(/*heap=*/MiB(2));  // force spilling
-    std::vector<std::vector<mapred::Record>> splits(4);
-    for (int i = 1; i <= 2001; ++i) {
-      mapred::Record r;
-      r.number = i;
-      r.size = 3000;
-      splits[static_cast<size_t>(i) % 4].push_back(std::move(r));
-    }
-    TestInput input(f.dfs.get(), "numbers", std::move(splits), MiB(8));
-    mapred::JobConfig config;
-    config.input = &input;
-    config.spill_mode = mode;
-    config.reducer_factory = [] {
-      return std::make_unique<MedianReducer>();
-    };
-    auto result = f.RunJob(std::move(config));
+    TestInput input(f.dfs.get(), "numbers", NumberSplits(), MiB(8));
+    auto result = f.RunJob(Compile(OneGroupQuantiles(&input, mode)));
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_GT(result->straggler()->spill.bytes_spilled, 0u);
-    return result->output[0].number;
+    // The shuffle spills at most the input once; the rest is the bag's.
+    EXPECT_GT(result->straggler()->spill.bytes_spilled, input_bytes);
+    return Q50(*result);
   };
   EXPECT_EQ(median_with(mapred::SpillMode::kDisk), 1001);
   EXPECT_EQ(median_with(mapred::SpillMode::kSponge), 1001);

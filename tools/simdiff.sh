@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Byte-identity check of the simulated schedule against a base commit.
 #
-# Builds spongebench, bench_selfperf and bench_recovery from BASE (a
-# `git archive` export) and from the working tree, runs the binaries of
-# each side, and compares with cmp:
+# Builds spongebench, bench_selfperf, bench_recovery and bench_datacenter
+# from BASE (a `git archive` export) and from the working tree, runs the
+# binaries of each side, and compares with cmp:
 #   - spongebench, each benchmark workload at seed 1: the --sim-out file
 #     (makespan, append mean/p99, per-layer counters such as sim.events)
 #     and the report's trace.* span folds (simulated time per span kind);
@@ -13,14 +13,16 @@
 #     benchmark workloads never speculate on;
 #   - bench_recovery at check.sh's smoke shape: its --sim-out (fail-stop
 #     crashes, replica failover, the repair loop and the closing GC leak
-#     sweep).
+#     sweep);
+#   - bench_datacenter at check.sh's smoke shape: its --sim-out (the
+#     multi-rack replay with a tracker-shard outage).
 # Exits 1 on any difference, naming the run and file. Host-time numbers
 # are not compared. The benchmark sources are only built and run.
 #
 # Usage: tools/simdiff.sh BASE
 #
 # The working tree's builds are kept in build-simdiff/ (spongebench) and
-# build-simdiff-selfperf/ (both benches) so reruns are warm; BASE is
+# build-simdiff-selfperf/ (the three benches) so reruns are warm; BASE is
 # built from scratch each time. Set TMPDIR to move the export and outputs.
 set -euo pipefail
 
@@ -70,8 +72,10 @@ mkdir "$work/base"
 git -C "$repo" archive "$base_rev" | tar -x -C "$work/base"
 build "$work/base/spongebench" "$work/base-build" spongebench
 build "$repo/spongebench" "$repo/build-simdiff" spongebench
-build "$work/base" "$work/base-selfperf" bench_selfperf bench_recovery
-build "$repo" "$repo/build-simdiff-selfperf" bench_selfperf bench_recovery
+build "$work/base" "$work/base-selfperf" bench_selfperf bench_recovery \
+  bench_datacenter
+build "$repo" "$repo/build-simdiff-selfperf" bench_selfperf bench_recovery \
+  bench_datacenter
 
 for workload in skew_sponge skew_disk dc_replay; do
   for side in base change; do
@@ -102,7 +106,11 @@ for side in base change; do
   "$benches/bench_recovery" --racks=4 --nodes-per-rack=8 --jobs=60 \
     --crashes=3 --out="$work/recovery.$side.json" \
     --sim-out="$work/recovery.$side.sim" >/dev/null
+  "$benches/bench_datacenter" --racks=4 --nodes-per-rack=8 --jobs=80 \
+    --out="$work/datacenter.$side.json" \
+    --sim-out="$work/datacenter.$side.sim" >/dev/null
 done
 same selfperf sim metrics trace
 same recovery sim
+same datacenter sim
 exit "$status"
