@@ -70,8 +70,10 @@ class InputFormat {
   virtual std::vector<InputSplit> Splits() = 0;
 };
 
-using MapFn =
-    std::function<void(const Record& in, std::vector<Record>* out)>;
+// A map function consumes its input row: the task hands each record over
+// by value (moved), so a map that forwards the row moves it into `out`
+// instead of copying it. A function taking `const Record&` still fits.
+using MapFn = std::function<void(Record in, std::vector<Record>* out)>;
 
 // Everything a reducer may touch while running: the task's spiller (Pig
 // bags spill through it, so their spills land on whatever medium the

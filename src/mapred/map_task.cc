@@ -57,8 +57,7 @@ sim::Task<Status> MapTask::SortAndSpill() {
                 [](const Record& a, const Record& b) { return a.key < b.key; });
     VectorSource source(std::move(buffer_[p]));
     buffer_[p] = {};
-    auto run = co_await WriteSortedRun(
-        spiller_.get(),
+    auto run = co_await WriteDiskRun(
         "spill" + std::to_string(spill_count_) + ".p" + std::to_string(p),
         &source);
     if (!run.ok()) co_return run.status();
@@ -66,6 +65,14 @@ sim::Task<Status> MapTask::SortAndSpill() {
   }
   buffer_bytes_ = 0;
   co_return Status::OK();
+}
+
+sim::Task<Result<std::unique_ptr<DiskSpillFile>>> MapTask::WriteDiskRun(
+    std::string name, RecordSource* source) {
+  auto file = spiller_->CreateDiskFile(name);
+  if (!file.ok()) co_return file.status();
+  CO_RETURN_IF_ERROR(co_await WriteRun(file->get(), source));
+  co_return std::move(*file);
 }
 
 sim::Task<Result<MapAttemptResult>> MapTask::Run() {
@@ -107,9 +114,9 @@ sim::Task<Result<MapAttemptResult>> MapTask::Run() {
     attempt_->Note(1, 0);
     mapped.clear();
     if (config_->map_fn) {
-      config_->map_fn(record, &mapped);
+      config_->map_fn(std::move(record), &mapped);
     } else {
-      mapped.push_back(record);
+      mapped.push_back(std::move(record));
     }
     for (Record& out : mapped) {
       uint64_t bytes = SerializedSize(out);
@@ -143,8 +150,7 @@ sim::Task<Result<MapAttemptResult>> MapTask::Run() {
       inputs.push_back(std::make_unique<SpillFileSource>(std::move(file)));
     }
     MergeStream merge(std::move(inputs));
-    auto merged = co_await WriteSortedRun(
-        spiller_.get(), "out.p" + std::to_string(p), &merge);
+    auto merged = co_await WriteDiskRun("out.p" + std::to_string(p), &merge);
     co_await merge.Done();
     if (!merged.ok()) co_return merged.status();
     output->partitions[p] = std::move(*merged);

@@ -2,6 +2,7 @@
 #define SPONGEFILES_MAPRED_MAP_TASK_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/dfs.h"
@@ -19,7 +20,7 @@ namespace spongefiles::mapred {
 struct MapOutput {
   size_t node = 0;
   // One sorted run per reduce partition; null when the partition is empty.
-  std::vector<std::unique_ptr<SpillFile>> partitions;
+  std::vector<std::unique_ptr<DiskSpillFile>> partitions;
   std::vector<uint64_t> partition_records;
   // Keeps the spill-stats storage the partition files point into alive.
   std::unique_ptr<DiskSpiller> spiller;
@@ -53,6 +54,10 @@ class MapTask {
   // non-empty partition to local disk.
   sim::Task<Status> SortAndSpill();
 
+  // Writes `source` into a new local-disk run named `name`.
+  sim::Task<Result<std::unique_ptr<DiskSpillFile>>> WriteDiskRun(
+      std::string name, RecordSource* source);
+
   sponge::SpongeEnv* env_;
   cluster::Dfs* dfs_;
   const JobConfig* config_;
@@ -65,7 +70,7 @@ class MapTask {
   uint64_t buffer_bytes_ = 0;
 
   // Spilled sorted runs, per partition, across spills.
-  std::vector<std::vector<std::unique_ptr<SpillFile>>> spilled_;
+  std::vector<std::vector<std::unique_ptr<DiskSpillFile>>> spilled_;
   std::vector<uint64_t> partition_records_;
   std::unique_ptr<DiskSpiller> spiller_;
   int spill_count_ = 0;

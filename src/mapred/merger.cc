@@ -109,11 +109,7 @@ sim::Task<> MergeStream::Done() {
   for (auto& input : inputs_) co_await input->Done();
 }
 
-sim::Task<Result<std::unique_ptr<SpillFile>>> WriteSortedRun(
-    Spiller* spiller, std::string name, RecordSource* source) {
-  auto created = spiller->Create(name);
-  if (!created.ok()) co_return created.status();
-  std::unique_ptr<SpillFile> file = std::move(*created);
+sim::Task<Status> WriteRun(SpillFile* file, RecordSource* source) {
   ByteRuns pending;
   Record record;
   while (true) {
@@ -139,6 +135,15 @@ sim::Task<Result<std::unique_ptr<SpillFile>>> WriteSortedRun(
       obs::Registry::Default().histogram("mapred.merge.run_bytes");
   runs_counter->Increment();
   run_bytes_histogram->Record(file->size());
+  co_return Status::OK();
+}
+
+sim::Task<Result<std::unique_ptr<SpillFile>>> WriteSortedRun(
+    Spiller* spiller, std::string name, RecordSource* source) {
+  auto created = spiller->Create(name);
+  if (!created.ok()) co_return created.status();
+  std::unique_ptr<SpillFile> file = std::move(*created);
+  CO_RETURN_IF_ERROR(co_await WriteRun(file.get(), source));
   co_return file;
 }
 

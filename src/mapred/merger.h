@@ -134,8 +134,12 @@ class MergeStream : public RecordSource {
   Record refill_;
 };
 
-// Drains `source` into a freshly created spill file named `name`,
-// serializing records in order. Returns the closed file.
+// Drains `source` into `file`, serializing records in order, and closes
+// it.
+sim::Task<Status> WriteRun(SpillFile* file, RecordSource* source);
+
+// WriteRun into a freshly created spill file named `name`. Returns the
+// closed file.
 sim::Task<Result<std::unique_ptr<SpillFile>>> WriteSortedRun(
     Spiller* spiller, std::string name, RecordSource* source);
 

@@ -69,7 +69,7 @@ sim::Task<Status> ReduceTask::SpillMemorySegments() {
 }
 
 sim::Task<Status> ReduceTask::FetchSegment(MapOutput* output) {
-  SpillFile* source = output->partitions[partition_].get();
+  DiskSpillFile* source = output->partitions[partition_].get();
   if (source == nullptr || source->size() == 0) co_return Status::OK();
   obs::SpanGuard span(&obs::Tracer::Default(), env_->engine(), node_,
                       attempt_->id.attempt_id, "mapred",
@@ -86,11 +86,10 @@ sim::Task<Status> ReduceTask::FetchSegment(MapOutput* output) {
 
   // An independent cursor per attempt: the map-side copy is shared by
   // every attempt of this partition and survives until the job ends.
-  auto reader = source->OpenReader();
-  if (!reader.ok()) co_return reader.status();
+  DiskSpillReader reader = source->OpenReader();
   auto segment = std::make_unique<MemorySpillFile>(env_->engine());
   while (true) {
-    auto chunk = co_await (*reader)->ReadNext();
+    auto chunk = co_await reader.ReadNext();
     if (!chunk.ok()) co_return chunk.status();
     if (chunk->empty()) break;
     uint64_t n = chunk->size();

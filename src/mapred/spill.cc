@@ -37,85 +37,33 @@ void SpillStats::Add(const SpillStats& other) {
   stale_list_retries += other.stale_list_retries;
 }
 
-namespace {
+DiskSpillFile::~DiskSpillFile() {
+  if (!deleted_) (void)fs_->Delete(file_id_);
+}
 
-// Disk-backed spill file: content kept alongside the LocalFs file that
-// provides timing and capacity accounting.
-class DiskSpillFile;
+sim::Task<Status> DiskSpillFile::Append(ByteRuns data) {
+  if (closed_) co_return FailedPrecondition("append after close");
+  uint64_t n = data.size();
+  content_.Append(std::move(data));
+  size_ += n;
+  stats_->bytes_spilled += n;
+  SpillModeCounter(SpillMode::kDisk)->Increment(n);
+  co_return co_await fs_->Append(file_id_, n);
+}
 
-// A read cursor over a disk spill file: the file's own and every
-// OpenReader one.
-class DiskSpillReader final : public SpillReader {
- public:
-  explicit DiskSpillReader(DiskSpillFile* file);
-  sim::Task<Result<ByteRuns>> ReadNext() override;
+sim::Task<Status> DiskSpillFile::Close() {
+  closed_ = true;
+  co_return Status::OK();
+}
 
- private:
-  DiskSpillFile* file_;
-  ByteRuns::Cursor cursor_;
-};
-
-class DiskSpillFile : public SpillFile {
- public:
-  DiskSpillFile(cluster::LocalFs* fs, uint64_t file_id, SpillStats* stats)
-      : fs_(fs), file_id_(file_id), stats_(stats) {}
-  // Pinned: the read cursor points into this object's content.
-  DiskSpillFile(const DiskSpillFile&) = delete;
-  DiskSpillFile& operator=(const DiskSpillFile&) = delete;
-
-  ~DiskSpillFile() override {
-    if (!deleted_) (void)fs_->Delete(file_id_);
+sim::Task<> DiskSpillFile::Delete() {
+  if (!deleted_) {
+    (void)fs_->Delete(file_id_);
+    deleted_ = true;
+    content_.Clear();
   }
-
-  sim::Task<Status> Append(ByteRuns data) override {
-    if (closed_) co_return FailedPrecondition("append after close");
-    uint64_t n = data.size();
-    content_.Append(std::move(data));
-    size_ += n;
-    stats_->bytes_spilled += n;
-    SpillModeCounter(SpillMode::kDisk)->Increment(n);
-    co_return co_await fs_->Append(file_id_, n);
-  }
-
-  sim::Task<Status> Close() override {
-    closed_ = true;
-    co_return Status::OK();
-  }
-
-  sim::Task<Result<ByteRuns>> ReadNext() override {
-    return reader_.ReadNext();
-  }
-
-  Result<std::unique_ptr<SpillReader>> OpenReader() override {
-    if (!closed_) return FailedPrecondition("read before close");
-    return std::unique_ptr<SpillReader>(new DiskSpillReader(this));
-  }
-
-  sim::Task<> Delete() override {
-    if (!deleted_) {
-      (void)fs_->Delete(file_id_);
-      deleted_ = true;
-      content_.Clear();
-    }
-    co_return;
-  }
-
-  uint64_t size() const override { return size_; }
-
- private:
-  friend class DiskSpillReader;
-
-  cluster::LocalFs* fs_;
-  uint64_t file_id_;
-  SpillStats* stats_;
-  ByteRuns content_;
-  uint64_t size_ = 0;
-  // The file's own read position. Appends before Close() only add runs
-  // after it, so a cursor still at the start stays valid.
-  DiskSpillReader reader_{this};
-  bool closed_ = false;
-  bool deleted_ = false;
-};
+  co_return;
+}
 
 DiskSpillReader::DiskSpillReader(DiskSpillFile* file)
     : file_(file), cursor_(&file->content_) {}
@@ -129,6 +77,8 @@ sim::Task<Result<ByteRuns>> DiskSpillReader::ReadNext() {
   if (!read.ok()) co_return read;
   co_return cursor_.Take(n);
 }
+
+namespace {
 
 // SpongeFile-backed spill file.
 class SpongeSpillFile : public SpillFile {
@@ -187,12 +137,18 @@ class SpongeSpillFile : public SpillFile {
 
 Result<std::unique_ptr<SpillFile>> DiskSpiller::Create(
     const std::string& name) {
+  auto file = CreateDiskFile(name);
+  if (!file.ok()) return file.status();
+  return std::unique_ptr<SpillFile>(std::move(*file));
+}
+
+Result<std::unique_ptr<DiskSpillFile>> DiskSpiller::CreateDiskFile(
+    const std::string& name) {
   auto file_id =
       fs_->Create(name_prefix_ + "." + name + "." + std::to_string(next_id_++));
   if (!file_id.ok()) return file_id.status();
   ++stats_.files_created;
-  return std::unique_ptr<SpillFile>(
-      new DiskSpillFile(fs_, *file_id, &stats_));
+  return std::make_unique<DiskSpillFile>(fs_, *file_id, &stats_);
 }
 
 Result<std::unique_ptr<SpillFile>> SpongeSpiller::Create(

@@ -14,19 +14,6 @@
 
 namespace spongefiles::mapred {
 
-// An independent sequential read cursor over a closed spill file. Every
-// reader owns its position, so concurrent consumers — two attempts of the
-// same reduce task shuffling one map output — never disturb each other or
-// the file's own cursor. Readers borrow the file: the file must outlive
-// them (the JobTracker keeps map outputs alive until every attempt has
-// drained).
-class SpillReader {
- public:
-  virtual ~SpillReader() = default;
-  // Next sequential piece; empty ByteRuns at EOF.
-  virtual sim::Task<Result<ByteRuns>> ReadNext() = 0;
-};
-
 // A spill target with SpongeFile semantics: write once sequentially,
 // close, read back once sequentially, delete. The two implementations are
 // the baseline (local disk through the node's buffer cache, stock Hadoop)
@@ -42,15 +29,6 @@ class SpillFile {
   // Next sequential piece of the file; empty ByteRuns at EOF.
   virtual sim::Task<Result<ByteRuns>> ReadNext() = 0;
   virtual sim::Task<> Delete() = 0;
-
-  // Opens an independent cursor over the closed file (shuffle sources:
-  // map outputs are fetched concurrently by every attempt of every
-  // reduce). Supported by local disk, where map outputs live; SpongeFiles
-  // and memory segments are strictly read-once and do not support this.
-  virtual Result<std::unique_ptr<SpillReader>> OpenReader() {
-    return FailedPrecondition("spill file is read-once");
-  }
-
   virtual uint64_t size() const = 0;
 };
 
@@ -101,6 +79,65 @@ class Spiller {
   SpillStats stats_;
 };
 
+class DiskSpillFile;
+
+// An independent sequential read cursor over a closed disk spill file.
+// Every reader owns its position, so concurrent consumers — two attempts
+// of the same reduce task shuffling one map output — never disturb each
+// other or the file's own cursor. Readers borrow the file: the file must
+// outlive them (the JobTracker keeps map outputs alive until every
+// attempt has drained).
+class DiskSpillReader {
+ public:
+  explicit DiskSpillReader(DiskSpillFile* file);
+  // Next sequential piece; empty ByteRuns at EOF.
+  sim::Task<Result<ByteRuns>> ReadNext();
+
+ private:
+  DiskSpillFile* file_;
+  ByteRuns::Cursor cursor_;
+};
+
+// A spill file on the task node's local filesystem: content kept
+// alongside the LocalFs file that provides timing and capacity
+// accounting. Map outputs live here, and only these are read more than
+// once (OpenReader).
+class DiskSpillFile final : public SpillFile {
+ public:
+  DiskSpillFile(cluster::LocalFs* fs, uint64_t file_id, SpillStats* stats)
+      : fs_(fs), file_id_(file_id), stats_(stats) {}
+  // Pinned: the read cursors point into this object's content.
+  DiskSpillFile(const DiskSpillFile&) = delete;
+  DiskSpillFile& operator=(const DiskSpillFile&) = delete;
+  ~DiskSpillFile() override;
+
+  sim::Task<Status> Append(ByteRuns data) override;
+  sim::Task<Status> Close() override;
+  sim::Task<Result<ByteRuns>> ReadNext() override {
+    return reader_.ReadNext();
+  }
+  sim::Task<> Delete() override;
+  uint64_t size() const override { return size_; }
+
+  // An independent cursor over the closed file (shuffle sources: map
+  // outputs are fetched concurrently by every attempt of every reduce).
+  DiskSpillReader OpenReader() { return DiskSpillReader(this); }
+
+ private:
+  friend class DiskSpillReader;
+
+  cluster::LocalFs* fs_;
+  uint64_t file_id_;
+  SpillStats* stats_;
+  ByteRuns content_;
+  uint64_t size_ = 0;
+  // The file's own read position. Appends before Close() only add runs
+  // after it, so a cursor still at the start stays valid.
+  DiskSpillReader reader_{this};
+  bool closed_ = false;
+  bool deleted_ = false;
+};
+
 // Baseline: spill files on the task node's local filesystem (through the
 // buffer cache, exactly like stock Hadoop/Pig intermediate files).
 class DiskSpiller : public Spiller {
@@ -113,6 +150,9 @@ class DiskSpiller : public Spiller {
       : engine_(engine), fs_(fs), name_prefix_(std::move(name_prefix)) {}
 
   Result<std::unique_ptr<SpillFile>> Create(const std::string& name) override;
+  // Create, typed for callers that reread the file (map outputs).
+  Result<std::unique_ptr<DiskSpillFile>> CreateDiskFile(
+      const std::string& name);
   size_t merge_factor() const override { return kMergeFactor; }
 
  private:

@@ -1,5 +1,8 @@
 #include "pig/query.h"
 
+#include <string>
+#include <utility>
+
 namespace spongefiles::pig {
 
 mapred::JobConfig Compile(const GroupByQuery& query) {
@@ -11,10 +14,13 @@ mapred::JobConfig Compile(const GroupByQuery& query) {
 
   auto group_key = query.group_key;
   auto project = query.project;
-  config.map_fn = [group_key, project](const mapred::Record& in,
+  config.map_fn = [group_key, project](mapred::Record in,
                                        std::vector<mapred::Record>* out) {
-    mapred::Record tuple = project ? project(in) : in;
-    tuple.key = group_key(in);
+    // The key first: without a projection the row itself becomes the
+    // tuple.
+    std::string key = group_key(in);
+    mapred::Record tuple = project ? project(in) : std::move(in);
+    tuple.key = std::move(key);
     out->push_back(std::move(tuple));
   };
 

@@ -2,12 +2,52 @@
 
 namespace spongefiles::sim {
 
+WaitNode::~WaitNode() {
+  if (list_ != nullptr) list_->Remove(this);
+}
+
+WaitList::~WaitList() {
+  for (WaitNode* node = head_; node != nullptr;) {
+    WaitNode* next = node->next_;
+    node->list_ = nullptr;
+    node->prev_ = node->next_ = nullptr;
+    node = next;
+  }
+}
+
+void WaitList::Push(WaitNode* node, std::coroutine_handle<> h) {
+  node->handle = h;
+  node->list_ = this;
+  node->prev_ = tail_;
+  node->next_ = nullptr;
+  if (tail_ != nullptr) {
+    tail_->next_ = node;
+  } else {
+    head_ = node;
+  }
+  tail_ = node;
+  ++size_;
+}
+
+WaitNode* WaitList::Pop() {
+  WaitNode* node = head_;
+  Remove(node);
+  return node;
+}
+
+void WaitList::Remove(WaitNode* node) {
+  (node->prev_ != nullptr ? node->prev_->next_ : head_) = node->next_;
+  (node->next_ != nullptr ? node->next_->prev_ : tail_) = node->prev_;
+  node->list_ = nullptr;
+  node->prev_ = node->next_ = nullptr;
+  --size_;
+}
+
 void Event::Set() {
   if (set_) return;
   set_ = true;
   while (!waiters_.empty()) {
-    engine_->ScheduleHandle(engine_->now(), waiters_.front());
-    waiters_.pop_front();
+    engine_->ScheduleHandle(engine_->now(), waiters_.Pop()->handle);
   }
 }
 
@@ -16,8 +56,7 @@ void Semaphore::Release(int64_t n) {
     if (!waiters_.empty()) {
       // Hand the permit directly to the longest waiter; permits_ stays
       // unchanged so late arrivals cannot barge past it.
-      engine_->ScheduleHandle(engine_->now(), waiters_.front());
-      waiters_.pop_front();
+      engine_->ScheduleHandle(engine_->now(), waiters_.Pop()->handle);
     } else {
       ++permits_;
     }

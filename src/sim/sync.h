@@ -2,6 +2,7 @@
 #define SPONGEFILES_SIM_SYNC_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -14,6 +15,54 @@ namespace spongefiles::sim {
 // the engine's event queue at the current simulated time, so resumption
 // order is deterministic (FIFO) and never re-enters the caller's stack.
 
+class WaitList;
+
+// One suspended coroutine queued on a WaitList. Every awaiter below is a
+// WaitNode living in the awaiting coroutine's frame for exactly as long as
+// the wait, so queueing allocates nothing. A node destroyed while still
+// queued (its frame torn down by Engine::DrainDetached) unlinks itself, so
+// a later wake-up skips it.
+class WaitNode {
+ public:
+  WaitNode() = default;
+  WaitNode(const WaitNode&) = delete;
+  WaitNode& operator=(const WaitNode&) = delete;
+  ~WaitNode();
+
+  std::coroutine_handle<> handle;
+
+ private:
+  friend class WaitList;
+  WaitList* list_ = nullptr;  // null unless queued
+  WaitNode* prev_ = nullptr;
+  WaitNode* next_ = nullptr;
+};
+
+// An intrusive FIFO of WaitNodes. A list destroyed before its nodes (the
+// primitive's owner torn down first) detaches them, so either teardown
+// order is safe.
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+  ~WaitList();
+
+  bool empty() const { return head_ == nullptr; }
+  size_t size() const { return size_; }
+
+  // Queues `node` at the back, to resume `h` when popped.
+  void Push(WaitNode* node, std::coroutine_handle<> h);
+  // Unlinks and returns the longest-queued node. Requires !empty().
+  WaitNode* Pop();
+  void Remove(WaitNode* node);
+
+ private:
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  size_t size_ = 0;
+};
+
 // A level-triggered one-shot event. Waiters block until Set() is called;
 // once set, Wait() completes immediately.
 class Event {
@@ -24,21 +73,22 @@ class Event {
   bool is_set() const { return set_; }
 
   auto Wait() {
-    struct Awaiter {
+    struct Awaiter : WaitNode {
+      explicit Awaiter(Event* e) : event(e) {}
       Event* event;
       bool await_ready() const { return event->set_; }
       void await_suspend(std::coroutine_handle<> h) {
-        event->waiters_.push_back(h);
+        event->waiters_.Push(this, h);
       }
       void await_resume() const {}
     };
-    return Awaiter{this};
+    return Awaiter(this);
   }
 
  private:
   Engine* engine_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList waiters_;
 };
 
 // A counting semaphore with FIFO handoff: Release wakes the longest-waiting
@@ -64,7 +114,8 @@ class Semaphore {
   size_t waiters() const { return waiters_.size(); }
 
   auto Acquire() {
-    struct Awaiter {
+    struct Awaiter : WaitNode {
+      explicit Awaiter(Semaphore* s) : sem(s) {}
       Semaphore* sem;
       bool await_ready() {
         if (sem->permits_ > 0 && sem->waiters_.empty()) {
@@ -74,17 +125,17 @@ class Semaphore {
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        sem->waiters_.push_back(h);
+        sem->waiters_.Push(this, h);
       }
       void await_resume() const {}
     };
-    return Awaiter{this};
+    return Awaiter(this);
   }
 
  private:
   Engine* engine_;
   int64_t permits_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList waiters_;
 };
 
 // A FIFO mutex for simulated tasks.
@@ -128,8 +179,7 @@ class Channel {
 
   void Push(T item) {
     if (!waiters_.empty()) {
-      PopAwaiter* waiter = waiters_.front();
-      waiters_.pop_front();
+      auto* waiter = static_cast<PopAwaiter*>(waiters_.Pop());
       waiter->item = std::move(item);
       engine_->ScheduleHandle(engine_->now(), waiter->handle);
       return;
@@ -140,9 +190,7 @@ class Channel {
   void Close() {
     closed_ = true;
     while (!waiters_.empty()) {
-      PopAwaiter* waiter = waiters_.front();
-      waiters_.pop_front();
-      engine_->ScheduleHandle(engine_->now(), waiter->handle);
+      engine_->ScheduleHandle(engine_->now(), waiters_.Pop()->handle);
     }
   }
 
@@ -150,20 +198,19 @@ class Channel {
   size_t size() const { return items_.size(); }
 
   // Awaitable returning std::optional<T>; nullopt means closed-and-empty.
-  auto Pop() { return PopAwaiter{this, {}, {}}; }
+  auto Pop() { return PopAwaiter(this); }
 
  private:
-  struct PopAwaiter {
+  struct PopAwaiter : WaitNode {
+    explicit PopAwaiter(Channel* c) : ch(c) {}
     Channel* ch;
-    std::coroutine_handle<> handle;
     std::optional<T> item;
 
     bool await_ready() const {
       return (ch->waiters_.empty() && !ch->items_.empty()) || ch->closed_;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      ch->waiters_.push_back(this);
+      ch->waiters_.Push(this, h);
     }
     std::optional<T> await_resume() {
       if (item.has_value()) return std::move(item);
@@ -181,7 +228,7 @@ class Channel {
   Engine* engine_;
   bool closed_ = false;
   std::deque<T> items_;
-  std::deque<PopAwaiter*> waiters_;
+  WaitList waiters_;
 };
 
 }  // namespace spongefiles::sim

@@ -348,10 +348,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
         if (!stored.ok()) {
           SpillDecision(env_, task_,
                         IsRpcTimeout(stored) ? "rpc-timeout" : "server-sick");
-          if (std::find(bounced_nodes_.begin(), bounced_nodes_.end(),
-                        target) == bounced_nodes_.end()) {
-            bounced_nodes_.push_back(target);
-          }
+          Bounce(target);
           continue;
         }
         if (std::find(task_->sponge_affinity.begin(),
@@ -487,6 +484,11 @@ sim::Task<Status> SpongeFile::LoadFreeList() {
   co_return Status::OK();
 }
 
+void SpongeFile::Bounce(size_t node) {
+  if (bounced_.empty()) bounced_.resize(env_->cluster()->size(), false);
+  bounced_[node] = true;
+}
+
 sim::Task<Result<std::pair<size_t, ChunkHandle>>>
 SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
   const SpongeConfig& config = env_->config();
@@ -518,7 +520,8 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
   // this task's data, shrinking its failure footprint), then the rest of
   // the tracker's list. The list names each server once, so its entries
   // only need deduping against the affinity prefix.
-  std::vector<size_t> candidates;
+  std::vector<size_t>& candidates = candidates_;
+  candidates.clear();
   if (config.affinity) {
     for (size_t node : task_->sponge_affinity) {
       if (eligible(node)) candidates.push_back(node);
@@ -551,10 +554,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
   ChunkOwner owner{task_->task_id, task_->node};
   for (size_t i = 0; i < candidates.size(); ++i) {
     const size_t node = candidates[i];
-    if (std::find(bounced_nodes_.begin(), bounced_nodes_.end(), node) !=
-        bounced_nodes_.end()) {
-      continue;
-    }
+    if (bounced(node)) continue;
     // Skip servers the estimate says cannot hold one more chunk.
     FreeSpaceEntry* estimate = estimate_of(i);
     if (estimate != nullptr && estimate->free_bytes < config.chunk_size) {
@@ -604,7 +604,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
       SpillDecision(env_, task_, "tracker-stale");
     }
     if (estimate != nullptr) estimate->free_bytes = 0;
-    bounced_nodes_.push_back(node);
+    Bounce(node);
   }
   co_return NotFound("no remote sponge server with free memory");
 }
@@ -665,9 +665,7 @@ sim::Task<> SpongeFile::ReplicateChunk(size_t index, ByteRuns chunk) {
   const std::vector<size_t> candidates = env_->ReplicaTargets(
       free_list_, env_->cluster()->rack_of(record.node),
       [this, &record](size_t node) {
-        return node == record.node || node == task_->node ||
-               std::find(bounced_nodes_.begin(), bounced_nodes_.end(),
-                         node) != bounced_nodes_.end();
+        return node == record.node || node == task_->node || bounced(node);
       });
 
   obs::SpanGuard span(&obs::Tracer::Default(), env_->engine(), task_->node,

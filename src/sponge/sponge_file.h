@@ -171,6 +171,13 @@ class SpongeFile {
   sim::Task<Result<std::pair<size_t, ChunkHandle>>> AllocateRemote(
       bool cross_rack, uint64_t bytes);
 
+  // Marks `node` as a server that rejected this file; AllocateRemote and
+  // replication skip it for later chunks.
+  void Bounce(size_t node);
+  bool bounced(size_t node) const {
+    return node < bounced_.size() && bounced_[node];
+  }
+
   sim::Task<Status> WaitForPendingStore();
 
   // Best-effort second copy of a memory-resident chunk on another server
@@ -215,7 +222,11 @@ class SpongeFile {
   // bounced ones zero it, so exhausted servers are not re-tried per chunk.
   bool free_list_loaded_ = false;
   std::vector<FreeSpaceEntry> free_list_;
-  std::vector<size_t> bounced_nodes_;   // servers that rejected us
+  // Per node: a server that rejected us (sized on the first bounce).
+  std::vector<bool> bounced_;
+  // AllocateRemote's candidate list, reused across chunks. At most one
+  // store is in flight per file, so one buffer serves every call.
+  std::vector<size_t> candidates_;
 
   // Async write state: at most one store in flight.
   std::unique_ptr<sim::Event> pending_store_;

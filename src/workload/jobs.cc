@@ -57,11 +57,9 @@ mapred::JobConfig MakeMedianJob(NumbersDataset* input,
   config.input = input;
   config.num_reducers = 1;
   config.spill_mode = spill_mode;
-  config.map_fn = [](const mapred::Record& in,
-                     std::vector<mapred::Record>* out) {
-    mapred::Record r = in;
-    r.key = PaddedKey(in.number);
-    out->push_back(std::move(r));
+  config.map_fn = [](mapred::Record in, std::vector<mapred::Record>* out) {
+    in.key = PaddedKey(in.number);
+    out->push_back(std::move(in));
   };
   uint64_t count = input->config().count;
   config.reducer_factory = [count] {

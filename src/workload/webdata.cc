@@ -1,6 +1,8 @@
 #include "workload/webdata.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 namespace spongefiles::workload {
 
@@ -30,6 +32,12 @@ WebDataset::WebDataset(cluster::Dfs* dfs, std::string name,
                                                   config.domain_zipf);
   term_sampler_ =
       std::make_shared<ZipfSampler>(config.vocabulary, config.term_zipf);
+  for (size_t rank = 0; rank < config.num_domains; ++rank) {
+    domain_names_.push_back(DomainName(rank));
+  }
+  for (size_t index = 0; index < config.num_languages; ++index) {
+    language_names_.push_back(LanguageName(index));
+  }
   records_per_split_ = kSplitBytes / config.record_size;
   uint64_t total_records = config.total_bytes / config.record_size;
   num_splits_ = static_cast<size_t>(
@@ -52,11 +60,14 @@ std::vector<mapred::Record> WebDataset::GenerateSplit(size_t index) const {
       language = 1 + rng.Uniform(config_.num_languages - 1);
     }
     page.fields.reserve(2 + config_.terms_per_page);
-    page.fields.push_back(DomainName(domain));
-    page.fields.push_back(LanguageName(language));
+    page.fields.push_back(domain_names_[domain]);
+    page.fields.push_back(language_names_[language]);
     for (size_t t = 0; t < config_.terms_per_page; ++t) {
-      page.fields.push_back("term" +
-                            std::to_string(term_sampler_->Sample(rng)));
+      char term[24] = {'t', 'e', 'r', 'm'};
+      char* end =
+          std::to_chars(term + 4, std::end(term), term_sampler_->Sample(rng))
+              .ptr;
+      page.fields.emplace_back(term, end);
     }
     page.number = rng.NextDouble();  // spam score
     page.size = config_.record_size;

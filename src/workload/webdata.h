@@ -62,6 +62,9 @@ class WebDataset : public mapred::InputFormat {
   WebDatasetConfig config_;
   std::shared_ptr<ZipfSampler> domain_sampler_;
   std::shared_ptr<ZipfSampler> term_sampler_;
+  // DomainName and LanguageName of every rank and index, built once.
+  std::vector<std::string> domain_names_;
+  std::vector<std::string> language_names_;
   uint64_t records_per_split_ = 0;
   size_t num_splits_ = 0;
 };

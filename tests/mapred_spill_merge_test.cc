@@ -131,7 +131,7 @@ TEST(SpillFileTest, ReadersReturnIdenticalChunks) {
   std::vector<Chunk> reader_a, reader_b, memory_chunks;
   Status status;
   auto run = [&]() -> sim::Task<> {
-    auto disk = spiller.Create("run0");
+    auto disk = spiller.CreateDiskFile("run0");
     MemorySpillFile memory(&f.engine);
     for (int i = 0; i < 7; ++i) {
       ByteRuns piece;
@@ -155,8 +155,8 @@ TEST(SpillFileTest, ReadersReturnIdenticalChunks) {
     auto b = (*disk)->OpenReader();
     // Interleave the two readers chunk by chunk.
     while (true) {
-      auto from_a = co_await (*a)->ReadNext();
-      auto from_b = co_await (*b)->ReadNext();
+      auto from_a = co_await a.ReadNext();
+      auto from_b = co_await b.ReadNext();
       if (!from_a.ok() || !from_b.ok()) {
         status = !from_a.ok() ? from_a.status() : from_b.status();
         co_return;

@@ -2,6 +2,9 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
@@ -104,6 +107,24 @@ std::vector<std::vector<mapred::Record>> AnchortextSplits() {
     }
   }
   return splits;
+}
+
+// Without a projection the map function moves the row into the tuple: the
+// output owns the input's field buffer instead of a copy of it.
+TEST(PigQueryTest, MapMovesUnprojectedRow) {
+  GroupByQuery query;
+  query.group_key = [](const mapred::Record& r) { return r.fields[0]; };
+  mapred::JobConfig config = Compile(query);
+  mapred::Record row;
+  row.fields = {"domain7.com", "english", "term3"};
+  row.size = 10000;
+  const std::string* fields = row.fields.data();
+  std::vector<mapred::Record> out;
+  config.map_fn(std::move(row), &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].fields.data(), fields);
+  EXPECT_EQ(out[0].key, "domain7.com");
+  EXPECT_EQ(out[0].size, 10000u);
 }
 
 TEST(PigQueryTest, FrequentAnchortextTopKExact) {

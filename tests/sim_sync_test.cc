@@ -2,12 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/engine.h"
 #include "sim/task.h"
+
+// Counts this executable's heap allocations while `counting` is set, so a
+// test can assert that a code path allocates nothing. Every replaceable
+// non-aligned form is replaced, so each block is freed by the allocator
+// that made it.
+namespace {
+bool counting = false;
+size_t allocations = 0;
+
+void* CountedAlloc(std::size_t n) {
+  if (counting) ++allocations;
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line, so the compiler does not pair an inlined free() with a
+// `new` expression and warn about the mismatch.
+[[gnu::noinline]] void Free(void* p) { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = CountedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void operator delete(void* p) noexcept { Free(p); }
+void operator delete[](void* p) noexcept { Free(p); }
+void operator delete(void* p, std::size_t) noexcept { Free(p); }
+void operator delete[](void* p, std::size_t) noexcept { Free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { Free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { Free(p); }
 
 namespace spongefiles::sim {
 namespace {
@@ -203,6 +242,163 @@ TEST(WaitGroupTest, WaitBlocksUntilAllDone) {
   engine.Run();
   EXPECT_EQ(observed, 3);
   EXPECT_EQ(engine.now(), Millis(15));
+}
+
+constexpr int kManyWaiters = 64;
+
+TEST(EventTest, SetWakesManyWaitersInArrivalOrder) {
+  Engine engine;
+  Event event(&engine);
+  std::vector<int> log;
+  for (int i = 0; i < kManyWaiters; ++i) {
+    engine.SpawnAt(Micros(i), Waiter(&event, &log, i));
+  }
+  engine.Spawn(Setter(&engine, &event, Millis(1)));
+  engine.Run();
+  ASSERT_EQ(log.size(), static_cast<size_t>(kManyWaiters));
+  for (int i = 0; i < kManyWaiters; ++i) EXPECT_EQ(log[i], i);
+}
+
+Task<> AcquireOnce(Semaphore* sem, std::vector<int>* log, int id) {
+  co_await sem->Acquire();
+  log->push_back(id);
+}
+
+TEST(SemaphoreTest, ReleaseHandsPermitsInArrivalOrder) {
+  Engine engine;
+  Semaphore sem(&engine, 0);
+  std::vector<int> log;
+  for (int i = 0; i < kManyWaiters; ++i) {
+    engine.SpawnAt(Micros(i), AcquireOnce(&sem, &log, i));
+  }
+  engine.Run();
+  EXPECT_EQ(sem.waiters(), static_cast<size_t>(kManyWaiters));
+  // Odd-sized batches: each one wakes the longest waiters.
+  for (int released = 0; released < kManyWaiters; released += 3) {
+    sem.Release(std::min(3, kManyWaiters - released));
+    engine.Run();
+    ASSERT_EQ(log.size(),
+              static_cast<size_t>(std::min(released + 3, kManyWaiters)));
+  }
+  for (int i = 0; i < kManyWaiters; ++i) EXPECT_EQ(log[i], i);
+  EXPECT_EQ(sem.waiters(), 0u);
+  EXPECT_EQ(sem.available(), 0);
+}
+
+Task<> PopOnce(Channel<int>* ch, std::vector<std::pair<int, int>>* got,
+               int id) {
+  std::optional<int> item = co_await ch->Pop();
+  got->push_back({id, item.value_or(-1)});
+}
+
+TEST(ChannelTest, PushHandsItemsToConsumersInArrivalOrder) {
+  Engine engine;
+  Channel<int> ch(&engine);
+  std::vector<std::pair<int, int>> got;
+  for (int i = 0; i < kManyWaiters; ++i) {
+    engine.SpawnAt(Micros(i), PopOnce(&ch, &got, i));
+  }
+  engine.Run();
+  for (int i = 0; i < kManyWaiters; ++i) ch.Push(100 + i);
+  engine.Run();
+  ASSERT_EQ(got.size(), static_cast<size_t>(kManyWaiters));
+  for (int i = 0; i < kManyWaiters; ++i) {
+    EXPECT_EQ(got[i], std::make_pair(i, 100 + i));
+  }
+  EXPECT_EQ(ch.size(), 0u);
+}
+
+// Starts a lazy task by hand and returns its frame, parked at its first
+// suspension; destroying the frame is what Engine::DrainDetached does. The
+// frame is not detached: the caller destroys it, finished or not.
+std::coroutine_handle<> StartParked(Task<> task) {
+  std::coroutine_handle<> frame = task.Release();
+  frame.resume();
+  return frame;
+}
+
+TEST(EventTest, DestroyedWaiterIsUnlinkedAndSkipped) {
+  Engine engine;
+  Event event(&engine);
+  std::vector<int> log;
+  std::coroutine_handle<> first = StartParked(Waiter(&event, &log, 1));
+  std::coroutine_handle<> doomed = StartParked(Waiter(&event, &log, 2));
+  std::coroutine_handle<> third = StartParked(Waiter(&event, &log, 3));
+  doomed.destroy();
+  event.Set();
+  engine.Run();
+  EXPECT_EQ(log, std::vector<int>({1, 3}));
+  first.destroy();
+  third.destroy();
+}
+
+TEST(SemaphoreTest, DestroyedWaiterIsUnlinkedAndSkipped) {
+  Engine engine;
+  Semaphore sem(&engine, 0);
+  std::vector<int> log;
+  std::coroutine_handle<> first = StartParked(AcquireOnce(&sem, &log, 1));
+  std::coroutine_handle<> doomed = StartParked(AcquireOnce(&sem, &log, 2));
+  std::coroutine_handle<> third = StartParked(AcquireOnce(&sem, &log, 3));
+  EXPECT_EQ(sem.waiters(), 3u);
+  doomed.destroy();
+  EXPECT_EQ(sem.waiters(), 2u);
+  sem.Release(2);
+  engine.Run();
+  EXPECT_EQ(log, std::vector<int>({1, 3}));
+  EXPECT_EQ(sem.waiters(), 0u);
+  EXPECT_EQ(sem.available(), 0);
+  first.destroy();
+  third.destroy();
+}
+
+// The other teardown order: the primitive goes first, then the frame
+// still parked on it.
+TEST(EventTest, WaiterOutlivingItsEventDetachesCleanly) {
+  Engine engine;
+  auto event = std::make_unique<Event>(&engine);
+  std::vector<int> log;
+  std::coroutine_handle<> parked = StartParked(Waiter(event.get(), &log, 1));
+  event.reset();
+  parked.destroy();
+  EXPECT_TRUE(log.empty());
+}
+
+Task<> WaitThenAcquire(Event* event, Semaphore* sem, int* passed) {
+  co_await event->Wait();
+  co_await sem->Acquire();
+  ++*passed;
+}
+
+// Runs kManyWaiters tasks that wait on a fresh Event and then a fresh
+// Semaphore; returns the allocations counted from constructing the two
+// primitives through the last wake-up. The task frames are made before
+// counting starts.
+size_t CountWaitAllocations(Engine* engine, int* passed) {
+  allocations = 0;
+  counting = true;
+  Event event(engine);
+  Semaphore sem(engine, 0);
+  counting = false;
+  for (int i = 0; i < kManyWaiters; ++i) {
+    engine->Spawn(WaitThenAcquire(&event, &sem, passed));
+  }
+  counting = true;
+  engine->Run();
+  event.Set();
+  engine->Run();
+  sem.Release(kManyWaiters);
+  engine->Run();
+  counting = false;
+  return allocations;
+}
+
+TEST(WaitAllocationTest, EventAndSemaphoreWaitsAllocateNothing) {
+  Engine engine;
+  int passed = 0;
+  // The first round grows the engine's own queues to this load.
+  CountWaitAllocations(&engine, &passed);
+  EXPECT_EQ(CountWaitAllocations(&engine, &passed), 0u);
+  EXPECT_EQ(passed, 2 * kManyWaiters);
 }
 
 }  // namespace

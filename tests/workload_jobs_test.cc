@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -31,6 +33,24 @@ TEST(JobBuildersTest, MedianMapEmitsPaddedSortKeys) {
   config.map_fn(in2, &out2);
   EXPECT_LT(out2[0].key, out[0].key);
   EXPECT_EQ(config.num_reducers, 1);
+}
+
+TEST(JobBuildersTest, MedianMapMovesItsRow) {
+  Testbed bed;
+  NumbersDatasetConfig data;
+  data.count = 101;
+  NumbersDataset numbers(&bed.dfs(), "nums", data);
+  mapred::JobConfig config = MakeMedianJob(&numbers,
+                                           mapred::SpillMode::kDisk);
+  mapred::Record in;
+  in.number = 42;
+  in.fields = {"carried"};
+  const std::string* fields = in.fields.data();
+  std::vector<mapred::Record> out;
+  config.map_fn(std::move(in), &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].fields.data(), fields);
+  EXPECT_EQ(out[0].number, 42);
 }
 
 TEST(JobBuildersTest, AnchortextPartitionerIsolatesEnglish) {

@@ -4,8 +4,9 @@
 # Runs the benchmark binary with tools/profile/sampler.c preloaded (a
 # CPU-time PC sampler, 1 ms of process CPU per sample) and folds the
 # samples by source path into the layers common/sim/cluster/sponge/mapred/
-# pig/obs/workload, plus bench, std, libstdc++, libc.malloc, libc.string,
-# libc.other and other (tools/profile/fold.py). The fold merges into
+# pig/obs/workload, plus bench, calibration (the benchmark's reference
+# loop), std, libstdc++, libc.malloc, libc.string, libc.other and other
+# (tools/profile/fold.py). The fold merges into
 # BENCH_profile.json under workloads.<workload>.<label>, so profiling two
 # builds with two labels (say "parent" and "change") gives a per-layer
 # comparison.

@@ -10,7 +10,10 @@ whose file lies under src/<layer>/ (the path survives coroutine
 .resume/.actor naming, symbols do not); spongebench/ frames land in
 "bench". A PC in a standard-library template instantiation with no src/
 frame lands in the layer named by a spongefiles::<layer>:: template
-argument, else in "std". libc is split into "libc.malloc" (the malloc
+argument, else in "std". The benchmark's calibration loop (CalibrationCpuS
+and the std::pmr::map it builds, which nothing else uses) lands in
+"calibration", not "bench"; its calls into libstdc++.so stay in
+"libstdc++", since a sampled PC carries no caller. libc is split into "libc.malloc" (the malloc
 implementation's address range), "libc.string" (mem*/str* functions,
 including their IFUNC targets, whose addresses the sampler records) and
 "libc.other".
@@ -36,6 +39,7 @@ MALLOC_NAMES = re.compile(
     r"posix_memalign|aligned_alloc|mallopt|mallinfo2?|malloc_\w+|"
     r"__default_morecore)$")
 STRING_NAMES = re.compile(r"^(__)?(mem|str|wmem|wcs|stp|bcopy|bzero)\w*$")
+CALIBRATION_RE = re.compile(r"\bCalibrationCpuS\(|std::pmr::")
 
 
 def parse_samples(path):
@@ -90,6 +94,8 @@ def find_mapping(maps, pc):
 
 def classify_code(frames):
     """Layer of one PC from its addr2line frames (innermost first)."""
+    if any(CALIBRATION_RE.search(function) for function, _ in frames):
+        return "calibration"
     for _, location in frames:
         if "/spongebench/" in location:
             return "bench"
