@@ -162,6 +162,69 @@ TEST(RecordSerdeTest, ManyFields) {
   EXPECT_EQ(out.fields[99], "f99");
 }
 
+// The wire form is fixed: header sizes, checksums and every simulated byte
+// count derive from it. These hex strings pin SerializeRecord's exact
+// output for a web-crawl row (key, domain, language and six terms, plus
+// zero filler) and for a 100-field row.
+std::string Hex(const ByteRuns& wire) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : wire.ToBytes()) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xf]);
+  }
+  return hex;
+}
+
+TEST(RecordSerdeTest, WireBytesAreGolden) {
+  Record web;
+  web.key = "domain7.com";
+  web.number = 0.3125;
+  web.fields = {"domain7.com", "english", "term0",  "term17",
+                "term305",     "term4096", "term12", "term19999"};
+  web.size = 160;
+  ByteRuns web_wire;
+  SerializeRecord(web, &web_wire);
+  EXPECT_EQ(Hex(web_wire),
+            "7e000000a0000000000000000b00646f6d61696e372e636f6d000000000000d4"
+            "3f08000b000000646f6d61696e372e636f6d07000000656e676c697368050000"
+            "007465726d30060000007465726d3137070000007465726d3330350800000074"
+            "65726d34303936060000007465726d3132090000007465726d31393939390000"
+            "0000000000000000000000000000000000000000000000000000000000000000");
+
+  Record many;
+  many.key = "multi";
+  many.number = -2.5;
+  for (int i = 0; i < 100; ++i) many.fields.push_back("f" + std::to_string(i));
+  many.size = 64;  // below the header size: no filler
+  ByteRuns many_wire;
+  SerializeRecord(many, &many_wire);
+  EXPECT_EQ(Hex(many_wire),
+            "cf020000cf0200000000000005006d756c746900000000000004c06400020000"
+            "0066300200000066310200000066320200000066330200000066340200000066"
+            "3502000000663602000000663702000000663802000000663903000000663130"
+            "0300000066313103000000663132030000006631330300000066313403000000"
+            "6631350300000066313603000000663137030000006631380300000066313903"
+            "0000006632300300000066323103000000663232030000006632330300000066"
+            "3234030000006632350300000066323603000000663237030000006632380300"
+            "0000663239030000006633300300000066333103000000663332030000006633"
+            "3303000000663334030000006633350300000066333603000000663337030000"
+            "0066333803000000663339030000006634300300000066343103000000663432"
+            "0300000066343303000000663434030000006634350300000066343603000000"
+            "6634370300000066343803000000663439030000006635300300000066353103"
+            "0000006635320300000066353303000000663534030000006635350300000066"
+            "3536030000006635370300000066353803000000663539030000006636300300"
+            "0000663631030000006636320300000066363303000000663634030000006636"
+            "3503000000663636030000006636370300000066363803000000663639030000"
+            "0066373003000000663731030000006637320300000066373303000000663734"
+            "0300000066373503000000663736030000006637370300000066373803000000"
+            "6637390300000066383003000000663831030000006638320300000066383303"
+            "0000006638340300000066383503000000663836030000006638370300000066"
+            "3838030000006638390300000066393003000000663931030000006639320300"
+            "0000663933030000006639340300000066393503000000663936030000006639"
+            "370300000066393803000000663939");
+}
+
 // SortRecords must reproduce std::sort's order exactly, including the
 // (unspecified, but deterministic) order of records with equal keys:
 // spill files and the simulated schedule depend on it.
