@@ -41,10 +41,11 @@ uint8_t* EncodeHeader(const Record& record, uint64_t header_len,
   out += record.key.size();
   out = PutRaw<double>(out, record.number);
   out = PutRaw<uint16_t>(out, static_cast<uint16_t>(record.fields.size()));
-  for (const std::string& field : record.fields) {
-    out = PutRaw<uint32_t>(out, static_cast<uint32_t>(field.size()));
-    std::memcpy(out, field.data(), field.size());
-    out += field.size();
+  for (Symbol field : record.fields) {
+    std::string_view text = field.view();
+    out = PutRaw<uint32_t>(out, static_cast<uint32_t>(text.size()));
+    std::memcpy(out, text.data(), text.size());
+    out += text.size();
   }
   return out;
 }
@@ -53,7 +54,7 @@ uint8_t* EncodeHeader(const Record& record, uint64_t header_len,
 
 uint64_t RecordHeaderSize(const Record& record) {
   uint64_t n = 4 + 8 + 2 + record.key.size() + 8 + 2;
-  for (const std::string& field : record.fields) n += 4 + field.size();
+  for (Symbol field : record.fields) n += 4 + field.size();
   return n;
 }
 
@@ -97,13 +98,12 @@ uint64_t ParseHeader(const uint8_t* p, Record* out) {
   cursor += 8;
   uint16_t nfields = GetRaw<uint16_t>(cursor);
   cursor += 2;
-  // Assign in place: a record reused across Next() calls keeps its
-  // strings' capacity.
   out->fields.resize(nfields);
-  for (std::string& field : out->fields) {
+  for (Symbol& field : out->fields) {
     uint32_t len = GetRaw<uint32_t>(cursor);
     cursor += 4;
-    field.assign(reinterpret_cast<const char*>(cursor), len);
+    field = Symbol(
+        std::string_view(reinterpret_cast<const char*>(cursor), len));
     cursor += len;
   }
   return static_cast<uint64_t>(cursor - p);

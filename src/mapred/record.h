@@ -8,20 +8,23 @@
 
 #include "common/byte_runs.h"
 #include "common/status.h"
+#include "mapred/symbol.h"
 
 namespace spongefiles::mapred {
 
 // The key/value record flowing through map and reduce. Fields are the
 // small, semantically meaningful columns (domain, language, anchortext
-// term, ...); `number` carries numeric columns (spam score, the median
-// job's values); `size` is the record's logical serialized size — real web
-// rows carry kilobytes of metadata the queries never touch, represented
-// here as zero filler so capacities and IO times stay faithful without the
-// RAM cost (see DESIGN.md).
+// term, ...), interned as Symbols since their vocabulary is closed; `key`
+// stays a string because keys need not be (the median job's are a million
+// distinct numbers). `number` carries numeric columns (spam score, the
+// median job's values); `size` is the record's logical serialized size —
+// real web rows carry kilobytes of metadata the queries never touch,
+// represented here as zero filler so capacities and IO times stay faithful
+// without the RAM cost (see DESIGN.md).
 struct Record {
   std::string key;
   double number = 0;
-  std::vector<std::string> fields;
+  std::vector<Symbol> fields;
   uint64_t size = 0;
 
   bool operator==(const Record& other) const {
@@ -43,8 +46,8 @@ uint64_t SerializedSize(const Record& record);
 // Sorts `records` by `less` into exactly the order std::sort gives them
 // (std::sort's moves depend only on its comparison outcomes, so sorting
 // indices replays them), then moves each record into place once. Records
-// carry strings and a vector, so moving them inside the sort dominated its
-// cost.
+// carry a key string and a field vector, so moving them inside the sort
+// dominated its cost.
 template <typename Less>
 void SortRecords(std::vector<Record>* records, Less less) {
   std::vector<Record>& r = *records;

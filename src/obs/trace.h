@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -106,42 +107,40 @@ class Tracer {
 // RAII span: records the clock at construction and emits a complete event
 // at destruction. `Clock` is anything with `int64_t now() const` —
 // sim::Engine in this repo (obs deliberately does not depend on sim).
-// When the tracer is disabled the guard is inert and costs two branches.
+// Names and arg keys are string literals; strings are built only when the
+// tracer is on, so a disabled guard allocates nothing and costs a branch
+// per call.
 template <typename Clock>
 class SpanGuard {
  public:
   SpanGuard(Tracer* tracer, const Clock* clock, uint64_t pid, uint64_t tid,
-            const char* category, std::string name)
+            const char* category, const char* name)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
         clock_(clock),
         pid_(pid),
         tid_(tid),
-        category_(category) {
-    if (tracer_ != nullptr) {
-      name_ = std::move(name);
-      start_ = clock_->now();
-    }
+        category_(category),
+        name_(name) {
+    if (tracer_ != nullptr) start_ = clock_->now();
   }
 
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
 
   // Attaches an argument to the span (no-op when tracing is disabled).
-  void Arg(std::string key, std::string value) {
+  void Arg(const char* key, std::string_view value) {
     if (tracer_ != nullptr) {
-      args_.push_back(TraceArg::Str(std::move(key), std::move(value)));
+      args_.push_back(TraceArg::Str(key, std::string(value)));
     }
   }
-  void Arg(std::string key, uint64_t value) {
-    if (tracer_ != nullptr) {
-      args_.push_back(TraceArg::Num(std::move(key), value));
-    }
+  void Arg(const char* key, uint64_t value) {
+    if (tracer_ != nullptr) args_.push_back(TraceArg::Num(key, value));
   }
 
   ~SpanGuard() {
     if (tracer_ != nullptr) {
       tracer_->CompleteEvent(start_, clock_->now() - start_, pid_, tid_,
-                             category_, std::move(name_), std::move(args_));
+                             category_, name_, std::move(args_));
     }
   }
 
@@ -151,7 +150,7 @@ class SpanGuard {
   uint64_t pid_;
   uint64_t tid_;
   const char* category_;
-  std::string name_;
+  const char* name_;
   int64_t start_ = 0;
   TraceArgs args_;
 };

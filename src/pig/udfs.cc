@@ -16,7 +16,7 @@ class SpaceSaving {
  public:
   explicit SpaceSaving(size_t capacity) : capacity_(capacity) {}
 
-  void Add(const std::string& item) {
+  void Add(mapred::Symbol item) {
     auto it = entries_.find(item);
     if (it != entries_.end()) {
       Increment(it);
@@ -34,7 +34,7 @@ class SpaceSaving {
     // Evict any entry from the minimum bucket; the newcomer inherits its
     // count (the classic overestimation floor) plus one.
     auto min_bucket = buckets_.begin();
-    std::string victim = min_bucket->terms.front();
+    mapred::Symbol victim = min_bucket->terms.front();
     auto victim_entry = entries_.find(victim);
     // Rename the victim's slot to the new item, then increment it.
     *victim_entry->second.term_it = item;
@@ -43,28 +43,30 @@ class SpaceSaving {
     Increment(entries_.find(item));
   }
 
-  std::vector<std::string> Candidates() const {
-    std::vector<std::string> out;
+  std::vector<mapred::Symbol> Candidates() const {
+    std::vector<mapred::Symbol> out;
     out.reserve(entries_.size());
     // lint: iter-ok(hash-order list is sorted immediately below)
     for (const auto& [item, entry] : entries_) out.push_back(item);
-    // The sketch map is unordered; sort so downstream passes never see
-    // hash order.
-    std::sort(out.begin(), out.end());
+    // The sketch map is unordered and keyed by symbol id; sort by text so
+    // downstream passes see neither hash nor id order.
+    std::sort(out.begin(), out.end(), [](mapred::Symbol a, mapred::Symbol b) {
+      return a.view() < b.view();
+    });
     return out;
   }
 
  private:
   struct Bucket {
     uint64_t count;
-    std::list<std::string> terms;
+    std::list<mapred::Symbol> terms;
   };
   struct Entry {
     std::list<Bucket>::iterator bucket_it;
-    std::list<std::string>::iterator term_it;
+    std::list<mapred::Symbol>::iterator term_it;
   };
 
-  void Increment(std::unordered_map<std::string, Entry>::iterator it) {
+  void Increment(std::unordered_map<mapred::Symbol, Entry>::iterator it) {
     Entry& entry = it->second;
     auto bucket = entry.bucket_it;
     uint64_t next_count = bucket->count + 1;
@@ -80,7 +82,7 @@ class SpaceSaving {
 
   size_t capacity_;
   std::list<Bucket> buckets_;  // ascending by count
-  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<mapred::Symbol, Entry> entries_;
 };
 
 }  // namespace
@@ -91,19 +93,19 @@ sim::Task<Status> TopKUdf::Apply(std::string group, DataBag* bag,
   SpaceSaving sketch(kSketchCapacity);
   CO_RETURN_IF_ERROR(co_await bag->ForEach(
       [&](const Tuple& tuple) {
-        for (const std::string& term : tuple.fields) sketch.Add(term);
+        for (mapred::Symbol term : tuple.fields) sketch.Add(term);
         return Status::OK();
       },
       /*respill=*/true));
 
   // Pass 2: exact counts for the candidates only.
-  std::vector<std::string> candidates = sketch.Candidates();
-  std::unordered_map<std::string, uint64_t> exact;
+  std::vector<mapred::Symbol> candidates = sketch.Candidates();
+  std::unordered_map<mapred::Symbol, uint64_t> exact;
   exact.reserve(candidates.size());
-  for (const std::string& c : candidates) exact[c] = 0;
+  for (mapred::Symbol c : candidates) exact[c] = 0;
   CO_RETURN_IF_ERROR(co_await bag->ForEach(
       [&](const Tuple& tuple) {
-        for (const std::string& term : tuple.fields) {
+        for (mapred::Symbol term : tuple.fields) {
           auto it = exact.find(term);
           if (it != exact.end()) ++it->second;
         }
@@ -111,14 +113,14 @@ sim::Task<Status> TopKUdf::Apply(std::string group, DataBag* bag,
       },
       /*respill=*/false));
 
-  std::vector<std::pair<uint64_t, std::string>> ranked;
+  std::vector<std::pair<uint64_t, mapred::Symbol>> ranked;
   ranked.reserve(exact.size());
   // lint: iter-ok(ranked is fully sorted by a total order before any output)
   for (auto& [term, count] : exact) ranked.push_back({count, term});
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) {
               if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
+              return a.second.view() < b.second.view();
             });
   for (size_t i = 0; i < std::min(k_, ranked.size()); ++i) {
     mapred::Record out;
@@ -154,12 +156,19 @@ sim::Task<Status> SpamQuantilesUdf::Apply(std::string group,
         ++index;
         return Status::OK();
       }));
+  // "q0", "q25", ...: interned once per process.
+  static const std::array<mapred::Symbol, kQuantiles.size()> kLabels = [] {
+    std::array<mapred::Symbol, kQuantiles.size()> labels;
+    for (size_t i = 0; i < kQuantiles.size(); ++i) {
+      labels[i] = "q" + std::to_string(static_cast<int>(kQuantiles[i] * 100));
+    }
+    return labels;
+  }();
   for (size_t i = 0; i < kQuantiles.size(); ++i) {
     mapred::Record out;
     out.key = group;
     out.number = values[i];
-    out.fields = {"q" + std::to_string(static_cast<int>(
-                            kQuantiles[i] * 100))};
+    out.fields = {kLabels[i]};
     ctx->output->push_back(std::move(out));
   }
   co_return Status::OK();

@@ -365,8 +365,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
         }
         RemoteLocalityMetricsFor(cross_rack).bytes->Increment(record.size);
         RemoteLocalityMetricsFor(cross_rack).chunks->Increment();
-        span.Arg("locality", std::string(cross_rack ? "cross-rack"
-                                                    : "rack-local"));
+        span.Arg("locality", cross_rack ? "cross-rack" : "rack-local");
         span.Arg("node", static_cast<uint64_t>(target));
         if (config.replication.enabled) {
           co_await ReplicateChunk(index, std::move(replica_copy));
@@ -460,7 +459,7 @@ void SpongeFile::CommitPlacement(ChunkRecord& record, ChunkLocation location,
   }
   MediumMetricsFor(location).bytes->Increment(size);
   MediumMetricsFor(location).chunks->Increment();
-  span->Arg("medium", std::string(ChunkLocationName(location)));
+  span->Arg("medium", ChunkLocationName(location));
 }
 
 sim::Task<Status> SpongeFile::LoadFreeList() {
@@ -790,7 +789,7 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchChunkRaw(size_t index) {
   ChunkOwner owner{task_->task_id, task_->node};
   obs::SpanGuard span(&obs::Tracer::Default(), env_->engine(), task_->node,
                       task_->task_id, "sponge", "chunk.read");
-  span.Arg("medium", std::string(ChunkLocationName(record.location)));
+  span.Arg("medium", ChunkLocationName(record.location));
   span.Arg("bytes", record.size);
   switch (record.location) {
     case ChunkLocation::kLocalMemory: {

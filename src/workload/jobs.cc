@@ -78,7 +78,7 @@ mapred::JobConfig MakeAnchortextJob(WebDataset* input,
   query.num_reducers = num_reducers;
   query.spill_mode = spill_mode;
   query.group_key = [](const mapred::Record& page) {
-    return page.fields[1];  // language
+    return page.fields[1].str();  // language
   };
   query.project = [projected_size](const mapred::Record& page) {
     // Keep only the anchortext terms; drop the bulky crawl metadata.
@@ -120,7 +120,7 @@ mapred::JobConfig MakeSpamQuantilesJob(WebDataset* input,
   query.num_reducers = num_reducers;
   query.spill_mode = spill_mode;
   query.group_key = [](const mapred::Record& page) {
-    return page.fields[0];  // domain
+    return page.fields[0].str();  // domain
   };
   // Deliberately no projection: the full crawl row rides along.
   query.udf_factory = [] {

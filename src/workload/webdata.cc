@@ -1,8 +1,6 @@
 #include "workload/webdata.h"
 
 #include <algorithm>
-#include <charconv>
-#include <iterator>
 
 namespace spongefiles::workload {
 
@@ -12,6 +10,10 @@ constexpr uint64_t kSplitBytes = cluster::Dfs::kBlockSize;  // 128 MB
 
 std::string WebDataset::DomainName(size_t rank) {
   return "domain" + std::to_string(rank) + ".com";
+}
+
+std::string WebDataset::TermName(size_t rank) {
+  return "term" + std::to_string(rank);
 }
 
 std::string WebDataset::LanguageName(size_t index) {
@@ -33,11 +35,12 @@ WebDataset::WebDataset(cluster::Dfs* dfs, std::string name,
   term_sampler_ =
       std::make_shared<ZipfSampler>(config.vocabulary, config.term_zipf);
   for (size_t rank = 0; rank < config.num_domains; ++rank) {
-    domain_names_.push_back(DomainName(rank));
+    domain_symbols_.emplace_back(DomainName(rank));
   }
   for (size_t index = 0; index < config.num_languages; ++index) {
-    language_names_.push_back(LanguageName(index));
+    language_symbols_.emplace_back(LanguageName(index));
   }
+  term_symbols_.resize(config.vocabulary);
   records_per_split_ = kSplitBytes / config.record_size;
   uint64_t total_records = config.total_bytes / config.record_size;
   num_splits_ = static_cast<size_t>(
@@ -60,14 +63,13 @@ std::vector<mapred::Record> WebDataset::GenerateSplit(size_t index) const {
       language = 1 + rng.Uniform(config_.num_languages - 1);
     }
     page.fields.reserve(2 + config_.terms_per_page);
-    page.fields.push_back(domain_names_[domain]);
-    page.fields.push_back(language_names_[language]);
+    page.fields.push_back(domain_symbols_[domain]);
+    page.fields.push_back(language_symbols_[language]);
     for (size_t t = 0; t < config_.terms_per_page; ++t) {
-      char term[24] = {'t', 'e', 'r', 'm'};
-      char* end =
-          std::to_chars(term + 4, std::end(term), term_sampler_->Sample(rng))
-              .ptr;
-      page.fields.emplace_back(term, end);
+      size_t rank = term_sampler_->Sample(rng);
+      mapred::Symbol& term = term_symbols_[rank];
+      if (term.empty()) term = TermName(rank);
+      page.fields.push_back(term);
     }
     page.number = rng.NextDouble();  // spam score
     page.size = config_.record_size;

@@ -48,6 +48,7 @@ class WebDataset : public mapred::InputFormat {
   // Name of the rank-`rank` domain (rank 0 is the giant one).
   static std::string DomainName(size_t rank);
   static std::string LanguageName(size_t index);  // 0 is "english"
+  static std::string TermName(size_t rank);       // "term<rank>"
 
   const WebDatasetConfig& config() const { return config_; }
   uint64_t records_per_split() const { return records_per_split_; }
@@ -62,9 +63,13 @@ class WebDataset : public mapred::InputFormat {
   WebDatasetConfig config_;
   std::shared_ptr<ZipfSampler> domain_sampler_;
   std::shared_ptr<ZipfSampler> term_sampler_;
-  // DomainName and LanguageName of every rank and index, built once.
-  std::vector<std::string> domain_names_;
-  std::vector<std::string> language_names_;
+  // DomainName and LanguageName of every rank and index, interned once.
+  std::vector<mapred::Symbol> domain_symbols_;
+  std::vector<mapred::Symbol> language_symbols_;
+  // "term<rank>" by Zipf rank, interned on a rank's first draw (the empty
+  // symbol marks a rank not drawn yet): a run draws only part of the
+  // vocabulary, and interning all of it would lengthen setup.
+  mutable std::vector<mapred::Symbol> term_symbols_;
   uint64_t records_per_split_ = 0;
   size_t num_splits_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/random.h"
 
 namespace spongefiles {
@@ -223,6 +224,41 @@ TEST(RecordSerdeTest, WireBytesAreGolden) {
             "3838030000006638390300000066393003000000663931030000006639320300"
             "0000663933030000006639340300000066393503000000663936030000006639"
             "370300000066393803000000663939");
+}
+
+// A consumer that parses into one Record reuses its field array, and a
+// field's text is interned once per process, so steady-state parsing
+// allocates nothing, even when the field count varies from record to
+// record and the texts are longer than the small-string buffer.
+TEST(RecordParserTest, NextIntoReusedRecordAllocatesNothing) {
+  ByteRuns wire;
+  for (int i = 0; i < 64; ++i) {
+    Record r;
+    r.key = "domain" + std::to_string(i % 5) + ".com";
+    r.number = i;
+    r.fields = {"anchortext term number " + std::to_string(i % 7)};
+    if (i % 2 == 0) {
+      r.fields.push_back("a second, longer anchortext phrase");
+      r.fields.push_back("and a third one " + std::to_string(i % 3));
+    }
+    r.size = 2000;
+    SerializeRecord(r, &wire);
+  }
+  Record out;
+  RecordParser warm;
+  warm.Feed(wire);
+  while (warm.Next(&out)) {
+  }
+
+  RecordParser parser;
+  parser.Feed(wire);
+  int parsed = 0;
+  {
+    alloc_counter::Scope count;
+    while (parser.Next(&out)) ++parsed;
+  }
+  EXPECT_EQ(parsed, 64);
+  EXPECT_EQ(alloc_counter::allocations, 0u);
 }
 
 // SortRecords must reproduce std::sort's order exactly, including the

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "alloc_counter.h"
 #include "sim/engine.h"
 #include "sim/task.h"
 
@@ -24,6 +25,23 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   {
     SpanGuard span(&tracer, &clock, 1, 1, "cat", "z");
   }
+  EXPECT_EQ(tracer.event_count(), 0u);
+}
+
+// Span names longer than the small-string buffer and string args used to
+// allocate even with tracing off.
+TEST(TracerTest, DisabledSpanWithArgsAllocatesNothing) {
+  Tracer tracer;
+  ManualClock clock;
+  const std::string medium = "local-memory-and-then-some";
+  {
+    alloc_counter::Scope count;
+    SpanGuard span(&tracer, &clock, 1, 2, "mapred", "reduce.fetch_segment");
+    span.Arg("medium", medium);
+    span.Arg("locality", "cross-rack");
+    span.Arg("bytes", uint64_t{4096});
+  }
+  EXPECT_EQ(alloc_counter::allocations, 0u);
   EXPECT_EQ(tracer.event_count(), 0u);
 }
 

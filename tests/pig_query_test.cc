@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -113,12 +115,14 @@ std::vector<std::vector<mapred::Record>> AnchortextSplits() {
 // output owns the input's field buffer instead of a copy of it.
 TEST(PigQueryTest, MapMovesUnprojectedRow) {
   GroupByQuery query;
-  query.group_key = [](const mapred::Record& r) { return r.fields[0]; };
+  query.group_key = [](const mapred::Record& r) {
+    return r.fields[0].str();
+  };
   mapred::JobConfig config = Compile(query);
   mapred::Record row;
   row.fields = {"domain7.com", "english", "term3"};
   row.size = 10000;
-  const std::string* fields = row.fields.data();
+  const mapred::Symbol* fields = row.fields.data();
   std::vector<mapred::Record> out;
   config.map_fn(std::move(row), &out);
   ASSERT_EQ(out.size(), 1u);
@@ -149,7 +153,7 @@ TEST(PigQueryTest, FrequentAnchortextTopKExact) {
   // blog=0 for english? i%4==0 pages are french, so blog is french-only.
   std::map<std::string, std::map<std::string, double>> top;
   for (const mapred::Record& r : result->output) {
-    top[r.key][r.fields[0]] = r.number;
+    top[r.key][r.fields[0].str()] = r.number;
   }
   ASSERT_TRUE(top.contains("english"));
   ASSERT_TRUE(top.contains("french"));
@@ -192,7 +196,7 @@ TEST(PigQueryTest, SpamQuantilesExactOrderStatistics) {
 
   std::map<std::string, double> quantiles;
   for (const mapred::Record& r : result->output) {
-    quantiles[r.fields[0]] = r.number;
+    quantiles[r.fields[0].str()] = r.number;
   }
   EXPECT_EQ(quantiles["q0"], 0);
   EXPECT_EQ(quantiles["q25"], 249);  // floor(0.25 * 999)
@@ -283,6 +287,83 @@ TEST(PigQueryTest, MultiPassUdfSpillsMoreThanInput) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Shuffle spill (~1x) + bag spill (~1x) + pass-1 respill (~1x) -> ~3x.
   EXPECT_GT(result->straggler()->spill.bytes_spilled, 2 * input_bytes);
+}
+
+// Crawl rows whose terms all start with `prefix`: "home" on every page,
+// "news" on every other one, and eight Zipf-drawn terms from a 6,000-term
+// vocabulary, more distinct terms than TopKUdf's sketch tracks.
+std::vector<std::vector<mapred::Record>> PrefixedSplits(
+    const std::string& prefix) {
+  std::vector<std::vector<mapred::Record>> splits(3);
+  Rng rng(11);
+  ZipfSampler terms(6000, 0.8);
+  for (size_t s = 0; s < splits.size(); ++s) {
+    for (int i = 0; i < 400; ++i) {
+      mapred::Record page;
+      page.key = i % 3 == 0 ? "french" : "english";
+      page.fields.push_back(prefix + "home");
+      if (i % 2 == 0) page.fields.push_back(prefix + "news");
+      for (int t = 0; t < 8; ++t) {
+        page.fields.push_back(prefix + "term" +
+                              std::to_string(terms.Sample(rng)));
+      }
+      page.number = rng.NextDouble();
+      page.size = 3000;
+      splits[s].push_back(std::move(page));
+    }
+  }
+  return splits;
+}
+
+// The UDF outputs as text, with `prefix` cut from each field.
+std::vector<std::string> UdfOutput(std::unique_ptr<Udf> (*make_udf)(),
+                                   const std::string& prefix) {
+  PigFixture f;
+  TestInput input(f.dfs.get(), "crawl-" + prefix, PrefixedSplits(prefix),
+                  MiB(8));
+  GroupByQuery query;
+  query.input = &input;
+  query.group_key = [](const mapred::Record& r) { return r.key; };
+  query.udf_factory = make_udf;
+  auto result = f.RunJob(Compile(query));
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::string> rows;
+  for (const mapred::Record& r : result->output) {
+    std::string row = r.key + " " + std::to_string(r.number);
+    for (mapred::Symbol field : r.fields) {
+      std::string_view text = field.view();
+      if (text.starts_with(prefix)) text.remove_prefix(prefix.size());
+      row += " " + std::string(text);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// Symbol ids follow first-intern order, which depends on everything that
+// ran before. A vocabulary interned in reverse text order must give the
+// same outputs as one interned fresh, in first-use order.
+TEST(PigQueryTest, UdfOutputsDoNotDependOnSymbolIds) {
+  const std::string seeded = "seeded.";
+  std::vector<std::string> vocabulary = {seeded + "home", seeded + "news"};
+  for (int t = 0; t < 6000; ++t) {
+    vocabulary.push_back(seeded + "term" + std::to_string(t));
+  }
+  std::sort(vocabulary.rbegin(), vocabulary.rend());
+  for (const std::string& text : vocabulary) (void)mapred::Symbol(text);
+
+  auto top_k = []() -> std::unique_ptr<Udf> {
+    return std::make_unique<TopKUdf>(25);
+  };
+  auto quantiles = []() -> std::unique_ptr<Udf> {
+    return std::make_unique<SpamQuantilesUdf>();
+  };
+  std::vector<std::string> fresh_top = UdfOutput(top_k, "fresh.");
+  ASSERT_EQ(fresh_top.size(), 50u);
+  EXPECT_EQ(UdfOutput(top_k, seeded), fresh_top);
+  std::vector<std::string> fresh_quantiles = UdfOutput(quantiles, "fresh.");
+  ASSERT_EQ(fresh_quantiles.size(), 2 * SpamQuantilesUdf::kQuantiles.size());
+  EXPECT_EQ(UdfOutput(quantiles, seeded), fresh_quantiles);
 }
 
 }  // namespace

@@ -2,51 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "sim/engine.h"
 #include "sim/task.h"
-
-// Counts this executable's heap allocations while `counting` is set, so a
-// test can assert that a code path allocates nothing. Every replaceable
-// non-aligned form is replaced, so each block is freed by the allocator
-// that made it.
-namespace {
-bool counting = false;
-size_t allocations = 0;
-
-void* CountedAlloc(std::size_t n) {
-  if (counting) ++allocations;
-  return std::malloc(n == 0 ? 1 : n);
-}
-
-// Out of line, so the compiler does not pair an inlined free() with a
-// `new` expression and warn about the mismatch.
-[[gnu::noinline]] void Free(void* p) { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = CountedAlloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n);
-}
-void operator delete(void* p) noexcept { Free(p); }
-void operator delete[](void* p) noexcept { Free(p); }
-void operator delete(void* p, std::size_t) noexcept { Free(p); }
-void operator delete[](void* p, std::size_t) noexcept { Free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { Free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { Free(p); }
 
 namespace spongefiles::sim {
 namespace {
@@ -374,22 +337,22 @@ Task<> WaitThenAcquire(Event* event, Semaphore* sem, int* passed) {
 // primitives through the last wake-up. The task frames are made before
 // counting starts.
 size_t CountWaitAllocations(Engine* engine, int* passed) {
-  allocations = 0;
-  counting = true;
+  alloc_counter::allocations = 0;
+  alloc_counter::counting = true;
   Event event(engine);
   Semaphore sem(engine, 0);
-  counting = false;
+  alloc_counter::counting = false;
   for (int i = 0; i < kManyWaiters; ++i) {
     engine->Spawn(WaitThenAcquire(&event, &sem, passed));
   }
-  counting = true;
+  alloc_counter::counting = true;
   engine->Run();
   event.Set();
   engine->Run();
   sem.Release(kManyWaiters);
   engine->Run();
-  counting = false;
-  return allocations;
+  alloc_counter::counting = false;
+  return alloc_counter::allocations;
 }
 
 TEST(WaitAllocationTest, EventAndSemaphoreWaitsAllocateNothing) {

@@ -45,7 +45,7 @@ TEST(JobBuildersTest, MedianMapMovesItsRow) {
   mapred::Record in;
   in.number = 42;
   in.fields = {"carried"};
-  const std::string* fields = in.fields.data();
+  const mapred::Symbol* fields = in.fields.data();
   std::vector<mapred::Record> out;
   config.map_fn(std::move(in), &out);
   ASSERT_EQ(out.size(), 1u);

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "alloc_counter.h"
 #include "common/units.h"
 #include "workload/testbed.h"
 #include "workload/trace.h"
@@ -31,6 +32,27 @@ TEST(WebDatasetTest, SplitGenerationDeterministic) {
   EXPECT_FALSE(a[0] == c[0]);
 }
 
+// A generated row owns one heap block, its field array, at 4 bytes per
+// field (interned symbols); the vocabulary is interned on first draw, so
+// the second generation of a split allocates nothing else.
+TEST(WebDatasetTest, GenerateSplitAllocatesOneSmallFieldArrayPerRow) {
+  Testbed bed;
+  WebDatasetConfig config = SmallWeb();
+  WebDataset data(&bed.dfs(), "web", config);
+  (void)data.GenerateSplit(0);
+  const uint64_t rows = data.records_per_split();
+  const uint64_t fields = 2 + config.terms_per_page;
+  std::vector<mapred::Record> split;
+  {
+    alloc_counter::Scope count;
+    split = data.GenerateSplit(0);
+  }
+  ASSERT_EQ(split.size(), rows);
+  EXPECT_LE(alloc_counter::allocations, 1 + rows);
+  EXPECT_LE(alloc_counter::bytes,
+            rows * sizeof(mapred::Record) + rows * fields * 4);
+}
+
 TEST(WebDatasetTest, GiantDomainHoldsAboutThirtyPercent) {
   Testbed bed;
   WebDataset data(&bed.dfs(), "web", SmallWeb());
@@ -38,7 +60,7 @@ TEST(WebDatasetTest, GiantDomainHoldsAboutThirtyPercent) {
   int total = 0;
   for (size_t s = 0; s < data.num_splits(); ++s) {
     for (const auto& page : data.GenerateSplit(s)) {
-      ++domain_counts[page.fields[0]];
+      ++domain_counts[page.fields[0].str()];
       ++total;
     }
   }

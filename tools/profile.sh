@@ -14,14 +14,23 @@
 # Every dc_replay profile must attribute under 1% to mapred and pig: that
 # workload never runs a MapReduce task, so anything more is a folding bug.
 #
+# --heap profiles memory instead: tools/profile/heap.c (preloaded) keeps
+# the live heap by usable-size class and, sampled, by allocation site, and
+# tools/profile/heapfold.py prints both at the live high-water mark, sites
+# resolved with addr2line, plus the resident set seen there. It writes no
+# file; it is how a peak_rss_mb number is explained.
+#
 # Usage:
 #   tools/profile.sh [--workload=all|skew_sponge|skew_disk|dc_replay]
-#                    [--seconds=S] [--binary=PATH] [--label=NAME]
+#                    [--seconds=S] [--binary=PATH] [--label=NAME] [--heap]
 #   tools/profile.sh --self-test
 #
 # Without --binary the script builds spongebench (RelWithDebInfo) from this
 # checkout in build-profile/. --self-test compiles a busy loop placed under
-# src/sim/ and checks that at least 90% of its samples fold into "sim".
+# src/sim/ and checks that at least 90% of its samples fold into "sim",
+# then runs tools/profile/heapbusy.c under heap.c and checks that at least
+# 90% of the live bytes at its high-water mark belong to the site that
+# holds them.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -31,6 +40,7 @@ binary=""
 label=change
 out="$repo/BENCH_profile.json"
 self_test=0
+heap=0
 for arg in "$@"; do
   case "$arg" in
     --workload=*) workload="${arg#*=}" ;;
@@ -38,6 +48,7 @@ for arg in "$@"; do
     --binary=*) binary="${arg#*=}" ;;
     --label=*) label="${arg#*=}" ;;
     --self-test) self_test=1 ;;
+    --heap) heap=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -54,6 +65,9 @@ trap 'rm -rf "$work"' EXIT
 sampler="$work/sampler.so"
 cc -O2 -shared -fPIC -o "$sampler" "$repo/tools/profile/sampler.c" -lrt -ldl
 fold="$repo/tools/profile/fold.py"
+heap_so="$work/heap.so"
+cc -O2 -shared -fPIC -o "$heap_so" "$repo/tools/profile/heap.c" -lm
+heapfold="$repo/tools/profile/heapfold.py"
 
 if [ "$self_test" = 1 ]; then
   mkdir -p "$work/src/sim"
@@ -61,6 +75,10 @@ if [ "$self_test" = 1 ]; then
   cc -O1 -g -o "$work/busy" "$work/src/sim/busy.c"
   SPONGE_PROFILE_OUT="$work/busy.txt" LD_PRELOAD="$sampler" "$work/busy"
   python3 "$fold" "$work/busy.txt" --check 'sim>=0.9'
+  cc -O1 -g -o "$work/heapbusy" "$repo/tools/profile/heapbusy.c"
+  SPONGE_HEAP_OUT="$work/heapbusy.txt" SPONGE_HEAP_SAMPLE_BYTES=4096 \
+    LD_PRELOAD="$heap_so" "$work/heapbusy"
+  python3 "$heapfold" "$work/heapbusy.txt" --top 3 --check 'HoldBlocks>=0.9'
   exit $?
 fi
 
@@ -80,6 +98,14 @@ else
   workloads="$workload"
 fi
 for w in $workloads; do
+  if [ "$heap" = 1 ]; then
+    echo "== $w (heap, ${seconds}s, seed 1)"
+    SPONGE_HEAP_OUT="$work/$w.heap" LD_PRELOAD="$heap_so" \
+      "$binary" --workload "$w" --seed 1 --seconds "$seconds" \
+      --trace 0 > "$work/$w.out"
+    python3 "$heapfold" "$work/$w.heap" --top 12
+    continue
+  fi
   echo "== $w ($label, ${seconds}s, seed 1)" >&2
   SPONGE_PROFILE_OUT="$work/$w.txt" LD_PRELOAD="$sampler" \
     "$binary" --workload "$w" --seed 1 --seconds "$seconds" \
