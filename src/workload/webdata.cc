@@ -6,14 +6,12 @@ namespace spongefiles::workload {
 
 namespace {
 constexpr uint64_t kSplitBytes = cluster::Dfs::kBlockSize;  // 128 MB
+
+std::string TermName(size_t rank) { return "term" + std::to_string(rank); }
 }  // namespace
 
 std::string WebDataset::DomainName(size_t rank) {
   return "domain" + std::to_string(rank) + ".com";
-}
-
-std::string WebDataset::TermName(size_t rank) {
-  return "term" + std::to_string(rank);
 }
 
 std::string WebDataset::LanguageName(size_t index) {

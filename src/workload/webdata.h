@@ -48,7 +48,6 @@ class WebDataset : public mapred::InputFormat {
   // Name of the rank-`rank` domain (rank 0 is the giant one).
   static std::string DomainName(size_t rank);
   static std::string LanguageName(size_t index);  // 0 is "english"
-  static std::string TermName(size_t rank);       // "term<rank>"
 
   const WebDatasetConfig& config() const { return config_; }
   uint64_t records_per_split() const { return records_per_split_; }
