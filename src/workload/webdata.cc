@@ -1,13 +1,27 @@
 #include "workload/webdata.h"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
 
 namespace spongefiles::workload {
 
 namespace {
 constexpr uint64_t kSplitBytes = cluster::Dfs::kBlockSize;  // 128 MB
 
-std::string TermName(size_t rank) { return "term" + std::to_string(rank); }
+// "term<rank>" of every rank below `vocabulary`, interned. A term's text
+// depends only on its rank and symbols live as long as the process, so
+// one table serves every dataset, and a dataset after the first interns
+// nothing (a benchmark run builds one per replay).
+const std::vector<mapred::Symbol>& TermSymbols(size_t vocabulary) {
+  static std::vector<mapred::Symbol> terms;
+  char term[32] = "term";
+  for (size_t rank = terms.size(); rank < vocabulary; ++rank) {
+    char* end = std::to_chars(term + 4, term + sizeof(term), rank).ptr;
+    terms.emplace_back(std::string_view(term, end - term));
+  }
+  return terms;
+}
 }  // namespace
 
 std::string WebDataset::DomainName(size_t rank) {
@@ -27,7 +41,10 @@ std::string WebDataset::LanguageName(size_t index) {
 
 WebDataset::WebDataset(cluster::Dfs* dfs, std::string name,
                        const WebDatasetConfig& config)
-    : dfs_(dfs), name_(std::move(name)), config_(config) {
+    : dfs_(dfs),
+      name_(std::move(name)),
+      config_(config),
+      term_symbols_(TermSymbols(config.vocabulary)) {
   domain_sampler_ = std::make_shared<ZipfSampler>(config.num_domains,
                                                   config.domain_zipf);
   term_sampler_ =
@@ -38,7 +55,6 @@ WebDataset::WebDataset(cluster::Dfs* dfs, std::string name,
   for (size_t index = 0; index < config.num_languages; ++index) {
     language_symbols_.emplace_back(LanguageName(index));
   }
-  term_symbols_.resize(config.vocabulary);
   records_per_split_ = kSplitBytes / config.record_size;
   uint64_t total_records = config.total_bytes / config.record_size;
   num_splits_ = static_cast<size_t>(
@@ -64,10 +80,7 @@ std::vector<mapred::Record> WebDataset::GenerateSplit(size_t index) const {
     page.fields.push_back(domain_symbols_[domain]);
     page.fields.push_back(language_symbols_[language]);
     for (size_t t = 0; t < config_.terms_per_page; ++t) {
-      size_t rank = term_sampler_->Sample(rng);
-      mapred::Symbol& term = term_symbols_[rank];
-      if (term.empty()) term = TermName(rank);
-      page.fields.push_back(term);
+      page.fields.push_back(term_symbols_[term_sampler_->Sample(rng)]);
     }
     page.number = rng.NextDouble();  // spam score
     page.size = config_.record_size;

@@ -65,10 +65,9 @@ class WebDataset : public mapred::InputFormat {
   // DomainName and LanguageName of every rank and index, interned once.
   std::vector<mapred::Symbol> domain_symbols_;
   std::vector<mapred::Symbol> language_symbols_;
-  // "term<rank>" by Zipf rank, interned on a rank's first draw (the empty
-  // symbol marks a rank not drawn yet): a run draws only part of the
-  // vocabulary, and interning all of it would lengthen setup.
-  mutable std::vector<mapred::Symbol> term_symbols_;
+  // "term<rank>" by Zipf rank, at least `vocabulary` long; one table shared
+  // by every dataset, living as long as the process.
+  const std::vector<mapred::Symbol>& term_symbols_;
   uint64_t records_per_split_ = 0;
   size_t num_splits_ = 0;
 };

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "alloc_counter.h"
 #include "common/units.h"
@@ -33,13 +36,12 @@ TEST(WebDatasetTest, SplitGenerationDeterministic) {
 }
 
 // A generated row owns one heap block, its field array, at 4 bytes per
-// field (interned symbols); the vocabulary is interned on first draw, so
-// the second generation of a split allocates nothing else.
+// field (interned symbols); the vocabulary is interned by the constructor,
+// so generating a split allocates nothing else.
 TEST(WebDatasetTest, GenerateSplitAllocatesOneSmallFieldArrayPerRow) {
   Testbed bed;
   WebDatasetConfig config = SmallWeb();
   WebDataset data(&bed.dfs(), "web", config);
-  (void)data.GenerateSplit(0);
   const uint64_t rows = data.records_per_split();
   const uint64_t fields = 2 + config.terms_per_page;
   std::vector<mapred::Record> split;
@@ -93,6 +95,32 @@ TEST(WebDatasetTest, RecordShape) {
     EXPECT_GE(page.number, 0.0);
     EXPECT_LT(page.number, 1.0);
   }
+}
+
+// Term symbols come from one table shared by every dataset; a later
+// dataset with a larger vocabulary grows it under an earlier one.
+TEST(WebDatasetTest, DatasetsShareAGrowingTermTable) {
+  Testbed bed;
+  WebDatasetConfig small = SmallWeb();
+  WebDatasetConfig large = SmallWeb();
+  large.vocabulary = small.vocabulary + 10000;
+  WebDataset first(&bed.dfs(), "web", small);
+  WebDataset second(&bed.dfs(), "web2", large);
+  auto max_rank = [](const WebDataset& data) {
+    size_t max = 0;
+    for (const auto& page : data.GenerateSplit(0)) {
+      for (size_t t = 2; t < page.fields.size(); ++t) {
+        std::string_view term = page.fields[t].view();
+        EXPECT_EQ(term.substr(0, 4), "term");
+        max = std::max<size_t>(max, std::stoul(std::string(term.substr(4))));
+      }
+    }
+    return max;
+  };
+  EXPECT_LT(max_rank(first), small.vocabulary);
+  const size_t second_max = max_rank(second);
+  EXPECT_GE(second_max, small.vocabulary);
+  EXPECT_LT(second_max, large.vocabulary);
 }
 
 TEST(NumbersDatasetTest, ValuesAreAPermutation) {

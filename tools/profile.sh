@@ -76,8 +76,7 @@ if [ "$self_test" = 1 ]; then
   SPONGE_PROFILE_OUT="$work/busy.txt" LD_PRELOAD="$sampler" "$work/busy"
   python3 "$fold" "$work/busy.txt" --check 'sim>=0.9'
   cc -O1 -g -o "$work/heapbusy" "$repo/tools/profile/heapbusy.c"
-  SPONGE_HEAP_OUT="$work/heapbusy.txt" SPONGE_HEAP_SAMPLE_BYTES=4096 \
-    LD_PRELOAD="$heap_so" "$work/heapbusy"
+  SPONGE_HEAP_OUT="$work/heapbusy.txt" LD_PRELOAD="$heap_so" "$work/heapbusy"
   python3 "$heapfold" "$work/heapbusy.txt" --top 3 --check 'HoldBlocks>=0.9'
   exit $?
 fi

@@ -8,10 +8,11 @@
 //  - live blocks and bytes per usable-size class (exact);
 //  - live bytes per allocation site, estimated from sampled allocations.
 //    Allocations are sampled per byte, a Poisson process with one sample
-//    point per SPONGE_HEAP_SAMPLE_BYTES on average (default 64 KiB), and a
-//    sampled block weighs size / P(sampled), which makes the per-site sums
-//    unbiased. A site is the block's backtrace (up to MAX_FRAMES return
-//    addresses).
+//    point per SAMPLE_BYTES (64 KiB) on average, and a sampled block
+//    weighs size / P(sampled), which makes the per-site sums unbiased. A
+//    site is the block's backtrace (up to MAX_FRAMES return addresses).
+//    At most LIVE_SLOTS / 2 sampled blocks are live at once (about 2 GiB
+//    of live heap); samples beyond that are dropped and counted.
 // At exit the owning process writes the executable mappings and the
 // snapshot to the file named by SPONGE_HEAP_OUT; tools/profile/heapfold.py
 // resolves the sites. Without SPONGE_HEAP_OUT the library only forwards.
@@ -37,6 +38,7 @@ extern void* __libc_realloc(void*, size_t);
 extern void* __libc_memalign(size_t, size_t);
 extern void __libc_free(void*);
 
+#define SAMPLE_BYTES 65536.0
 #define MIN_SNAP_STEP (64 << 10)
 #define RSS_STEP (1 << 20)  // live-byte movement between RSS probes
 #define MAX_FRAMES 16  // this file's frames included; heapfold.py drops them
@@ -70,7 +72,6 @@ struct Books {
 static int enabled;
 static pid_t owner;
 static const char* out_path;
-static double sample_bytes = 65536;
 static int64_t countdown;
 static uint64_t rng_state = 0x9e3779b97f4a7c15ull;
 static volatile int lock;
@@ -86,6 +87,7 @@ static double* snap_site_blocks;
 static uint32_t num_sites;
 static uint32_t* site_slots;  // site index + 1; 0 = free
 static struct LiveBlock* live_blocks;
+static uint32_t live_count;  // occupied slots, kept <= LIVE_SLOTS / 2
 static uint64_t sampled;
 static uint64_t dropped;
 static int64_t probe_live;  // live bytes at the last RSS probe
@@ -120,7 +122,7 @@ static double NextExponential(void) {
   rng_state ^= rng_state >> 7;
   rng_state ^= rng_state << 17;
   double u = ((rng_state >> 11) + 0.5) / 9007199254740992.0;
-  return -log(u) * sample_bytes;
+  return -log(u) * SAMPLE_BYTES;
 }
 
 static void* Map(size_t bytes) {
@@ -133,8 +135,6 @@ __attribute__((constructor)) static void Start(void) {
   unsetenv("LD_PRELOAD");
   out_path = getenv("SPONGE_HEAP_OUT");
   if (out_path == NULL || out_path[0] == '\0') return;
-  const char* rate = getenv("SPONGE_HEAP_SAMPLE_BYTES");
-  if (rate != NULL && atof(rate) >= 1) sample_bytes = atof(rate);
   sites = Map(MAX_SITES * sizeof(struct Site));
   snap_site_live = Map(MAX_SITES * sizeof(double));
   snap_site_blocks = Map(MAX_SITES * sizeof(double));
@@ -241,18 +241,17 @@ static void Add(void* p) {
   uintptr_t frames[MAX_FRAMES];
   int depth = backtrace((void**)frames, MAX_FRAMES);
   uint32_t site = FindSite(frames, depth < 0 ? 0 : depth);
-  double p_sampled = -expm1(-(double)usable / sample_bytes);
-  double weight = (double)usable / p_sampled;
-  uint32_t i = LiveSlot((uintptr_t)p);
-  uint32_t probes = 0;
-  while (live_blocks[i].ptr != 0 && probes++ < LIVE_SLOTS) {
-    i = (i + 1) & (LIVE_SLOTS - 1);
-  }
-  if (site == UINT32_MAX || live_blocks[i].ptr != 0) {
+  // A half-empty table keeps probe runs short and always ends them.
+  if (site == UINT32_MAX || live_count >= LIVE_SLOTS / 2) {
     ++dropped;
     return;
   }
+  double p_sampled = -expm1(-(double)usable / SAMPLE_BYTES);
+  double weight = (double)usable / p_sampled;
+  uint32_t i = LiveSlot((uintptr_t)p);
+  while (live_blocks[i].ptr != 0) i = (i + 1) & (LIVE_SLOTS - 1);
   live_blocks[i] = (struct LiveBlock){(uintptr_t)p, site, weight};
+  ++live_count;
   sites[site].live += weight;
   sites[site].blocks += weight / (double)usable;
   ++sampled;
@@ -286,6 +285,7 @@ static void Remove(void* p) {
     }
   }
   live_blocks[hole].ptr = 0;
+  --live_count;
 }
 
 static int Tracking(void) {
@@ -385,7 +385,7 @@ __attribute__((destructor)) static void Stop(void) {
             (long long)peak_rss, (long long)live_at_peak_rss,
             (long long)snap_books.rss);
     fprintf(out, "sampling %.0f sampled %llu dropped %llu sites %u\n",
-            sample_bytes, (unsigned long long)sampled,
+            SAMPLE_BYTES, (unsigned long long)sampled,
             (unsigned long long)dropped, num_sites);
     WriteMaps(out);
     for (size_t c = 0; c < NUM_CLASSES; ++c) {

@@ -1,14 +1,16 @@
 // Self-test workload for tools/profile.sh --heap: a known allocation
-// pattern. HoldBlocks keeps 4,096 blocks of 1,000 bytes live (about 4 MiB,
-// the high-water mark) while Churn allocates and frees small blocks one at
-// a time; then the held blocks go and Later allocates half as much. At the
-// high-water mark nearly every live byte must belong to HoldBlocks.
+// pattern. HoldBlocks keeps 65,536 blocks of 1,000 bytes live (about
+// 64 MiB, the high-water mark, and about 1,000 samples at heap.c's rate)
+// while Churn allocates and frees small blocks one at a time; then the held
+// blocks go and Later allocates half as much. At the high-water mark nearly
+// every live byte must belong to HoldBlocks.
 #include <stdlib.h>
 #include <string.h>
 
-#define HELD 4096
+#define HELD 65536
 
 static void* held[HELD];
+static void* later[HELD / 2];
 
 __attribute__((noinline)) static void HoldBlocks(void) {
   for (int i = 0; i < HELD; ++i) {
@@ -26,7 +28,6 @@ __attribute__((noinline)) static void Churn(void) {
 }
 
 __attribute__((noinline)) static void Later(void) {
-  void* later[HELD / 2];
   for (int i = 0; i < HELD / 2; ++i) later[i] = malloc(1000);
   for (int i = 0; i < HELD / 2; ++i) free(later[i]);
 }

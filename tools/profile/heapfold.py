@@ -102,6 +102,9 @@ def main():
           f"{head.get('step', 0) / MIB:.2f} MiB of the peak); "
           f"{head.get('sampled', 0):.0f} samples, one per "
           f"{head.get('sampling', 0) / 1024:.0f} KiB on average")
+    if head.get("dropped", 0) > 0:
+        print(f"warning: {head['dropped']:.0f} samples dropped (a sample or "
+              f"site table was full); the site estimates undercount")
     print(f"resident set: {head.get('snapshot_rss', 0) / MIB:.1f} MiB at the "
           f"breakdown; peak {head.get('rss_peak', 0) / MIB:.1f} MiB, seen "
           f"with {head.get('live_at_rss_peak', 0) / MIB:.1f} MiB live")
