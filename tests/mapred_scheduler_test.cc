@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dfs.h"
@@ -12,26 +15,31 @@
 namespace spongefiles::mapred {
 namespace {
 
-// All splits on one node: delay scheduling should migrate work to the
-// idle nodes once the locality wait expires.
+// Where the DFS placed a split file's only block.
+size_t LocationOf(cluster::Dfs* dfs, const std::string& name) {
+  return *dfs->BlockLocation(name, 0);
+}
+
+// One single-block DFS file per split, all on one node: the DFS places a
+// file by its name, so candidate names that land elsewhere are skipped.
+// The hot node then holds far more splits than it has slots.
 class HotNodeInput : public InputFormat {
  public:
   HotNodeInput(cluster::Dfs* dfs, size_t num_splits, uint64_t split_bytes)
-      : num_splits_(num_splits), split_bytes_(split_bytes) {
-    // One DFS block per split, all forced onto whatever node gets block 0
-    // by making each split its own single-block file created... simpler:
-    // one file whose every block lands round-robin; instead we pin
-    // placement by using one file per split with the same name hash.
-    for (size_t i = 0; i < num_splits; ++i) {
-      std::string name = "hot" + std::to_string(i);
+      : split_bytes_(split_bytes) {
+    for (int k = 0; names_.size() < num_splits; ++k) {
+      std::string name = "hot" + std::to_string(k);
       (void)dfs->CreateFile(name, split_bytes);
-      names_.push_back(name);
+      if (names_.empty() ||
+          LocationOf(dfs, name) == LocationOf(dfs, names_[0])) {
+        names_.push_back(name);
+      }
     }
   }
 
   std::vector<InputSplit> Splits() override {
     std::vector<InputSplit> out;
-    for (size_t i = 0; i < num_splits_; ++i) {
+    for (size_t i = 0; i < names_.size(); ++i) {
       InputSplit split;
       split.dfs_file = names_[i];
       split.offset = 0;
@@ -44,7 +52,6 @@ class HotNodeInput : public InputFormat {
   std::vector<std::string> names_;
 
  private:
-  size_t num_splits_;
   uint64_t split_bytes_;
 };
 
@@ -77,35 +84,76 @@ struct SchedFixture {
   }
 };
 
-// Which node holds every "hot" file (they hash identically by name only
-// if the names collide; instead just read back the block locations).
-size_t LocationOf(cluster::Dfs* dfs, const std::string& name) {
-  return *dfs->BlockLocation(name, 0);
+// n splits with no DFS bytes, split i holding one record keyed "p<i>";
+// with KeyPartition, record i goes to reduce partition i.
+class KeyedInput : public InputFormat {
+ public:
+  explicit KeyedInput(size_t n) : n_(n) {}
+
+  std::vector<InputSplit> Splits() override {
+    std::vector<InputSplit> out(n_);
+    for (size_t i = 0; i < n_; ++i) {
+      out[i].generate = [i] {
+        Record record;
+        record.key = "p" + std::to_string(i);
+        record.size = 1000;
+        return std::vector<Record>{record};
+      };
+    }
+    return out;
+  }
+
+ private:
+  size_t n_;
+};
+
+size_t KeyPartition(const Record& record, int) {
+  return static_cast<size_t>(std::stoul(record.key.substr(1)));
 }
 
+// Logs each reduce attempt as it starts: its start time, then (once its
+// first key arrives) that key, which names the partition.
+class StartLogReducer : public Reducer {
+ public:
+  using Log = std::vector<std::pair<SimTime, std::string>>;
+
+  StartLogReducer(Log* log, SimTime now) : log_(log), index_(log->size()) {
+    log->emplace_back(now, "");
+  }
+
+  sim::Task<Status> StartKey(std::string key) override {
+    if ((*log_)[index_].second.empty()) (*log_)[index_].second = key;
+    co_return Status::OK();
+  }
+  bool AddValue(Record) override { return false; }
+  sim::Task<Status> FinishKey() override { co_return Status::OK(); }
+
+ private:
+  Log* log_;
+  size_t index_;
+};
+
 TEST(DelaySchedulingTest, RelaxationSpreadsHotNodeWork) {
+  // Twelve splits on node 0's two map slots. Past the 0.5 s wait, the six
+  // free slots elsewhere take maps 2-7 at once and maps 8-11 join the
+  // relaxed queue; node 0 frees first and takes 8 and 9 from its own
+  // queue, then the relaxed queue puts 10 and 11 on node 1. Recorded
+  // values: they pin the slot hand-off order, not just the totals.
   SchedFixture f;
   HotNodeInput input(f.dfs.get(), 12, MiB(32));
-  // Files hash to different nodes; count how many land on each. The test
-  // only needs *some* node to be oversubscribed relative to its 2 slots.
+  ASSERT_EQ(LocationOf(f.dfs.get(), input.names_[0]), 0u);
   JobConfig config;
   config.input = &input;
-  config.locality_wait = Seconds(2);
+  config.locality_wait = Millis(500);
   auto result = f.RunJob(std::move(config));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  size_t local = 0;
-  size_t remote = 0;
-  for (size_t i = 0; i < result->map_tasks.size(); ++i) {
-    size_t preferred = LocationOf(f.dfs.get(), input.names_[i]);
-    if (result->map_tasks[i].node == preferred) {
-      ++local;
-      EXPECT_TRUE(result->map_tasks[i].data_local);
-    } else {
-      ++remote;
-      EXPECT_FALSE(result->map_tasks[i].data_local);
-    }
+  const std::vector<size_t> nodes = {0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1};
+  ASSERT_EQ(result->map_tasks.size(), nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(result->map_tasks[i].node, nodes[i]) << "map " << i;
+    EXPECT_EQ(result->map_tasks[i].data_local, nodes[i] == 0) << "map " << i;
   }
-  EXPECT_EQ(local + remote, 12u);
+  EXPECT_EQ(result->runtime, 7402252);
 }
 
 TEST(DelaySchedulingTest, StrictLocalityNeverMigrates) {
@@ -179,6 +227,36 @@ TEST(DelaySchedulingTest, MigrationImprovesHotNodeMakespan) {
   // 8 tasks on one 2-slot node = 4 waves strictly; relaxation uses the
   // other 6 slots.
   EXPECT_LT(relaxed, strict);
+}
+
+TEST(DelaySchedulingTest, PinnedReducesQueueForTheirNode) {
+  // Three reduces pinned to node 2, which has one reduce slot, and one
+  // pinned to node 0: node 2 runs its reduces one at a time, in
+  // partition order.
+  SchedFixture f;
+  KeyedInput input(4);
+  StartLogReducer::Log log;
+  JobConfig config;
+  config.input = &input;
+  config.num_reducers = 4;
+  config.partitioner = KeyPartition;
+  config.reduce_pins = {{0, 2}, {1, 2}, {2, 2}, {3, 0}};
+  config.reducer_factory = [&] {
+    return std::make_unique<StartLogReducer>(&log, f.engine.now());
+  };
+  auto result = f.RunJob(std::move(config));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->reduce_tasks.size(), 4u);
+  const std::vector<size_t> nodes = {2, 2, 2, 0};
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(result->reduce_tasks[i].node, nodes[i]) << "reduce " << i;
+  }
+  // Recorded start times: p0 and p3 start together; p1 and p2 each take
+  // node 2's slot as the reduce before them releases it.
+  const StartLogReducer::Log starts = {
+      {3, "p0"}, {3, "p3"}, {968, "p1"}, {1933, "p2"}};
+  EXPECT_EQ(log, starts);
+  EXPECT_EQ(result->runtime, 2590);
 }
 
 }  // namespace
