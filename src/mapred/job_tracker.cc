@@ -19,31 +19,10 @@ JobTracker::JobTracker(sponge::SpongeEnv* env, cluster::Dfs* dfs)
     : env_(env), dfs_(dfs) {
   for (size_t i = 0; i < env->cluster()->size(); ++i) {
     const auto& node_config = env->cluster()->node(i).config();
-    free_map_slots_.push_back(node_config.map_slots);
-    pending_local_.emplace_back();
-    reduce_slots_.push_back(std::make_unique<sim::Semaphore>(
-        env->engine(), node_config.reduce_slots));
+    slots(TaskKind::kMap).free.push_back(node_config.map_slots);
+    slots(TaskKind::kReduce).free.push_back(node_config.reduce_slots);
   }
-}
-
-void JobTracker::AssignMap(PendingMap* task, size_t node) {
-  task->done = true;
-  task->node = node;
-  --free_map_slots_[node];
-  task->assigned->Set();
-}
-
-sim::Task<> JobTracker::DeadlineWake(std::shared_ptr<PendingMap> task) {
-  if (task->done) co_return;
-  // Past the locality wait: take any free slot now, or join the relaxed
-  // queue so the next freed slot anywhere picks this task up.
-  for (size_t node = 0; node < free_map_slots_.size(); ++node) {
-    if (free_map_slots_[node] > 0) {
-      AssignMap(task.get(), node);
-      co_return;
-    }
-  }
-  relaxed_.push_back(std::move(task));
+  for (SlotTable& table : slots_) table.waiting.resize(table.free.size());
 }
 
 size_t JobTracker::PreferredNode(const Wave& wave, const TaskState& task) {
@@ -59,63 +38,48 @@ size_t JobTracker::PreferredNode(const Wave& wave, const TaskState& task) {
   return next_map_node_++ % env_->cluster()->size();
 }
 
-sim::Task<size_t> JobTracker::AcquireSlot(const Wave* wave,
-                                          const TaskState* task) {
-  if (wave->kind == TaskKind::kReduce) {
-    co_await reduce_slots_[task->preferred]->Acquire();
-    co_return task->preferred;
+void JobTracker::Dispatch(TaskState* task, size_t node) {
+  task->waiting = false;
+  --slots(task->wave->kind).free[node];
+  env_->engine()->Spawn(RunPrimary(task->wave, task, node));
+}
+
+bool JobTracker::DispatchOldest(std::deque<TaskState*>* queue, size_t node) {
+  while (!queue->empty()) {
+    TaskState* task = queue->front();
+    queue->pop_front();
+    if (!task->waiting) continue;  // dispatched from its other queue
+    Dispatch(task, node);
+    return true;
   }
-  // Delay scheduling: hold out for a data-local slot for up to
-  // locality_wait, then take any free slot (the split is then fetched
-  // over the network, which the DFS read path charges automatically).
-  auto pending = std::make_shared<PendingMap>();
-  pending->preferred = task->preferred;
-  pending->assigned = std::make_unique<sim::Event>(env_->engine());
-  if (free_map_slots_[pending->preferred] > 0) {
-    AssignMap(pending.get(), pending->preferred);
-    co_return pending->node;
-  }
-  pending_local_[pending->preferred].push_back(pending);
-  Duration locality_wait = wave->config->locality_wait;
-  if (locality_wait > 0) {
-    env_->engine()->SpawnAt(env_->engine()->now() + locality_wait,
-                            DeadlineWake(pending));
-  }
-  co_await pending->assigned->Wait();
-  co_return pending->node;
+  return false;
 }
 
 void JobTracker::ReleaseSlot(TaskKind kind, size_t node) {
-  if (kind == TaskKind::kReduce) {
-    reduce_slots_[node]->Release();
-    return;
-  }
-  ++free_map_slots_[node];
-  // Oldest data-local waiter first.
-  while (!pending_local_[node].empty()) {
-    std::shared_ptr<PendingMap> task = pending_local_[node].front();
-    pending_local_[node].pop_front();
-    if (task->done) continue;  // assigned elsewhere already
-    AssignMap(task.get(), node);
-    return;
-  }
-  // Then anyone whose locality wait already expired.
-  while (!relaxed_.empty()) {
-    std::shared_ptr<PendingMap> task = relaxed_.front();
-    relaxed_.pop_front();
-    if (task->done) continue;
-    AssignMap(task.get(), node);
-    return;
-  }
+  SlotTable& table = slots(kind);
+  ++table.free[node];
+  // Oldest waiter for this node first; then, for a map slot, anyone whose
+  // locality wait already expired. A reduce slot never takes a map.
+  if (DispatchOldest(&table.waiting[node], node)) return;
+  if (kind == TaskKind::kMap) DispatchOldest(&relaxed_, node);
 }
 
-bool JobTracker::TryReserveBackupSlot(TaskKind kind, size_t node) {
-  if (kind == TaskKind::kMap) {
-    if (free_map_slots_[node] <= 0) return false;
-    --free_map_slots_[node];
-    return true;
+sim::Task<> JobTracker::RelaxLocality(std::shared_ptr<bool> live,
+                                      Wave* wave) {
+  if (!*live) co_return;  // every map got a slot in time
+  // Each map still waiting takes the lowest free node's slot or joins
+  // relaxed_. Dispatch only takes slots: the first free node never falls.
+  const std::vector<int>& free = slots(TaskKind::kMap).free;
+  size_t node = 0;
+  for (TaskState& task : wave->tasks) {
+    if (!task.waiting) continue;
+    while (node < free.size() && free[node] <= 0) ++node;
+    if (node < free.size()) {
+      Dispatch(&task, node);
+    } else {
+      relaxed_.push_back(&task);
+    }
   }
-  return reduce_slots_[node]->TryAcquire();
 }
 
 sim::Task<Status> JobTracker::RunAttempt(Wave* wave, TaskState* task,
@@ -145,54 +109,49 @@ sim::Task<Status> JobTracker::RunAttempt(Wave* wave, TaskState* task,
   co_return commit(co_await reduce_task.Run(), &task->reduce_output);
 }
 
-sim::Task<> JobTracker::RunPrimary(Wave* wave, TaskState* task) {
+sim::Task<> JobTracker::RunPrimary(Wave* wave, TaskState* task,
+                                   size_t node) {
   const JobConfig* config = wave->config;
-  task->preferred = PreferredNode(*wave, *task);
+  task->stats.node = node;
+  task->stats.data_local = node == task->preferred;
   Status last;
-  if (config->cancelled()) {
-    task->stats.completed = false;
-  } else {
-    size_t node = co_await AcquireSlot(wave, task);
-    task->stats.node = node;
-    task->stats.data_local = node == task->preferred;
-    // A backup may have committed while this chain waited.
-    while (!task->attempts.committed()) {
+  // A backup may commit while a failed attempt's retry is pending.
+  while (!task->attempts.committed()) {
+    if (config->cancelled()) {
+      task->stats.completed = false;
+      break;
+    }
+    TaskAttempt* attempt = task->attempts.Launch(
+        env_, config->name, wave->kind, task->index, node,
+        /*backup=*/false);
+    last = co_await RunAttempt(wave, task, attempt);
+    if (last.ok()) break;
+    if (last.code() == StatusCode::kAborted) {
       if (config->cancelled()) {
         task->stats.completed = false;
+        last = Status::OK();
         break;
       }
-      TaskAttempt* attempt = task->attempts.Launch(
-          env_, config->name, wave->kind, task->index, node,
-          /*backup=*/false);
-      last = co_await RunAttempt(wave, task, attempt);
-      if (last.ok()) break;
-      if (last.code() == StatusCode::kAborted) {
-        if (config->cancelled()) {
-          task->stats.completed = false;
-          last = Status::OK();
-          break;
-        }
-        if (attempt->killed()) {
-          // Killed mid-run: either a backup committed (the task is done)
-          // or the job is tearing down; either way the chain stops here.
-          if (task->attempts.committed()) last = Status::OK();
-          break;
-        }
+      if (attempt->killed()) {
+        // Killed mid-run: either a backup committed (the task is done)
+        // or the job is tearing down; either way the chain stops here.
+        if (task->attempts.committed()) last = Status::OK();
+        break;
       }
-      if (task->attempts.primary_attempts() >= config->max_attempts) break;
-      // Falling through to another Launch: this is a real re-run, count
-      // it with the failure that caused it.
-      CountTaskRerun(last);
     }
-    if (!last.ok()) task->attempts.KillAll();
-    ReleaseSlot(wave->kind, node);
+    if (task->attempts.primary_attempts() >= config->max_attempts) break;
+    // Falling through to another Launch: this is a real re-run, count
+    // it with the failure that caused it.
+    CountTaskRerun(last);
   }
+  if (!last.ok()) task->attempts.KillAll();
+  ReleaseSlot(wave->kind, node);
   wave->outcomes.Push(last);
   wave->workers.Done();
 }
 
 sim::Task<> JobTracker::RunBackup(Wave* wave, TaskState* task, size_t node) {
-  // The monitor reserved our slot on `node` before spawning us.
+  // The monitor took our slot on `node` before spawning us.
   if (!task->attempts.committed() && !wave->config->cancelled()) {
     TaskAttempt* attempt =
         task->attempts.Launch(env_, wave->config->name, wave->kind,
@@ -209,7 +168,8 @@ sim::Task<> JobTracker::SpeculationLoop(Wave* wave) {
   const JobConfig* config = wave->config;
   sim::Engine* engine = env_->engine();
   const size_t count = wave->tasks.size();
-  const size_t nodes = free_map_slots_.size();
+  const size_t nodes = env_->cluster()->size();
+  std::vector<int>& free = slots(wave->kind).free;
   while (!wave->done) {
     co_await engine->Delay(config->speculation.check_period);
     if (wave->done || config->cancelled()) break;
@@ -240,8 +200,9 @@ sim::Task<> JobTracker::SpeculationLoop(Wave* wave) {
       }
       // Straggler: place the backup on a free slot on a node no live
       // attempt of this task occupies (lowest index first, deterministic).
+      // A free slot means no task waits for that node, so none is passed.
       size_t chosen = nodes;
-      for (size_t node = 0; node < nodes; ++node) {
+      for (size_t node = 0; node < nodes && chosen == nodes; ++node) {
         bool occupied = false;
         for (const auto& attempt : set.attempts()) {
           if (!attempt->finished && attempt->id.node == node) {
@@ -249,13 +210,10 @@ sim::Task<> JobTracker::SpeculationLoop(Wave* wave) {
             break;
           }
         }
-        if (occupied) continue;
-        if (TryReserveBackupSlot(wave->kind, node)) {
-          chosen = node;
-          break;
-        }
+        if (!occupied && free[node] > 0) chosen = node;
       }
       if (chosen == nodes) continue;  // no slot this round
+      --free[chosen];
       wave->workers.Add(1);
       engine->Spawn(RunBackup(wave, &task, chosen));
     }
@@ -265,11 +223,33 @@ sim::Task<> JobTracker::SpeculationLoop(Wave* wave) {
 
 sim::Task<Status> JobTracker::RunWave(Wave* wave) {
   sim::Engine* engine = env_->engine();
-  wave->workers.Add(static_cast<int64_t>(wave->tasks.size()));
-  for (TaskState& task : wave->tasks) {
-    engine->Spawn(RunPrimary(wave, &task));
+  const JobConfig* config = wave->config;
+  if (config->cancelled()) {
+    for (TaskState& task : wave->tasks) task.stats.completed = false;
+    co_return Status::OK();
   }
-  if (wave->config->speculation.enabled && wave->tasks.size() >= 2) {
+  SlotTable& table = slots(wave->kind);
+  wave->workers.Add(static_cast<int64_t>(wave->tasks.size()));
+  // Each task takes a free slot on its preferred node or queues for one;
+  // only a task holding a slot gets a driver.
+  bool queued = false;
+  for (TaskState& task : wave->tasks) {
+    task.preferred = PreferredNode(*wave, task);
+    if (table.free[task.preferred] > 0) {
+      Dispatch(&task, task.preferred);
+    } else {
+      task.waiting = true;
+      table.waiting[task.preferred].push_back(&task);
+      queued = true;
+    }
+  }
+  // Delay scheduling: past locality_wait a queued map takes any free slot
+  // and reads its split over the network (the DFS read path charges it).
+  if (wave->kind == TaskKind::kMap && queued && config->locality_wait > 0) {
+    engine->SpawnAt(engine->now() + config->locality_wait,
+                    RelaxLocality(wave->live, wave));
+  }
+  if (config->speculation.enabled && wave->tasks.size() >= 2) {
     wave->workers.Add(1);
     engine->Spawn(SpeculationLoop(wave));
   }
@@ -286,6 +266,12 @@ sim::Task<Status> JobTracker::RunWave(Wave* wave) {
   // references the wave. For reduces this also drains a losing attempt
   // still mid-shuffle before the map outputs are deleted.
   co_await wave->workers.Wait();
+  // A map dispatched from one of its two queues left a stale entry in
+  // the other: drop them before the wave's TaskStates die.
+  *wave->live = false;
+  auto stale = [](const TaskState* task) { return !task->waiting; };
+  for (auto& queue : table.waiting) std::erase_if(queue, stale);
+  std::erase_if(relaxed_, stale);
   co_return status;
 }
 
@@ -299,7 +285,7 @@ sim::Task<Result<JobResult>> JobTracker::Run(JobConfig config) {
 
   Wave maps(engine, TaskKind::kMap, &config, nullptr);
   for (size_t i = 0; i < splits.size(); ++i) {
-    maps.tasks.emplace_back(static_cast<int>(i), &splits[i]);
+    maps.tasks.emplace_back(&maps, static_cast<int>(i), &splits[i]);
   }
   Status status = co_await RunWave(&maps);
   if (!status.ok()) co_return status;
@@ -315,7 +301,7 @@ sim::Task<Result<JobResult>> JobTracker::Run(JobConfig config) {
   if (config.reducer_factory) {
     Wave reduces(engine, TaskKind::kReduce, &config, &map_outputs);
     for (int p = 0; p < config.num_reducers; ++p) {
-      reduces.tasks.emplace_back(p, nullptr);
+      reduces.tasks.emplace_back(&reduces, p, nullptr);
     }
     status = co_await RunWave(&reduces);
     if (!status.ok()) co_return status;

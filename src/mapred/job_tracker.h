@@ -28,15 +28,20 @@ namespace spongefiles::mapred {
 // recovers a task whose SpongeFile chunk was lost to a machine failure
 // (section 3.1).
 //
+// Slots: per task kind, each node's free-slot count and FIFO of waiting
+// tasks. A waiting task is only a queue entry (a map past its locality
+// wait also in relaxed_) and gets its driver with its slot. A freed slot
+// goes to the node's oldest waiter, then (maps only) the oldest relaxed.
+//
 // Execution is attempt-based: every run of a logical task is a TaskAttempt
 // with its own registry id, spill namespace, and result sink. Maps and
 // reduces run through the same drivers, one wave per kind: a per-task
-// primary driver owns the sequential retry chain and reports exactly one
-// outcome on the wave's outcome channel; the speculation monitor (when
-// JobConfig::speculation.enabled) launches backup attempts for stragglers,
-// and the first attempt to commit through the AttemptSet barrier wins —
-// the loser is killed, deregistered, and its sponge chunks fall to the
-// ordinary dead-task GC.
+// primary driver owns the slot and the sequential retry chain and reports
+// exactly one outcome on the wave's outcome channel; the speculation
+// monitor (when JobConfig::speculation.enabled) launches backup attempts
+// for stragglers, and the first attempt to commit through the AttemptSet
+// barrier wins — the loser is killed, deregistered, and its sponge chunks
+// fall to the ordinary dead-task GC.
 class JobTracker {
  public:
   JobTracker(sponge::SpongeEnv* env, cluster::Dfs* dfs);
@@ -49,25 +54,21 @@ class JobTracker {
   sim::Task<Result<JobResult>> Run(JobConfig config);
 
  private:
-  // A map task waiting for a slot. Event-driven (no polling): the task is
-  // assigned when (a) a slot frees on its preferred node, (b) its
-  // locality deadline fires with a free slot somewhere, or (c) a slot
-  // frees anywhere after the deadline moved it to the relaxed queue.
-  struct PendingMap {
-    size_t preferred = 0;
-    std::unique_ptr<sim::Event> assigned;
-    size_t node = 0;
-    bool done = false;
-  };
+  struct Wave;
 
   // Scheduling state of one logical task: its attempts plus the
   // committed winner's results.
   struct TaskState {
-    TaskState(int i, const InputSplit* s) : index(i), split(s) {}
+    TaskState(Wave* w, int i, const InputSplit* s)
+        : wave(w), index(i), split(s) {}
 
+    Wave* wave;
     int index;                 // split index or reduce partition
     const InputSplit* split;   // maps only
-    size_t preferred = 0;      // set once, by the primary driver
+    size_t preferred = 0;      // set once, when the wave starts
+    // Queued for a slot. A map in both its node's queue and relaxed_
+    // leaves a stale entry in one, skipped on pop, purged at wave end.
+    bool waiting = false;
     AttemptSet attempts;
     MapOutput map_output;
     std::vector<Record> reduce_output;
@@ -95,49 +96,56 @@ class JobTracker {
     sim::Channel<Status> outcomes;
     sim::WaitGroup workers;
     bool done = false;
+    // Cleared when the wave ends, for a locality deadline firing later.
+    std::shared_ptr<bool> live = std::make_shared<bool>(true);
+  };
+
+  // Per node: free slots and waiting tasks, oldest first. A free slot
+  // implies an empty queue.
+  struct SlotTable {
+    std::vector<int> free;
+    std::vector<std::deque<TaskState*>> waiting;
   };
 
   // Runs the wave's tasks (plus the speculation monitor) to completion;
   // returns the first failed task's status.
   sim::Task<Status> RunWave(Wave* wave);
 
-  // Primary driver: owns the slot, runs the sequential retry chain, and
-  // reports the task's single outcome.
-  sim::Task<> RunPrimary(Wave* wave, TaskState* task);
+  // Primary driver, spawned once the task holds a slot on `node`: runs
+  // the sequential retry chain, returns the slot, and reports the task's
+  // single outcome.
+  sim::Task<> RunPrimary(Wave* wave, TaskState* task, size_t node);
 
   // Backup driver: runs one speculative attempt on a slot the monitor
-  // already reserved, commits if it wins, and stays silent otherwise.
+  // already took, commits if it wins, and stays silent otherwise.
   sim::Task<> RunBackup(Wave* wave, TaskState* task, size_t node);
 
   // The straggler watcher for one wave: every check_period, compares each
   // open task's best progress against the wave median and launches a
-  // backup on a free slot on a node no live attempt of the task occupies.
+  // backup on a free slot on a node no live attempt of the task occupies
+  // (it never waits in a slot queue).
   sim::Task<> SpeculationLoop(Wave* wave);
 
-  // The only code that knows the task kind: where a task prefers to run,
-  // how its slots are taken and returned, and which task class runs an
-  // attempt.
+  // A map wave's locality deadline: its maps all queue in the instant the
+  // wave starts, so one deadline serves them all.
+  sim::Task<> RelaxLocality(std::shared_ptr<bool> live, Wave* wave);
+
   size_t PreferredNode(const Wave& wave, const TaskState& task);
-  sim::Task<size_t> AcquireSlot(const Wave* wave, const TaskState* task);
+  SlotTable& slots(TaskKind kind) { return slots_[static_cast<int>(kind)]; }
+  // Takes a free slot on `node` for `task` and spawns its primary driver.
+  void Dispatch(TaskState* task, size_t node);
+  // Dispatches the oldest waiting task in `queue`, if any, to `node`.
+  bool DispatchOldest(std::deque<TaskState*>* queue, size_t node);
   void ReleaseSlot(TaskKind kind, size_t node);
-  // Synchronously grabs a slot for a backup attempt (the monitor must not
-  // wait in a slot queue); false when the node has no free slot.
-  bool TryReserveBackupSlot(TaskKind kind, size_t node);
   // Runs `attempt` and, if it is the first to commit, moves its output
   // and stats into `task`. Returns the attempt's status.
   sim::Task<Status> RunAttempt(Wave* wave, TaskState* task,
                                TaskAttempt* attempt);
 
-  // Delay scheduling's hand-offs.
-  void AssignMap(PendingMap* task, size_t node);
-  sim::Task<> DeadlineWake(std::shared_ptr<PendingMap> task);
-
   sponge::SpongeEnv* env_;
   cluster::Dfs* dfs_;
-  std::vector<int> free_map_slots_;
-  std::vector<std::deque<std::shared_ptr<PendingMap>>> pending_local_;
-  std::deque<std::shared_ptr<PendingMap>> relaxed_;
-  std::vector<std::unique_ptr<sim::Semaphore>> reduce_slots_;
+  SlotTable slots_[2];  // by TaskKind
+  std::deque<TaskState*> relaxed_;  // maps past their locality wait
   size_t next_map_node_ = 0;
 };
 

@@ -107,7 +107,6 @@ class AttemptSet {
   void KillAll();
 
   bool committed() const { return winner_ != nullptr; }
-  const TaskAttempt* winner() const { return winner_; }
   int launched() const { return static_cast<int>(attempts_.size()); }
   int backups() const { return backups_; }
   // The primary driver's sequential-retry budget excludes backups.

@@ -20,20 +20,19 @@ size_t LocationOf(cluster::Dfs* dfs, const std::string& name) {
   return *dfs->BlockLocation(name, 0);
 }
 
-// One single-block DFS file per split, all on one node: the DFS places a
-// file by its name, so candidate names that land elsewhere are skipped.
-// The hot node then holds far more splits than it has slots.
+// One single-block DFS file per split, all on `node`: the DFS places a
+// file by its name, so candidate names (`prefix` plus a counter) that
+// land elsewhere are skipped. The node then holds more splits than it
+// has slots.
 class HotNodeInput : public InputFormat {
  public:
-  HotNodeInput(cluster::Dfs* dfs, size_t num_splits, uint64_t split_bytes)
+  HotNodeInput(cluster::Dfs* dfs, size_t node, size_t num_splits,
+               uint64_t split_bytes, const std::string& prefix = "hot")
       : split_bytes_(split_bytes) {
     for (int k = 0; names_.size() < num_splits; ++k) {
-      std::string name = "hot" + std::to_string(k);
+      std::string name = prefix + std::to_string(k);
       (void)dfs->CreateFile(name, split_bytes);
-      if (names_.empty() ||
-          LocationOf(dfs, name) == LocationOf(dfs, names_[0])) {
-        names_.push_back(name);
-      }
+      if (LocationOf(dfs, name) == node) names_.push_back(name);
     }
   }
 
@@ -72,13 +71,18 @@ struct SchedFixture {
     tracker = std::make_unique<JobTracker>(env.get(), dfs.get());
   }
 
+  // Submits a job; `out` holds its result once the engine has run it.
+  void Submit(JobConfig config, Result<JobResult>* out) {
+    auto run = [](JobTracker* jt, JobConfig jc,
+                  Result<JobResult>* result) -> sim::Task<> {
+      *result = co_await jt->Run(std::move(jc));
+    };
+    engine.Spawn(run(tracker.get(), std::move(config), out));
+  }
+
   Result<JobResult> RunJob(JobConfig config) {
     Result<JobResult> result = JobResult{};
-    auto run = [](JobTracker* jt, JobConfig jc,
-                  Result<JobResult>* out) -> sim::Task<> {
-      *out = co_await jt->Run(std::move(jc));
-    };
-    engine.Spawn(run(tracker.get(), std::move(config), &result));
+    Submit(std::move(config), &result);
     engine.Run();
     return result;
   }
@@ -140,8 +144,7 @@ TEST(DelaySchedulingTest, RelaxationSpreadsHotNodeWork) {
   // queue, then the relaxed queue puts 10 and 11 on node 1. Recorded
   // values: they pin the slot hand-off order, not just the totals.
   SchedFixture f;
-  HotNodeInput input(f.dfs.get(), 12, MiB(32));
-  ASSERT_EQ(LocationOf(f.dfs.get(), input.names_[0]), 0u);
+  HotNodeInput input(f.dfs.get(), 0, 12, MiB(32));
   JobConfig config;
   config.input = &input;
   config.locality_wait = Millis(500);
@@ -158,7 +161,7 @@ TEST(DelaySchedulingTest, RelaxationSpreadsHotNodeWork) {
 
 TEST(DelaySchedulingTest, StrictLocalityNeverMigrates) {
   SchedFixture f;
-  HotNodeInput input(f.dfs.get(), 12, MiB(32));
+  HotNodeInput input(f.dfs.get(), 0, 12, MiB(32));
   JobConfig config;
   config.input = &input;
   config.locality_wait = 0;  // disable relaxation
@@ -257,6 +260,84 @@ TEST(DelaySchedulingTest, PinnedReducesQueueForTheirNode) {
       {3, "p0"}, {3, "p3"}, {968, "p1"}, {1933, "p2"}};
   EXPECT_EQ(log, starts);
   EXPECT_EQ(result->runtime, 2590);
+}
+
+TEST(DelaySchedulingTest, WaitingMapsHoldNoFrame) {
+  // A map waiting for a slot is a queue entry, not a parked driver: while
+  // node 0's two slots run, the live detached frames do not grow with
+  // the number of maps queued behind them.
+  auto live_while_waiting = [](size_t maps) {
+    SchedFixture f;
+    HotNodeInput input(f.dfs.get(), 0, maps, MiB(32));
+    JobConfig config;
+    config.input = &input;
+    Result<JobResult> result = JobResult{};
+    f.Submit(std::move(config), &result);
+    f.engine.RunUntil(Millis(100));
+    size_t live = f.engine.detached_live();
+    f.engine.Run();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return live;
+  };
+  size_t few = live_while_waiting(4);
+  size_t many = live_while_waiting(64);
+  EXPECT_EQ(many, few);
+  // The two running drivers, the job itself and the wave's locality
+  // deadline.
+  EXPECT_EQ(many, 2u + 2u);
+}
+
+TEST(DelaySchedulingTest, EndedWavesLeaveNoQueueEntries) {
+  // Job "b" holds node 0's two map slots for ~10 s and queues a third
+  // map there, so its locality deadline (60 s) is still pending when the
+  // wave ends. Job "a" queues ten maps on node 0 behind it; at its 0.5 s
+  // deadline six take the free slots elsewhere and four sit in the
+  // relaxed queue. All of "a" then runs off node 0 and ends long before
+  // node 0 frees, leaving a stale entry per map in node 0's queue. The
+  // tracker must drop those when "a" ends, and "b"'s late deadline must
+  // find its wave gone; a third job then needs all eight slots back.
+  SchedFixture f;
+  HotNodeInput long_input(f.dfs.get(), 0, 3, MiB(32), "b");
+  HotNodeInput short_input(f.dfs.get(), 0, 10, MiB(8), "a");
+  JobConfig long_job;
+  long_job.name = "b";
+  long_job.input = &long_input;
+  long_job.locality_wait = Seconds(60);
+  long_job.map_scan_bandwidth = 3.2 * 1024 * 1024;  // 10 s per split
+  JobConfig short_job;
+  short_job.name = "a";
+  short_job.input = &short_input;
+  short_job.locality_wait = Millis(500);
+  Result<JobResult> long_result = JobResult{};
+  Result<JobResult> short_result = JobResult{};
+  f.Submit(std::move(long_job), &long_result);
+  f.Submit(std::move(short_job), &short_result);
+  f.engine.Run();
+  ASSERT_TRUE(long_result.ok()) << long_result.status().ToString();
+  ASSERT_TRUE(short_result.ok()) << short_result.status().ToString();
+  for (const TaskStats& stats : long_result->map_tasks) {
+    EXPECT_TRUE(stats.completed);
+    EXPECT_EQ(stats.node, 0u);
+  }
+  for (const TaskStats& stats : short_result->map_tasks) {
+    EXPECT_TRUE(stats.completed);
+    EXPECT_NE(stats.node, 0u);
+  }
+  EXPECT_LT(short_result->runtime, Seconds(10));
+
+  // Eight one-second maps, two per node: with every slot back they all
+  // run at once.
+  KeyedInput input(8);
+  JobConfig config;
+  config.input = &input;
+  config.locality_wait = 0;
+  config.map_cpu_per_record = Seconds(1);
+  auto result = f.RunJob(std::move(config));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const TaskStats& stats : result->map_tasks) {
+    EXPECT_TRUE(stats.completed);
+  }
+  EXPECT_LT(result->runtime, Seconds(1.5));
 }
 
 }  // namespace
