@@ -5,16 +5,25 @@
 #include <cstring>
 
 #include "common/checksum.h"
+#include "common/logging.h"
 
 namespace spongefiles {
 
 namespace {
 constexpr uint64_t kMergeLiteralThreshold = 64 * 1024;
-// Capacity reserved for a fresh literal buffer, so the next few record
-// headers can be packed into it (see AppendLiteral). 512 bytes holds
-// several headers and keeps peak RSS flat; larger reservations raised it.
-constexpr uint64_t kLiteralBufferReserve = 512;
+// Run offsets and lengths, and buffer sizes, are 32-bit.
+constexpr uint64_t kMaxLiteral = UINT32_MAX;
 }  // namespace
+
+ByteRuns::BufferRef ByteRuns::BufferRef::Make(Slice data, uint64_t capacity) {
+  assert(data.size() <= capacity && capacity <= kMaxLiteral);
+  BufferRef ref;
+  ref.buffer_ = new (::operator new(sizeof(Buffer) + capacity))
+      Buffer{1, static_cast<uint32_t>(data.size()),
+             static_cast<uint32_t>(capacity)};
+  std::memcpy(ref.buffer_->bytes(), data.data(), data.size());
+  return ref;
+}
 
 ByteRuns::ByteRuns(const ByteRuns& other)
     : runs_(other.runs_),
@@ -33,47 +42,67 @@ ByteRuns& ByteRuns::operator=(const ByteRuns& other) {
 
 void ByteRuns::AppendLiteral(Slice data) {
   if (data.empty()) return;
+  SPONGE_CHECK(data.size() <= kMaxLiteral)
+      << "literal of " << data.size() << " bytes";
   InvalidateChecksum();
   size_ += data.size();
   physical_size_ += data.size();
   // Small appends share the last run's buffer when that run's literal
-  // bytes end exactly at the buffer's end. Growing a buffer is safe even
-  // while shared: the new bytes lie beyond every existing view, and views
-  // address by offset, so a reallocation moves no one's range. If another
-  // handle extended the buffer first, the run no longer ends there and the
-  // bytes get a fresh buffer instead.
+  // bytes end exactly at the buffer's size. Writing past the size is safe
+  // even while shared: the new bytes lie beyond every existing view. If
+  // another handle wrote there first, the run no longer ends at the size
+  // and the bytes get a fresh buffer instead.
   if (!runs_.empty() && runs_.back().length > 0 &&
       runs_.back().offset + runs_.back().length ==
-          runs_.back().buffer->size()) {
+          runs_.back().buffer->size) {
     Run& last = runs_.back();
     Buffer& buffer = *last.buffer;
+    const bool fits = buffer.capacity - buffer.size >= data.size();
     if (last.zeros == 0) {
       // A literal directly after another extends it, keeping the run list
       // short when callers write record-at-a-time.
       if (last.length < kMergeLiteralThreshold) {
-        buffer.insert(buffer.end(), data.data(), data.data() + data.size());
-        last.length += data.size();
+        if (fits) {
+          std::memcpy(buffer.bytes() + buffer.size, data.data(), data.size());
+          buffer.size += static_cast<uint32_t>(data.size());
+        } else {
+          // A buffer never reallocates: the run's bytes (under the merge
+          // threshold) move to a fresh buffer that grows geometrically.
+          const uint64_t length = last.length + data.size();
+          SPONGE_CHECK(length <= kMaxLiteral)
+              << "literal run of " << length << " bytes";
+          const uint64_t grown =
+              last.length + std::max<uint64_t>(last.length, data.size());
+          BufferRef moved = BufferRef::Make(
+              Slice(last.data(), last.length),
+              std::min(kMaxLiteral, std::max(grown, kLiteralCapacity)));
+          std::memcpy(moved->bytes() + last.length, data.data(), data.size());
+          moved->size = static_cast<uint32_t>(length);
+          last.buffer = std::move(moved);
+          last.offset = 0;
+        }
+        last.length += static_cast<uint32_t>(data.size());
         return;
       }
-    } else if (buffer.capacity() - buffer.size() >= data.size()) {
+    } else if (fits) {
       // Header packing: the next record's header after the previous
       // record's filler starts a run of its own, but in the same buffer
-      // while it has spare capacity (no reallocation). Copy-on-write stays
-      // per run: MutableRun copies only the mutated run's own view.
+      // while it has spare capacity. Copy-on-write stays per run:
+      // MutableRun copies only the mutated run's own view.
       Run run;
       run.buffer = last.buffer;
-      run.offset = buffer.size();
-      run.length = data.size();
-      buffer.insert(buffer.end(), data.data(), data.data() + data.size());
+      run.offset = buffer.size;
+      run.length = static_cast<uint32_t>(data.size());
+      std::memcpy(buffer.bytes() + buffer.size, data.data(), data.size());
+      buffer.size += run.length;
       runs_.push_back(std::move(run));
       return;
     }
   }
   Run run;
-  run.length = data.size();
-  run.buffer = std::make_shared<Buffer>();
-  run.buffer->reserve(std::max<uint64_t>(data.size(), kLiteralBufferReserve));
-  run.buffer->assign(data.data(), data.data() + data.size());
+  run.length = static_cast<uint32_t>(data.size());
+  run.buffer =
+      BufferRef::Make(data, std::max<uint64_t>(data.size(), kLiteralCapacity));
   runs_.push_back(std::move(run));
 }
 
@@ -166,8 +195,8 @@ ByteRuns::Run ByteRuns::Piece(const Run& run, uint64_t from, uint64_t n) {
   Run piece;
   if (from < run.length) {
     piece.buffer = run.buffer;
-    piece.offset = run.offset + from;
-    piece.length = std::min(n, run.length - from);
+    piece.offset = run.offset + static_cast<uint32_t>(from);
+    piece.length = static_cast<uint32_t>(std::min(n, run.length - from));
   }
   piece.zeros = n - piece.length;
   return piece;
@@ -303,12 +332,11 @@ ByteRuns ByteRuns::SubRange(uint64_t offset, uint64_t n) const {
 ByteRuns::Run& ByteRuns::MutableRun(size_t i) {
   Run& run = runs_[i];
   assert(run.length > 0);
-  // use_count() == 1 means this run holds the only reference anywhere (any
-  // other run — in this handle or another — would hold its own shared_ptr),
-  // so in-place mutation cannot be observed elsewhere.
-  if (run.buffer.use_count() != 1) {
-    run.buffer = std::make_shared<Buffer>(run.data(),
-                                          run.data() + run.length);
+  // One reference means this run holds the only reference anywhere (any
+  // other run — in this handle or another — would hold its own), so
+  // in-place mutation cannot be observed elsewhere.
+  if (run.buffer->refs != 1) {
+    run.buffer = BufferRef::Make(Slice(run.data(), run.length), run.length);
     run.offset = 0;
   }
   return run;
@@ -347,7 +375,8 @@ void ByteRuns::CorruptByte(uint64_t offset) {
   Run& run = runs_[i];
   uint64_t before = in_run - run.length;
   Run flip;
-  flip.buffer = std::make_shared<Buffer>(1, 0xFF);
+  const uint8_t flipped = 0xFF;
+  flip.buffer = BufferRef::Make(Slice(&flipped, 1), 1);
   flip.length = 1;
   flip.zeros = run.zeros - before - 1;
   run.zeros = before;

@@ -2,7 +2,8 @@
 #define SPONGEFILES_COMMON_BYTE_RUNS_H_
 
 #include <cstdint>
-#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/slice.h"
@@ -35,8 +36,9 @@ namespace spongefiles {
 // Ownership rules (see DESIGN.md "Performance engineering"):
 //  * a buffer's existing bytes are immutable while more than one run
 //    references the buffer; in-place mutation requires sole ownership,
-//  * a buffer may *grow* at the end even while shared (appended bytes are
-//    beyond every existing run's view, so no observable range changes),
+//  * a buffer never reallocates. Bytes may be written past its size, into
+//    its spare capacity, even while shared: they lie beyond every existing
+//    run's view. A literal that does not fit gets a fresh buffer,
 //  * physical_size() counts the literal bytes this handle references;
 //    buffers shared between handles are counted once per handle.
 class ByteRuns {
@@ -142,9 +144,7 @@ class ByteRuns {
 
     // The `n` bytes at the cursor in place (n <= available()) when they
     // lie within one run's literal bytes, else nullptr (use Peek). The
-    // pointer is
-    // valid only until the next append to any handle sharing the buffer,
-    // which may reallocate it.
+    // pointer is valid until the underlying ByteRuns is next mutated.
     const uint8_t* View(uint64_t n) const;
 
     // Consumes `n` bytes (n <= available()).
@@ -165,24 +165,70 @@ class ByteRuns {
  private:
   friend struct ByteRunsTestPeer;  // inspects buffer sharing in tests
 
-  using Buffer = std::vector<uint8_t>;
-  using BufferRef = std::shared_ptr<Buffer>;
+  // One literal buffer: this header, then `capacity` bytes in the same
+  // allocation. Bytes [0, size) are written; a buffer never reallocates.
+  struct Buffer {
+    uint32_t refs;
+    uint32_t size;
+    uint32_t capacity;
+
+    uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
+  };
+  // Capacity of a fresh literal buffer, so the next few record headers
+  // can be packed into it (see AppendLiteral). With the header that makes
+  // 520 bytes, glibc's 528-byte chunk: the size class the 512-byte
+  // reservation of a vector-backed buffer used. It holds several headers
+  // and keeps peak RSS flat; larger reservations raised it.
+  static constexpr uint64_t kLiteralCapacity = 520 - sizeof(Buffer);
+
+  // Owning handle to a Buffer: one pointer, an intrusive reference count.
+  // The count is a plain integer because the simulator runs on one thread.
+  class BufferRef {
+   public:
+    BufferRef() = default;
+    // A fresh buffer of `capacity` bytes (>= data.size()) holding `data`.
+    static BufferRef Make(Slice data, uint64_t capacity);
+
+    BufferRef(const BufferRef& other) noexcept : buffer_(other.buffer_) {
+      if (buffer_ != nullptr) ++buffer_->refs;
+    }
+    BufferRef(BufferRef&& other) noexcept : buffer_(other.buffer_) {
+      other.buffer_ = nullptr;
+    }
+    BufferRef& operator=(BufferRef other) noexcept {
+      std::swap(buffer_, other.buffer_);
+      return *this;
+    }
+    ~BufferRef() {
+      if (buffer_ != nullptr && --buffer_->refs == 0) {
+        ::operator delete(buffer_);
+      }
+    }
+
+    Buffer* get() const { return buffer_; }
+    Buffer* operator->() const { return buffer_; }
+    Buffer& operator*() const { return *buffer_; }
+
+   private:
+    Buffer* buffer_ = nullptr;
+  };
 
   struct Run {
     // Literal bytes [offset, offset + length) of the shared `buffer`, then
     // `zeros` logical zero bytes. `buffer` is null exactly when length is
     // 0; length + zeros is never 0.
     BufferRef buffer;
-    uint64_t offset = 0;
-    uint64_t length = 0;
+    uint32_t offset = 0;
+    uint32_t length = 0;
     uint64_t zeros = 0;
 
     uint64_t size() const { return length + zeros; }
-    const uint8_t* data() const { return buffer->data() + offset; }
-    uint8_t* mutable_data() { return buffer->data() + offset; }
+    const uint8_t* data() const { return buffer->bytes() + offset; }
+    uint8_t* mutable_data() { return buffer->bytes() + offset; }
     // Copies `n` logical bytes starting at `from` into `out`.
     void CopyOut(uint64_t from, uint64_t n, uint8_t* out) const;
   };
+  static_assert(sizeof(Run) == 24, "a spilled record is one Run");
 
   // Logical bytes [from, from + n) of `run` as a run of their own, sharing
   // its buffer when they include literal bytes (n > 0, from + n <=

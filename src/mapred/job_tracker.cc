@@ -44,11 +44,24 @@ void JobTracker::Dispatch(TaskState* task, size_t node) {
   env_->engine()->Spawn(RunPrimary(task->wave, task, node));
 }
 
+void JobTracker::FinishCancelled(TaskState* task, size_t node) {
+  task->waiting = false;
+  task->stats.node = node;
+  task->stats.data_local = node == task->preferred;
+  task->stats.completed = false;
+  task->wave->outcomes.Push(Status::OK());
+  task->wave->workers.Done();
+}
+
 bool JobTracker::DispatchOldest(std::deque<TaskState*>* queue, size_t node) {
   while (!queue->empty()) {
     TaskState* task = queue->front();
     queue->pop_front();
     if (!task->waiting) continue;  // dispatched from its other queue
+    if (task->wave->config->cancelled()) {
+      FinishCancelled(task, node);  // the slot stays free for the next
+      continue;
+    }
     Dispatch(task, node);
     return true;
   }
@@ -70,11 +83,14 @@ sim::Task<> JobTracker::RelaxLocality(std::shared_ptr<bool> live,
   // Each map still waiting takes the lowest free node's slot or joins
   // relaxed_. Dispatch only takes slots: the first free node never falls.
   const std::vector<int>& free = slots(TaskKind::kMap).free;
+  const bool cancelled = wave->config->cancelled();
   size_t node = 0;
   for (TaskState& task : wave->tasks) {
     if (!task.waiting) continue;
     while (node < free.size() && free[node] <= 0) ++node;
-    if (node < free.size()) {
+    if (node < free.size() && cancelled) {
+      FinishCancelled(&task, node);
+    } else if (node < free.size()) {
       Dispatch(&task, node);
     } else {
       relaxed_.push_back(&task);

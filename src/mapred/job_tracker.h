@@ -32,6 +32,8 @@ namespace spongefiles::mapred {
 // tasks. A waiting task is only a queue entry (a map past its locality
 // wait also in relaxed_) and gets its driver with its slot. A freed slot
 // goes to the node's oldest waiter, then (maps only) the oldest relaxed.
+// A waiter whose job was cancelled reports where it is handed a slot and
+// leaves the slot to the next.
 //
 // Execution is attempt-based: every run of a logical task is a TaskAttempt
 // with its own registry id, spill namespace, and result sink. Maps and
@@ -134,7 +136,12 @@ class JobTracker {
   SlotTable& slots(TaskKind kind) { return slots_[static_cast<int>(kind)]; }
   // Takes a free slot on `node` for `task` and spawns its primary driver.
   void Dispatch(TaskState* task, size_t node);
-  // Dispatches the oldest waiting task in `queue`, if any, to `node`.
+  // Reports a waiting task of a cancelled job as RunPrimary would before
+  // its first attempt, at the `node` whose slot it was handed, without
+  // taking that slot or spawning a driver.
+  void FinishCancelled(TaskState* task, size_t node);
+  // Dispatches the oldest waiting task in `queue`, if any, to `node`;
+  // waiting tasks of cancelled jobs ahead of it finish on the way.
   bool DispatchOldest(std::deque<TaskState*>* queue, size_t node);
   void ReleaseSlot(TaskKind kind, size_t node);
   // Runs `attempt` and, if it is the first to commit, moves its output

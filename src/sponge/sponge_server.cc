@@ -80,9 +80,10 @@ sim::Task<Result<ChunkHandle>> SpongeServer::RemoteAllocate(size_t from,
   // pays the return trip.
   co_await network_->Transfer(from, node_id_, kRpcMessageBytes);
   co_await FaultPoint();
-  Result<ChunkHandle> handle = Unavailable("sponge server down");
+  Result<ChunkHandle> handle =
+      alive_ ? pool_->Allocate(owner, bytes)
+             : Result<ChunkHandle>(Unavailable("sponge server down"));
   if (alive_) {
-    handle = pool_->Allocate(owner, bytes);
     if (handle.ok()) {
       ++remote_allocations_;
     } else {

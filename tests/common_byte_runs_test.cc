@@ -18,7 +18,7 @@ struct ByteRunsTestPeer {
   static size_t BufferCount(const ByteRuns& runs) {
     std::set<const ByteRuns::Buffer*> buffers;
     for (const ByteRuns::Run& run : runs.runs_) {
-      if (run.buffer != nullptr) buffers.insert(run.buffer.get());
+      if (run.buffer.get() != nullptr) buffers.insert(run.buffer.get());
     }
     return buffers.size();
   }
@@ -31,9 +31,22 @@ struct ByteRunsTestPeer {
     return std::all_of(runs.runs_.begin(), runs.runs_.end(),
                        [](const ByteRuns::Run& run) {
                          return run.size() > 0 &&
-                                (run.buffer != nullptr) == (run.length > 0);
+                                (run.buffer.get() != nullptr) ==
+                                    (run.length > 0);
                        });
   }
+
+  // References held on the buffer of run `i` (which has literal bytes).
+  static uint32_t Refs(const ByteRuns& runs, size_t i) {
+    return runs.runs_[i].buffer->refs;
+  }
+
+  static bool SameBuffer(const ByteRuns& a, size_t i, const ByteRuns& b,
+                         size_t j) {
+    return a.runs_[i].buffer.get() == b.runs_[j].buffer.get();
+  }
+
+  static constexpr uint64_t kLiteralCapacity = ByteRuns::kLiteralCapacity;
 };
 
 namespace {
@@ -390,8 +403,9 @@ TEST(ByteRunsCowTest, SelfAppendDoublesContent) {
 }
 
 TEST(ByteRunsCowTest, AppendAfterCopyGrowsOnlyOneHandle) {
-  // AppendLiteral may grow a still-shared buffer in place; the appended
-  // bytes are beyond the copy's view, so the copy must not see them.
+  // AppendLiteral may write into a still-shared buffer's spare capacity;
+  // the appended bytes are beyond the copy's view, so the copy must not
+  // see them.
   ByteRuns a;
   a.AppendLiteral(Slice(std::string_view("base")));
   ByteRuns b = a;
@@ -399,6 +413,41 @@ TEST(ByteRunsCowTest, AppendAfterCopyGrowsOnlyOneHandle) {
   b.AppendLiteral(Slice(std::string_view("-other")));
   EXPECT_EQ(AsString(a), "base-more");
   EXPECT_EQ(AsString(b), "base-other");
+}
+
+// A buffer never reallocates: extending a literal past a shared buffer's
+// capacity moves the extender's run to a fresh buffer, and the handle
+// still holding the full one keeps its bytes and its digest.
+TEST(ByteRunsCowTest, ExtendingPastASharedFullBufferMovesOnlyTheExtender) {
+  const std::string full = MakeData(ByteRunsTestPeer::kLiteralCapacity, 31);
+  ByteRuns a;
+  a.AppendLiteral(Slice(full));
+  ByteRuns b = a;
+  ASSERT_TRUE(ByteRunsTestPeer::SameBuffer(a, 0, b, 0));
+  ASSERT_EQ(ByteRunsTestPeer::Refs(b, 0), 2u);
+  const uint64_t digest = b.Checksum64();
+
+  const std::string more = MakeData(100, 32);
+  a.AppendLiteral(Slice(more));
+  EXPECT_EQ(RunCount(a), 1u);
+  EXPECT_FALSE(ByteRunsTestPeer::SameBuffer(a, 0, b, 0));
+  EXPECT_EQ(ByteRunsTestPeer::Refs(a, 0), 1u);
+  EXPECT_EQ(ByteRunsTestPeer::Refs(b, 0), 1u);
+  EXPECT_EQ(AsString(a), full + more);
+  EXPECT_EQ(a.physical_size(), full.size() + more.size());
+  EXPECT_EQ(a.Checksum64(), Checksum::Of(Slice(full + more)));
+  EXPECT_EQ(AsString(b), full);
+  EXPECT_EQ(b.Checksum64(), digest);
+  EXPECT_EQ(b.Checksum64(), Checksum::Of(Slice(full)));
+
+  // The moved run has spare capacity: the next small literal extends it in
+  // place, and the other handle can still extend its own view.
+  a.AppendLiteral(Slice(std::string("tail")));
+  b.AppendLiteral(Slice(std::string("other")));
+  EXPECT_EQ(AsString(a), full + more + "tail");
+  EXPECT_EQ(AsString(b), full + "other");
+  EXPECT_TRUE(WellFormed(a));
+  EXPECT_TRUE(WellFormed(b));
 }
 
 TEST(ByteRunsCowTest, PhysicalSizeCountsPerHandleViews) {
@@ -556,12 +605,12 @@ TEST(ByteRunsTailTest, RecordStreamHoldsOneRunPerRecord) {
   EXPECT_EQ(RunCount(s.runs), static_cast<size_t>(kRecords));
   EXPECT_TRUE(WellFormed(s.runs));
   EXPECT_EQ(AsString(s.runs), s.bytes);
-  // Header packing fills each fresh 512-byte buffer before starting the
-  // next, exactly as when header and filler were separate runs.
+  // Header packing fills each fresh buffer before starting the next,
+  // exactly as when header and filler were separate runs.
   size_t buffers = 0;
   uint64_t used = 0;
   for (uint64_t length : s.lengths) {
-    if (buffers == 0 || used + length > 512) {
+    if (buffers == 0 || used + length > ByteRunsTestPeer::kLiteralCapacity) {
       ++buffers;
       used = 0;
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,17 @@ namespace spongefiles {
 
 struct ByteRunsTestPeer {
   static size_t RunCount(const ByteRuns& runs) { return runs.runs_.size(); }
+  static size_t RunCapacity(const ByteRuns& runs) {
+    return runs.runs_.capacity();
+  }
+  // Distinct literal buffers the handle's runs reference.
+  static size_t BufferCount(const ByteRuns& runs) {
+    std::set<const ByteRuns::Buffer*> buffers;
+    for (const ByteRuns::Run& run : runs.runs_) {
+      if (run.buffer.get() != nullptr) buffers.insert(run.buffer.get());
+    }
+    return buffers.size();
+  }
 };
 
 namespace mapred {
@@ -134,6 +146,41 @@ TEST(RecordSerdeTest, EachSerializedRecordIsOneRun) {
     EXPECT_EQ(out, in[i]);
   }
   EXPECT_FALSE(parser.Next(&out));
+}
+
+// A literal buffer is one allocation, header and bytes together: a spill
+// stream of web rows costs one allocation per buffer plus the growth of
+// its run vector, and nothing per record.
+TEST(RecordSerdeTest, SerializingWebRowsAllocatesOncePerLiteralBuffer) {
+  constexpr int kRecords = 1000;
+  std::vector<Record> rows(kRecords);
+  Rng rng(2014);
+  for (Record& row : rows) {
+    std::string domain = "domain" + std::to_string(rng.Uniform(100)) + ".com";
+    row.key = domain;
+    row.number = rng.NextDouble();
+    row.fields = {Symbol(domain), Symbol(rng.Uniform(10) == 0 ? "french"
+                                                              : "english")};
+    for (int t = 0; t < 6; ++t) {
+      row.fields.emplace_back("term" + std::to_string(rng.Uniform(20000)));
+    }
+    row.size = 10 * 1024;
+  }
+  ByteRuns wire;
+  size_t growths = 0;
+  {
+    alloc_counter::Scope count;
+    for (const Record& row : rows) {
+      size_t capacity = ByteRunsTestPeer::RunCapacity(wire);
+      SerializeRecord(row, &wire);
+      if (ByteRunsTestPeer::RunCapacity(wire) != capacity) ++growths;
+    }
+  }
+  EXPECT_EQ(ByteRunsTestPeer::RunCount(wire), static_cast<size_t>(kRecords));
+  const size_t buffers = ByteRunsTestPeer::BufferCount(wire);
+  EXPECT_GT(buffers, 1u);
+  EXPECT_LT(buffers, static_cast<size_t>(kRecords));
+  EXPECT_EQ(alloc_counter::allocations, buffers + growths);
 }
 
 TEST(RecordSerdeTest, NumberPrecisionPreserved) {

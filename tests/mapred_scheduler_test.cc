@@ -287,6 +287,41 @@ TEST(DelaySchedulingTest, WaitingMapsHoldNoFrame) {
   EXPECT_EQ(many, 2u + 2u);
 }
 
+TEST(DelaySchedulingTest, CancelledWaitersFinishWithoutADriver) {
+  // Maps queued behind node 0's two slots when their job is cancelled
+  // report where a freed slot finds them, without a driver each: the
+  // engine events after the cancel do not grow with the number queued.
+  auto events_after_cancel = [](size_t maps) {
+    SchedFixture f;
+    HotNodeInput input(f.dfs.get(), 0, maps, MiB(32));
+    JobConfig config;
+    config.input = &input;
+    config.locality_wait = 0;
+    config.cancel = std::make_shared<bool>(false);
+    std::shared_ptr<bool> cancel = config.cancel;
+    Result<JobResult> result = JobResult{};
+    f.Submit(std::move(config), &result);
+    f.engine.RunUntil(Millis(100));
+    *cancel = true;
+    const uint64_t before = f.engine.events_processed();
+    f.engine.Run();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return uint64_t{0};
+    EXPECT_EQ(result->map_tasks.size(), maps);
+    size_t unfinished = 0;
+    for (const TaskStats& stats : result->map_tasks) {
+      EXPECT_EQ(stats.node, 0u);
+      EXPECT_TRUE(stats.data_local);
+      if (!stats.completed) ++unfinished;
+    }
+    EXPECT_GE(unfinished, maps - 2);
+    return f.engine.events_processed() - before;
+  };
+  const uint64_t few = events_after_cancel(4);
+  EXPECT_GT(few, 0u);
+  EXPECT_EQ(events_after_cancel(64), few);
+}
+
 TEST(DelaySchedulingTest, EndedWavesLeaveNoQueueEntries) {
   // Job "b" holds node 0's two map slots for ~10 s and queues a third
   // map there, so its locality deadline (60 s) is still pending when the
