@@ -168,9 +168,9 @@ class ByteRuns {
   // One literal buffer: this header, then `capacity` bytes in the same
   // allocation. Bytes [0, size) are written; a buffer never reallocates.
   struct Buffer {
-    uint32_t refs;
-    uint32_t size;
-    uint32_t capacity;
+    uint32_t refs = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
 
     uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
   };
