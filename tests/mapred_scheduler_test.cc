@@ -322,6 +322,52 @@ TEST(DelaySchedulingTest, CancelledWaitersFinishWithoutADriver) {
   EXPECT_EQ(events_after_cancel(64), few);
 }
 
+TEST(DelaySchedulingTest, CancelledWaitersFinishAtTheLocalityDeadline) {
+  // The job is cancelled in the instant its locality deadline fires
+  // (the canceller was scheduled first), while node 0's two maps still
+  // run. The deadline hands each waiting map the lowest free slot, node
+  // 1's, where it reports without a driver, so every one of them ends
+  // there and the events from then on do not grow with the number queued.
+  auto events_after_cancel = [](size_t maps) {
+    SchedFixture f;
+    HotNodeInput input(f.dfs.get(), 0, maps, MiB(32));
+    JobConfig config;
+    config.input = &input;
+    config.locality_wait = Seconds(1);
+    config.map_scan_bandwidth = 3.2 * 1024 * 1024;  // 10 s per split
+    config.cancel = std::make_shared<bool>(false);
+    auto canceller = [](std::shared_ptr<bool> flag) -> sim::Task<> {
+      *flag = true;
+      co_return;
+    };
+    f.engine.SpawnAt(Seconds(1), canceller(config.cancel));
+    Result<JobResult> result = JobResult{};
+    f.Submit(std::move(config), &result);
+    f.engine.RunUntil(Seconds(1) - 1);
+    const uint64_t before = f.engine.events_processed();
+    f.engine.Run();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return uint64_t{0};
+    EXPECT_EQ(result->map_tasks.size(), maps);
+    size_t relaxed = 0;
+    for (const TaskStats& stats : result->map_tasks) {
+      EXPECT_FALSE(stats.completed);
+      if (stats.node == 0) {
+        EXPECT_TRUE(stats.data_local);
+      } else {
+        EXPECT_EQ(stats.node, 1u);
+        EXPECT_FALSE(stats.data_local);
+        ++relaxed;
+      }
+    }
+    EXPECT_EQ(relaxed, maps - 2);
+    return f.engine.events_processed() - before;
+  };
+  const uint64_t few = events_after_cancel(4);
+  EXPECT_GT(few, 0u);
+  EXPECT_EQ(events_after_cancel(64), few);
+}
+
 TEST(DelaySchedulingTest, EndedWavesLeaveNoQueueEntries) {
   // Job "b" holds node 0's two map slots for ~10 s and queues a third
   // map there, so its locality deadline (60 s) is still pending when the
