@@ -176,9 +176,9 @@ class ByteRuns {
   };
   // Capacity of a fresh literal buffer, so the next few record headers
   // can be packed into it (see AppendLiteral). With the header that makes
-  // 520 bytes, glibc's 528-byte chunk: the size class the 512-byte
-  // reservation of a vector-backed buffer used. It holds several headers
-  // and keeps peak RSS flat; larger reservations raised it.
+  // a 520-byte request, which fills glibc's 528-byte chunk exactly. It
+  // holds several headers and keeps peak RSS flat; larger reservations
+  // raised it.
   static constexpr uint64_t kLiteralCapacity = 520 - sizeof(Buffer);
 
   // Owning handle to a Buffer: one pointer, an intrusive reference count.
