@@ -174,12 +174,11 @@ struct StragglerOutcome {
 // One median job under a fixed gray-failure schedule: the disk below the
 // first split's block runs 30x slow for the whole job (the classic
 // degraded-disk straggler), and short 1 s RPC-delay spikes sweep the
-// sponge servers while the reduce merges. `recover` turns on the two
-// recovery mechanisms this PR adds — speculative backup attempts and
-// hedged remote reads — while the baseline rides the hardened
-// deadline/retry/breaker path alone. The fault schedule is identical in
-// both configurations.
-StragglerOutcome RunStragglerJob(bool recover) {
+// sponge servers while the reduce merges. `speculate` turns on speculative
+// backup attempts; both configurations read remote chunks through the
+// hardened deadline/retry/breaker path, and the fault schedule is
+// identical in both.
+StragglerOutcome RunStragglerJob(bool speculate) {
   workload::TestbedConfig bed_config;
   bed_config.num_nodes = 8;
   bed_config.sponge_memory = MiB(64);
@@ -187,10 +186,6 @@ StragglerOutcome RunStragglerJob(bool recover) {
   // the slow disk instead of parking in write-back cache.
   bed_config.node_memory = GiB(4);
   bed_config.pinned_memory = MiB(400);
-  bed_config.sponge.rpc.hedge_reads = recover;
-  // Spikes below last 300 ms; a hedge fired at the 150 ms floor can land
-  // after the spike has cleared and win the race.
-  bed_config.sponge.rpc.hedge_min_delay = Millis(150);
   workload::Testbed bed(bed_config);
   workload::NumbersDatasetConfig data;
   data.count = 50001;
@@ -203,12 +198,9 @@ StragglerOutcome RunStragglerJob(bool recover) {
                                 Minutes(5));
   // RPC-delay spikes: every 977 ms, all sponge servers answer 1 s late
   // for a 120 ms window (think a fleet-wide GC pause or a periodic
-  // scraper). The window is shorter than the 150 ms hedge floor, so a
-  // hedged read caught by a spike fires its duplicate after the window
-  // has cleared and takes the fast copy (~150 ms); the hardened path
-  // instead burns the full 500 ms deadline plus a retry. The 977 ms
-  // period is co-prime with the simulation's 1 s rhythms so the windows
-  // actually intersect traffic.
+  // scraper). A read caught by a spike burns the full 500 ms deadline
+  // plus a retry. The 977 ms period is co-prime with the simulation's 1 s
+  // rhythms so the windows actually intersect traffic.
   for (int k = 0; k < 160; ++k) {
     for (size_t n = 0; n < bed_config.num_nodes; ++n) {
       injector.ScheduleRpcDelay(n, Millis(30000 + 977 * k), Seconds(1),
@@ -221,7 +213,7 @@ StragglerOutcome RunStragglerJob(bool recover) {
   // JobConfig::reduce_pins while at it).
   size_t reduce_node = (sick_node + 4) % bed_config.num_nodes;
   job.reduce_pins.push_back({0, reduce_node});
-  if (recover) {
+  if (speculate) {
     job.speculation.enabled = true;
     job.speculation.check_period = Millis(500);
     job.speculation.min_attempt_age = Seconds(2);
@@ -258,63 +250,52 @@ void StragglerExperiment() {
   obs::Counter* launched = registry.counter("mapred.speculation.launched");
   obs::Counter* won = registry.counter("mapred.speculation.won");
   obs::Counter* cancelled = registry.counter("mapred.speculation.cancelled");
-  obs::Counter* hedge_issued = registry.counter("sponge.read.hedge.issued");
-  obs::Counter* hedge_won = registry.counter("sponge.read.hedge.won");
   obs::Counter* timeouts = registry.counter("sponge.rpc.timeouts");
 
   uint64_t timeouts0 = timeouts->value();
-  StragglerOutcome baseline = RunStragglerJob(/*recover=*/false);
+  StragglerOutcome baseline = RunStragglerJob(/*speculate=*/false);
   uint64_t base_timeouts = timeouts->value() - timeouts0;
 
   uint64_t launched0 = launched->value();
   uint64_t won0 = won->value();
   uint64_t cancelled0 = cancelled->value();
-  uint64_t issued0 = hedge_issued->value();
-  uint64_t hwon0 = hedge_won->value();
   timeouts0 = timeouts->value();
-  StragglerOutcome recovered = RunStragglerJob(/*recover=*/true);
+  StragglerOutcome speculative = RunStragglerJob(/*speculate=*/true);
   uint64_t d_launched = launched->value() - launched0;
   uint64_t d_won = won->value() - won0;
   uint64_t d_cancelled = cancelled->value() - cancelled0;
-  uint64_t d_issued = hedge_issued->value() - issued0;
-  uint64_t d_hwon = hedge_won->value() - hwon0;
   uint64_t rec_timeouts = timeouts->value() - timeouts0;
 
-  if (baseline.runtime == 0 || recovered.runtime == 0) {
+  if (baseline.runtime == 0 || speculative.runtime == 0) {
     std::printf("  a run failed permanently; see above\n");
     return;
   }
-  double improvement = 1.0 - static_cast<double>(recovered.runtime) /
+  double improvement = 1.0 - static_cast<double>(speculative.runtime) /
                                  static_cast<double>(baseline.runtime);
   std::printf(
-      "  hardened baseline: %s (%llu rpc timeouts), speculation+hedging: "
-      "%s (%llu rpc timeouts)\n",
-      FormatDuration(baseline.runtime).c_str(),
+      "  hardened baseline: %.2f s (%llu rpc timeouts), speculation: "
+      "%.2f s (%llu rpc timeouts)\n",
+      ToSeconds(baseline.runtime),
       static_cast<unsigned long long>(base_timeouts),
-      FormatDuration(recovered.runtime).c_str(),
+      ToSeconds(speculative.runtime),
       static_cast<unsigned long long>(rec_timeouts));
   std::printf(
-      "  runtime improvement: %.0f%% (target >= 25%%): %s\n",
+      "  runtime improvement: %.1f%% (target >= 25%%): %s\n",
       improvement * 100.0, improvement >= 0.25 ? "MET" : "MISSED");
-  std::printf(
-      "  speculation: launched=%llu won=%llu cancelled=%llu; hedged "
-      "reads: issued=%llu won=%llu\n",
-      static_cast<unsigned long long>(d_launched),
-      static_cast<unsigned long long>(d_won),
-      static_cast<unsigned long long>(d_cancelled),
-      static_cast<unsigned long long>(d_issued),
-      static_cast<unsigned long long>(d_hwon));
-  bool identical = baseline.output == recovered.output &&
-                   baseline.correct && recovered.correct;
+  std::printf("  speculation: launched=%llu won=%llu cancelled=%llu\n",
+              static_cast<unsigned long long>(d_launched),
+              static_cast<unsigned long long>(d_won),
+              static_cast<unsigned long long>(d_cancelled));
+  bool identical = baseline.output == speculative.output &&
+                   baseline.correct && speculative.correct;
   std::printf(
       "  output byte-identical across configurations: %s (median %s); "
-      "leaked chunks after GC: baseline=%llu recovered=%llu\n",
-      identical ? "YES" : "NO", recovered.correct ? "EXACT" : "WRONG",
+      "leaked chunks after GC: baseline=%llu speculation=%llu\n",
+      identical ? "YES" : "NO", speculative.correct ? "EXACT" : "WRONG",
       static_cast<unsigned long long>(baseline.leaked_chunks),
-      static_cast<unsigned long long>(recovered.leaked_chunks));
+      static_cast<unsigned long long>(speculative.leaked_chunks));
   std::printf(
-      "  (the backup map escapes the 30x spill path and commits first; "
-      "hedged reads ride out the spikes without feeding the breaker)\n");
+      "  (the backup map escapes the 30x spill path and commits first)\n");
 }
 
 }  // namespace

@@ -260,7 +260,6 @@ ScenarioResult RunScenario(const Options& options, bool inject_crashes,
   cluster::Dfs dfs(&cluster);
   sponge::SpongeConfig sponge_config;
   sponge_config.allow_cross_rack = true;
-  sponge_config.rpc.hedge_reads = true;
   sponge_config.replication.enabled = replicate;
   // Generous headroom so the pressure gate never vetoes a replica: the
   // zero-re-runs gate below assumes every memory chunk got its spare copy.

@@ -159,7 +159,6 @@ workload::ChaosMedianRun RunChaosJob(uint64_t seed) {
   workload::TestbedConfig bed_config;
   bed_config.num_nodes = 8;
   bed_config.sponge_memory = MiB(64);
-  bed_config.sponge.rpc.hedge_reads = true;
   sponge::ChaosOptions chaos;
   chaos.start = Seconds(2);
   chaos.horizon = Seconds(90);

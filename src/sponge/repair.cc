@@ -14,6 +14,10 @@ namespace {
 // Re-replication budget, as a fraction of the rack uplink rate (the NIC
 // rate when the core is unmetered).
 constexpr double kRepairBandwidthFraction = 0.10;
+// Deadline on a repair's chunk write. No task waits on a repair, so a slow
+// target gets four times a foreground attempt's kRpcDeadline before the
+// copy is left to a later pass.
+constexpr Duration kRepairWriteDeadline = Seconds(2);
 
 struct RepairMetrics {
   obs::Counter* chunks;
@@ -161,7 +165,7 @@ sim::Task<> RepairService::RepairEntry(uint64_t chunk_id) {
   sim::Task<Status> write_op = env_->server(target).RemoteWrite(
       source.node, *slot, new_owner, std::move(data));
   Status stored = co_await CallWithDeadline<Status>(
-      env_->engine(), kHedgeDeadline, std::move(write_op));
+      env_->engine(), kRepairWriteDeadline, std::move(write_op));
   if (!stored.ok()) {
     active_time_ += env_->engine()->now() - started;
     co_return;

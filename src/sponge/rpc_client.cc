@@ -1,7 +1,5 @@
 #include "sponge/rpc_client.h"
 
-#include <string>
-
 #include "obs/metrics.h"
 
 namespace spongefiles::sponge {
@@ -26,18 +24,6 @@ void CountBackoff(Duration slept) {
   backoff_us->Increment(static_cast<uint64_t>(slept));
 }
 
-void CountHedgeIssued() {
-  static obs::Counter* const issued =
-      obs::Registry::Default().counter("sponge.read.hedge.issued");
-  issued->Increment();
-}
-
-void CountHedgeWon() {
-  static obs::Counter* const won =
-      obs::Registry::Default().counter("sponge.read.hedge.won");
-  won->Increment();
-}
-
 }  // namespace internal_rpc
 
 namespace {
@@ -47,10 +33,6 @@ namespace {
 // success closes the breaker, failure re-arms the cooldown.
 constexpr int kBreakerThreshold = 3;
 constexpr Duration kBreakerCooldown = Seconds(5);
-// A read is hedged after the server's kHedgeQuantile read latency, once
-// the server has kHedgeMinSamples recorded reads.
-constexpr double kHedgeQuantile = 0.95;
-constexpr uint64_t kHedgeMinSamples = 8;
 
 obs::Counter* BreakerCounter(const char* event) {
   static obs::Registry& registry = obs::Registry::Default();
@@ -110,31 +92,6 @@ void HealthBoard::RecordFailure(size_t node) {
 bool HealthBoard::IsOpen(size_t node) const {
   if (node >= health_.size()) return false;
   return health_[node].open;
-}
-
-obs::Histogram* HealthBoard::LatencyFor(size_t node) const {
-  if (node >= read_latency_.size()) read_latency_.resize(node + 1, nullptr);
-  if (read_latency_[node] == nullptr) {
-    read_latency_[node] = obs::Registry::Default().histogram(
-        "sponge.read.latency", {{"node", std::to_string(node)}});
-  }
-  return read_latency_[node];
-}
-
-void HealthBoard::RecordReadLatency(size_t node, Duration latency) {
-  if (latency < 0) latency = 0;
-  LatencyFor(node)->Record(static_cast<uint64_t>(latency));
-}
-
-Duration HealthBoard::HedgeDelay(size_t node) const {
-  obs::Histogram* latency = LatencyFor(node);
-  Duration delay = hedge_min_delay_;
-  if (latency->count() >= kHedgeMinSamples) {
-    auto tail =
-        static_cast<Duration>(latency->Quantile(kHedgeQuantile));
-    if (tail > delay) delay = tail;
-  }
-  return delay;
 }
 
 }  // namespace spongefiles::sponge

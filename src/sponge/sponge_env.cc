@@ -20,7 +20,7 @@ SpongeEnv::SpongeEnv(cluster::Cluster* cluster, cluster::Dfs* dfs,
     : cluster_(cluster),
       dfs_(dfs),
       config_(config),
-      health_(cluster->engine(), config.rpc.hedge_min_delay),
+      health_(cluster->engine()),
       rpc_rng_(kRpcJitterSeed) {
   servers_.reserve(cluster->size());
   for (size_t i = 0; i < cluster->size(); ++i) {

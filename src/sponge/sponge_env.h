@@ -36,7 +36,9 @@ struct ReplicationConfig {
 // Knobs governing SpongeFile behaviour; defaults match the paper's
 // implementation choices (1 MB chunks, rack-local remote spilling, chunk
 // prefetch on read, asynchronous writes to non-local media, direct
-// shared-memory access for local chunks).
+// shared-memory access for local chunks). The client-side hardening of
+// remote sponge operations (deadlines, retries, circuit breaker) is not a
+// knob: its constants live in rpc_client.h.
 struct SpongeConfig {
   uint64_t chunk_size = 1024ull * 1024;
   // When false, even local chunks are stored through the local sponge
@@ -57,9 +59,6 @@ struct SpongeConfig {
   bool async_write = true;
   // Disable remote memory entirely (local pool then disk).
   bool allow_remote_memory = true;
-  // Client-side hardening of remote sponge operations (deadlines,
-  // retries, circuit breaker, hedged reads); see rpc_client.h.
-  RpcPolicy rpc;
   // Chunk replication and crash recovery (see ReplicationConfig above).
   ReplicationConfig replication;
 };

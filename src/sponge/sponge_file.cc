@@ -753,16 +753,6 @@ sim::Task<Result<ByteRuns>> SpongeFile::ReadRemote(size_t node,
                                                    ChunkHandle handle,
                                                    ChunkOwner owner) {
   SpongeServer* server = &env_->server(node);
-  if (env_->config().rpc.hedge_reads) {
-    // Hedged read: a duplicate races the slow copy under the loose
-    // kHedgeDeadline instead of deadline-retrying into the breaker — a
-    // slow-but-honest server still loses only latency, not chunks.
-    co_return co_await HedgedCall<Result<ByteRuns>>(
-        env_->engine(), &env_->health(), node,
-        [this, server, handle, owner] {
-          return server->RemoteRead(task_->node, handle, owner);
-        });
-  }
   co_return co_await HardenedCall<Result<ByteRuns>>(
       env_->engine(), &env_->health(), &env_->rpc_rng(), node,
       [this, server, handle, owner] {
@@ -793,8 +783,8 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchChunkRaw(size_t index) {
   span.Arg("bytes", record.size);
   switch (record.location) {
     case ChunkLocation::kLocalMemory: {
-      SpongeServer& server = env_->server(record.node);
-      ByteRuns* data = server.pool().chunk_data(record.handle);
+      ByteRuns* data =
+          env_->server(record.node).pool().chunk_data(record.handle);
       if (data == nullptr) {
         co_return Unavailable("local chunk lost");
       }
@@ -803,11 +793,7 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchChunkRaw(size_t index) {
             TransferTime(record.size, kSharedMemoryBandwidth));
         co_return *data;
       }
-      co_return co_await HardenedCall<Result<ByteRuns>>(
-          env_->engine(), &env_->health(), &env_->rpc_rng(), record.node,
-          [this, &server, &record, &owner] {
-            return server.RemoteRead(task_->node, record.handle, owner);
-          });
+      co_return co_await ReadRemote(record.node, record.handle, owner);
     }
     case ChunkLocation::kRemoteMemory: {
       if (!env_->server(record.node).alive()) {

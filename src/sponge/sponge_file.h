@@ -40,7 +40,10 @@ const char* ChunkLocationName(ChunkLocation location);
 // Reads prefetch the next non-local-memory chunk (up to a per-task window
 // across all of the task's files) and writes to non-local media are
 // asynchronous (one outstanding store), overlapping IO with the spilling
-// task's computation.
+// task's computation. A read through a sponge server is one hardened call
+// (ReadRemote); a read it gives up on reports the chunk lost (after
+// replica failover, when the chunk has a replica), and the framework
+// re-runs the owning task.
 class SpongeFile {
  public:
   struct Stats {
@@ -197,8 +200,10 @@ class SpongeFile {
   // independently of the primary read.
   sim::Task<Result<ByteRuns>> FetchFromReplica(size_t index);
 
-  // One read of the memory copy `owner` holds at `node`/`handle`: hedged
-  // when RpcPolicy::hedge_reads is on, hardened otherwise.
+  // One read of the memory copy `owner` holds at `node`/`handle` through
+  // that node's sponge server, under HardenedCall (rpc_client.h): the one
+  // remote-read path, for remote chunks, their replicas, and local chunks
+  // routed over the socket.
   sim::Task<Result<ByteRuns>> ReadRemote(size_t node, ChunkHandle handle,
                                          ChunkOwner owner);
 

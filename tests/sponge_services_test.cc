@@ -433,6 +433,59 @@ TEST(RpcHardeningTest, HungServerTripsBreakerThenRecovers) {
   f.engine.Run();
 }
 
+TEST(RpcHardeningTest, SlowServerReadTripsBreakerAndLosesTheChunk) {
+  // A server that answers every read, but 800 ms late (overload, GC
+  // pauses), is past the 500 ms deadline: each read times out and is
+  // retried until the breaker ejects the server. The read then reports
+  // the chunk lost (UNAVAILABLE), and the framework's task re-run is what
+  // recovers it, as for a crashed server.
+  ServicesFixture f;
+  // Node 0's pool is full, so every chunk of the file lands remotely.
+  for (int i = 0; i < 4; ++i) {
+    (void)f.env->server(0).pool().Allocate(ChunkOwner{999, 0});
+  }
+  f.engine.Spawn(f.env->tracker().PollOnce());
+  f.engine.Run();
+  TaskContext task = f.env->StartTask(0);
+  SpongeFile file(f.env.get(), &task, "slow");
+  Status status;
+  auto write = [&]() -> sim::Task<> {
+    ByteRuns data;
+    data.AppendZeros(MiB(4));
+    status = co_await file.Append(std::move(data));
+    if (status.ok()) status = co_await file.Close();
+  };
+  f.engine.Spawn(write());
+  f.engine.Run();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(file.stats().chunks_remote_memory, 4u);
+
+  // Affinity packs the chunks onto one peer; slow that one down.
+  size_t host = 0;
+  for (size_t n = 1; n < 4 && host == 0; ++n) {
+    if (!f.env->server(n).pool().AllocatedChunks().empty()) host = n;
+  }
+  ASSERT_NE(host, 0u);
+  FailureInjector injector(f.env.get(), 1);
+  injector.ScheduleRpcDelay(host, f.engine.now(), Millis(800), Seconds(30));
+
+  auto read = [&]() -> sim::Task<> {
+    while (true) {
+      auto chunk = co_await file.ReadNext();
+      if (!chunk.ok()) {
+        status = chunk.status();
+        co_return;
+      }
+      if (chunk->empty()) break;
+    }
+  };
+  f.engine.Spawn(read());
+  f.engine.Run();
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_TRUE(f.env->health().IsOpen(host));
+  EXPECT_GT(f.env->health().trips(), 0u);
+}
+
 // An operation that answers `after` from its start, marking its own
 // completion and the destruction of its frame.
 sim::Task<Status> AnswerAfter(sim::Engine* engine, Duration after,

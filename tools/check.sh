@@ -39,9 +39,9 @@ export ASAN_OPTIONS="strict_string_checks=1:detect_stack_use_after_return=1"
 # teardown, so any LeakSanitizer report is a real bug.
 # The chaos test stays cheap under plain ctest; the sanitizer run is where
 # we spend the time on a wide seed sweep. Every chaos run (baseline and
-# injected) executes with speculation and hedged reads enabled, so the
-# sweep also shakes down backup attempts racing faults and hedge
-# duplicates landing after their primary was abandoned. The chaos testbed
+# injected) executes with speculation enabled, so the sweep also shakes
+# down backup attempts racing faults, and remote reads abandoned at their
+# deadline answering after their caller has left. The chaos testbed
 # is multi-rack, so the seed sweep also draws tracker-shard outages,
 # stale-shard pauses, and gossip partitions from the fault mix. Chunk
 # replication is on and crashes are fail-stop, so replica writes, read

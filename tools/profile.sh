@@ -17,8 +17,9 @@
 # --heap profiles memory instead: tools/profile/heap.c (preloaded) keeps
 # the live heap by usable-size class and, sampled, by allocation site, and
 # tools/profile/heapfold.py prints both at the live high-water mark, sites
-# resolved with addr2line, plus the resident set seen there. It writes no
-# file; it is how a peak_rss_mb number is explained.
+# resolved with addr2line, plus the resident set seen there, then both
+# again at the resident-set peak with the call that reached it. It writes
+# no file; it is how a peak_rss_mb number is explained.
 #
 # Usage:
 #   tools/profile.sh [--workload=all|skew_sponge|skew_disk|dc_replay]

@@ -13,6 +13,10 @@
 //    site is the block's backtrace (up to MAX_FRAMES return addresses).
 //    At most LIVE_SLOTS / 2 sampled blocks are live at once (about 2 GiB
 //    of live heap); samples beyond that are dropped and counted.
+// The resident set is probed each time live bytes move RSS_STEP; at each
+// new resident peak the same two breakdowns are kept once more, with the
+// backtrace of the call that moved the heap there, so a resident peak
+// that the live heap does not explain can be placed in the program.
 // At exit the owning process writes the executable mappings and the
 // snapshot to the file named by SPONGE_HEAP_OUT; tools/profile/heapfold.py
 // resolves the sites. Without SPONGE_HEAP_OUT the library only forwards.
@@ -84,6 +88,11 @@ static struct Books snap_books;
 static struct Site* sites;
 static double* snap_site_live;
 static double* snap_site_blocks;
+static struct Books rss_books;  // the books at the resident peak
+static double* rss_site_live;
+static double* rss_site_blocks;
+static uintptr_t rss_frames[MAX_FRAMES];  // the call that probed the peak
+static int rss_depth;
 static uint32_t num_sites;
 static uint32_t* site_slots;  // site index + 1; 0 = free
 static struct LiveBlock* live_blocks;
@@ -91,8 +100,6 @@ static uint32_t live_count;  // occupied slots, kept <= LIVE_SLOTS / 2
 static uint64_t sampled;
 static uint64_t dropped;
 static int64_t probe_live;  // live bytes at the last RSS probe
-static int64_t peak_rss;
-static int64_t live_at_peak_rss;
 
 static void Lock(void) {
   while (__atomic_exchange_n(&lock, 1, __ATOMIC_ACQUIRE)) {
@@ -138,10 +145,12 @@ __attribute__((constructor)) static void Start(void) {
   sites = Map(MAX_SITES * sizeof(struct Site));
   snap_site_live = Map(MAX_SITES * sizeof(double));
   snap_site_blocks = Map(MAX_SITES * sizeof(double));
+  rss_site_live = Map(MAX_SITES * sizeof(double));
+  rss_site_blocks = Map(MAX_SITES * sizeof(double));
   site_slots = Map(SITE_SLOTS * sizeof(uint32_t));
   live_blocks = Map(LIVE_SLOTS * sizeof(struct LiveBlock));
-  if (!sites || !snap_site_live || !snap_site_blocks || !site_slots ||
-      !live_blocks) {
+  if (!sites || !snap_site_live || !snap_site_blocks || !rss_site_live ||
+      !rss_site_blocks || !site_slots || !live_blocks) {
     return;
   }
   // Load the unwinder now: its first use allocates.
@@ -205,9 +214,14 @@ static void MaybeProbeRss(void) {
   }
   probe_live = books.live;
   books.rss = ReadRss();
-  if (books.rss > peak_rss) {
-    peak_rss = books.rss;
-    live_at_peak_rss = books.live;
+  if (books.rss > rss_books.rss) {
+    rss_books = books;
+    for (uint32_t i = 0; i < num_sites; ++i) {
+      rss_site_live[i] = sites[i].live;
+      rss_site_blocks[i] = sites[i].blocks;
+    }
+    rss_depth = backtrace((void**)rss_frames, MAX_FRAMES);
+    if (rss_depth < 0) rss_depth = 0;
   }
 }
 
@@ -224,17 +238,8 @@ static void Snapshot(void) {
   }
 }
 
-// Books a new block (caller holds the lock).
-static void Add(void* p) {
-  size_t usable = malloc_usable_size(p);
-  size_t c = ClassOf(usable);
-  books.class_blocks[c] += 1;
-  books.class_bytes[c] += (int64_t)usable;
-  books.live += (int64_t)usable;
-  if (books.live > books.peak) books.peak = books.live;
-  MaybeProbeRss();
-  if (books.live >= snap_books.live + SnapStep()) Snapshot();
-
+// Samples a new block into its site's estimate (caller holds the lock).
+static void Sample(void* p, size_t usable) {
   countdown -= (int64_t)usable;
   if (countdown > 0) return;
   while (countdown <= 0) countdown += (int64_t)NextExponential();
@@ -257,15 +262,30 @@ static void Add(void* p) {
   ++sampled;
 }
 
+// Books a new block (caller holds the lock). The breakdowns are taken
+// after the block is sampled, so the sites and the classes both hold it.
+static void Add(void* p) {
+  size_t usable = malloc_usable_size(p);
+  size_t c = ClassOf(usable);
+  books.class_blocks[c] += 1;
+  books.class_bytes[c] += (int64_t)usable;
+  books.live += (int64_t)usable;
+  if (books.live > books.peak) books.peak = books.live;
+  Sample(p, usable);
+  MaybeProbeRss();
+  if (books.live >= snap_books.live + SnapStep()) Snapshot();
+}
+
 // Unbooks a block about to be freed (caller holds the lock).
 static void Remove(void* p) {
+  // Probed while the block is still booked and still resident.
+  MaybeProbeRss();
   size_t usable = malloc_usable_size(p);
   size_t c = ClassOf(usable);
   books.class_blocks[c] -= 1;
   books.class_bytes[c] -= (int64_t)usable;
   books.live -= (int64_t)usable;
   if (books.live < 0) books.live = 0;
-  MaybeProbeRss();
   uint32_t i = LiveSlot((uintptr_t)p);
   while (live_blocks[i].ptr != 0 && live_blocks[i].ptr != (uintptr_t)p) {
     i = (i + 1) & (LIVE_SLOTS - 1);
@@ -371,6 +391,25 @@ static void WriteMaps(FILE* out) {
   fclose(maps);
 }
 
+// Writes one breakdown as `class` and `site` lines, each name prefixed.
+static void WriteBreakdown(FILE* out, const char* prefix,
+                           const struct Books* at, const double* site_live,
+                           const double* site_blocks) {
+  for (size_t c = 0; c < NUM_CLASSES; ++c) {
+    if (at->class_blocks[c] <= 0) continue;
+    fprintf(out, "%sclass %zu %lld %lld\n", prefix, ClassLow(c),
+            (long long)at->class_blocks[c], (long long)at->class_bytes[c]);
+  }
+  for (uint32_t i = 0; i < num_sites; ++i) {
+    if (site_live[i] < 1) continue;
+    fprintf(out, "%ssite %.0f %.0f", prefix, site_live[i], site_blocks[i]);
+    for (int f = 0; f < sites[i].depth; ++f) {
+      fprintf(out, " %lx", (unsigned long)sites[i].frames[f]);
+    }
+    fputc('\n', out);
+  }
+}
+
 __attribute__((destructor)) static void Stop(void) {
   if (!enabled || getpid() != owner) return;
   in_hook = 1;
@@ -382,26 +421,19 @@ __attribute__((destructor)) static void Stop(void) {
             (long long)books.peak, (long long)snap_books.live,
             (long long)books.live, (long long)SnapStep());
     fprintf(out, "rss_peak %lld live_at_rss_peak %lld snapshot_rss %lld\n",
-            (long long)peak_rss, (long long)live_at_peak_rss,
+            (long long)rss_books.rss, (long long)rss_books.live,
             (long long)snap_books.rss);
     fprintf(out, "sampling %.0f sampled %llu dropped %llu sites %u\n",
             SAMPLE_BYTES, (unsigned long long)sampled,
             (unsigned long long)dropped, num_sites);
     WriteMaps(out);
-    for (size_t c = 0; c < NUM_CLASSES; ++c) {
-      if (snap_books.class_blocks[c] <= 0) continue;
-      fprintf(out, "class %zu %lld %lld\n", ClassLow(c),
-              (long long)snap_books.class_blocks[c],
-              (long long)snap_books.class_bytes[c]);
+    WriteBreakdown(out, "", &snap_books, snap_site_live, snap_site_blocks);
+    WriteBreakdown(out, "rss_", &rss_books, rss_site_live, rss_site_blocks);
+    fprintf(out, "rss_call");
+    for (int f = 0; f < rss_depth; ++f) {
+      fprintf(out, " %lx", (unsigned long)rss_frames[f]);
     }
-    for (uint32_t i = 0; i < num_sites; ++i) {
-      if (snap_site_live[i] < 1) continue;
-      fprintf(out, "site %.0f %.0f", snap_site_live[i], snap_site_blocks[i]);
-      for (int f = 0; f < sites[i].depth; ++f) {
-        fprintf(out, " %lx", (unsigned long)sites[i].frames[f]);
-      }
-      fputc('\n', out);
-    }
+    fputc('\n', out);
     fclose(out);
   }
   Unlock();
