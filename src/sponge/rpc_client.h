@@ -25,8 +25,7 @@ namespace spongefiles::sponge {
 // ejects servers from allocation and reads until a half-open probe
 // succeeds, so SpongeFile falls down the cascade (local pool -> remote ->
 // disk -> DFS) instead of hanging. A read the hardening gives up on reports
-// the chunk lost, and the framework re-runs the owning task. The values
-// below are constants, not configuration.
+// the chunk lost, and the framework re-runs the owning task.
 
 // Per-attempt deadline on a remote sponge operation. Generous next to the
 // ~10 ms a healthy chunk write takes, tight next to task runtimes.
