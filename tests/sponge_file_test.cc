@@ -12,6 +12,8 @@
 #include "common/checksum.h"
 #include "common/random.h"
 #include "common/units.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/engine.h"
 #include "sponge/sponge_env.h"
 
@@ -255,6 +257,107 @@ TEST(SpongeFileTest, StaleFreeListRetriesThenDisk) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(file.stats().chunks_local_disk, 2u);
   EXPECT_GT(file.stats().stale_list_retries, 0u);
+}
+
+// What one file's allocation walk did: the RemoteAllocate targets in issue
+// order and how much each decision counter moved.
+struct WalkOutcome {
+  std::vector<size_t> targets;
+  uint64_t rack_restricted = 0;
+  uint64_t server_sick = 0;
+  uint64_t tracker_stale = 0;
+  uint64_t affinity_hit = 0;
+};
+
+// An 8-chunk file from node 0 on two 4-node racks of 2-chunk pools. In
+// rack 0, node 0 (the task's own, listed but full) sends every chunk
+// remote; node 1 is over-estimated (filled after the poll, so it refuses
+// and is bounced); node 2 is listed with one chunk but has two, so its
+// estimate runs out first; node 3 is the task's affinity server. In
+// rack 1, node 4's breaker is open and nodes 5..7 are healthy. Tracker
+// order (free bytes, then node) interleaves the racks: 0 1 3 4 5 6 7 2.
+WalkOutcome RunAllocationWalk(bool allow_cross_rack) {
+  SpongeConfig config;
+  config.allow_cross_rack = allow_cross_rack;
+  SpongeFixture f(config, MiB(2), /*num_nodes=*/8, /*nodes_per_rack=*/4);
+  const ChunkOwner other{999, 2};
+  Result<ChunkHandle> held = f.env->server(2).pool().Allocate(other);
+  f.engine.Spawn(f.env->tracker().PollOnce());
+  f.engine.Run();
+  (void)f.env->server(2).pool().Free(*held, other);
+  for (size_t n = 0; n < 2; ++n) {
+    while (f.env->server(n).pool().Allocate(ChunkOwner{999, n}).ok()) {
+    }
+  }
+  for (int i = 0; i < 3; ++i) f.env->health().RecordFailure(4);
+  f.task.sponge_affinity = {3};
+
+  obs::Registry& registry = obs::Registry::Default();
+  auto decisions = [&registry](const char* reason) {
+    return registry.counter("sponge.alloc.decisions", {{"reason", reason}})
+        ->value();
+  };
+  WalkOutcome out;
+  out.rack_restricted = decisions("rack-restricted");
+  out.server_sick = decisions("server-sick");
+  out.tracker_stale = decisions("tracker-stale");
+  out.affinity_hit = decisions("affinity-hit");
+
+  obs::Tracer& tracer = obs::Tracer::Default();
+  tracer.Clear();
+  tracer.set_enabled(true);
+  SpongeFile file(f.env.get(), &f.task, "walk");
+  auto run = [&]() -> sim::Task<> {
+    ByteRuns data;
+    data.AppendZeros(MiB(8));
+    (void)co_await file.Append(std::move(data));
+    (void)co_await file.Close();
+  };
+  f.engine.Spawn(run());
+  f.engine.Run();
+  tracer.set_enabled(false);
+  const std::string json = tracer.ToJson();
+  tracer.Clear();
+
+  // Spans are emitted as they end; the walk issues one RPC at a time.
+  const std::string span = "{\"name\":\"rpc.alloc\"";
+  for (size_t at = json.find(span); at != std::string::npos;
+       at = json.find(span, at + 1)) {
+    const size_t pid = json.find("\"pid\":", at) + 6;
+    out.targets.push_back(std::stoul(json.substr(pid)));
+  }
+  out.rack_restricted = decisions("rack-restricted") - out.rack_restricted;
+  out.server_sick = decisions("server-sick") - out.server_sick;
+  out.tracker_stale = decisions("tracker-stale") - out.tracker_stale;
+  out.affinity_hit = decisions("affinity-hit") - out.affinity_hit;
+  EXPECT_EQ(file.stats().chunks_remote_memory + file.stats().chunks_local_disk,
+            8u);
+  return out;
+}
+
+TEST(SpongeFileTest, AllocationWalkOrderAcrossBothRungs) {
+  const WalkOutcome out = RunAllocationWalk(/*allow_cross_rack=*/true);
+  // Rack-local rung: affinity node 3 twice, then the list: 1 refuses, 3
+  // is already in the affinity prefix, 2 takes the one chunk its estimate
+  // allows. With 1 bounced and 3 and 2 used up, the cross-rack rung
+  // takes the rest: 4 is skipped as sick on every call that reaches it,
+  // and 5 and 6 each take a second chunk as affinity nodes.
+  EXPECT_EQ(out.targets,
+            (std::vector<size_t>{3, 3, 1, 2, 5, 5, 6, 6, 7}));
+  EXPECT_EQ(out.rack_restricted, 0u);
+  EXPECT_EQ(out.server_sick, 3u);
+  EXPECT_EQ(out.tracker_stale, 1u);
+  EXPECT_EQ(out.affinity_hit, 4u);
+}
+
+TEST(SpongeFileTest, AllocationWalkRackRestricted) {
+  const WalkOutcome out = RunAllocationWalk(/*allow_cross_rack=*/false);
+  EXPECT_EQ(out.targets, (std::vector<size_t>{3, 3, 1, 2}));
+  // Each of the 8 rack-local calls counts the 4 off-rack entries.
+  EXPECT_EQ(out.rack_restricted, 32u);
+  EXPECT_EQ(out.server_sick, 0u);
+  EXPECT_EQ(out.tracker_stale, 1u);
+  EXPECT_EQ(out.affinity_hit, 2u);
 }
 
 TEST(SpongeFileTest, ReadBeforeCloseRejected) {
