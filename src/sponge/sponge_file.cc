@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -45,21 +46,26 @@ const MediumMetrics& MediumMetricsFor(ChunkLocation location) {
   return metrics[static_cast<size_t>(location)];
 }
 
-// Why the allocation cascade moved past (or preferred) a placement. The
-// order is the cluster-wide counters' registration order.
-constexpr std::string_view kDecisionReasons[] = {
+// Why the allocation cascade moved past (or preferred) a placement, in the
+// cluster-wide counters' registration order; kDecisionReasons names each.
+enum class Decision {
+  kPoolFull,
+  kTrackerStale,
+  kTrackerDown,
+  kRackRestricted,
+  kServerSick,
+  kRpcTimeout,
+  kSsdFull,
+  kSsdWorn,
+  kAffinityHit,
+};
+constexpr const char* kDecisionReasons[] = {
     "pool-full", "tracker-stale", "tracker-down",
     "rack-restricted", "server-sick", "rpc-timeout",
     "ssd-full", "ssd-worn", "affinity-hit"};
 constexpr size_t kNumDecisionReasons = std::size(kDecisionReasons);
-
-size_t DecisionIndex(std::string_view reason) {
-  for (size_t i = 0; i < kNumDecisionReasons; ++i) {
-    if (kDecisionReasons[i] == reason) return i;
-  }
-  SPONGE_CHECK(false) << "unknown spill decision reason " << reason;
-  return 0;
-}
+static_assert(static_cast<size_t>(Decision::kAffinityHit) + 1 ==
+              kNumDecisionReasons);
 
 obs::Counter* DecisionCounter(size_t reason) {
   static const auto counters = [] {
@@ -146,9 +152,8 @@ obs::Counter* CorruptionCounter() {
 // Records why the allocation cascade moved past (or preferred) a placement:
 // a counter bump (cluster-wide and per-rack) plus, when tracing, an instant
 // event on the task's trace track.
-void SpillDecision(SpongeEnv* env, const TaskContext* task,
-                   const char* reason) {
-  const size_t index = DecisionIndex(reason);
+void SpillDecision(SpongeEnv* env, const TaskContext* task, Decision reason) {
+  const auto index = static_cast<size_t>(reason);
   DecisionCounter(index)->Increment();
   // The per-rack breakdown is what lets a tracker-shard outage be pinned
   // to its rack: only that rack's tracker-down count moves.
@@ -156,9 +161,10 @@ void SpillDecision(SpongeEnv* env, const TaskContext* task,
       ->Increment();
   obs::Tracer& tracer = obs::Tracer::Default();
   if (tracer.enabled()) {
-    tracer.InstantEvent(env->engine()->now(), task->node, task->task_id,
-                        "sponge", "spill.decision",
-                        {obs::TraceArg::Str("reason", reason)});
+    tracer.InstantEvent(
+        env->engine()->now(), task->node, task->task_id, "sponge",
+        "spill.decision",
+        {obs::TraceArg::Str("reason", kDecisionReasons[index])});
   }
 }
 
@@ -306,7 +312,8 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
         stored_locally = false;
         (void)local.LocalFree(*handle, owner);
         SpillDecision(env_, task_,
-                      IsRpcTimeout(stored) ? "rpc-timeout" : "server-sick");
+                      IsRpcTimeout(stored) ? Decision::kRpcTimeout
+                                           : Decision::kServerSick);
       }
     }
     if (stored_locally) {
@@ -321,7 +328,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
       co_return Status::OK();
     }
   } else {
-    SpillDecision(env_, task_, "pool-full");
+    SpillDecision(env_, task_, Decision::kPoolFull);
   }
 
   // 2. Remote sponge memory: first the rack-local rung, then — only when
@@ -347,7 +354,8 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
             });
         if (!stored.ok()) {
           SpillDecision(env_, task_,
-                        IsRpcTimeout(stored) ? "rpc-timeout" : "server-sick");
+                        IsRpcTimeout(stored) ? Decision::kRpcTimeout
+                                             : Decision::kServerSick);
           Bounce(target);
           continue;
         }
@@ -386,7 +394,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
   if (self.has_ssd()) {
     cluster::Ssd& ssd = self.ssd();
     if (!ssd.TryReserve(record.size)) {
-      SpillDecision(env_, task_, "ssd-full");
+      SpillDecision(env_, task_, Decision::kSsdFull);
     } else {
       Status written = co_await ssd.Write(record.size);
       if (written.ok()) {
@@ -394,7 +402,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
         co_return Status::OK();
       }
       ssd.Release(record.size);
-      SpillDecision(env_, task_, "ssd-worn");
+      SpillDecision(env_, task_, Decision::kSsdWorn);
     }
   }
 
@@ -472,14 +480,40 @@ sim::Task<Status> SpongeFile::LoadFreeList() {
     co_return list.status();
   }
   free_list_ = std::move(*list);
-  // The candidate walks rely on this: MergedView lists each server once (a
-  // rack's digest carries only that rack's servers).
-  std::vector<bool> listed(env_->cluster()->size(), false);
-  for (const FreeSpaceEntry& entry : free_list_) {
-    SPONGE_CHECK(!listed[entry.node])
-        << "tracker listed node " << entry.node << " twice";
-    listed[entry.node] = true;
+  SPONGE_CHECK(free_list_.size() <= UINT16_MAX)
+      << "free list of " << free_list_.size() << " entries";
+
+  // The walk relies on MergedView listing each server once (a rack's
+  // digest carries only that rack's servers). Load stamps shared by every
+  // file check that without a per-file bitmap.
+  static std::vector<uint64_t> listed_at;
+  static uint64_t load = 0;
+  ++load;
+  listed_at.resize(std::max(listed_at.size(), env_->cluster()->size()));
+
+  // Split the list into the two rungs, each in tracker order: rack-local
+  // entries fill walk_ from the front, off-rack ones from the back (then
+  // reversed into order). The task's own node is no candidate.
+  walk_.resize(free_list_.size());
+  size_t local = 0;
+  size_t off_rack = walk_.size();
+  for (size_t i = 0; i < free_list_.size(); ++i) {
+    const size_t node = free_list_[i].node;
+    SPONGE_CHECK(listed_at[node] != load)
+        << "tracker listed node " << node << " twice";
+    listed_at[node] = load;
+    if (node == task_->node) continue;
+    const auto at = static_cast<uint16_t>(i);
+    if (env_->cluster()->SameRack(node, task_->node)) {
+      walk_[local++] = at;
+    } else {
+      walk_[--off_rack] = at;
+    }
   }
+  std::reverse(walk_.begin() + off_rack, walk_.end());
+  walk_.erase(walk_.begin() + local, walk_.begin() + off_rack);
+  cross_begin_ = walk_end_[0] = static_cast<uint16_t>(local);
+  walk_end_[1] = static_cast<uint16_t>(walk_.size());
   co_return Status::OK();
 }
 
@@ -491,80 +525,86 @@ void SpongeFile::Bounce(size_t node) {
 sim::Task<Result<std::pair<size_t, ChunkHandle>>>
 SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
   const SpongeConfig& config = env_->config();
-  Status loaded = co_await LoadFreeList();
-  if (!loaded.ok()) {
+  // Checked here too so that only the loading call pays for a frame.
+  if (!free_list_loaded_ && !(co_await LoadFreeList()).ok()) {
     // The tracker is an optimization, not a dependency: with no free
     // list we can still try affinity nodes, and otherwise fall to disk.
-    SpillDecision(env_, task_, "tracker-down");
+    SpillDecision(env_, task_, Decision::kTrackerDown);
   }
 
   // Each pass walks one locality rung: the rack-local pass only considers
   // same-rack servers, the cross-rack pass only off-rack ones (anything
   // rack-local was already exhausted by then).
-  auto eligible = [&](size_t node) {
-    if (node == task_->node) return false;
-    const bool same_rack = env_->cluster()->SameRack(node, task_->node);
-    if (same_rack == cross_rack) {
-      // An off-rack candidate skipped with no cross-rack rung to catch it
-      // later is the paper's rack restriction biting.
-      if (!cross_rack && !config.allow_cross_rack) {
-        SpillDecision(env_, task_, "rack-restricted");
-      }
-      return false;
-    }
-    return true;
+  auto in_rung = [&](size_t node) {
+    return node != task_->node &&
+           env_->cluster()->SameRack(node, task_->node) != cross_rack;
   };
 
   // Candidate order: affinity nodes first (fewer distinct machines hold
-  // this task's data, shrinking its failure footprint), then the rest of
-  // the tracker's list. The list names each server once, so its entries
-  // only need deduping against the affinity prefix.
-  std::vector<size_t>& candidates = candidates_;
-  candidates.clear();
-  if (config.affinity) {
-    for (size_t node : task_->sponge_affinity) {
-      if (eligible(node)) candidates.push_back(node);
-    }
-  }
-  const size_t affinity_end = candidates.size();
-  for (const FreeSpaceEntry& entry : free_list_) {
-    if (eligible(entry.node) &&
-        std::find(candidates.begin(), candidates.begin() + affinity_end,
-                  entry.node) == candidates.begin() + affinity_end) {
-      candidates.push_back(entry.node);
-    }
-  }
+  // this task's data, shrinking its failure footprint), then the rung's
+  // part of the tracker's list, less the affinity prefix. The task's other
+  // files only append to its affinity list, so the prefix is the list's
+  // first `prefix` entries for the whole call.
+  const std::vector<size_t>& affinity = task_->sponge_affinity;
+  const size_t prefix = config.affinity ? affinity.size() : 0;
 
-  // The tracker's estimate for candidates[i]. Past the affinity prefix the
-  // candidates follow free_list_ order, so that lookup only moves forward.
-  size_t scan = 0;
-  auto estimate_of = [&](size_t i) -> FreeSpaceEntry* {
-    const size_t node = candidates[i];
-    if (i < affinity_end) {
-      for (FreeSpaceEntry& entry : free_list_) {
-        if (entry.node == node) return &entry;
+  // An off-rack candidate skipped with no cross-rack rung to catch it
+  // later is the paper's rack restriction biting: counted for each
+  // off-rack affinity node and list entry on every rack-local call.
+  if (!cross_rack && !config.allow_cross_rack) {
+    for (size_t a = 0; a < prefix; ++a) {
+      if (affinity[a] != task_->node &&
+          !env_->cluster()->SameRack(affinity[a], task_->node)) {
+        SpillDecision(env_, task_, Decision::kRackRestricted);
       }
-      return nullptr;
     }
-    while (free_list_[scan].node != node) ++scan;
-    return &free_list_[scan];
-  };
+    for (size_t i = cross_begin_; i < walk_.size(); ++i) {
+      SpillDecision(env_, task_, Decision::kRackRestricted);
+    }
+  }
 
+  // A list entry seen dead (bounced, or its estimate below one chunk: both
+  // permanent for this file) leaves the walk for good. walk_[begin, kept)
+  // holds the live entries passed so far and walk_[next, end) the ones
+  // not yet looked at.
+  const size_t begin = cross_rack ? cross_begin_ : 0;
+  uint16_t& rung_end = walk_end_[cross_rack ? 1 : 0];
+  const size_t end = rung_end;
+  size_t kept = begin;
+  size_t next = begin;
+  std::optional<std::pair<size_t, ChunkHandle>> found;
   ChunkOwner owner{task_->task_id, task_->node};
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const size_t node = candidates[i];
-    if (bounced(node)) continue;
-    // Skip servers the estimate says cannot hold one more chunk.
-    FreeSpaceEntry* estimate = estimate_of(i);
-    if (estimate != nullptr && estimate->free_bytes < config.chunk_size) {
-      continue;
+  for (size_t a = 0; a < prefix || next < end;) {
+    size_t node;
+    FreeSpaceEntry* estimate;  // the tracker's entry; nullptr if unlisted
+    if (a < prefix) {
+      node = affinity[a++];
+      if (!in_rung(node) || bounced(node)) continue;
+      auto listed = std::find_if(
+          free_list_.begin(), free_list_.end(),
+          [node](const FreeSpaceEntry& entry) { return entry.node == node; });
+      estimate = listed == free_list_.end() ? nullptr : &*listed;
+      // Skip servers the estimate says cannot hold one more chunk.
+      if (estimate != nullptr && estimate->free_bytes < config.chunk_size) {
+        continue;
+      }
+    } else {
+      const uint16_t at = walk_[next++];
+      estimate = &free_list_[at];
+      node = estimate->node;
+      if (bounced(node) || estimate->free_bytes < config.chunk_size) continue;
+      walk_[kept++] = at;
+      if (std::find(affinity.begin(), affinity.begin() + prefix, node) !=
+          affinity.begin() + prefix) {
+        continue;
+      }
     }
     // Circuit breaker: a server with an open breaker is skipped (but not
     // permanently bounced — it may recover and later chunks can use it).
     // An AllowRequest "true" on an open breaker is the half-open probe;
     // the HardenedCall below always settles it via RecordSuccess/Failure.
     if (!env_->health().AllowRequest(node)) {
-      SpillDecision(env_, task_, "server-sick");
+      SpillDecision(env_, task_, Decision::kServerSick);
       continue;
     }
     Result<ChunkHandle> handle = co_await HardenedCall<Result<ChunkHandle>>(
@@ -582,9 +622,10 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
           std::find(task_->sponge_affinity.begin(),
                     task_->sponge_affinity.end(),
                     node) != task_->sponge_affinity.end()) {
-        SpillDecision(env_, task_, "affinity-hit");
+        SpillDecision(env_, task_, Decision::kAffinityHit);
       }
-      co_return std::make_pair(node, *handle);
+      found.emplace(node, *handle);
+      break;
     }
     // Stale list entry (dead or full server) or a sick one that
     // timed out through its retries: remember it is unusable and move on —
@@ -596,16 +637,24 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
     stale_retries_counter->Increment();
     const Status& why = handle.status();
     if (IsRpcTimeout(why)) {
-      SpillDecision(env_, task_, "rpc-timeout");
+      SpillDecision(env_, task_, Decision::kRpcTimeout);
     } else if (why.code() == StatusCode::kUnavailable) {
-      SpillDecision(env_, task_, "server-sick");
+      SpillDecision(env_, task_, Decision::kServerSick);
     } else {
-      SpillDecision(env_, task_, "tracker-stale");
+      SpillDecision(env_, task_, Decision::kTrackerStale);
     }
     if (estimate != nullptr) estimate->free_bytes = 0;
     Bounce(node);
   }
-  co_return NotFound("no remote sponge server with free memory");
+  // The dropped entries left a gap behind the cursor; the unvisited tail
+  // closes it.
+  if (kept < next) {
+    std::copy(walk_.begin() + next, walk_.begin() + end,
+              walk_.begin() + kept);
+  }
+  rung_end = static_cast<uint16_t>(kept + (end - next));
+  if (!found) co_return NotFound("no remote sponge server with free memory");
+  co_return *found;
 }
 
 sim::Task<Status> SpongeFile::Close() {
@@ -802,7 +851,7 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchChunkRaw(size_t index) {
       // Breaker gate: a known-sick server is not worth the deadline wait —
       // report the chunk lost so the framework's retry kicks in.
       if (!env_->health().AllowRequest(record.node)) {
-        SpillDecision(env_, task_, "server-sick");
+        SpillDecision(env_, task_, Decision::kServerSick);
         co_return Unavailable("sponge server circuit open");
       }
       Result<ByteRuns> fetched =

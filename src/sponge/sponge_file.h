@@ -160,14 +160,16 @@ class SpongeFile {
                        obs::SpanGuard<sim::Engine>* span);
 
   // Loads this file's working copy of the tracker's free list on first
-  // use; later calls return OK at once. The loading call returns the
-  // tracker's error, leaving an empty list.
+  // use and splits it into the walk's two rungs; later calls return OK at
+  // once. The loading call returns the tracker's error, leaving an empty
+  // list.
   sim::Task<Status> LoadFreeList();
 
-  // Walks the candidate servers (affinity nodes first, then the tracker's
-  // free list) issuing allocation RPCs until one succeeds; NOT_FOUND when
-  // every candidate is full or ineligible. Bounced attempts (stale list)
-  // are counted and the bounced server is skipped for later chunks.
+  // Walks the candidate servers (affinity nodes first, then the rung's
+  // part of the tracker's free list) issuing allocation RPCs until one
+  // succeeds; NOT_FOUND when every candidate is full or ineligible.
+  // Bounced attempts (stale list) are counted and the bounced server is
+  // skipped for later chunks.
   // `cross_rack` selects the locality rung: false walks same-rack
   // candidates only, true off-rack only. `bytes` is the chunk's actual
   // size, declared to the target's pool for its fragmentation count.
@@ -223,15 +225,23 @@ class SpongeFile {
   std::vector<ChunkRecord> chunks_;
 
   // Remote allocation state. `free_list_` is this file's working copy of
-  // the tracker snapshot: successful allocations decrement the entry and
-  // bounced ones zero it, so exhausted servers are not re-tried per chunk.
+  // the tracker snapshot, in tracker order: successful allocations
+  // decrement the entry and bounced ones zero it, so exhausted servers are
+  // not re-tried per chunk.
   bool free_list_loaded_ = false;
+  // Bounds in walk_ (below): the rack-local rung is walk_[0, walk_end_[0])
+  // and the cross-rack rung walk_[cross_begin_, walk_end_[1]). Declared
+  // beside the flag, they fill its padding instead of growing the file.
+  uint16_t cross_begin_ = 0;
+  uint16_t walk_end_[2] = {0, 0};
   std::vector<FreeSpaceEntry> free_list_;
+  // The list part of AllocateRemote's walk, split once per file: indices
+  // into free_list_ of the entries not yet seen dead, each rung in tracker
+  // order. walk_ keeps its size, so walk_.size() - cross_begin_ is the
+  // list's off-rack count.
+  std::vector<uint16_t> walk_;
   // Per node: a server that rejected us (sized on the first bounce).
   std::vector<bool> bounced_;
-  // AllocateRemote's candidate list, reused across chunks. At most one
-  // store is in flight per file, so one buffer serves every call.
-  std::vector<size_t> candidates_;
 
   // Async write state: at most one store in flight.
   std::unique_ptr<sim::Event> pending_store_;

@@ -24,12 +24,18 @@
 # Usage:
 #   tools/profile.sh [--workload=all|skew_sponge|skew_disk|dc_replay]
 #                    [--seconds=S] [--binary=PATH] [--label=NAME] [--heap]
+#                    [--top=N]
 #   tools/profile.sh --self-test
+#
+# --top=N passes through to fold.py: it also prints, on stderr, the N
+# functions with the largest share of each workload's samples, each with
+# its hottest source line (the function-level view; BENCH_profile.json
+# stays per layer).
 #
 # Without --binary the script builds spongebench (RelWithDebInfo) from this
 # checkout in build-profile/. --self-test compiles a busy loop placed under
-# src/sim/ and checks that at least 90% of its samples fold into "sim",
-# then runs tools/profile/heapbusy.c under heap.c and checks that at least
+# src/sim/ and checks that at least 90% of its samples fold into "sim" and
+# that its loop function tops the function-level view, then runs tools/profile/heapbusy.c under heap.c and checks that at least
 # 90% of the live bytes at its high-water mark belong to the site that
 # holds them.
 set -euo pipefail
@@ -42,6 +48,7 @@ label=change
 out="$repo/BENCH_profile.json"
 self_test=0
 heap=0
+top=0
 for arg in "$@"; do
   case "$arg" in
     --workload=*) workload="${arg#*=}" ;;
@@ -50,6 +57,7 @@ for arg in "$@"; do
     --label=*) label="${arg#*=}" ;;
     --self-test) self_test=1 ;;
     --heap) heap=1 ;;
+    --top=*) top="${arg#*=}" ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -75,7 +83,13 @@ if [ "$self_test" = 1 ]; then
   cp "$repo/tools/profile/busy.c" "$work/src/sim/busy.c"
   cc -O1 -g -o "$work/busy" "$work/src/sim/busy.c"
   SPONGE_PROFILE_OUT="$work/busy.txt" LD_PRELOAD="$sampler" "$work/busy"
-  python3 "$fold" "$work/busy.txt" --check 'sim>=0.9'
+  python3 "$fold" "$work/busy.txt" --check 'sim>=0.9' --top=1 \
+    2> "$work/busy.top" || { cat "$work/busy.top" >&2; exit 1; }
+  cat "$work/busy.top" >&2
+  if ! sed -n 2p "$work/busy.top" | grep -q '%  Spin  \['; then
+    echo "profile.sh: busy.c's Spin is not the top function" >&2
+    exit 1
+  fi
   cc -O1 -g -o "$work/heapbusy" "$repo/tools/profile/heapbusy.c"
   SPONGE_HEAP_OUT="$work/heapbusy.txt" LD_PRELOAD="$heap_so" "$work/heapbusy"
   python3 "$heapfold" "$work/heapbusy.txt" --top 3 --check 'HoldBlocks>=0.9'
@@ -117,7 +131,7 @@ for w in $workloads; do
     --meta build_type=RelWithDebInfo --meta seed=1 \
     --meta "seconds=$seconds" \
     --meta "sampler=timer_create(CLOCK_PROCESS_CPUTIME_ID) SIGPROF, 1 ms" \
-    "${checks[@]}" > "$work/$w.json"
+    --top="$top" "${checks[@]}" > "$work/$w.json"
   python3 -c 'import json,sys; d=json.load(open(sys.argv[1]));
 print("  samples", d["samples"], " ".join(f"{k}={v:.3f}" for k,v in
 list(d["shares"].items())[:8]))' "$work/$w.json" >&2

@@ -21,6 +21,15 @@ including their IFUNC targets, whose addresses the sampler records) and
 Prints the fold as JSON. With --out, merges it into that file under
 workloads.W.L (other entries are kept). --check 'mapred+pig<=0.01' or
 'sim>=0.9' exits 1 unless the summed shares satisfy the bound.
+
+--top=N also prints, on stderr, the N functions with the largest share.
+A function is the outermost frame addr2line reports for a PC, the one the
+code was inlined into, with any " [clone ...]" suffix dropped so a
+coroutine's .actor/.resume/.destroy count as the coroutine (named by its
+own signature, not its frame type's). Each comes
+with its hottest source line (a line of that function's own body, which
+may be an inlined call) and that line's share. Code in shared libraries
+is not symbolized; it is listed by its layer, in brackets.
 """
 
 import argparse
@@ -40,6 +49,8 @@ MALLOC_NAMES = re.compile(
     r"__default_morecore)$")
 STRING_NAMES = re.compile(r"^(__)?(mem|str|wmem|wcs|stp|bcopy|bzero)\w*$")
 CALIBRATION_RE = re.compile(r"\bCalibrationCpuS\(|std::pmr::")
+CLONE_RE = re.compile(r" \[clone [^]]*\]")
+FRAME_RE = re.compile(r"::_Z\w*\.Frame\*\)$")
 
 
 def parse_samples(path):
@@ -175,14 +186,38 @@ def libc_classifier(path, fns, mapping, segs):
     return classify
 
 
+def coroutine_name(function):
+    """f(args) for a coroutine piece demangled as f(f(args)::_Z...Frame*)."""
+    frame = FRAME_RE.search(function)
+    if frame is None:
+        return function
+    body = function[:frame.start()]
+    for i, c in enumerate(body):
+        if c == "(" and body.startswith(body[:i], i + 1):
+            return body[i + 1:]
+    return function
+
+
+def outermost(frames):
+    """(function, file:line) of the frame a PC's code was inlined into."""
+    if not frames:
+        return "??", "??"
+    function, location = frames[-1]
+    location = os.path.basename(location.split(" (discriminator")[0])
+    return coroutine_name(CLONE_RE.sub("", function)), location
+
+
 def fold(path):
+    """The per-layer fold, and {function: Counter of its lines' samples}."""
     samples, dropped, maps, fns, pcs = parse_samples(path)
     counts = collections.Counter()
+    functions = collections.defaultdict(collections.Counter)
     by_object = collections.defaultdict(list)
     for pc, n in pcs.items():
         mapping = find_mapping(maps, pc)
         if mapping is None:
             counts["other"] += n
+            functions["[other]"]["-"] += n
         else:
             by_object[mapping[3]].append((pc, n, mapping))
     for obj, entries in sorted(by_object.items()):
@@ -192,25 +227,47 @@ def fold(path):
             mapping = entries[0][2]
             classify = libc_classifier(obj, fns, mapping, segs)
             for pc, n, m in entries:
-                counts[classify(to_vaddr(pc, m, segs))] += n
+                layer = classify(to_vaddr(pc, m, segs))
+                counts[layer] += n
+                functions[f"[{layer}]"]["-"] += n
             continue
         if name.startswith("libstdc++"):
-            counts["libstdc++"] += sum(n for _, n, _ in entries)
-            continue
-        if ".so" in name:  # the loader, libm, libgcc_s, the sampler
-            counts["other"] += sum(n for _, n, _ in entries)
+            layer = "libstdc++"
+        elif ".so" in name:  # the loader, libm, libgcc_s, the sampler
+            layer = "other"
+        else:
+            layer = None
+        if layer is not None:
+            n = sum(n for _, n, _ in entries)
+            counts[layer] += n
+            functions[f"[{layer}]"]["-"] += n
             continue
         vaddrs = {pc: to_vaddr(pc, m, segs) for pc, _, m in entries}
         frames = symbolize(obj, sorted(set(vaddrs.values())))
         for pc, n, _ in entries:
-            counts[classify_code(frames.get(vaddrs[pc], []))] += n
+            pc_frames = frames.get(vaddrs[pc], [])
+            counts[classify_code(pc_frames)] += n
+            function, line = outermost(pc_frames)
+            functions[function][line] += n
     total = sum(counts.values()) or 1
     return {
         "samples": samples,
         "dropped": dropped,
         "shares": {k: round(v / total, 4)
                    for k, v in sorted(counts.items(), key=lambda kv: -kv[1])},
-    }
+    }, functions
+
+
+def top_functions(functions, n):
+    """The n largest functions: [(share, name, hottest line, its share)]."""
+    total = sum(sum(lines.values()) for lines in functions.values()) or 1
+    ranked = sorted(functions.items(),
+                    key=lambda kv: (-sum(kv[1].values()), kv[0]))
+    out = []
+    for name, lines in ranked[:n]:
+        line, hot = lines.most_common(1)[0]
+        out.append((sum(lines.values()) / total, name, line, hot / total))
+    return out
 
 
 def check(result, expr):
@@ -234,9 +291,16 @@ def main():
     parser.add_argument("--label")
     parser.add_argument("--meta", action="append", default=[])
     parser.add_argument("--check", action="append", default=[])
+    parser.add_argument("--top", type=int, default=0)
     args = parser.parse_args()
-    result = fold(args.samples)
+    result, functions = fold(args.samples)
     print(json.dumps(result, indent=2))
+    if args.top > 0:
+        print(f"top {args.top} functions (share; hottest line, its share):",
+              file=sys.stderr)
+        for share, name, line, hot in top_functions(functions, args.top):
+            print(f"  {share:7.2%}  {name}  [{line} {hot:.2%}]",
+                  file=sys.stderr)
     if args.out:
         doc = {}
         if os.path.isfile(args.out):
